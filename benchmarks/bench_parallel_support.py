@@ -1,31 +1,22 @@
-"""Benchmark: sharded support-counting scaling curve + wire differential.
+"""Benchmark: sharded support-counting scaling curve.
 
-Mines the same >= 400-transaction corpus along two axes —
-
-* **Scaling curve** — for each worker count (default 1, 2, 4) and both
-  sharded backends: ``serial`` (inline workers; isolates the *batching*
-  gain — one transaction-major pass per level per shard — with zero
-  parallelism) and ``process`` (``multiprocessing`` workers with the
-  shared-memory blob transport; adds real parallelism on multi-core
-  hosts).  Every mode is compared against the plain
-  :class:`~repro.runtime.base.SerialRuntime` baseline and records its
-  ``wire_bytes_shipped``.
-* **Wire differential** — the same sharded mine once under
-  ``--wire buffer`` (flat-buffer codec, the default) and once under
-  ``--wire pickle``, comparing bytes shipped.  The flat buffer must ship
-  at least :data:`WIRE_RATIO_FLOOR` times fewer bytes with identical
-  output — byte counts are deterministic, so a shrinking ratio is a
-  codec regression, not noise.
+Mines the same >= 400-transaction corpus for each worker count (default
+1, 2, 4) on both sharded backends: ``serial`` (inline workers; isolates
+the *batching* gain — one transaction-major pass per level per shard —
+with zero parallelism) and ``process`` (``multiprocessing`` workers;
+adds real parallelism on multi-core hosts).  Every mode is compared
+against the plain :class:`~repro.runtime.base.SerialRuntime` baseline
+and records its ``wire_bytes_shipped``.
 
 Every run starts from a cold engine so no verdict cache leaks between
 modes, and the mined (pattern, support) multisets are compared across
 all modes.  Results land in ``BENCH_parallel.json``.  The process exits
-non-zero when any mode diverges from the serial output, when the wire
-ratio drops below the floor, or when a genuinely multi-core host fails
-to get *any* parallel payoff from the process backend (best process
-speedup < 1.0 despite ``cpu_count > 1``).  A 1-core host cannot fail
-the speedup gate — there the process backend measures IPC overhead, and
-the report says so instead of pretending otherwise.
+non-zero when any mode diverges from the serial output, or when a
+genuinely multi-core host fails to get *any* parallel payoff from the
+process backend (best process speedup < 1.0 despite ``cpu_count > 1``).
+A 1-core host cannot fail the speedup gate — there the process backend
+measures IPC overhead, and the report says so instead of pretending
+otherwise.
 
 Run with::
 
@@ -55,10 +46,6 @@ DEFAULT_TRANSACTIONS = 400
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
 MIN_SUPPORT = 0.05
 MAX_EDGES = 4
-#: Minimum pickle-vs-buffer byte ratio the flat wire must sustain.
-WIRE_RATIO_FLOOR = 3.0
-#: Worker count the wire differential runs at.
-WIRE_SHARDS = 2
 
 
 def build_corpus(n_transactions: int, seed: int = 20050405) -> list[LabeledGraph]:
@@ -101,8 +88,8 @@ def mine(corpus, runtime=None):
     return elapsed, len(result.patterns), signature
 
 
-def mine_sharded(corpus, *, workers: int, backend: str, wire: str | None = None):
-    runtime = ShardedEngine(shards=workers, backend=backend, wire=wire)
+def mine_sharded(corpus, *, workers: int, backend: str):
+    runtime = ShardedEngine(shards=workers, backend=backend)
     try:
         elapsed, count, signature = mine(corpus, runtime=runtime)
         shipped = runtime.wire_bytes_shipped
@@ -131,7 +118,6 @@ def main() -> None:
 
     divergent: list[str] = []
     scaling: list[dict] = []
-    buffer_bytes_at_wire_shards: int | None = None
     for workers in worker_counts:
         for backend in ("serial", "process"):
             elapsed, count, signature, shipped = mine_sharded(
@@ -141,8 +127,6 @@ def main() -> None:
             if signature != serial_signature:
                 divergent.append(label)
                 print(f"ERROR: {label} changed mining output", file=sys.stderr)
-            if workers == WIRE_SHARDS and backend == "serial":
-                buffer_bytes_at_wire_shards = shipped
             speedup = serial_s / elapsed
             scaling.append(
                 {
@@ -157,25 +141,6 @@ def main() -> None:
                 f"{label:22s} {elapsed:8.2f}s   speedup {speedup:.2f}x   "
                 f"wire_bytes={shipped}"
             )
-
-    # Wire differential: same corpus, same shard count, pickle wire.
-    # The buffer-wire twin already ran in the curve above.
-    _, _, pickle_signature, pickle_bytes = mine_sharded(
-        corpus, workers=WIRE_SHARDS, backend="serial", wire="pickle"
-    )
-    if pickle_signature != serial_signature:
-        divergent.append("sharded-serial-pickle")
-        print("ERROR: pickle wire changed mining output", file=sys.stderr)
-    assert buffer_bytes_at_wire_shards is not None or WIRE_SHARDS not in worker_counts
-    if buffer_bytes_at_wire_shards is None:
-        _, _, _, buffer_bytes_at_wire_shards = mine_sharded(
-            corpus, workers=WIRE_SHARDS, backend="serial", wire="buffer"
-        )
-    wire_ratio = pickle_bytes / buffer_bytes_at_wire_shards
-    print(
-        f"wire differential (K={WIRE_SHARDS}): buffer={buffer_bytes_at_wire_shards} "
-        f"pickle={pickle_bytes} ratio={wire_ratio:.2f}x (floor {WIRE_RATIO_FLOOR}x)"
-    )
 
     process_speedups = [
         row["speedup"] for row in scaling if row["backend"] == "process"
@@ -194,13 +159,6 @@ def main() -> None:
         "n_patterns": n_patterns,
         "serial_seconds": round(serial_s, 3),
         "scaling": scaling,
-        "wire": {
-            "shards": WIRE_SHARDS,
-            "wire_bytes_buffer": buffer_bytes_at_wire_shards,
-            "wire_bytes_pickle": pickle_bytes,
-            "ratio": round(wire_ratio, 2),
-            "ratio_floor": WIRE_RATIO_FLOOR,
-        },
         "speedup_batched": max(batched_speedups),
         "speedup_process": max(process_speedups),
         "outputs_identical": not divergent,
@@ -219,9 +177,6 @@ def main() -> None:
     print(f"wrote {out} (cpu_count={cpu_count})")
 
     failures = list(divergent)
-    if wire_ratio < WIRE_RATIO_FLOOR:
-        failures.append(f"wire ratio {wire_ratio:.2f}x below {WIRE_RATIO_FLOOR}x floor")
-        print(f"ERROR: {failures[-1]}", file=sys.stderr)
     if cpu_count > 1 and max(process_speedups) < 1.0:
         failures.append(
             f"multi-core host ({cpu_count} CPUs) but best process speedup "

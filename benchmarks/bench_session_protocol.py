@@ -18,8 +18,9 @@ at the default size) four ways —
 * ``session-delta-process`` — the same over ``multiprocessing`` workers.
 
 Wire bytes are read from each run's per-level session telemetry
-(``FSGResult.level_telemetry``), measured with the same
-:func:`~repro.runtime.planner.wire_cost` ruler in both protocols.
+(``FSGResult.level_telemetry``), measured with the same ruler in both
+protocols: the length of each message's pickled blob
+(:func:`~repro.runtime.wire.encode_message`).
 Results land in ``BENCH_session.json``; the process exits non-zero when
 any mode diverges from the serial output or when the delta protocol
 ships *more* bytes than the full-wire baseline, so the CI smoke job

@@ -81,12 +81,7 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
     import platform
 
     from repro.graphs import columns
-    from repro.runtime import (
-        resolve_backend,
-        resolve_kernel,
-        resolve_wire,
-        resolve_workers,
-    )
+    from repro.runtime import resolve_backend, resolve_kernel, resolve_workers
 
     try:
         load_avg = round(os.getloadavg()[0], 2)
@@ -101,7 +96,6 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
         "load_avg": load_avg,
         "workers": resolve_workers(None),
         "backend": resolve_backend(None),
-        "wire": resolve_wire(None),
         "env_overrides": {
             key: value
             for key, value in sorted(os.environ.items())

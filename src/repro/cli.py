@@ -33,9 +33,6 @@ scenario-stress artifact).
 Every run/verify command takes ``--kernel {python,vectorized}`` (or the
 ``REPRO_KERNEL`` environment variable) to pick the support-kernel
 backend; the vectorized kernel changes wall-clock only, never output.
-Likewise ``--wire {buffer,pickle}`` (or ``REPRO_WIRE``) picks the
-sharded runtime's message encoding — flat zero-copy buffers by default,
-pickle as the differential oracle — without changing mining output.
 
 ``scenarios verify`` runs every workload through the differential harness
 (serial vs sharded runtimes vs the legacy matcher) and compares the
@@ -68,7 +65,6 @@ from repro.core.results import ExperimentReport
 from repro.graphs.engine import KERNEL_ENV, KERNELS, resolve_kernel
 from repro.obs.tracer import TRACE_ENV
 from repro.runtime.faults import FAULTS_ENV, FaultPlan
-from repro.runtime.wire import WIRE_ENV, WIRES
 from repro.reporting.comparison import agreement_summary, render_comparison
 from repro.runtime.base import BACKENDS
 
@@ -172,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_trace_option(scenario_parser)
     for scenario_parser in (scenario_run, scenario_verify):
         _add_faults_option(scenario_parser)
-        _add_wire_option(scenario_parser)
 
     trace_parser = subparsers.add_parser(
         "trace", help="inspect and convert recorded trace files"
@@ -212,14 +207,6 @@ def _add_faults_option(parser: argparse.ArgumentParser) -> None:
                              "chaos monkey")
 
 
-def _add_wire_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wire", choices=list(WIRES), default=None,
-                        help="sharded-runtime message encoding: 'buffer' (flat zero-copy "
-                             "buffers, shared-memory shipping on the process backend) or "
-                             "'pickle' (the differential oracle); same mining output either "
-                             "way (default: $REPRO_WIRE or 'buffer')")
-
-
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.03,
                         help="synthetic dataset scale (1.0 = the paper's full size; default 0.03)")
@@ -239,7 +226,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="also append the rendered comparisons to this file")
     _add_trace_option(parser)
     _add_faults_option(parser)
-    _add_wire_option(parser)
 
 
 def _render(report: ExperimentReport) -> str:
@@ -264,7 +250,6 @@ def _run_experiments(experiment_ids: Sequence[str], args, stream) -> int:
             workers=args.workers,
             backend=args.backend,
             kernel=args.kernel,
-            wire=getattr(args, "wire", None),
         )
     except ValueError as error:
         print(f"invalid configuration: {error}", file=sys.stderr)
@@ -515,14 +500,6 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
         # switches every MatchEngine the run creates.
         os.environ[KERNEL_ENV] = kernel
 
-    # --wire / $REPRO_WIRE: same carrier pattern as --kernel — every
-    # ShardedEngine the run constructs (the scenario harness builds its
-    # own) resolves the wire format from the environment.
-    wire = getattr(args, "wire", None)
-    saved_wire = os.environ.get(WIRE_ENV)
-    if wire:
-        os.environ[WIRE_ENV] = wire
-
     # --faults / $REPRO_FAULTS: same carrier pattern as --kernel — every
     # ShardedEngine the run constructs picks the plan up from the
     # environment and arms its workers.  Parse eagerly so a typo fails
@@ -573,11 +550,6 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
                 os.environ.pop(KERNEL_ENV, None)
             else:
                 os.environ[KERNEL_ENV] = saved_kernel
-        if wire:
-            if saved_wire is None:
-                os.environ.pop(WIRE_ENV, None)
-            else:
-                os.environ[WIRE_ENV] = saved_wire
         if faults:
             if saved_faults is None:
                 os.environ.pop(FAULTS_ENV, None)
@@ -585,7 +557,7 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
                 os.environ[FAULTS_ENV] = saved_faults
         if tracer is not None:
             from repro.obs import set_tracer, write_jsonl
-            from repro.runtime import resolve_backend, resolve_wire, resolve_workers
+            from repro.runtime import resolve_backend, resolve_workers
 
             set_tracer(previous_tracer)
             meta = {
@@ -594,7 +566,6 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
                 "workers": resolve_workers(getattr(args, "workers", None)),
                 "backend": resolve_backend(getattr(args, "backend", None)),
                 "kernel": resolve_kernel(None),
-                "wire": resolve_wire(None),
             }
             write_jsonl(trace_path, tracer, meta=meta)
             # stderr on purpose: traced and untraced runs must produce

@@ -276,29 +276,6 @@ class CompactGraph:
             table=table,
         )
 
-    def to_buffer(self) -> bytes:
-        """The graph as one contiguous flat buffer (versioned header,
-        varint-packed labels and edge triples) — the zero-copy wire's
-        unit of shipment.  See :mod:`repro.runtime.wire` for the layout.
-
-        Raises :class:`~repro.runtime.wire.WireFormatError` for graphs
-        whose vertex ids fall outside the codec's type universe; callers
-        shipping arbitrary graphs should catch it and fall back to
-        :meth:`to_wire` + pickle.
-        """
-        # Imported lazily: repro.runtime pulls in this module at package
-        # init, so a top-level import here would be circular.
-        from repro.runtime.wire import encode_graph_wire
-
-        return encode_graph_wire(self.to_wire())
-
-    @classmethod
-    def from_buffer(cls, buffer: bytes, table: LabelTable) -> "CompactGraph":
-        """Rebuild a graph from :meth:`to_buffer` output against *table*."""
-        from repro.runtime.wire import decode_graph_wire
-
-        return cls.from_wire(decode_graph_wire(buffer), table)
-
     def __reduce__(self):
         # Rebuild via __init__ from the wire tuple; the shared table rides
         # along (pickle deduplicates it when several graphs share one).

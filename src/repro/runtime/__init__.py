@@ -16,7 +16,8 @@ scales that hot path without ever changing mining output:
   whole FSG level against each shard in one transaction-major pass.
 * :class:`~repro.runtime.pool.WorkerPool` — the backend abstraction:
   ``serial`` (inline, deterministic debugging) and ``process``
-  (``multiprocessing`` workers speaking the CompactGraph wire format).
+  (``multiprocessing`` workers speaking the CompactGraph wire format,
+  each message pickled once — see :mod:`~repro.runtime.wire`).
 * :mod:`~repro.runtime.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS`` / ``--faults``) that drives the sharded
   engine's supervision layer: dead or hung workers are detected via
@@ -26,9 +27,8 @@ scales that hot path without ever changing mining output:
   in-process degraded mode as the last resort, so output never changes.
 
 Pick a runtime with :func:`create_runtime`, or set ``REPRO_WORKERS`` /
-``REPRO_BACKEND`` / ``REPRO_KERNEL`` / ``REPRO_WIRE`` /
-``REPRO_PLACEMENT`` to switch a whole run (or CI job) without code
-changes.
+``REPRO_BACKEND`` / ``REPRO_KERNEL`` / ``REPRO_PLACEMENT`` to switch a
+whole run (or CI job) without code changes.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.runtime.planner import (
     ShardLevelBatch,
     ShardSessionBatch,
     resolve_placement,
-    wire_cost,
 )
 from repro.runtime.faults import (
     FAULTS_ENV,
@@ -86,32 +85,19 @@ from repro.runtime.pool import (
     resolve_worker_timeout,
 )
 from repro.runtime.shards import ShardedEngine, ShardedSession, ShardWorker
-from repro.runtime.wire import (
-    BLOB_OP,
-    SHM_OP,
-    WIRE_ENV,
-    WIRES,
-    WireFormatError,
-    decode_message,
-    encode_message,
-    resolve_wire,
-)
+# Only for the benchmark's environment stamp; see resolve_wire.
+from repro.runtime.wire import resolve_wire
 
 __all__ = [
     "BACKENDS",
-    "BLOB_OP",
     "FAULTS_ENV",
     "KERNELS",
     "KERNEL_ENV",
     "PLACEMENT_ENV",
     "SESSION_TELEMETRY_KEYS",
-    "SHM_OP",
-    "WIRES",
-    "WIRE_ENV",
     "WORKER_TIMEOUT_ENV",
     "BatchSupportPlanner",
     "PlacementPolicy",
-    "WireFormatError",
     "DelegatingSession",
     "FaultClause",
     "FaultInjector",
@@ -141,8 +127,6 @@ __all__ = [
     "merge_stats",
     "pack_bits",
     "popcount",
-    "decode_message",
-    "encode_message",
     "resolve_backend",
     "resolve_faults",
     "resolve_kernel",
@@ -153,7 +137,6 @@ __all__ = [
     "tids_from_buffer",
     "tids_of",
     "unpack_bits",
-    "wire_cost",
 ]
 
 
@@ -162,7 +145,6 @@ def create_runtime(
     backend: str | None = None,
     engine: MatchEngine | None = None,
     kernel: str | None = None,
-    wire: str | None = None,
 ) -> MiningRuntime:
     """The runtime implied by a ``workers`` knob.
 
@@ -176,10 +158,6 @@ def create_runtime(
     ``"vectorized"``, defaulting to ``REPRO_KERNEL`` or ``"python"``) and
     applies to every engine the runtime owns — shard engines included.
 
-    *wire* picks the sharded runtime's message encoding (``"buffer"`` or
-    ``"pickle"``, defaulting to ``REPRO_WIRE`` or ``"buffer"``); the
-    serial runtime has no wire and ignores it.
-
     *engine* applies to the serial case only: a sharded runtime owns one
     engine (label table, indexes, verdict cache) per shard by design, so
     a caller-supplied engine — and any caches warmed in it — is not used
@@ -189,4 +167,4 @@ def create_runtime(
     workers = resolve_workers(workers)
     if workers <= 1:
         return SerialRuntime(engine=engine, kernel=kernel)
-    return ShardedEngine(shards=workers, backend=backend, kernel=kernel, wire=wire)
+    return ShardedEngine(shards=workers, backend=backend, kernel=kernel)

@@ -23,60 +23,12 @@ support set is the disjoint union of the shard-local results.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_of
-
-
-#: Pinned pickle protocol for wire accounting.  Pinning (rather than
-#: ``HIGHEST_PROTOCOL``) keeps measured byte counts stable across
-#: interpreter upgrades, so archived telemetry stays comparable.
-WIRE_PICKLE_PROTOCOL = 4
-
-
-def wire_cost(value) -> int:
-    """Measured serialized size of a wire payload, in bytes.
-
-    The actual ``pickle.dumps`` length at a pinned protocol — exactly
-    what the process backend's pipe would carry for *value* — rather
-    than the pickle-era estimate this function used to return.  The
-    measurement is deterministic (same value, same bytes) and applied
-    uniformly under both pool backends, so serial-backend telemetry
-    reads in the same units as a real multiprocess run, and the two
-    wire formats (``pickle`` vs ``buffer``) are compared with the same
-    ruler.  Values pickle cannot serialize fall back to the old framing
-    model so accounting never raises mid-mine.
-    """
-    try:
-        return len(pickle.dumps(value, WIRE_PICKLE_PROTOCOL))
-    except Exception:
-        return _estimated_wire_cost(value)
-
-
-def _estimated_wire_cost(value) -> int:
-    """The pickle-era framing model, kept as the unpicklable fallback."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        if -(1 << 31) <= value < (1 << 31):
-            return 5
-        return (value.bit_length() + 7) // 8 + 6
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, (str, bytes)):
-        return len(value) + 6
-    if isinstance(value, (tuple, list, frozenset, set)):
-        return 2 + sum(_estimated_wire_cost(member) for member in value)
-    if isinstance(value, dict):
-        return 2 + sum(
-            _estimated_wire_cost(key) + _estimated_wire_cost(item)
-            for key, item in value.items()
-        )
-    return 8  # opaque objects (uids etc.): a flat-rate guess
 
 
 class PlacementPolicy:

@@ -41,18 +41,17 @@ The failure contract distinguishes two layers:
 
 from __future__ import annotations
 
-import itertools
+import math
 import multiprocessing
 import os
 import time
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from multiprocessing import shared_memory
 from typing import Any, Callable
 
 from .faults import SimulatedWorkerDeath
-from .wire import BLOB_OP, SHM_OP
+from .wire import BLOB_OP
 
 #: Tag for replies carrying a worker-side exception.
 _ERROR = "__worker_error__"
@@ -73,61 +72,6 @@ DEFAULT_WORKER_TIMEOUT = 300.0
 
 #: How often the deadline poll wakes up to check the worker's pulse.
 _POLL_INTERVAL = 0.05
-
-#: Environment knob for the shared-memory shipping threshold, in bytes.
-SHM_THRESHOLD_ENV = "REPRO_SHM_THRESHOLD"
-
-#: Default threshold above which a flat-buffer blob rides a
-#: ``multiprocessing.shared_memory`` segment instead of the pipe.  Below
-#: it the pipe wins: a segment costs a shm_open + mmap round trip that
-#: only pays for itself once the payload dwarfs the syscalls.
-DEFAULT_SHM_THRESHOLD = 1 << 15  # 32 KiB
-
-
-def resolve_shm_threshold(threshold: int | None = None) -> int | None:
-    """Normalise the shm threshold: ``None`` → env → default; ≤0 → off."""
-    if threshold is None:
-        raw = os.environ.get(SHM_THRESHOLD_ENV, "").strip()
-        if not raw:
-            return DEFAULT_SHM_THRESHOLD
-        try:
-            threshold = int(raw)
-        except ValueError as error:
-            raise ValueError(
-                f"{SHM_THRESHOLD_ENV}={raw!r} is not a byte count"
-            ) from error
-    threshold = int(threshold)
-    return None if threshold <= 0 else threshold
-
-
-def _read_segment(name: str, size: int) -> bytes:
-    """Worker-side copy-out of a shared-memory blob.
-
-    The worker only ever *attaches* and *closes* — unlinking is the
-    parent's job (exactly-once, tied to reply receipt or supervision),
-    so a worker killed mid-read can never strand or double-free a
-    segment.  Attaching must not register with the worker's resource
-    tracker either (bpo-38119: attach registers like create), or every
-    worker spawns a tracker that later warns about — or double-unlinks —
-    segments the parent owns.  Python 3.13 has ``track=False`` for this;
-    older interpreters need the registration suppressed by hand.
-    """
-    try:
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        from multiprocessing import resource_tracker
-
-        register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = register
-    try:
-        return bytes(segment.buf[:size])
-    finally:
-        segment.close()
-
 
 class WorkerError(RuntimeError):
     """A handler raised inside a worker; carries the remote traceback."""
@@ -175,19 +119,25 @@ def resolve_worker_timeout(
     timeout: float | None = None,
     default: float | None = DEFAULT_WORKER_TIMEOUT,
 ) -> float | None:
-    """Normalise the reply deadline: ``None`` → env → *default*; ≤0 → off."""
+    """Normalise the reply deadline: ``None`` → env → *default*; ≤0 → off.
+
+    NaN is rejected rather than passed on: ``time.monotonic() >= nan``
+    is never true, so a NaN deadline would silently turn hang detection
+    off.
+    """
+    knob = "worker_timeout"
     if timeout is None:
         raw = os.environ.get(WORKER_TIMEOUT_ENV, "").strip()
         if not raw:
             return default
-        try:
-            timeout = float(raw)
-        except ValueError as error:
-            raise ValueError(
-                f"{WORKER_TIMEOUT_ENV}={raw!r} is not a number of seconds"
-            ) from error
-    timeout = float(timeout)
-    return None if timeout <= 0 else timeout
+        knob, timeout = WORKER_TIMEOUT_ENV, raw
+    try:
+        seconds = float(timeout)
+    except ValueError:
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise ValueError(f"{knob}={timeout!r} is not a number of seconds")
+    return None if seconds <= 0 else seconds
 
 
 def _raise_if_error(worker: int, reply):
@@ -331,16 +281,6 @@ def _worker_main(connection, handler_factory) -> None:
         if message == (_STOP,):
             break
         try:
-            if (
-                type(message) is tuple
-                and len(message) == 4
-                and message[0] == SHM_OP
-            ):
-                # Shared-memory envelope: the pipe carried only the
-                # segment name + payload size; rehydrate the blob so the
-                # handler sees the same (BLOB_OP, op, blob) message it
-                # would have received inline.
-                message = (BLOB_OP, message[1], _read_segment(message[2], message[3]))
             reply = handler(message)
         except BaseException:
             reply = (_ERROR, traceback.format_exc())
@@ -364,16 +304,6 @@ class ProcessBackend(WorkerPool):
     the worker's pulse each wakeup, and raises :class:`WorkerDeath` when
     the process is gone or the deadline expires — a silently killed
     worker costs one poll interval, not a hang.
-
-    Flat-buffer blob messages ``(BLOB_OP, op, blob)`` whose blob reaches
-    *shm_threshold* bytes (default ``REPRO_SHM_THRESHOLD`` or
-    :data:`DEFAULT_SHM_THRESHOLD`; ≤0 disables) ship through a
-    ``multiprocessing.shared_memory`` segment — the pipe then carries
-    only ``(SHM_OP, op, segment_name, size)``.  The parent owns the full
-    segment lifecycle: create + write at send, unlink at the matching
-    recv, and wholesale purge on :meth:`respawn` / :meth:`degrade` /
-    :meth:`close`, so supervision after a kill/hang leaves no
-    ``/dev/shm`` residue.  Workers only attach, copy out, and close.
     """
 
     def __init__(
@@ -382,7 +312,6 @@ class ProcessBackend(WorkerPool):
         handler_factory: Callable[[], Callable[[tuple], Any]],
         start_method: str | None = None,
         timeout: float | None = None,
-        shm_threshold: int | None = None,
     ) -> None:
         super().__init__(n_workers)
         if start_method is None:
@@ -391,17 +320,11 @@ class ProcessBackend(WorkerPool):
         self._context = multiprocessing.get_context(start_method)
         self._factory = handler_factory
         self._timeout = resolve_worker_timeout(timeout)
-        self._shm_threshold = resolve_shm_threshold(shm_threshold)
         self._connections: list[Any] = [None] * n_workers
         self._processes: list[Any] = [None] * n_workers
         self._last_op: list[str | None] = [None] * n_workers
         self._inline: dict[int, Callable[[tuple], Any]] = {}
         self._inline_replies: dict[int, deque] = {}
-        # One entry per in-flight send (None when that send shipped no
-        # segment), popped on the matching recv — the send/recv pairing
-        # is what makes segment unlink exactly-once.
-        self._pending_segments: list[deque] = [deque() for _ in range(n_workers)]
-        self._segment_seq = itertools.count()
         for worker in range(n_workers):
             self._spawn(worker)
 
@@ -451,65 +374,13 @@ class ProcessBackend(WorkerPool):
                 reply = (_ERROR, traceback.format_exc())
             self._inline_replies[worker].append(reply)
             return
-        physical = message
-        segment = None
-        if (
-            self._shm_threshold is not None
-            and type(message) is tuple
-            and len(message) == 3
-            and message[0] == BLOB_OP
-            and type(message[2]) is bytes
-            and len(message[2]) >= self._shm_threshold
-        ):
-            segment = self._ship_segment(message[2])
-            if segment is not None:
-                physical = (SHM_OP, message[1], segment.name, len(message[2]))
         try:
-            self._connections[worker].send(physical)
+            self._connections[worker].send(message)
         except (BrokenPipeError, OSError):
             # Swallow: callers scatter to every shard before collecting
             # any reply, so the death must surface at recv (where the
-            # supervisor handles it), not here mid-scatter.  A shipped
-            # segment stays pending and is reclaimed by the supervision
-            # path (respawn/degrade/close) that the death triggers.
+            # supervisor handles it), not here mid-scatter.
             pass
-        self._pending_segments[worker].append(segment)
-
-    def _ship_segment(self, blob: bytes):
-        """Copy *blob* into a fresh named segment; ``None`` = ship inline.
-
-        Creation can fail when ``/dev/shm`` is missing or full — that
-        must degrade to pipe transport, never fail the send.
-        """
-        name = f"repro_shm_{os.getpid()}_{next(self._segment_seq)}"
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=True, size=len(blob))
-        except Exception:
-            return None
-        segment.buf[: len(blob)] = blob
-        return segment
-
-    @staticmethod
-    def _release_segment(segment) -> None:
-        if segment is None:
-            return
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
-
-    def _consume_segment(self, worker: int) -> None:
-        """Unlink the segment of the send this recv just answered."""
-        pending = self._pending_segments[worker]
-        if pending:
-            self._release_segment(pending.popleft())
-
-    def _purge_segments(self, worker: int) -> None:
-        """Unlink every outstanding segment of a dead/replaced worker."""
-        pending = self._pending_segments[worker]
-        while pending:
-            self._release_segment(pending.popleft())
 
     def recv(self, worker: int) -> Any:
         if worker in self._inline:
@@ -530,10 +401,6 @@ class ProcessBackend(WorkerPool):
                         f"exitcode {process.exitcode}",
                         last_op=self._last_op[worker],
                     ) from None
-                # A reply (even a handler error) means the worker is done
-                # with the message, so its segment can be unlinked now.
-                # Death paths skip this: respawn/degrade/close purge.
-                self._consume_segment(worker)
                 return _raise_if_error(worker, reply)
             if not process.is_alive():
                 if not suspect:
@@ -562,9 +429,6 @@ class ProcessBackend(WorkerPool):
         # Closing the old pipe discards any stale buffered replies, so a
         # respawned slot can never answer a new send with an old reply.
         self._reap(self._processes[worker], self._connections[worker])
-        # Purge only after the reap: a worker that is merely hung could
-        # otherwise still be mid-attach on a segment we unlink under it.
-        self._purge_segments(worker)
         self._spawn(worker)
         self._last_op[worker] = None
 
@@ -573,7 +437,6 @@ class ProcessBackend(WorkerPool):
             self.respawn(worker)
             return
         self._reap(self._processes[worker], self._connections[worker])
-        self._purge_segments(worker)
         self._inline[worker] = self._factory()
         self._inline_replies[worker] = deque()
 
@@ -607,8 +470,6 @@ class ProcessBackend(WorkerPool):
             if worker in self._inline:
                 continue
             connection.close()
-        for worker in range(self.n_workers):
-            self._purge_segments(worker)
         self._inline.clear()
         self._inline_replies.clear()
 
@@ -628,11 +489,8 @@ def make_pool(
 
 
 __all__ = [
-    "DEFAULT_SHM_THRESHOLD",
     "DEFAULT_WORKER_TIMEOUT",
-    "SHM_THRESHOLD_ENV",
     "WORKER_TIMEOUT_ENV",
-    "resolve_shm_threshold",
     "WorkerCorruption",
     "WorkerDeath",
     "WorkerError",

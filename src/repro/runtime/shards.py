@@ -10,8 +10,10 @@ mutable state and support counts merge by disjoint union.
 Transactions and patterns travel as :class:`CompactGraph` wire tuples:
 pure-integer payloads against a label-table replica the parent keeps in
 sync by shipping append-only deltas.  Workers therefore never re-intern a
-label and never rebuild string keys; with the process backend the pickles
-are tuples of small ints.
+label and never rebuild string keys.  Every message is pickled once, in
+:meth:`ShardedEngine._post`, and shipped as a ``(BLOB_OP, op, blob)``
+envelope (see :mod:`repro.runtime.wire`), so the pickles are mostly
+tuples of small ints.
 
 Level-wise mining goes further through a **mining session**
 (:class:`ShardedSession`, opened with :meth:`ShardedEngine.open_session`):
@@ -52,6 +54,8 @@ existing store-miss full-wire resend path.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import os
 import time
 from collections import OrderedDict
@@ -71,14 +75,9 @@ from repro.runtime.base import (
 )
 from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_from_buffer, tids_of
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
-from repro.runtime.planner import (
-    BatchSupportPlanner,
-    PlacementPolicy,
-    resolve_placement,
-    wire_cost,
-)
+from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy, resolve_placement
 from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
-from repro.runtime.wire import BLOB_OP, decode_message, encode_message, resolve_wire
+from repro.runtime.wire import BLOB_OP, decode_message, encode_message
 
 #: Session protocols understood by :class:`ShardedEngine`.
 SESSION_PROTOCOLS = ("delta", "full")
@@ -109,27 +108,48 @@ DEFAULT_RECOVERY_RETRIES = 2
 DEFAULT_RECOVERY_BACKOFF = 0.1
 
 
-@functools.lru_cache(maxsize=None)
-def _blob_envelope_cost(op: str) -> int:
-    """Pickled size of a ``(BLOB_OP, op, blob)`` envelope minus the blob.
+def _resolve_recovery_retries(retries: int | None) -> int:
+    """Validate *retries*, falling back to ``REPRO_RECOVERY_RETRIES``.
 
-    Added to each blob's length so buffer-wire accounting covers the
-    whole physical message, not just the payload — keeping the
-    pickle-vs-buffer byte comparison honest.
+    Must be an integer ``>= 0``.  A bad value fails here, naming the
+    argument or variable it came from, instead of surfacing later inside
+    the recovery path.
     """
-    return wire_cost((BLOB_OP, op, b""))
-
-
-def _resolve_env_number(value, env: str, default, cast):
-    if value is not None:
-        return cast(value)
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
+    knob = "recovery_retries"
+    if retries is None:
+        raw = os.environ.get(RECOVERY_RETRIES_ENV, "").strip()
+        if not raw:
+            return DEFAULT_RECOVERY_RETRIES
+        knob, retries = RECOVERY_RETRIES_ENV, raw
     try:
-        return cast(raw)
-    except ValueError as error:
-        raise ValueError(f"{env}={raw!r} is not a valid number") from error
+        count = int(retries) if isinstance(retries, str) else operator.index(retries)
+    except (TypeError, ValueError):
+        count = -1
+    if count < 0:
+        raise ValueError(f"{knob}={retries!r} is not an integer >= 0")
+    return count
+
+
+def _resolve_recovery_backoff(backoff: float | None) -> float:
+    """Validate *backoff*, falling back to ``REPRO_RECOVERY_BACKOFF``.
+
+    Must be a finite number of seconds ``>= 0``: a negative or NaN base
+    delay would otherwise raise from ``time.sleep`` only once a respawned
+    worker died again.
+    """
+    knob = "recovery_backoff"
+    if backoff is None:
+        raw = os.environ.get(RECOVERY_BACKOFF_ENV, "").strip()
+        if not raw:
+            return DEFAULT_RECOVERY_BACKOFF
+        knob, backoff = RECOVERY_BACKOFF_ENV, raw
+    try:
+        seconds = float(backoff)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"{knob}={backoff!r} is not a finite number of seconds >= 0")
+    return seconds
 
 
 #: Expected reply type per shard op; ops not listed ack with ``None``.
@@ -362,12 +382,12 @@ class ShardWorker:
             return {"patterns": len(message[1])}
         return {}
 
-    def __call__(self, message: tuple):
-        if message[0] == BLOB_OP:
-            # Flat-buffer envelope: rehydrate the logical message before
-            # any hook runs, so fault op/level filters, span names, and
-            # reply shapes all see the same ops as the pickle wire.
-            message = decode_message(message[2])
+    def __call__(self, envelope: tuple):
+        # Every message arrives as a (BLOB_OP, op, blob) envelope (see
+        # ShardedEngine._post); rehydrate it before any hook runs, so
+        # fault op/level filters, span names and reply shapes all see
+        # the logical message.
+        message = decode_message(envelope[2])
         tracer = self.tracer
         op = message[0]
         if op == "trace":
@@ -494,19 +514,13 @@ class ShardedEngine(MiningRuntime):
     recovery_retries:
         Respawn attempts per failure before the shard degrades to
         in-process execution (``None`` consults
-        ``REPRO_RECOVERY_RETRIES``, default 2).
+        ``REPRO_RECOVERY_RETRIES``, default 2); an integer ``>= 0``.
     recovery_backoff:
         Base seconds of the exponential backoff between respawn attempts
-        (``None`` consults ``REPRO_RECOVERY_BACKOFF``, default 0.1).
-    wire:
-        Wire format for shard messages (``None`` consults ``REPRO_WIRE``,
-        default ``"buffer"``).  ``"buffer"`` encodes the data-plane
-        messages as flat buffers — varint-packed graphs, delta-coded tid
-        lists — which the process backend may further ship through
-        shared memory; ``"pickle"`` sends the logical tuples as-is and
-        is kept as the differential oracle.  Workers rehydrate blobs
-        before any fault/trace hook runs, so mining output, fault
-        filtering, and telemetry semantics are identical under both.
+        (``None`` consults ``REPRO_RECOVERY_BACKOFF``, default 0.1);
+        finite and ``>= 0``.  A bad value of either knob (or a NaN
+        *worker_timeout* on the process backend) raises ``ValueError``
+        here, before any worker starts.
     placement:
         Tid placement policy (``None`` consults ``REPRO_PLACEMENT``,
         default ``"weighted"``): support-weighted least-loaded placement
@@ -525,7 +539,6 @@ class ShardedEngine(MiningRuntime):
         worker_timeout: float | None = None,
         recovery_retries: int | None = None,
         recovery_backoff: float | None = None,
-        wire: str | None = None,
         placement: str | None = None,
     ) -> None:
         if shards < 1:
@@ -542,13 +555,10 @@ class ShardedEngine(MiningRuntime):
         #: (env fallback included) so process workers inherit the
         #: parent's choice rather than re-reading their own environment.
         self.kernel = resolve_kernel(kernel)
-        #: Wire format for shard messages: ``"buffer"`` (default) encodes
-        #: data-plane messages as flat buffers (see
-        #: :mod:`repro.runtime.wire`), ``"pickle"`` ships the logical
-        #: tuples directly — the differential oracle.  Resolved here
-        #: (``$REPRO_WIRE`` fallback included) for the same reason as
-        #: the kernel knob.
-        self.wire = resolve_wire(wire)
+        # Recovery knobs are checked before any worker starts, so a bad
+        # value fails the constructor instead of leaking a pool.
+        self._recovery_retries = _resolve_recovery_retries(recovery_retries)
+        self._recovery_backoff = _resolve_recovery_backoff(recovery_backoff)
         self.table = LabelTable()
         self.planner = BatchSupportPlanner(shards)
         self._placement = PlacementPolicy(shards, resolve_placement(placement))
@@ -579,12 +589,6 @@ class ShardedEngine(MiningRuntime):
         #: together they are exactly the state a fresh worker needs to
         #: become an indistinguishable replica.
         self.faults = resolve_faults(faults)
-        self._recovery_retries = _resolve_env_number(
-            recovery_retries, RECOVERY_RETRIES_ENV, DEFAULT_RECOVERY_RETRIES, int
-        )
-        self._recovery_backoff = _resolve_env_number(
-            recovery_backoff, RECOVERY_BACKOFF_ENV, DEFAULT_RECOVERY_BACKOFF, float
-        )
         self.recovery = {
             "worker_restarts": 0,
             "level_replays": 0,
@@ -699,8 +703,6 @@ class ShardedEngine(MiningRuntime):
         """
         if self._tombstone is None:
             label_id = self.table.intern("\x00repro:released\x00")
-            # Tuple labels keep the tombstone inside the flat-buffer
-            # codec's type universe so rebuild re-adds stay off pickle.
             self._tombstone = ("\x00released\x00", (label_id,), [], ("t",))
         return self._tombstone
 
@@ -843,12 +845,10 @@ class ShardedEngine(MiningRuntime):
 
     @property
     def wire_bytes_shipped(self) -> int:
-        """Measured bytes of every message posted to the shards so far.
+        """Bytes of every message posted to the shards so far.
 
-        Accounted at post time with one ruler across pool backends: the
-        flat-buffer blob length under ``wire="buffer"``, the measured
-        pickle length (:func:`~repro.runtime.planner.wire_cost`)
-        otherwise.
+        The summed length of the pickled blobs :meth:`_post` hands the
+        pool, identical across pool backends.
         """
         return self._wire_bytes
 
@@ -900,24 +900,17 @@ class ShardedEngine(MiningRuntime):
     # Dispatch: wire accounting + scatter/gather
     # ------------------------------------------------------------------
     def _post(self, shard: int, message: tuple) -> None:
-        """Send *message* to *shard*, accounting its wire cost.
+        """Send *message* to *shard* as one pickled blob, counting its bytes.
 
-        Under the ``buffer`` wire format the logical message is encoded
-        as a flat blob here, at the last hop before the pool — replay
-        and rebuild paths store and re-post *logical* messages, so a
-        replayed level is re-encoded identically.  Messages the codec
-        does not cover (control ops, exotic values) fall through to the
-        pickle wire; either way the accounted bytes are what the
-        process backend's transport would actually carry.
+        The logical message is pickled once here, at the last hop before
+        the pool, and posted as a ``(BLOB_OP, op, blob)`` envelope (see
+        :mod:`repro.runtime.wire`).  Replay and rebuild paths store and
+        re-post *logical* messages, so a replayed level is re-encoded
+        identically.
         """
-        if self.wire == "buffer":
-            blob = encode_message(message)
-            if blob is not None:
-                self._wire_bytes += len(blob) + _blob_envelope_cost(message[0])
-                self._pool.send(shard, (BLOB_OP, message[0], blob))
-                return
-        self._wire_bytes += wire_cost(message)
-        self._pool.send(shard, message)
+        blob = encode_message(message)
+        self._wire_bytes += len(blob)
+        self._pool.send(shard, (BLOB_OP, message[0], blob))
 
     def _send_sync(self, shard: int) -> bool:
         """Send the replica's missing label delta; True if a reply is due."""

@@ -4,11 +4,13 @@ The load-bearing property is *equivalence*: whatever the shard count or
 backend, mining output — frequent pattern sets and per-pattern support
 counts — must be identical to the serial runtime's.  The suite checks it
 property-style on randomized corpora, plus the wire-format/pickling
-round-trips and the knob plumbing the runtime rides on.
+round-trips, the shard wire's byte accounting, and the knob plumbing the
+runtime rides on.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -27,9 +29,12 @@ from repro.runtime import (
     create_runtime,
     merge_stats,
     resolve_backend,
+    resolve_placement,
     resolve_workers,
 )
+from repro.runtime.planner import PLACEMENT_ENV, PlacementPolicy
 from repro.runtime.pool import ProcessBackend, SerialBackend
+from repro.runtime.wire import BLOB_OP, decode_message
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +185,44 @@ class TestWireAndPickle:
         rebuilt = CompactGraph.from_wire(compact.to_wire(), replica)
         assert self._structure(rebuilt.to_labeled()) == self._structure(graph)
 
+    @staticmethod
+    def _record_mine(corpus, backend):
+        """Mine *corpus* on *backend*, recording what ``_post`` hands the pool."""
+        runtime = ShardedEngine(shards=2, backend=backend)
+        try:
+            logical: list[tuple] = []
+            post = runtime._post
+
+            def recording_post(shard, message):
+                logical.append(message)
+                post(shard, message)
+
+            runtime._post = recording_post
+            pool = _RecordingSendPool(runtime._pool)
+            runtime._pool = pool
+            before = runtime.wire_bytes_shipped
+            FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            return logical, pool.sent, runtime.wire_bytes_shipped - before
+        finally:
+            runtime.close()
+
+    def test_bytes_counted_are_bytes_shipped(self):
+        # Every message _post hands the pool is one pickled envelope, and
+        # wire_bytes_shipped is the summed length of those blobs — the
+        # figure session telemetry reports as ``wire_bytes`` — on either
+        # backend, which count the same bytes.
+        corpus = random_corpus(37, size=12)
+        shipped = {}
+        for backend in ("serial", "process"):
+            logical, sent, shipped[backend] = self._record_mine(corpus, backend)
+            assert logical and len(sent) == len(logical)
+            for envelope, message in zip(sent, logical):
+                assert len(envelope) == 3 and envelope[:2] == (BLOB_OP, message[0])
+                assert type(envelope[2]) is bytes
+                assert decode_message(envelope[2]) == message
+            assert shipped[backend] == sum(len(envelope[2]) for envelope in sent)
+        assert shipped["serial"] == shipped["process"]
+
     def test_snapshot_extend_delta_protocol(self):
         parent = LabelTable()
         replica = LabelTable()
@@ -191,6 +234,21 @@ class TestWireAndPickle:
         assert replica.lookup("C") == parent.lookup("C")
         with pytest.raises(ValueError):
             replica.extend(["A"])
+
+
+class _RecordingSendPool:
+    """Wraps a pool, recording every message sent through it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.sent: list[tuple] = []
+
+    def send(self, worker, message):
+        self.sent.append(message)
+        self._inner.send(worker, message)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +393,72 @@ class TestKnobs:
         assert resolve_backend("serial") == "serial"
         with pytest.raises(ValueError):
             resolve_backend("threads")
+
+    def test_resolve_placement_default_and_env(self, monkeypatch):
+        monkeypatch.delenv(PLACEMENT_ENV, raising=False)
+        assert resolve_placement(None) == "weighted"
+        monkeypatch.setenv(PLACEMENT_ENV, "roundrobin")
+        assert resolve_placement(None) == "roundrobin"
+        with pytest.raises(ValueError):
+            resolve_placement("hash")
+        assert PlacementPolicy.POLICIES[0] == "weighted"
+
+    # A bad recovery knob used to be accepted and only surfaced as a bare
+    # ValueError from time.sleep once a respawned worker died again; a
+    # NaN timeout silently turned hang detection off.  Each must fail
+    # the constructor, naming the argument or variable it came from.
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("recovery_retries", -1),
+            ("recovery_retries", 1.5),
+            ("recovery_backoff", -1.0),
+            ("recovery_backoff", math.nan),
+            ("recovery_backoff", math.inf),
+        ],
+    )
+    def test_bad_recovery_argument_fails_construction(self, monkeypatch, argument, value):
+        monkeypatch.delenv("REPRO_RECOVERY_RETRIES", raising=False)
+        monkeypatch.delenv("REPRO_RECOVERY_BACKOFF", raising=False)
+        with pytest.raises(ValueError, match=argument):
+            ShardedEngine(shards=2, backend="serial", **{argument: value})
+
+    @pytest.mark.parametrize(
+        "env, raw",
+        [
+            ("REPRO_RECOVERY_RETRIES", "-1"),
+            ("REPRO_RECOVERY_BACKOFF", "-1"),
+            ("REPRO_RECOVERY_BACKOFF", "nan"),
+        ],
+    )
+    def test_bad_recovery_env_fails_construction(self, monkeypatch, env, raw):
+        monkeypatch.setenv(env, raw)
+        with pytest.raises(ValueError, match=env):
+            ShardedEngine(shards=2, backend="serial")
+
+    def test_nan_worker_timeout_fails_construction(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKER_TIMEOUT", raising=False)
+        with pytest.raises(ValueError, match="worker_timeout"):
+            ShardedEngine(shards=2, backend="process", worker_timeout=math.nan)
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "nan")
+        with pytest.raises(ValueError, match="REPRO_WORKER_TIMEOUT"):
+            ShardedEngine(shards=2, backend="process")
+
+    def test_valid_recovery_knobs_are_kept(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RECOVERY_RETRIES", "0")
+        monkeypatch.setenv("REPRO_RECOVERY_BACKOFF", "0")
+        runtime = ShardedEngine(shards=2, backend="serial")
+        try:
+            assert (runtime._recovery_retries, runtime._recovery_backoff) == (0, 0.0)
+        finally:
+            runtime.close()
+        runtime = ShardedEngine(
+            shards=2, backend="serial", recovery_retries=3, recovery_backoff=0.25
+        )
+        try:
+            assert (runtime._recovery_retries, runtime._recovery_backoff) == (3, 0.25)
+        finally:
+            runtime.close()
 
     def test_create_runtime_types(self):
         serial = create_runtime(workers=0)
