@@ -35,7 +35,7 @@ from repro.mining.em_clustering import ClusterSummary
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.miner import FSGMiner
 from repro.mining.subdue.evaluation import EvaluationPrinciple
-from repro.mining.subdue.miner import SubdueMiner
+from repro.mining.subdue.miner import SubdueMiner, SubdueResult
 from repro.mining.transactional import COORDINATE_ATTRIBUTES
 from repro.partitioning.split_graph import PartitionStrategy, split_graph
 from repro.partitioning.structural import StructuralMiningConfig, mine_single_graph
@@ -144,6 +144,7 @@ def experiment_sec51_subdue_scaling(
     runtimes: dict[int, float] = {}
     mdl_best_edges: dict[int, int] = {}
     size_best_edges: dict[int, int] = {}
+    results: dict[str, SubdueResult] = {}
     for n_vertices in sizes:
         truncated = truncate_to_vertices(graph, n_vertices)
         for principle, store in (
@@ -162,6 +163,7 @@ def experiment_sec51_subdue_scaling(
             elapsed = time.perf_counter() - start
             if principle is EvaluationPrinciple.MDL:
                 runtimes[n_vertices] = elapsed
+            results[f"{principle.value}@{n_vertices}"] = result
             top = result.top()
             store[n_vertices] = top.n_edges if top is not None else 0
 
@@ -184,6 +186,7 @@ def experiment_sec51_subdue_scaling(
             "runtimes_seconds": runtimes,
             "mdl_best_edges": mdl_best_edges,
             "size_best_edges": size_best_edges,
+            "results": results,
         },
     )
     return report

@@ -27,6 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -102,12 +103,18 @@ class Location:
         """Return ``(latitude, longitude)``."""
         return (self.latitude, self.longitude)
 
-    def label(self) -> str:
-        """A compact string label, used for vertex labeling in Section 6."""
+    @cached_property
+    def _label(self) -> str:
+        # Built once per object: SUBDUE's hash-seed-independent orderings
+        # call str() on every host vertex they sort.
         return f"{self.latitude:.1f},{self.longitude:.1f}"
 
+    def label(self) -> str:
+        """A compact string label, used for vertex labeling in Section 6."""
+        return self._label
+
     def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.label()
+        return self._label
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,10 @@ class SubdueMiner:
     candidate substructures considered before stopping), ``principle``
     (MDL or Size), and ``min_instances`` (minimum number of
     non-overlapping instances for a candidate to be worth reporting —
-    a pattern seen once compresses nothing).
+    a pattern seen once compresses nothing).  ``beam_width``, ``max_best``
+    and ``min_instances`` must be at least 1; ``limit``,
+    ``max_instances`` and ``max_substructure_edges`` must be ``None`` (no
+    cap) or at least 1.  Other values raise :class:`ValueError`.
     """
 
     beam_width: int = 4
@@ -72,6 +75,19 @@ class SubdueMiner:
     min_instances: int = 2
     max_instances: int | None = 2_000
     engine: MatchEngine | None = None
+
+    def __post_init__(self) -> None:
+        # Out-of-range values would not fail on their own: a negative beam
+        # slices from the end, a zero limit still evaluates one candidate,
+        # and zero caps silently report nothing.
+        for name in ("beam_width", "max_best", "min_instances"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("limit", "max_instances", "max_substructure_edges"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be None or at least 1, got {value}")
 
     def mine(self, host: LabeledGraph) -> SubdueResult:
         """Discover the best substructures of *host*.

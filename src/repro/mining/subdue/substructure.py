@@ -9,12 +9,19 @@ instances by the pattern they form.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.graphs.canonical import graph_invariant
+from repro.graphs.canonical import (
+    CanonicalizationError,
+    canonical_code,
+    graph_invariant,
+    refined_colours,
+)
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import Edge, LabeledGraph, VertexId
+from repro.obs.tracer import get_tracer
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,57 @@ class Substructure:
         )
 
 
+def _instance_layout(host: LabeledGraph, instance: Instance) -> tuple:
+    """*instance*'s pattern up to vertex renaming, as a hashable key.
+
+    Vertices take positions in ``str`` order, as in
+    :func:`instance_pattern`; the key is their labels in that order plus
+    every edge as ``(source position, target position, label)``.  Equal
+    layouts give isomorphic patterns, so grouping canonicalises one
+    pattern per layout.
+    """
+    ordered = sorted(instance.vertices, key=str)
+    position = {vertex: index for index, vertex in enumerate(ordered)}
+    return (
+        tuple([host.vertex_label(vertex) for vertex in ordered]),
+        frozenset(
+            [(position[edge.source], position[edge.target], edge.label) for edge in instance.edges]
+        ),
+    )
+
+
+def _class_of(
+    pattern: LabeledGraph,
+    buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]],
+    by_code: dict[str, list[Instance]],
+    isomorphic: Callable[[LabeledGraph, LabeledGraph], bool],
+) -> list[Instance]:
+    """The instance list of *pattern*'s class, opening the class if it is new.
+
+    One refinement serves the canonical code and, for a new class or a
+    pattern too symmetric to canonicalise, the invariant bucket.
+    """
+    colours = refined_colours(pattern)
+    try:
+        code = canonical_code(pattern, colours=colours)
+    except CanonicalizationError:
+        get_tracer().metrics.counter("canonical_fallbacks", site="subdue")
+        code = None
+    else:
+        if code in by_code:
+            return by_code[code]
+    bucket = buckets.setdefault(graph_invariant(pattern, colours), [])
+    if code is None:
+        for existing, members in bucket:
+            if isomorphic(existing, pattern):
+                return members
+    members: list[Instance] = []
+    bucket.append((pattern, members))
+    if code is not None:
+        by_code[code] = members
+    return members
+
+
 def group_instances_by_pattern(
     host: LabeledGraph,
     instances: list[Instance],
@@ -161,26 +219,28 @@ def group_instances_by_pattern(
     """Group raw instances into substructures by pattern isomorphism.
 
     Instances whose induced patterns are isomorphic (labels included)
-    belong to the same substructure.  Grouping uses the cheap invariant
-    with exact isomorphism confirmation inside each bucket; with
-    *engine*, the confirmation runs through its indexed kernel, so each
-    bucket representative is compacted once and reused for every
-    comparison against it.  The invariant itself is always computed
-    directly: instance patterns are fresh one-shot objects, so routing
-    them through the engine's per-graph memoization would only add
-    compaction overhead with no reuse.
+    belong to the same substructure.  The first instance of each distinct
+    layout (see :func:`_instance_layout`) builds its pattern and is
+    classed by exact canonical code; later instances of that layout reuse
+    the class.  Patterns too symmetric to canonicalise fall back to exact
+    isomorphism against the classes sharing their invariant, through
+    *engine*'s indexed kernel when given.
+
+    Substructures come out in first-seen order of their invariant, then
+    first-seen order within it; each keeps its instances in input order
+    and the pattern of its first instance.
     """
     isomorphic = engine.are_isomorphic if engine is not None else are_isomorphic
     buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]] = {}
+    by_code: dict[str, list[Instance]] = {}
+    by_layout: dict[tuple, list[Instance]] = {}
     for instance in instances:
-        pattern = instance_pattern(host, instance)
-        bucket = buckets.setdefault(graph_invariant(pattern), [])
-        for existing_pattern, existing_instances in bucket:
-            if isomorphic(existing_pattern, pattern):
-                existing_instances.append(instance)
-                break
-        else:
-            bucket.append((pattern, [instance]))
+        layout = _instance_layout(host, instance)
+        grouped = by_layout.get(layout)
+        if grouped is None:
+            grouped = _class_of(instance_pattern(host, instance), buckets, by_code, isomorphic)
+            by_layout[layout] = grouped
+        grouped.append(instance)
     substructures: list[Substructure] = []
     for bucket in buckets.values():
         for pattern, grouped in bucket:

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graphs.canonical import graph_invariant
+from repro.graphs.engine import MatchEngine
+from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.subdue.compression import compress_graph, compress_instances, compression_ratio
@@ -24,6 +29,7 @@ from repro.mining.subdue.substructure import (
     instance_pattern,
     select_non_overlapping,
 )
+from repro.obs import Tracer, activate
 
 
 def _repeated_star_graph(copies: int = 4, spokes: int = 3) -> LabeledGraph:
@@ -41,6 +47,87 @@ def _repeated_star_graph(copies: int = 4, spokes: int = 3) -> LabeledGraph:
             host.add_edge(previous_hub, hub, 9)
         previous_hub = hub
     return host
+
+
+def pairwise_grouping(
+    host: LabeledGraph, instances: list[Instance], engine: MatchEngine | None = None
+) -> list[Substructure]:
+    """Reference for :func:`group_instances_by_pattern`: pairwise isomorphism.
+
+    Every instance builds its pattern and joins the first isomorphic class
+    in its invariant bucket.  Classes come out in first-seen order of
+    their invariant, then first-seen order within it.
+    """
+    isomorphic = engine.are_isomorphic if engine is not None else are_isomorphic
+    buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]] = {}
+    for instance in instances:
+        pattern = instance_pattern(host, instance)
+        bucket = buckets.setdefault(graph_invariant(pattern), [])
+        for existing_pattern, existing_instances in bucket:
+            if isomorphic(existing_pattern, pattern):
+                existing_instances.append(instance)
+                break
+        else:
+            bucket.append((pattern, [instance]))
+    return [
+        Substructure(pattern=pattern, instances=grouped)
+        for bucket in buckets.values()
+        for pattern, grouped in bucket
+    ]
+
+
+def _grouping_view(substructures: list[Substructure]) -> list[tuple]:
+    """Each class as (pattern vertices, pattern edges, instances), in order."""
+    return [
+        (
+            [(vertex, sub.pattern.vertex_label(vertex)) for vertex in sub.pattern.vertices()],
+            [(edge.source, edge.target, edge.label) for edge in sub.pattern.edges()],
+            sub.instances,
+        )
+        for sub in substructures
+    ]
+
+
+@st.composite
+def small_hosts(draw) -> LabeledGraph:
+    """A random host: 4-10 vertices, 2 vertex labels, 2 edge labels."""
+    n_vertices = draw(st.integers(min_value=4, max_value=10))
+    host = LabeledGraph(name="random-host")
+    for index in range(n_vertices):
+        host.add_vertex(f"v{index}", draw(st.sampled_from(["depot", "place"])))
+    vertex = st.integers(min_value=0, max_value=n_vertices - 1)
+    for source, target, label in draw(
+        st.lists(st.tuples(vertex, vertex, st.sampled_from([1, 2])), max_size=3 * n_vertices)
+    ):
+        if source != target:
+            host.add_edge(f"v{source}", f"v{target}", label)
+    return host
+
+
+def _whole_instance(host: LabeledGraph, vertices: set[str]) -> Instance:
+    """The instance covering *vertices* and every host edge between them."""
+    edges = [edge for edge in host.edges() if edge.source in vertices and edge.target in vertices]
+    return Instance(vertices=frozenset(vertices), edges=frozenset(edges))
+
+
+def _two_nine_leaf_stars() -> tuple[LabeledGraph, list[Instance]]:
+    """Two disjoint uniform 9-leaf out-stars, each one whole-star instance.
+
+    The nine leaves share one refined colour, so canonicalising the star
+    would take 9! orderings, above the 50,000 budget.  One hub sorts
+    before its leaves and the other after them, so the two instances
+    differ in layout and only the isomorphism fallback can merge them.
+    """
+    host = LabeledGraph(name="twin-stars")
+    instances = []
+    for copy, hub in enumerate(("a-hub", "z-hub")):
+        leaves = {f"m{copy}_{leaf}" for leaf in range(9)}
+        host.add_vertex(hub, "place")
+        for leaf in sorted(leaves):
+            host.add_vertex(leaf, "place")
+            host.add_edge(hub, leaf, "w")
+        instances.append(_whole_instance(host, {hub} | leaves))
+    return host, instances
 
 
 class TestSubstructure:
@@ -85,6 +172,61 @@ class TestSubstructure:
         # Two pattern classes: the star edge (label 1) and the bridge edge (label 9).
         assert len(groups) == 2
         assert {g.n_instances for g in groups} == {4, 1}
+
+
+class TestGroupingOracle:
+    """Grouping by canonical code matches the pairwise-isomorphism oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(host=small_hosts(), use_engine=st.booleans())
+    def test_matches_pairwise_grouping(self, host, use_engine):
+        engine = MatchEngine() if use_engine else None
+        level = [Instance.from_vertex(vertex) for vertex in host.vertices()]
+        for _ in range(3):
+            extended: dict[tuple[frozenset, frozenset], Instance] = {}
+            for instance in level:
+                for new_instance in expand_instance(host, instance):
+                    extended[(new_instance.vertices, new_instance.edges)] = new_instance
+            level = list(extended.values())
+            if not level:
+                break
+            expected = _grouping_view(pairwise_grouping(host, level, engine=engine))
+            assert _grouping_view(group_instances_by_pattern(host, level, engine=engine)) == expected
+
+    def test_invariant_collision_keeps_first_seen_class_order(self):
+        # A directed 6-cycle and two directed triangles are both 1-in,
+        # 1-out everywhere, so colour refinement cannot split them: one
+        # invariant bucket, two classes, in first-seen order.
+        host = LabeledGraph(name="cycles")
+        sizes = {"c": 6, "t": 3, "u": 3, "d": 6}
+        for ring, size in sizes.items():
+            for index in range(size):
+                host.add_edge(f"{ring}{index}", f"{ring}{(index + 1) % size}", "w")
+
+        def rings(*names: str) -> Instance:
+            return _whole_instance(
+                host, {f"{ring}{index}" for ring in names for index in range(sizes[ring])}
+            )
+
+        hexagon, triangles, other_hexagon = rings("c"), rings("t", "u"), rings("d")
+        instances = [hexagon, triangles, other_hexagon]
+        assert graph_invariant(instance_pattern(host, hexagon)) == graph_invariant(
+            instance_pattern(host, triangles)
+        )
+        groups = group_instances_by_pattern(host, instances)
+        assert [group.instances for group in groups] == [[hexagon, other_hexagon], [triangles]]
+        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, instances))
+
+    @pytest.mark.parametrize("use_engine", [False, True])
+    def test_too_symmetric_patterns_fall_back_to_isomorphism(self, use_engine):
+        host, instances = _two_nine_leaf_stars()
+        engine = MatchEngine() if use_engine else None
+        with activate(Tracer()) as tracer:
+            groups = group_instances_by_pattern(host, instances, engine=engine)
+        assert tracer.metrics.counter_total("canonical_fallbacks") > 0
+        assert len(groups) == 1
+        assert groups[0].instances == instances
+        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, instances))
 
 
 class TestExpansion:
@@ -228,3 +370,24 @@ class TestSubdueMiner:
     def test_empty_graph(self):
         result = SubdueMiner().mine(LabeledGraph())
         assert result.best == []
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("beam_width", -1),
+            ("beam_width", 0),
+            ("max_best", 0),
+            ("min_instances", 0),
+            ("limit", 0),
+            ("limit", -5),
+            ("max_instances", 0),
+            ("max_substructure_edges", 0),
+        ],
+    )
+    def test_rejects_out_of_range_parameters(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SubdueMiner(**{name: value})
+
+    def test_optional_caps_accept_none(self):
+        miner = SubdueMiner(limit=None, max_instances=None, max_substructure_edges=2)
+        assert miner.mine(_repeated_star_graph(copies=2, spokes=2)).evaluated > 0
