@@ -15,8 +15,9 @@ at the default size) five ways —
 * ``embedding-sharded-serial`` / ``embedding-sharded-process`` — the
   same through K shard-local embedding stores (inline / multiprocessing).
 
-Every run starts from a cold engine, and the mined pattern multisets —
-including exact supporting-TID sets — are compared across all modes.
+Every run starts from a cold engine, and the mined patterns — canonical
+codes, supports and exact supporting-TID sets, as one digest
+(:func:`conftest.fsg_digest`) — are compared across all modes.
 Results land in ``BENCH_embedding.json`` with per-level timing
 breakdowns; the process exits non-zero when any mode diverges or when
 the embedding path fails to beat the serial full search, so the CI smoke
@@ -38,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_parallel_support import MAX_EDGES, MIN_SUPPORT, build_corpus  # noqa: E402
-from conftest import bench_env  # noqa: E402
+from conftest import bench_env, fsg_digest  # noqa: E402
 
 from repro.mining.fsg.miner import FSGMiner  # noqa: E402
 from repro.runtime import ShardedEngine  # noqa: E402
@@ -57,14 +58,7 @@ def mine(corpus, use_store: bool, runtime=None):
     start = time.perf_counter()
     result = miner.mine(corpus)
     elapsed = time.perf_counter() - start
-    signature = sorted(
-        (
-            entry.pattern.n_vertices,
-            entry.pattern.n_edges,
-            tuple(sorted(entry.supporting_transactions)),
-        )
-        for entry in result.patterns
-    )
+    signature = fsg_digest(result)
     levels = {str(level): round(seconds, 3) for level, seconds in result.level_seconds.items()}
     return elapsed, len(result.patterns), signature, levels
 
@@ -80,13 +74,14 @@ def main() -> None:
     level_timings: dict[str, dict[str, float]] = {}
     divergent: list[str] = []
     reference_signature = None
+    n_patterns = 0
 
     def record(label, elapsed, count, signature, levels):
-        nonlocal reference_signature
+        nonlocal reference_signature, n_patterns
         timings[label] = elapsed
         level_timings[label] = levels
         if reference_signature is None:
-            reference_signature = signature
+            reference_signature, n_patterns = signature, count
         elif signature != reference_signature:
             divergent.append(label)
             print(f"ERROR: {label} changed mining output", file=sys.stderr)
@@ -118,7 +113,7 @@ def main() -> None:
         "cpu_count": cpu_count,
         "min_support": MIN_SUPPORT,
         "max_edges": MAX_EDGES,
-        "n_patterns": len(reference_signature),
+        "n_patterns": n_patterns,
         "seconds": {key: round(value, 3) for key, value in timings.items()},
         "level_seconds": level_timings,
         "speedup_vs_serial_full": round(timings["serial-full"] / timings["embedding-serial"], 2),

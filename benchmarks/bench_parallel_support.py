@@ -9,9 +9,10 @@ against the plain :class:`~repro.runtime.base.SerialRuntime` baseline
 and records its ``wire_bytes_shipped``.
 
 Every run starts from a cold engine so no verdict cache leaks between
-modes, and the mined (pattern, support) multisets are compared across
-all modes.  Results land in ``BENCH_parallel.json``.  The process exits
-non-zero when any mode diverges from the serial output, or when a
+modes, and the mined patterns are compared across all modes as one
+digest of canonical codes, supports and supporting tids
+(:func:`conftest.fsg_digest`).  Results land in ``BENCH_parallel.json``.
+The process exits non-zero when any mode diverges from the serial output, or when a
 genuinely multi-core host fails to get *any* parallel payoff from the
 process backend (best process speedup < 1.0 despite ``cpu_count > 1``).
 A 1-core host cannot fail the speedup gate — there the process backend
@@ -36,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import bench_env  # noqa: E402
+from conftest import bench_env, fsg_digest  # noqa: E402
 
 from repro.graphs.labeled_graph import LabeledGraph  # noqa: E402
 from repro.mining.fsg.miner import FSGMiner
@@ -81,10 +82,7 @@ def mine(corpus, runtime=None):
     start = time.perf_counter()
     result = miner.mine(corpus)
     elapsed = time.perf_counter() - start
-    signature = sorted(
-        (pattern.pattern.n_vertices, pattern.pattern.n_edges, pattern.support)
-        for pattern in result.patterns
-    )
+    signature = fsg_digest(result)
     return elapsed, len(result.patterns), signature
 
 

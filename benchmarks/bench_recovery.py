@@ -43,7 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_parallel_support import MAX_EDGES, MIN_SUPPORT, build_corpus  # noqa: E402
-from conftest import bench_env  # noqa: E402
+from conftest import bench_env, fsg_digest  # noqa: E402
 
 from repro.mining.fsg.miner import FSGMiner  # noqa: E402
 from repro.runtime import ShardedEngine  # noqa: E402
@@ -64,14 +64,7 @@ def mine(corpus, runtime=None):
     start = time.perf_counter()
     result = miner.mine(corpus)
     elapsed = time.perf_counter() - start
-    signature = sorted(
-        (
-            entry.pattern.n_vertices,
-            entry.pattern.n_edges,
-            tuple(sorted(entry.supporting_transactions)),
-        )
-        for entry in result.patterns
-    )
+    signature = fsg_digest(result)
     return elapsed, len(result.patterns), signature
 
 

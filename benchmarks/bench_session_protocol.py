@@ -42,7 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_parallel_support import MAX_EDGES, MIN_SUPPORT, build_corpus  # noqa: E402
-from conftest import bench_env  # noqa: E402
+from conftest import bench_env, fsg_digest  # noqa: E402
 
 from repro.mining.fsg.miner import FSGMiner  # noqa: E402
 from repro.runtime import ShardedEngine  # noqa: E402
@@ -56,14 +56,7 @@ def mine(corpus, runtime=None):
     start = time.perf_counter()
     result = miner.mine(corpus)
     elapsed = time.perf_counter() - start
-    signature = sorted(
-        (
-            entry.pattern.n_vertices,
-            entry.pattern.n_edges,
-            tuple(sorted(entry.supporting_transactions)),
-        )
-        for entry in result.patterns
-    )
+    signature = fsg_digest(result)
     return elapsed, len(result.patterns), signature, result
 
 
@@ -79,9 +72,10 @@ def main() -> None:
     totals: dict[str, dict[str, float]] = {}
     divergent: list[str] = []
     reference_signature = None
+    n_patterns = 0
 
     def record(label, elapsed, count, signature, result):
-        nonlocal reference_signature
+        nonlocal reference_signature, n_patterns
         timings[label] = elapsed
         level_wire[label] = {
             str(level): counters["wire_bytes"]
@@ -89,7 +83,7 @@ def main() -> None:
         }
         totals[label] = result.session_totals()
         if reference_signature is None:
-            reference_signature = signature
+            reference_signature, n_patterns = signature, count
         elif signature != reference_signature:
             divergent.append(label)
             print(f"ERROR: {label} changed mining output", file=sys.stderr)
@@ -127,7 +121,7 @@ def main() -> None:
         "cpu_count": cpu_count,
         "min_support": MIN_SUPPORT,
         "max_edges": MAX_EDGES,
-        "n_patterns": len(reference_signature),
+        "n_patterns": n_patterns,
         "seconds": {key: round(value, 3) for key, value in timings.items()},
         "wire_bytes": {key: total.get("wire_bytes", 0) for key, total in totals.items()},
         "level_wire_bytes": level_wire,

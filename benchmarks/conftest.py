@@ -65,9 +65,9 @@ def run_once(benchmark, function, *args, **kwargs):
 def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> dict:
     """The environment stamp every ``BENCH_*.json`` report embeds.
 
-    Records what actually shaped the numbers — the resolved match-kernel
-    backend, the numpy version backing it (``None`` when numpy is not
-    importable), the interpreter, the machine (CPU count and, where the
+    Records what actually shaped the numbers — the numpy version backing
+    the packed-bitset helpers (``None`` when numpy is not importable),
+    the interpreter, the machine (CPU count and, where the
     platform exposes it, 1-minute load average at stamp time), the
     resolved runtime knobs (worker count and sharded backend), and every
     ``REPRO_*`` environment override in effect — so two benchmark
@@ -80,17 +80,19 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
     """
     import platform
 
-    from repro.graphs import columns
-    from repro.runtime import resolve_backend, resolve_kernel, resolve_workers
+    from repro.runtime import resolve_backend, resolve_workers
 
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
     try:
         load_avg = round(os.getloadavg()[0], 2)
     except (AttributeError, OSError):
         load_avg = None
 
     stamp = {
-        "kernel": resolve_kernel(None),
-        "numpy_version": None if columns.np is None else str(columns.np.__version__),
+        "numpy_version": None if numpy is None else str(numpy.__version__),
         "python_version": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "load_avg": load_avg,
@@ -107,3 +109,26 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
     if corpus_size is not None:
         stamp["corpus_size"] = corpus_size
     return stamp
+
+
+def fsg_digest(result) -> str:
+    """Digest of a mining result's patterns, for output checks.
+
+    Covers each pattern's canonical code (naming-independent), support
+    and supporting tids, sorted, so two runs agree only if they mined the
+    same patterns with the same supports — a wrong pattern of the right
+    size and support changes the digest.
+    """
+    from repro.graphs.engine import MatchEngine
+    from repro.scenarios.harness import pattern_code, payload_digest
+
+    engine = MatchEngine()
+    rows = sorted(
+        [
+            pattern_code(engine, entry.pattern),
+            entry.support,
+            sorted(entry.supporting_transactions),
+        ]
+        for entry in result.patterns
+    )
+    return payload_digest({"patterns": rows})

@@ -12,9 +12,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # numpy backs the vectorized match kernel and the packed-bitset
-    # helpers; the pure-python paths still run without it (requesting
-    # kernel="vectorized" without numpy raises a clear ImportError from
-    # repro.graphs.columns.require_numpy).
+    # numpy backs only the packed-bitset helpers (repro.runtime.bitsets)
+    # and the EM clustering experiment; every bitset helper keeps a
+    # pure-python fallback.
     install_requires=["numpy"],
 )

@@ -30,10 +30,6 @@ streaming corpus through its sampled-digest verification under a peak
 memory probe and optionally writes the report as JSON (the CI
 scenario-stress artifact).
 
-Every run/verify command takes ``--kernel {python,vectorized}`` (or the
-``REPRO_KERNEL`` environment variable) to pick the support-kernel
-backend; the vectorized kernel changes wall-clock only, never output.
-
 ``scenarios verify`` runs every workload through the differential harness
 (serial vs sharded runtimes vs the legacy matcher) and compares the
 outcome digests against the golden file; it exits non-zero on any
@@ -62,7 +58,6 @@ from typing import Sequence
 from repro.core.config import ExperimentConfig
 from repro.core.experiments import ALL_EXPERIMENTS
 from repro.core.results import ExperimentReport
-from repro.graphs.engine import KERNEL_ENV, KERNELS, resolve_kernel
 from repro.obs.tracer import TRACE_ENV
 from repro.runtime.faults import FAULTS_ENV, FaultPlan
 from repro.reporting.comparison import agreement_summary, render_comparison
@@ -121,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="worker shards for support counting (default: serial)")
     scenario_run.add_argument("--backend", choices=list(BACKENDS), default=None,
                               help="sharded-runtime backend when --workers >= 2")
-    scenario_run.add_argument("--kernel", choices=list(KERNELS), default=None,
-                              help="match-kernel backend (default: $REPRO_KERNEL or 'python')")
 
     scenario_verify = scenario_commands.add_parser(
         "verify",
@@ -141,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="comma-separated shard counts to differentiate (default 2,3)")
     scenario_verify.add_argument("--backends", default="serial",
                                  help="comma-separated pool backends (default 'serial')")
-    scenario_verify.add_argument("--kernel", choices=list(KERNELS), default=None,
-                                 help="match-kernel backend for every runtime under test "
-                                      "(default: $REPRO_KERNEL or 'python')")
     scenario_verify.add_argument("--no-oracle", action="store_true",
                                  help="skip the legacy-matcher support oracle")
     scenario_verify.add_argument("--report", type=Path, default=None,
@@ -160,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="corpus seed (default 20050405)")
     scenario_stream.add_argument("--out", type=Path, default=None,
                                  help="also write the stream report to this JSON file")
-    scenario_stream.add_argument("--kernel", choices=list(KERNELS), default=None,
-                                 help="match-kernel backend for the reservoir canonicalisation "
-                                      "(default: $REPRO_KERNEL or 'python')")
 
     for scenario_parser in (scenario_run, scenario_verify, scenario_stream):
         _add_trace_option(scenario_parser)
@@ -218,10 +205,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
                         help="sharded-runtime backend when --workers >= 2 "
                              "(default: $REPRO_BACKEND or 'process')")
-    parser.add_argument("--kernel", choices=list(KERNELS), default=None,
-                        help="support-kernel backend: 'python' (pure-python oracle) or "
-                             "'vectorized' (numpy columnar passes; same output, faster) "
-                             "(default: $REPRO_KERNEL or 'python')")
     parser.add_argument("--output", type=Path, default=None,
                         help="also append the rendered comparisons to this file")
     _add_trace_option(parser)
@@ -249,7 +232,6 @@ def _run_experiments(experiment_ids: Sequence[str], args, stream) -> int:
             seed=args.seed,
             workers=args.workers,
             backend=args.backend,
-            kernel=args.kernel,
         )
     except ValueError as error:
         print(f"invalid configuration: {error}", file=sys.stderr)
@@ -316,7 +298,7 @@ def _scenarios_run(args, stream) -> int:
         return 2
     runtime = None
     if resolve_workers(args.workers) > 1:
-        runtime = create_runtime(workers=args.workers, backend=args.backend, kernel=args.kernel)
+        runtime = create_runtime(workers=args.workers, backend=args.backend)
     try:
         for name in names:
             outcome = run_scenario(get_scenario(name), runtime=runtime)
@@ -492,15 +474,8 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
     if args.command == "trace":
         return _run_trace_command(args, stream)
 
-    kernel = getattr(args, "kernel", None)
-    saved_kernel = os.environ.get(KERNEL_ENV)
-    if kernel:
-        # The scenario harness (and any worker process) builds engines
-        # directly, so the environment variable is the carrier: one flag
-        # switches every MatchEngine the run creates.
-        os.environ[KERNEL_ENV] = kernel
-
-    # --faults / $REPRO_FAULTS: same carrier pattern as --kernel — every
+    # --faults / $REPRO_FAULTS: the environment variable is the carrier
+    # — the scenario harness builds runtimes directly, and every
     # ShardedEngine the run constructs picks the plan up from the
     # environment and arms its workers.  Parse eagerly so a typo fails
     # the command, not the first mining run minutes in.
@@ -545,11 +520,6 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
         if args.command == "scenarios":
             return _run_scenarios_command(args, stream)
     finally:
-        if kernel:
-            if saved_kernel is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = saved_kernel
         if faults:
             if saved_faults is None:
                 os.environ.pop(FAULTS_ENV, None)
@@ -565,7 +535,6 @@ def main(argv: Sequence[str] | None = None, stream=None) -> int:
                 "cpu_count": os.cpu_count(),
                 "workers": resolve_workers(getattr(args, "workers", None)),
                 "backend": resolve_backend(getattr(args, "backend", None)),
-                "kernel": resolve_kernel(None),
             }
             write_jsonl(trace_path, tracer, meta=meta)
             # stderr on purpose: traced and untraced runs must produce

@@ -17,7 +17,7 @@ from repro.datasets.binning import BinningScheme, default_binning_scheme
 from repro.datasets.generator import GeneratorConfig, TransportationDataGenerator
 from repro.datasets.schema import TransactionDataset
 from repro.obs.tracer import get_tracer
-from repro.runtime import resolve_backend, resolve_kernel, resolve_workers
+from repro.runtime import resolve_backend, resolve_workers
 
 
 @dataclass
@@ -41,11 +41,6 @@ class ExperimentConfig:
     backend:
         Sharded-runtime backend (``"process"`` or ``"serial"``); ``None``
         defers to ``REPRO_BACKEND`` (default ``"process"``).
-    kernel:
-        Support-kernel backend for the match engines (``"python"`` or
-        ``"vectorized"``); ``None`` defers to ``REPRO_KERNEL`` (default
-        ``"python"``).  The kernel changes wall-clock only, never the
-        mined patterns.
     """
 
     scale: float = 0.05
@@ -55,7 +50,6 @@ class ExperimentConfig:
     distance_bins: int = 10
     workers: int | None = None
     backend: str | None = None
-    kernel: str | None = None
     _dataset_cache: TransactionDataset | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -63,7 +57,6 @@ class ExperimentConfig:
         # actual resolution happens where runtimes are built.
         resolve_workers(self.workers)
         resolve_backend(self.backend)
-        resolve_kernel(self.kernel)
 
     def binning(self) -> BinningScheme:
         """The binning scheme implied by the configuration."""

@@ -251,7 +251,6 @@ def experiment_fig2_fig3_fsg_partitioning(
                 seed=config.seed + paper_k,
                 workers=config.workers,
                 backend=config.backend,
-                kernel=config.kernel,
             )
             result = mine_single_graph(graph, mining_config)
             pattern_counts[strategy.value][paper_k] = result.average_patterns_per_repetition
@@ -325,7 +324,6 @@ def experiment_footnote2_recall(
             seed=config.seed,
             workers=config.workers,
             backend=config.backend,
-            kernel=config.kernel,
         )
         result = mine_single_graph(planted.graph, mining_config)
         recall_report = measure_recall(planted.ground_truth, result.patterns)
@@ -425,7 +423,6 @@ def experiment_table3_fig4_temporal_fsg(
         use_interval_labels=True,
         workers=config.workers,
         backend=config.backend,
-        kernel=config.kernel,
     )
     outcome = pipeline.run(dataset)
     largest = outcome.mining.largest()

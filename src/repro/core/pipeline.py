@@ -59,7 +59,6 @@ def _resolve_runtime(
     workers: int | None,
     backend: str | None,
     engine: MatchEngine,
-    kernel: str | None = None,
 ) -> tuple[MiningRuntime, bool]:
     """The runtime a pipeline run should mine through.
 
@@ -71,7 +70,7 @@ def _resolve_runtime(
     if runtime is not None:
         return runtime, False
     if resolve_workers(workers) > 1:
-        return create_runtime(workers=workers, backend=backend, kernel=kernel), True
+        return create_runtime(workers=workers, backend=backend), True
     return SerialRuntime(engine=engine), True
 
 
@@ -102,12 +101,11 @@ class StructuralMiningPipeline:
     engine: MatchEngine | None = None
     workers: int | None = None
     backend: str | None = None
-    kernel: str | None = None
     runtime: MiningRuntime | None = None
 
     def run(self, dataset: TransactionDataset) -> "StructuralMiningOutcome":
         """Run the pipeline on *dataset*."""
-        engine = self.engine if self.engine is not None else MatchEngine(kernel=self.kernel)
+        engine = self.engine if self.engine is not None else MatchEngine()
         graph = build_od_graph(
             dataset,
             edge_attribute=self.edge_attribute,
@@ -122,9 +120,7 @@ class StructuralMiningPipeline:
             max_pattern_edges=self.max_pattern_edges,
             seed=self.seed,
         )
-        runtime, created = _resolve_runtime(
-            self.runtime, self.workers, self.backend, engine, kernel=self.kernel
-        )
+        runtime, created = _resolve_runtime(self.runtime, self.workers, self.backend, engine)
         try:
             with get_tracer().span(
                 "pipeline.structural", k=self.k, repetitions=self.repetitions
@@ -172,12 +168,11 @@ class TemporalMiningPipeline:
     engine: MatchEngine | None = None
     workers: int | None = None
     backend: str | None = None
-    kernel: str | None = None
     runtime: MiningRuntime | None = None
 
     def run(self, dataset: TransactionDataset) -> "TemporalMiningOutcome":
         """Run the pipeline on *dataset*."""
-        engine = self.engine if self.engine is not None else MatchEngine(kernel=self.kernel)
+        engine = self.engine if self.engine is not None else MatchEngine()
         raw = partition_by_date(
             dataset,
             edge_attribute=self.edge_attribute,
@@ -192,9 +187,7 @@ class TemporalMiningPipeline:
             max_vertex_labels=self.max_vertex_labels,
         )
         prepared_summary = summarize_transactions(prepared) if prepared else None
-        runtime, created = _resolve_runtime(
-            self.runtime, self.workers, self.backend, engine, kernel=self.kernel
-        )
+        runtime, created = _resolve_runtime(self.runtime, self.workers, self.backend, engine)
         try:
             miner = FSGMiner(
                 min_support=self.min_support,

@@ -35,7 +35,10 @@ def load_csv(path: str | Path, name: str | None = None) -> TransactionDataset:
     """Load a dataset previously written by :func:`save_csv`.
 
     Raises ``FileNotFoundError`` if the file does not exist and
-    ``ValueError`` if required columns are missing.
+    ``ValueError`` if required columns are missing or a row has missing
+    or extra fields (naming the file and line).  Rows whose values fail
+    :class:`~repro.datasets.schema.Transaction` validation raise that
+    ``ValueError``.
     """
     source = Path(path)
     if not source.exists():
@@ -45,7 +48,16 @@ def load_csv(path: str | Path, name: str | None = None) -> TransactionDataset:
         missing = set(ATTRIBUTE_NAMES) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"dataset file {source} is missing columns: {sorted(missing)}")
-        transactions = [Transaction.from_record(row) for row in reader]
+        transactions = []
+        for row in reader:
+            # DictReader pads a short row with None values and files the
+            # surplus of a long row under the None key.
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"dataset file {source} line {reader.line_num}: expected "
+                    f"{len(reader.fieldnames)} fields, the row has missing or extra fields"
+                )
+            transactions.append(Transaction.from_record(row))
     return TransactionDataset(transactions=transactions, name=name or source.stem)
 
 

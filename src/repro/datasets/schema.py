@@ -96,8 +96,18 @@ class Location:
     longitude: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "latitude", _round_coordinate(self.latitude))
-        object.__setattr__(self, "longitude", _round_coordinate(self.longitude))
+        latitude = _round_coordinate(self.latitude)
+        longitude = _round_coordinate(self.longitude)
+        # NaN never equals itself, so a NaN coordinate would split one
+        # place into many vertices; reject it with the out-of-range ones.
+        if not (math.isfinite(latitude) and abs(latitude) <= 90):
+            raise ValueError(f"latitude must be finite and within [-90, 90], got {self.latitude!r}")
+        if not (math.isfinite(longitude) and abs(longitude) <= 180):
+            raise ValueError(
+                f"longitude must be finite and within [-180, 180], got {self.longitude!r}"
+            )
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "longitude", longitude)
 
     def as_tuple(self) -> tuple[float, float]:
         """Return ``(latitude, longitude)``."""
@@ -137,12 +147,17 @@ class Transaction:
                 "delivery date precedes pickup date for transaction "
                 f"{self.id}: {self.req_delivery_dt} < {self.req_pickup_dt}"
             )
-        if self.total_distance < 0:
-            raise ValueError(f"negative distance for transaction {self.id}")
-        if self.gross_weight < 0:
-            raise ValueError(f"negative gross weight for transaction {self.id}")
-        if self.move_transit_hours < 0:
-            raise ValueError(f"negative transit hours for transaction {self.id}")
+        for field_name, noun in (
+            ("total_distance", "distance"),
+            ("gross_weight", "gross weight"),
+            ("move_transit_hours", "transit hours"),
+        ):
+            value = getattr(self, field_name)
+            # ``nan < 0`` is false, so the finiteness check must come first.
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {noun} for transaction {self.id}: {value!r}")
+            if value < 0:
+                raise ValueError(f"negative {noun} for transaction {self.id}")
 
     @property
     def od_pair(self) -> tuple[Location, Location]:

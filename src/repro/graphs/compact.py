@@ -132,7 +132,6 @@ class CompactGraph:
         "edge_label_of",
         "vertex_ids",
         "table",
-        "_columns",
     )
 
     def __init__(
@@ -159,9 +158,6 @@ class CompactGraph:
         self.out_adj = tuple(tuple(pairs) for pairs in out_lists)
         self.in_adj = tuple(tuple(pairs) for pairs in in_lists)
         self.edge_label_of = edge_label_of
-        # Lazily built columnar view (see :meth:`columns`); derived data,
-        # so it is deliberately absent from the wire/pickle forms.
-        self._columns = None
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -206,8 +202,7 @@ class CompactGraph:
         fresh vertex appended after the existing ones (the candidate
         generator's convention).  The result is field-for-field identical
         to ``from_labeled(child, table)`` — including adjacency tuple
-        order, which downstream columnar views and anchor enumeration
-        inherit — at a fraction of the rebuild cost: candidate generation
+        order, which anchor enumeration inherits — at a fraction of the rebuild cost: candidate generation
         compacts thousands of one-edge extensions per mining level.
         """
         table = self.table
@@ -244,7 +239,6 @@ class CompactGraph:
             for source, pairs in enumerate(clone.out_adj)
             for target, pair_label in pairs
         }
-        clone._columns = None
         return clone
 
     def to_wire(self) -> tuple:
@@ -341,23 +335,6 @@ class CompactGraph:
                 self.table.label(label_id),
             )
         return graph
-
-    def columns(self):
-        """The (cached) columnar view of this graph (numpy required).
-
-        Built lazily on first use by the vectorized match kernel; the
-        graph is immutable, so the cache never invalidates — a mutated
-        :class:`LabeledGraph` transaction is re-compacted by the engine's
-        version discipline and gets fresh columns with its fresh compact
-        form.
-        """
-        columns = self._columns
-        if columns is None:
-            from repro.graphs.columns import GraphColumns
-
-            columns = GraphColumns(self)
-            self._columns = columns
-        return columns
 
     # ------------------------------------------------------------------
     # Inspection

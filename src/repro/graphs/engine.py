@@ -15,14 +15,16 @@ bottoms out in label-preserving subgraph isomorphism.  A
   histograms, edge-triple containment) before any search;
 * registered transactions get a TID-keyed LRU of
   ``(pattern canonical code, transaction id)`` match verdicts, so a
-  pattern re-queried against the same transaction — across FSG levels or
-  mining repetitions — is answered from cache;
+  pattern re-queried against the same transaction through
+  :meth:`MatchEngine.support` or :meth:`MatchEngine.batch_support` is
+  answered from cache;
 * level-wise miners get the *embedding store*
   (:meth:`MatchEngine.support_with_embeddings`): bounded per-``(pattern,
-  tid)`` anchor embeddings kept alongside the verdict LRU, so a
-  level-(k+1) candidate — its parent plus exactly one edge — is answered
-  by extending a stored parent embedding instead of searching from
-  scratch, with the full search as correctness fallback.
+  tid)`` anchor embeddings, so a level-(k+1) candidate — its parent plus
+  exactly one edge — is answered by extending a stored parent embedding
+  instead of searching from scratch, with the full search as correctness
+  fallback.  This path never touches the verdict LRU: no ``(pattern,
+  tid)`` pair repeats within a mine, and every mine gets fresh tids.
 
 Caching contract
 ----------------
@@ -40,7 +42,6 @@ to have distinct ``str()`` forms.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -55,30 +56,15 @@ from repro.obs.tracer import get_tracer
 #: Sentinel for "canonical code unavailable" pattern keys.
 _NO_KEY = object()
 
-#: Environment variable supplying the default match-kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
-#: Match-kernel backends understood by :class:`MatchEngine`.
-KERNELS = ("python", "vectorized")
-
 
 def resolve_kernel(kernel: str | None = None) -> str:
-    """Validate *kernel*, falling back to ``REPRO_KERNEL`` when ``None``.
+    """The match kernel's name, which is always ``"python"``.
 
-    ``"python"`` is the pure-python reference kernel (the differential
-    oracle); ``"vectorized"`` routes the incremental support path through
-    the numpy columnar kernel (:mod:`repro.graphs.vectorized`).  The
-    vectorized choice is validated eagerly so a missing numpy fails here,
-    with a clear message, rather than mid-mine.
+    Kept only for the benchmark's environment stamp
+    (``perfbench/bench.py`` imports it); once that import is dropped,
+    this function can go too.  Reads no environment variable.
     """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or "python"
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if kernel == "vectorized":
-        from repro.graphs.columns import require_numpy
-
-        require_numpy()
-    return kernel
+    return "python"
 
 
 @dataclass
@@ -160,49 +146,23 @@ class EmbeddingTask:
 
     pattern: "LabeledGraph | CompactGraph | GraphIndex"
     tids: Sequence[int]
-    key: object = None
     uid: object = None
     parent_uid: object = None
     extension: tuple[int, int, bool] | None = None
     abort_below: int | None = None
 
 
-class _AnchorEntry:
-    """The stored embeddings of one ``(pattern uid, tid)`` pair.
-
-    ``embeddings`` are position-indexed tuples: entry ``p`` is the
-    transaction compact vertex that pattern compact vertex ``p`` maps to.
-    ``complete`` records whether the tuple holds *every* embedding of the
-    pattern in the transaction — only then can a failed extension be
-    turned into a definitive "no embedding" verdict for a child.
-    ``version`` pins the transaction's mutation counter at store time:
-    like index entries and verdicts, anchors of a since-mutated
-    transaction are dead state and must never be extended.
-    """
-
-    __slots__ = ("embeddings", "complete", "version")
-
-    def __init__(
-        self, embeddings: tuple[tuple[int, ...], ...], complete: bool, version: int
-    ) -> None:
-        self.embeddings = embeddings
-        self.complete = complete
-        self.version = version
-
-
-class _IncrementalPattern:
-    """Per-task state hoisted out of the incremental transaction scan."""
-
-    __slots__ = ("index", "task", "key", "hits", "remaining", "dead", "parent_entries")
-
-    def __init__(self, index: GraphIndex, task: EmbeddingTask) -> None:
-        self.index = index
-        self.task = task
-        self.key: object = _NO_KEY
-        self.hits: list[int] = []
-        self.remaining = 0
-        self.dead = False
-        self.parent_entries: dict[int, _AnchorEntry] | None = None
+#: One stored anchor entry of the embedding store, a plain tuple
+#: ``(embeddings, complete, version)`` (tuples of ints only, so the
+#: cyclic collector untracks them).  ``embeddings`` are position-indexed
+#: tuples: entry ``p`` is the transaction compact vertex that pattern
+#: compact vertex ``p`` maps to.  ``complete`` records whether they are
+#: *every* embedding of the pattern in the transaction — only then can a
+#: failed extension be turned into a definitive "no embedding" verdict
+#: for a child.  ``version`` pins the transaction's mutation counter at
+#: store time: like index entries, anchors of a since-mutated
+#: transaction are dead state and must never be extended.
+AnchorEntry = tuple[tuple[tuple[int, ...], ...], bool, int]
 
 
 class MatchEngine:
@@ -214,16 +174,10 @@ class MatchEngine:
         verdict_cache_size: int = 1 << 17,
         anchor_cap: int = 8,
         anchor_budget: int = 1 << 20,
-        kernel: str | None = None,
     ) -> None:
         if anchor_cap < 1:
             raise ValueError(f"anchor_cap must be at least 1, got {anchor_cap}")
         self.table = label_table if label_table is not None else LabelTable()
-        #: Match-kernel backend: ``"python"`` (the reference oracle) or
-        #: ``"vectorized"`` (numpy columnar passes); ``None`` consults
-        #: ``REPRO_KERNEL``.  Both produce identical verdicts and anchor
-        #: sets — the knob trades implementation, never output.
-        self.kernel = resolve_kernel(kernel)
         self.verdict_cache_size = verdict_cache_size
         #: Max embeddings kept per (pattern uid, tid) anchor entry.
         self.anchor_cap = anchor_cap
@@ -254,7 +208,7 @@ class MatchEngine:
         # are caller-owned opaque tokens (the miner assigns one per
         # surviving candidate); anchors are engine-local and never cross
         # a process boundary.
-        self._anchors: dict[object, dict[int, _AnchorEntry]] = {}
+        self._anchors: dict[object, dict[int, AnchorEntry]] = {}
         self._anchor_load = 0
         # The session pattern store: uid -> GraphIndex of a candidate
         # pattern registered by a mining session.  Like anchors, uids are
@@ -383,7 +337,7 @@ class MatchEngine:
             del self._verdicts[key]
         for per_tid in self._anchors.values():
             for tid in released & per_tid.keys():
-                self._anchor_load -= len(per_tid.pop(tid).embeddings)
+                self._anchor_load -= len(per_tid.pop(tid)[0])
 
     @property
     def n_transactions(self) -> int:
@@ -699,12 +653,7 @@ class MatchEngine:
             )
             feasible = candidate_cache.get(requirement)
             if feasible is None:
-                # The columnar mask pass returns the identical ascending
-                # vertex list as the index's bucket filter.
-                if self.kernel == "vectorized":
-                    feasible = t_index.columns().candidates(*requirement)
-                else:
-                    feasible = t_index.candidates(*requirement)
+                feasible = t_index.candidates(*requirement)
                 candidate_cache[requirement] = feasible
             if not feasible:
                 return False
@@ -748,106 +697,190 @@ class MatchEngine:
         seeded straight from the transaction's triple-edge buckets —
         every embedding of a one-edge pattern is literally an edge.
 
-        Per-task ``abort_below`` arms the same early-abort bound as
-        :meth:`support`; the scan is transaction-major like
-        :meth:`batch_support` and verdicts are written to the same LRU.
-        Returns one ascending tid list per task.
-
-        Under ``kernel="vectorized"`` the batch is answered by the numpy
-        columnar kernel instead (:mod:`repro.graphs.vectorized`) —
-        identical tid lists and anchor-store effects, batched array
-        passes instead of per-anchor loops, and no verdict-LRU traffic.
+        The scan is pattern-major: each task resolves its strategy
+        (extend, seed, or search) and the extension edge's labels once,
+        then walks its tids in ascending order; each tid's index entry is
+        resolved once per batch.  Per-task ``abort_below`` arms the same
+        early-abort bound as :meth:`support`.  The verdict LRU is neither
+        read nor written here.  Returns one ascending tid list per task.
         """
-        if self.kernel == "vectorized":
-            from repro.graphs import vectorized
-
-            return vectorized.support_with_embeddings(self, tasks)
-        infos = [_IncrementalPattern(self._index_of_any(task.pattern), task) for task in tasks]
-        for info in infos:
-            provided = info.task.key
-            if provided is None:
-                info.key = self._pattern_key(info.index)
-            elif provided is False:
-                info.key = _NO_KEY
-            else:
-                info.key = provided
         stats = self.stats
         stats.batch_calls += 1
-        stats.batch_patterns += len(infos)
-
-        per_tid: dict[int, list[int]] = {}
+        stats.batch_patterns += len(tasks)
+        indexes = [self._index_of_any(task.pattern) for task in tasks]
         compact_tids = self._compact_tids
-        for position, info in enumerate(infos):
-            tids = list(info.task.tids)
+        anchors = self._anchors
+        scans: list[tuple[list[int], int, dict[int, AnchorEntry] | None] | None] = []
+        for task, p_index in zip(tasks, indexes):
+            tids = sorted(task.tids)
             # Whole-transaction rejection via the inverted triple index,
             # exactly as in batch_support.  A rejected tid is a definitive
             # "no", so it also shrinks the early-abort remainder.
-            allowed = self._triple_filter(info.index)
+            allowed = self._triple_filter(p_index)
             if allowed is not None and compact_tids:
                 kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
                 stats.early_rejects += len(tids) - len(kept)
                 tids = kept
-            info.remaining = len(tids)
-            abort_below = info.task.abort_below
-            if abort_below is not None and info.remaining < abort_below:
-                info.dead = True
+            # The scan aborts once misses exceed the slack: from then on
+            # even a hit on every remaining tid stays below abort_below.
+            slack = len(tids) - (task.abort_below or 0)
+            if slack < 0:
                 stats.support_aborts += 1
-                continue
-            if info.task.parent_uid is not None:
-                info.parent_entries = self._anchors.get(info.task.parent_uid)
-            for tid in tids:
-                per_tid.setdefault(tid, []).append(position)
+                scans.append(None)
+            else:
+                scans.append((tids, slack, anchors.get(task.parent_uid)))
 
-        verdicts = self._verdicts
-        for tid in sorted(per_tid):
-            t_index: GraphIndex | None = None
-            version = 0
-            for position in per_tid[tid]:
-                info = infos[position]
-                if info.dead:
+        transaction_index = self._transaction_index
+        cap = self.anchor_cap
+        budget = self.anchor_budget
+        load = self._anchor_load
+        resolved: dict[int, tuple[int, GraphIndex]] = {}
+        supports: list[list[int]] = [[] for _ in tasks]
+        extensions = complete_rejects = seeds = fallbacks = stored = aborts = 0
+        try:
+            for task, p_index, scan, hits in zip(tasks, indexes, scans, supports):
+                if scan is None:
                     continue
-                info.remaining -= 1
-                if t_index is None:
-                    version, t_index = self._transaction_index(tid)
-                verdict = None
-                key = None
-                if info.key is not _NO_KEY:
-                    key = (info.key, tid, version)
-                    cached = verdicts.get(key)
-                    # A cached "no" is always usable; a cached "yes" only
-                    # when the pattern's own anchors are already stored —
-                    # otherwise skipping the evaluation would skip the
-                    # anchor harvest its children rely on.
-                    if cached is False or (
-                        cached and self._anchors_current(info.task.uid, tid, version)
-                    ):
-                        verdicts.move_to_end(key)
-                        stats.verdict_hits += 1
-                        verdict = cached
-                    else:
-                        stats.verdict_misses += 1
-                if verdict is None:
-                    verdict = self._incremental_exists(info, tid, version, t_index)
-                    if key is not None:
-                        verdicts[key] = verdict
-                        if len(verdicts) > self.verdict_cache_size:
-                            verdicts.popitem(last=False)
-                if verdict:
-                    info.hits.append(tid)
-                abort_below = info.task.abort_below
-                if abort_below is not None and len(info.hits) + info.remaining < abort_below:
-                    info.dead = True
-                    stats.support_aborts += 1
-        return [info.hits for info in infos]
+                tids, slack, parent_entries = scan
+                pattern = p_index.compact
+                n_vertices = pattern.n_vertices
+                if n_vertices == 0:
+                    # The empty pattern embeds in every live transaction.
+                    for tid in tids:
+                        if tid not in resolved:
+                            resolved[tid] = transaction_index(tid)
+                        hits.append(tid)
+                    continue
+                uid = task.uid
+                per_tid: dict[int, AnchorEntry] | None = None
+                extension = task.extension
+                extending = extension is not None and parent_entries is not None
+                seeding = (
+                    extension is None and pattern.n_edges == 1 and n_vertices == 2
+                )
+                if extending:
+                    src_pos, dst_pos, has_new = extension
+                    edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
+                    if has_new:
+                        new_label = pattern.vertex_labels[n_vertices - 1]
+                        outward = dst_pos == n_vertices - 1
+                        anchor_pos = src_pos if outward else dst_pos
+                elif seeding:
+                    (((src_pos, dst_pos), edge_label),) = pattern.edge_label_of.items()
+                    triple = (
+                        pattern.vertex_labels[src_pos],
+                        edge_label,
+                        pattern.vertex_labels[dst_pos],
+                    )
+                misses = 0
+                for tid in tids:
+                    known = resolved.get(tid)
+                    if known is None:
+                        known = resolved[tid] = transaction_index(tid)
+                    version, t_index = known
+                    found: tuple | None = None
+                    search = not seeding
+                    if extending:
+                        parent = parent_entries.get(tid)
+                        # Anchors of a since-mutated transaction are stale
+                        # state, not evidence.
+                        if parent is not None and parent[2] == version:
+                            extensions += 1
+                            target = t_index.compact
+                            out: list[tuple[int, ...]] = []
+                            capped = False
+                            if not has_new:
+                                edge_label_of = target.edge_label_of
+                                for anchor in parent[0]:
+                                    if edge_label_of.get(
+                                        (anchor[src_pos], anchor[dst_pos])
+                                    ) == edge_label:
+                                        out.append(anchor)
+                                        if len(out) >= cap:
+                                            capped = True
+                                            break
+                            else:
+                                t_labels = target.vertex_labels
+                                adjacency = target.out_adj if outward else target.in_adj
+                                for anchor in parent[0]:
+                                    for neighbour, label in adjacency[anchor[anchor_pos]]:
+                                        if (
+                                            label == edge_label
+                                            and t_labels[neighbour] == new_label
+                                            and neighbour not in anchor
+                                        ):
+                                            out.append(anchor + (neighbour,))
+                                            if len(out) >= cap:
+                                                capped = True
+                                                break
+                                    if capped:
+                                        break
+                            if out:
+                                # Distinct anchors yield distinct children
+                                # (they differ on the parent positions).
+                                found = tuple(out)
+                                complete = parent[1] and not capped
+                                search = False
+                            elif parent[1]:
+                                complete_rejects += 1
+                                search = False
+                    elif seeding:
+                        seeds += 1
+                        pairs = [
+                            pair
+                            for pair in t_index.triple_edges(triple)
+                            if pair[0] != pair[1]
+                        ]
+                        if pairs:
+                            found = tuple(
+                                pair if src_pos == 0 else (pair[1], pair[0])
+                                for pair in pairs[:cap]
+                            )
+                            complete = len(pairs) <= cap
+                    if search:
+                        fallbacks += 1
+                        results = self._compact_embeddings(p_index, t_index, max_count=cap)
+                        if results:
+                            found = tuple(
+                                tuple(mapping[p_vertex] for p_vertex in range(n_vertices))
+                                for mapping in results
+                            )
+                            complete = len(results) < cap
+                    if found is None:
+                        misses += 1
+                        if misses > slack:
+                            aborts += 1
+                            break
+                        continue
+                    hits.append(tid)
+                    # Skipping the store (anonymous task, or budget
+                    # exhausted) is always safe: absent entries just push
+                    # the children onto the fallback search.
+                    if uid is not None and load + len(found) <= budget:
+                        if per_tid is None:
+                            per_tid = anchors.setdefault(uid, {})
+                        previous = per_tid.get(tid)
+                        if previous is not None:
+                            load -= len(previous[0])
+                        per_tid[tid] = (found, complete, version)
+                        load += len(found)
+                        stored += len(found)
+        finally:
+            self._anchor_load = load
+            stats.anchor_extensions += extensions
+            stats.anchor_complete_rejects += complete_rejects
+            stats.anchor_seeds += seeds
+            stats.anchor_fallbacks += fallbacks
+            stats.anchors_stored += stored
+            stats.support_aborts += aborts
+        return supports
 
     def drop_anchors(self, uids: Iterable[object]) -> None:
         """Forget the stored embeddings of *uids* (retired pattern levels)."""
         for uid in uids:
             per_tid = self._anchors.pop(uid, None)
             if per_tid:
-                self._anchor_load -= sum(
-                    len(entry.embeddings) for entry in per_tid.values()
-                )
+                self._anchor_load -= sum(len(entry[0]) for entry in per_tid.values())
 
     @property
     def anchor_load(self) -> int:
@@ -913,161 +946,6 @@ class MatchEngine:
         """Number of patterns currently resident in the session store."""
         return len(self._session_patterns)
 
-    def _anchors_current(self, uid: object, tid: int, version: int) -> bool:
-        """Whether ``(uid, tid)`` already holds anchors valid at *version*."""
-        if uid is None:
-            return True
-        per_tid = self._anchors.get(uid)
-        entry = per_tid.get(tid) if per_tid else None
-        return entry is not None and entry.version == version
-
-    def _incremental_exists(
-        self, info: _IncrementalPattern, tid: int, version: int, t_index: GraphIndex
-    ) -> bool:
-        """One (task, tid) verdict: extend anchors, seed, or fall back."""
-        task = info.task
-        pattern = info.index.compact
-        if pattern.n_vertices == 0:
-            return True
-        if task.extension is not None and info.parent_entries is not None:
-            parent_entry = info.parent_entries.get(tid)
-            # Anchors of a since-mutated transaction are stale state, not
-            # evidence — same version discipline as the verdict LRU.
-            if parent_entry is not None and parent_entry.version == version:
-                self.stats.anchor_extensions += 1
-                found, embeddings, complete = self._extend_anchors(
-                    pattern, task.extension, parent_entry, t_index.compact
-                )
-                if found:
-                    self._store_anchors(task.uid, tid, embeddings, complete, version)
-                    return True
-                if parent_entry.complete:
-                    self.stats.anchor_complete_rejects += 1
-                    return False
-        if pattern.n_edges == 1 and pattern.n_vertices == 2 and task.extension is None:
-            return self._seed_single_edge(info, tid, version, t_index)
-        self.stats.anchor_fallbacks += 1
-        results = self._compact_embeddings(info.index, t_index, max_count=self.anchor_cap)
-        if not results:
-            return False
-        embeddings = tuple(
-            tuple(mapping[p_vertex] for p_vertex in range(pattern.n_vertices))
-            for mapping in results
-        )
-        self._store_anchors(
-            task.uid, tid, embeddings, len(results) < self.anchor_cap, version
-        )
-        return True
-
-    def _extend_anchors(
-        self,
-        pattern: CompactGraph,
-        extension: tuple[int, int, bool],
-        parent_entry: _AnchorEntry,
-        target: CompactGraph,
-    ) -> tuple[bool, tuple[tuple[int, ...], ...], bool]:
-        """All (capped) one-edge extensions of the parent's anchors.
-
-        Returns ``(found, embeddings, complete)``.  Distinct anchors
-        yield distinct children (they differ on the parent positions), so
-        no deduplication is needed; ``complete`` holds only when the
-        parent set was complete and the cap never truncated enumeration.
-        """
-        src_pos, dst_pos, has_new = extension
-        edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
-        cap = self.anchor_cap
-        out: list[tuple[int, ...]] = []
-        capped = False
-        if not has_new:
-            edge_label_of = target.edge_label_of
-            for anchor in parent_entry.embeddings:
-                if edge_label_of.get((anchor[src_pos], anchor[dst_pos])) == edge_label:
-                    out.append(anchor)
-                    if len(out) >= cap:
-                        capped = True
-                        break
-        else:
-            new_pos = pattern.n_vertices - 1
-            new_label = pattern.vertex_labels[new_pos]
-            t_labels = target.vertex_labels
-            if dst_pos == new_pos:
-                adjacency, anchor_pos = target.out_adj, src_pos
-            else:
-                adjacency, anchor_pos = target.in_adj, dst_pos
-            for anchor in parent_entry.embeddings:
-                for neighbour, label in adjacency[anchor[anchor_pos]]:
-                    if (
-                        label == edge_label
-                        and t_labels[neighbour] == new_label
-                        and neighbour not in anchor
-                    ):
-                        out.append(anchor + (neighbour,))
-                        if len(out) >= cap:
-                            capped = True
-                            break
-                if capped:
-                    break
-        return bool(out), tuple(out), parent_entry.complete and not capped
-
-    def _seed_single_edge(
-        self, info: _IncrementalPattern, tid: int, version: int, t_index: GraphIndex
-    ) -> bool:
-        """Anchor a one-edge pattern from the transaction's triple buckets."""
-        self.stats.anchor_seeds += 1
-        pattern = info.index.compact
-        ((src_pos, dst_pos),) = pattern.edge_label_of
-        edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
-        triple = (
-            pattern.vertex_labels[src_pos],
-            edge_label,
-            pattern.vertex_labels[dst_pos],
-        )
-        pairs = [
-            pair for pair in t_index.triple_edges(triple) if pair[0] != pair[1]
-        ]
-        if not pairs:
-            return False
-        cap = self.anchor_cap
-        embedding_at = [0, 0]
-        embeddings = []
-        for t_src, t_dst in pairs[:cap]:
-            embedding_at[src_pos] = t_src
-            embedding_at[dst_pos] = t_dst
-            embeddings.append(tuple(embedding_at))
-        self._store_anchors(
-            info.task.uid, tid, tuple(embeddings), len(pairs) <= cap, version
-        )
-        return True
-
-    def _store_anchors(
-        self,
-        uid: object,
-        tid: int,
-        embeddings: tuple[tuple[int, ...], ...],
-        complete: bool,
-        version: int,
-    ) -> None:
-        """Record *embeddings* under ``(uid, tid)`` if the budget allows.
-
-        Skipping (anonymous task, or budget exhausted) is always safe:
-        absent entries just push the pattern's children onto the fallback
-        search.  Anchors influence speed, never verdicts.  *embeddings*
-        may be a tuple of tuples (python kernel) or an ``(anchors,
-        width)`` ndarray (vectorized kernel) — only its length matters
-        here.
-        """
-        if uid is None or len(embeddings) == 0:
-            return
-        if self._anchor_load + len(embeddings) > self.anchor_budget:
-            return
-        per_tid = self._anchors.setdefault(uid, {})
-        previous = per_tid.get(tid)
-        if previous is not None:
-            self._anchor_load -= len(previous.embeddings)
-        per_tid[tid] = _AnchorEntry(embeddings, complete, version)
-        self._anchor_load += len(embeddings)
-        self.stats.anchors_stored += len(embeddings)
-
     def _index_of_any(self, pattern: LabeledGraph | CompactGraph | GraphIndex) -> GraphIndex:
         """An index for *pattern* whatever form it arrives in."""
         if isinstance(pattern, GraphIndex):
@@ -1111,21 +989,13 @@ class MatchEngine:
             return []
         self.stats.searches += 1
 
-        # Per pattern vertex: label/degree-bucket candidates from the index
-        # (or the identical columnar mask pass under the vectorized kernel).
-        vectorized = self.kernel == "vectorized"
-        columns = t_index.columns() if vectorized else None
+        # Per pattern vertex: label/degree-bucket candidates from the index.
         candidates: list[list[int]] = []
         for p_vertex in range(pattern.n_vertices):
-            requirement = (
+            feasible = t_index.candidates(
                 pattern.vertex_labels[p_vertex],
                 len(pattern.out_adj[p_vertex]),
                 len(pattern.in_adj[p_vertex]),
-            )
-            feasible = (
-                columns.candidates(*requirement)
-                if vectorized
-                else t_index.candidates(*requirement)
             )
             if not feasible:
                 return []

@@ -85,11 +85,6 @@ class GraphIndex:
             and len(compact.in_adj[vertex]) >= min_in
         ]
 
-    def columns(self):
-        """The underlying graph's (cached) columnar view — see
-        :meth:`CompactGraph.columns`."""
-        return self.compact.columns()
-
     def triple_edges(self, triple: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
         """The ``(source, target)`` edges realising *triple* in this graph.
 

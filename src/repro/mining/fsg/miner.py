@@ -127,11 +127,6 @@ class FSGMiner:
     engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
     use_embedding_store: bool = True
-    #: Match-kernel backend for the engine this miner creates when
-    #: ``engine`` is ``None`` — ``"python"``, ``"vectorized"``, or
-    #: ``None`` to consult ``REPRO_KERNEL``.  Ignored when a caller
-    #: supplies its own engine or runtime (those already chose).
-    kernel: str | None = None
     #: Tracer receiving this run's spans and metrics; ``None`` (default)
     #: uses the process-global active tracer — the no-op singleton unless
     #: tracing was turned on (``--trace`` / ``REPRO_TRACE``), so the
@@ -142,7 +137,7 @@ class FSGMiner:
         """Mine all frequent connected subgraphs from *transactions*."""
         n_transactions = len(transactions)
         support_threshold = _resolve_min_support(self.min_support, n_transactions)
-        engine = self.engine if self.engine is not None else MatchEngine(kernel=self.kernel)
+        engine = self.engine if self.engine is not None else MatchEngine()
         runtime = self.runtime if self.runtime is not None else SerialRuntime(engine=engine)
         tracer = self.tracer if self.tracer is not None else get_tracer()
         # The parent engine's counter delta across this run covers
@@ -240,10 +235,7 @@ class FSGMiner:
                 live_uids = [candidate.uid for candidate, _ in level_patterns]
                 session.support_level(
                     self._level_requests(
-                        [candidate for candidate, _ in level_patterns],
-                        engine,
-                        to_global,
-                        wants_keys=getattr(session, "wants_keys", True),
+                        [candidate for candidate, _ in level_patterns], to_global
                     )
                 )
             result.level_seconds[1] = time.perf_counter() - level_started
@@ -288,7 +280,7 @@ class FSGMiner:
                     for candidate in candidates:
                         candidate.uid = next(uids)
                     level_patterns = self._prune_level_incremental(
-                        candidates, support_threshold, engine, session, to_global, to_local
+                        candidates, support_threshold, session, to_global, to_local
                     )
                     # The parent level's anchors (and session-store
                     # patterns) have served their one consumer level, and
@@ -431,49 +423,27 @@ class FSGMiner:
                 "fsg.level_seconds", result.level_seconds[level], level=str(level)
             )
 
+    @staticmethod
     def _level_requests(
-        self,
-        candidates: Sequence[Candidate],
-        engine: MatchEngine,
-        to_global: Callable[[int], int],
-        wants_keys: bool = True,
+        candidates: Sequence[Candidate], to_global: Callable[[int], int]
     ) -> list[LevelRequest]:
-        """Wrap *candidates* for the runtime's incremental level API.
-
-        Verdict-cache keys are attached only when the session asked for
-        them (:attr:`MiningSession.wants_keys`): canonicalising every
-        candidate is this loop's dominant cost, and sessions whose
-        kernel never probes the verdict LRU mark the keys unwanted.
-        ``key=False`` (uncacheable) is the always-correct substitute.
-        """
-        requests: list[LevelRequest] = []
-        for candidate in candidates:
-            if not wants_keys:
-                key: object = False
-            else:
-                try:
-                    key = engine.canonical_code(candidate.pattern)
-                except CanonicalizationError:
-                    get_tracer().metrics.counter("canonical_fallbacks", site="miner")
-                    key = False
-            requests.append(
-                LevelRequest(
-                    pattern=candidate.pattern,
-                    tid_bits=to_global(candidate.parent_bits),
-                    key=key,
-                    uid=candidate.uid,
-                    parent_uid=candidate.parent_uid,
-                    extension=candidate.extension,
-                    extension_labels=candidate.extension_labels,
-                )
+        """Wrap *candidates* for the runtime's incremental level API."""
+        return [
+            LevelRequest(
+                pattern=candidate.pattern,
+                tid_bits=to_global(candidate.parent_bits),
+                uid=candidate.uid,
+                parent_uid=candidate.parent_uid,
+                extension=candidate.extension,
+                extension_labels=candidate.extension_labels,
             )
-        return requests
+            for candidate in candidates
+        ]
 
     def _prune_level_incremental(
         self,
         candidates: Sequence[Candidate],
         support_threshold: int,
-        engine: MatchEngine,
         session: MiningSession,
         to_global: Callable[[int], int],
         to_local: Callable[[int], int],
@@ -497,13 +467,7 @@ class FSGMiner:
             if popcount(candidate.parent_bits) >= support_threshold
         ]
         supports = session.support_level(
-            self._level_requests(
-                viable,
-                engine,
-                to_global,
-                wants_keys=getattr(session, "wants_keys", True),
-            ),
-            min_support=support_threshold,
+            self._level_requests(viable, to_global), min_support=support_threshold
         )
         surviving: list[tuple[Candidate, frozenset[int]]] = []
         for candidate, global_bits in zip(viable, supports):

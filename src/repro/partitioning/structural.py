@@ -32,9 +32,7 @@ class StructuralMiningConfig:
     limits.  ``workers`` selects the parallel mining runtime for support
     counting (``None`` consults ``REPRO_WORKERS``; ``0``/``1`` = serial,
     ``>= 2`` = that many shards on *backend*); parallelism never changes
-    the mined patterns, only wall-clock.  ``kernel`` picks the match
-    kernel (``"python"`` or ``"vectorized"``; ``None`` consults
-    ``REPRO_KERNEL``) — likewise wall-clock only.
+    the mined patterns, only wall-clock.
     """
 
     k: int = 400
@@ -47,7 +45,6 @@ class StructuralMiningConfig:
     seed: int = 17
     workers: int | None = None
     backend: str | None = None
-    kernel: str | None = None
 
 
 @dataclass
@@ -121,11 +118,11 @@ def mine_single_graph(
     settings = config or StructuralMiningConfig()
     if settings.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    shared_engine = engine if engine is not None else MatchEngine(kernel=settings.kernel)
+    shared_engine = engine if engine is not None else MatchEngine()
     created_runtime: MiningRuntime | None = None
     if runtime is None and resolve_workers(settings.workers) > 1:
         runtime = created_runtime = create_runtime(
-            workers=settings.workers, backend=settings.backend, kernel=settings.kernel
+            workers=settings.workers, backend=settings.backend
         )
     rng = random.Random(settings.seed)
     miner = FSGMiner(

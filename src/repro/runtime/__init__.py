@@ -27,13 +27,13 @@ scales that hot path without ever changing mining output:
   in-process degraded mode as the last resort, so output never changes.
 
 Pick a runtime with :func:`create_runtime`, or set ``REPRO_WORKERS`` /
-``REPRO_BACKEND`` / ``REPRO_KERNEL`` / ``REPRO_PLACEMENT`` to switch a
+``REPRO_BACKEND`` / ``REPRO_PLACEMENT`` to switch a
 whole run (or CI job) without code changes.
 """
 
 from __future__ import annotations
 
-from repro.graphs.engine import KERNEL_ENV, KERNELS, MatchEngine, resolve_kernel
+from repro.graphs.engine import MatchEngine
 from repro.runtime.base import (
     BACKENDS,
     SESSION_TELEMETRY_KEYS,
@@ -91,8 +91,6 @@ from repro.runtime.wire import resolve_wire
 __all__ = [
     "BACKENDS",
     "FAULTS_ENV",
-    "KERNELS",
-    "KERNEL_ENV",
     "PLACEMENT_ENV",
     "SESSION_TELEMETRY_KEYS",
     "WORKER_TIMEOUT_ENV",
@@ -129,7 +127,6 @@ __all__ = [
     "popcount",
     "resolve_backend",
     "resolve_faults",
-    "resolve_kernel",
     "resolve_placement",
     "resolve_wire",
     "resolve_worker_timeout",
@@ -144,7 +141,6 @@ def create_runtime(
     workers: int | None = None,
     backend: str | None = None,
     engine: MatchEngine | None = None,
-    kernel: str | None = None,
 ) -> MiningRuntime:
     """The runtime implied by a ``workers`` knob.
 
@@ -154,17 +150,12 @@ def create_runtime(
     :class:`ShardedEngine` with that many shards on *backend* (defaulting
     to ``process``, or ``REPRO_BACKEND``).
 
-    *kernel* picks the support-kernel backend (``"python"`` or
-    ``"vectorized"``, defaulting to ``REPRO_KERNEL`` or ``"python"``) and
-    applies to every engine the runtime owns — shard engines included.
-
     *engine* applies to the serial case only: a sharded runtime owns one
     engine (label table, indexes, verdict cache) per shard by design, so
     a caller-supplied engine — and any caches warmed in it — is not used
-    when sharding is selected.  Passing both *engine* and a conflicting
-    *kernel* raises.
+    when sharding is selected.
     """
     workers = resolve_workers(workers)
     if workers <= 1:
-        return SerialRuntime(engine=engine, kernel=kernel)
-    return ShardedEngine(shards=workers, backend=backend, kernel=kernel)
+        return SerialRuntime(engine=engine)
+    return ShardedEngine(shards=workers, backend=backend)

@@ -95,7 +95,6 @@ class LevelRequest:
 
     pattern: LabeledGraph
     tid_bits: int
-    key: object = None
     uid: object = None
     parent_uid: object = None
     extension: tuple[int, int, bool] | None = None
@@ -162,15 +161,6 @@ class MiningSession(ABC):
     return exactly what the runtime's stateless method would.
     """
 
-    #: Whether :meth:`support_level` requests benefit from carrying
-    #: precomputed verdict-cache keys.  Keys only feed the engine-side
-    #: verdict LRU of the pure-python kernel; the vectorized kernel and
-    #: the sharded session protocol never consult them, and a miner that
-    #: checks this flag can skip the per-candidate canonicalisation that
-    #: producing a key costs.  Keys are an optimisation either way —
-    #: sending ``key=False`` (uncacheable) is always correct.
-    wants_keys: bool = True
-
     def __init__(self) -> None:
         self._telemetry = zero_telemetry()
 
@@ -236,12 +226,6 @@ class DelegatingSession(MiningSession):
         # Levels served so far; the miner primes level 1 first, so call
         # N is mining level N — used to stamp gathered worker spans.
         self._level = 0
-
-    @property
-    def wants_keys(self) -> bool:
-        # The runtime knows whether its engines' kernel consults the
-        # verdict cache (see ``MiningRuntime.wants_verdict_keys``).
-        return getattr(self._runtime, "wants_verdict_keys", True)
 
     def _wire_counter(self) -> int:
         return getattr(self._runtime, "wire_bytes_shipped", 0)
@@ -399,26 +383,8 @@ class SerialRuntime(MiningRuntime):
     :class:`~repro.runtime.shards.ShardedEngine`.)
     """
 
-    def __init__(
-        self, engine: MatchEngine | None = None, kernel: str | None = None
-    ) -> None:
-        if engine is not None and kernel is not None and engine.kernel != kernel:
-            raise ValueError(
-                f"engine already resolved kernel {engine.kernel!r}; "
-                f"cannot override with {kernel!r}"
-            )
-        self.engine = engine if engine is not None else MatchEngine(kernel=kernel)
-
-    @property
-    def wants_verdict_keys(self) -> bool:
-        """Whether level requests should carry verdict-cache keys.
-
-        Only the pure-python kernel probes the verdict LRU; under the
-        vectorized kernel keys would be computed and then ignored, so
-        sessions report them unwanted and the miner skips the
-        canonicalisation (see :attr:`MiningSession.wants_keys`).
-        """
-        return self.engine.kernel == "python"
+    def __init__(self, engine: MatchEngine | None = None) -> None:
+        self.engine = engine if engine is not None else MatchEngine()
 
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:
         return self.engine.add_transactions(transactions)
@@ -452,7 +418,6 @@ class SerialRuntime(MiningRuntime):
             EmbeddingTask(
                 pattern=request.pattern,
                 tids=tids_of(request.tid_bits),
-                key=request.key,
                 uid=request.uid,
                 parent_uid=request.parent_uid,
                 extension=request.extension,

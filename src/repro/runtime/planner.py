@@ -228,7 +228,6 @@ class BatchSupportPlanner:
                 batch.wires.append(wire)
                 batch.tid_lists.append(sorted(locals_))
                 batch.scan_tids += len(locals_)
-                batch.keys.append(request.key)
                 batch.uids.append(request.uid)
                 batch.parent_uids.append(request.parent_uid)
                 batch.extensions.append(request.extension)
@@ -300,13 +299,7 @@ class BatchSupportPlanner:
         :func:`~repro.runtime.bitsets.tids_from_buffer` unpack, and the
         buffer pickles as raw bytes with no bignum re-encoding.
 
-        Session payloads deliberately carry no verdict-cache keys: a
-        session's tids die with its run (released on mine exit, which
-        evicts their verdicts) and no ``(pattern, tid)`` pair repeats
-        within a run, so shard-side verdict caching has nothing to hit —
-        dropping the canonical-code strings from the wire is pure
-        savings.  Abort bounds are localized exactly as in
-        :meth:`plan_level`.
+        Abort bounds are localized exactly as in :meth:`plan_level`.
         """
         batches = [ShardSessionBatch(shard=shard) for shard in range(self.n_shards)]
         for position, request in enumerate(requests):
@@ -419,7 +412,6 @@ class ShardLevelBatch:
     positions: list[int] = field(default_factory=list)
     wires: list[tuple] = field(default_factory=list)
     tid_lists: list[list[int]] = field(default_factory=list)
-    keys: list[object] = field(default_factory=list)
     uids: list[object] = field(default_factory=list)
     parent_uids: list[object] = field(default_factory=list)
     extensions: list[tuple | None] = field(default_factory=list)

@@ -62,7 +62,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.graphs.compact import CompactGraph, LabelTable
-from repro.graphs.engine import EmbeddingTask, MatchEngine, resolve_kernel
+from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer, get_tracer
 from repro.runtime.base import (
@@ -189,7 +189,7 @@ class ShardWorker:
         Batched support for the patterns against local tids (``keys``
         carries precomputed verdict-cache keys); reply with a sorted
         local tid list per pattern.
-    ``("level", wires, tid_lists, keys, uids, parent_uids, extensions, bounds)``
+    ``("level", wires, tid_lists, uids, parent_uids, extensions, bounds)``
         Incremental (embedding-store) support for one mining level:
         parallel lists per pattern, ``bounds`` being shard-local
         early-abort thresholds.  Anchors stay in this shard's engine —
@@ -238,18 +238,11 @@ class ShardWorker:
         to reach a worker it is about to break.
     """
 
-    def __init__(
-        self,
-        store_capacity: int = DEFAULT_STORE_CAPACITY,
-        kernel: str | None = None,
-    ) -> None:
+    def __init__(self, store_capacity: int = DEFAULT_STORE_CAPACITY) -> None:
         if store_capacity < 1:
             raise ValueError(f"store_capacity must be at least 1, got {store_capacity}")
         self.table = LabelTable()
-        # The parent resolves the kernel once and passes it explicitly,
-        # so every shard runs the same backend whatever the worker
-        # process's environment says.
-        self.engine = MatchEngine(self.table, kernel=kernel)
+        self.engine = MatchEngine(self.table)
         self.store_capacity = store_capacity
         #: Per-uid shard-local hit lists (ascending), kept alongside the
         #: engine's pattern store: delta masks index into the *parent's*
@@ -321,14 +314,10 @@ class ShardWorker:
             else:
                 raise ValueError(f"unknown session payload tag {payload[0]!r}")
             self._session_order[uid] = None
-            # No verdict-cache key on purpose: session tids die with the
-            # run and no (pattern, tid) pair repeats inside one, so the
-            # canonical-code strings would be dead weight on the wire.
             tasks.append(
                 EmbeddingTask(
                     pattern=index,
                     tids=tids,
-                    key=False,
                     uid=uid,
                     parent_uid=parent_uid,
                     extension=extension,
@@ -446,20 +435,19 @@ class ShardWorker:
             supports = self.engine.batch_support(patterns, message[2], message[3])
             return [sorted(tids) for tids in supports]
         if op == "level":
-            _, wires, tid_lists, keys, uids, parent_uids, extensions, bounds = message
+            _, wires, tid_lists, uids, parent_uids, extensions, bounds = message
             self.counters["patterns_shipped_full"] += len(wires)
             tasks = [
                 EmbeddingTask(
                     pattern=CompactGraph.from_wire(wire, self.table),
                     tids=tids,
-                    key=key,
                     uid=uid,
                     parent_uid=parent_uid,
                     extension=extension,
                     abort_below=bound,
                 )
-                for wire, tids, key, uid, parent_uid, extension, bound in zip(
-                    wires, tid_lists, keys, uids, parent_uids, extensions, bounds
+                for wire, tids, uid, parent_uid, extension, bound in zip(
+                    wires, tid_lists, uids, parent_uids, extensions, bounds
                 )
             ]
             return self.engine.support_with_embeddings(tasks)
@@ -534,7 +522,6 @@ class ShardedEngine(MiningRuntime):
         backend: str | None = None,
         session_protocol: str = "delta",
         session_store_capacity: int = DEFAULT_STORE_CAPACITY,
-        kernel: str | None = None,
         faults: "FaultPlan | str | None" = None,
         worker_timeout: float | None = None,
         recovery_retries: int | None = None,
@@ -551,10 +538,6 @@ class ShardedEngine(MiningRuntime):
         self.n_shards = shards
         self.backend = resolve_backend(backend)
         self.session_protocol = session_protocol
-        #: Match-kernel backend of every shard engine; resolved here
-        #: (env fallback included) so process workers inherit the
-        #: parent's choice rather than re-reading their own environment.
-        self.kernel = resolve_kernel(kernel)
         # Recovery knobs are checked before any worker starts, so a bad
         # value fails the constructor instead of leaking a pool.
         self._recovery_retries = _resolve_recovery_retries(recovery_retries)
@@ -568,11 +551,7 @@ class ShardedEngine(MiningRuntime):
         self._pool = make_pool(
             self.backend,
             shards,
-            functools.partial(
-                ShardWorker,
-                store_capacity=session_store_capacity,
-                kernel=self.kernel,
-            ),
+            functools.partial(ShardWorker, store_capacity=session_store_capacity),
             worker_timeout=worker_timeout,
         )
         self._synced = [0] * shards
@@ -864,15 +843,6 @@ class ShardedEngine(MiningRuntime):
         return list(self._placement.loads)
 
     @property
-    def wants_verdict_keys(self) -> bool:
-        """Whether level requests should carry verdict-cache keys.
-
-        Mirrors :attr:`SerialRuntime.wants_verdict_keys`: only shard
-        engines on the pure-python kernel ever probe the verdict LRU.
-        """
-        return self.kernel == "python"
-
-    @property
     def level_patterns_posted(self) -> int:
         """Full pattern wires posted by :meth:`batch_support_level`.
 
@@ -1114,7 +1084,6 @@ class ShardedEngine(MiningRuntime):
                         "level",
                         batch.wires,
                         batch.tid_lists,
-                        batch.keys,
                         batch.uids,
                         batch.parent_uids,
                         batch.extensions,
@@ -1203,11 +1172,6 @@ class ShardedSession(MiningSession):
     again, so the laziness trades a broadcast round trip per level for a
     little shard memory.  :meth:`close` flushes whatever is left.
     """
-
-    #: The session protocol strips verdict keys before shipping (shards
-    #: always evaluate with ``key=False``), so computing them is pure
-    #: waste — see :attr:`MiningSession.wants_keys`.
-    wants_keys: bool = False
 
     def __init__(self, runtime: ShardedEngine) -> None:
         super().__init__()

@@ -4,6 +4,12 @@ The store answers level-(k+1) support queries by extending stored
 level-k embeddings; everything here verifies the one property that
 matters — anchors change wall-clock, never verdicts — plus the cap /
 budget / lifecycle plumbing that keeps the store bounded.
+
+:func:`transaction_major_supports` is the oracle for the engine's
+pattern-major scan: the same anchor extension, seeding and fallback
+logic, walked transaction by transaction through per-pair helper calls.
+The two must agree on tid lists, stored anchors, store load and every
+engine counter.
 """
 
 from __future__ import annotations
@@ -11,9 +17,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.engine import EmbeddingTask, MatchEngine
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.isomorphism import legacy_find_embeddings, legacy_has_embedding
+from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import LevelRequest, SerialRuntime, ShardedEngine
 from repro.runtime.bitsets import (
@@ -73,6 +82,461 @@ def _extended_pattern() -> LabeledGraph:
     pattern.add_vertex("p2", "c")
     pattern.add_edge("p1", "p2", "y")
     return pattern
+
+
+# ----------------------------------------------------------------------
+# The transaction-major oracle
+# ----------------------------------------------------------------------
+class _OracleTask:
+    """Per-task scan state of the transaction-major oracle."""
+
+    def __init__(self, index, task: EmbeddingTask) -> None:
+        self.index = index
+        self.task = task
+        self.hits: list[int] = []
+        self.remaining = 0
+        self.dead = False
+        self.parent_entries = None
+
+
+def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
+    """``engine.support_with_embeddings(tasks)``, scanned transaction-major.
+
+    Every live task is visited per tid in ascending tid order, and each
+    ``(task, tid)`` pair goes through :func:`_incremental_exists`.  Reads
+    and writes the same engine state as the production scan — anchors,
+    store load, counters — so both can be run on twin engines and
+    compared field by field.
+    """
+    infos = [_OracleTask(engine._index_of_any(task.pattern), task) for task in tasks]
+    stats = engine.stats
+    stats.batch_calls += 1
+    stats.batch_patterns += len(infos)
+    per_tid: dict[int, list[int]] = {}
+    compact_tids = engine._compact_tids
+    for position, info in enumerate(infos):
+        tids = list(info.task.tids)
+        allowed = engine._triple_filter(info.index)
+        if allowed is not None and compact_tids:
+            kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
+            stats.early_rejects += len(tids) - len(kept)
+            tids = kept
+        info.remaining = len(tids)
+        abort_below = info.task.abort_below
+        if abort_below is not None and info.remaining < abort_below:
+            info.dead = True
+            stats.support_aborts += 1
+            continue
+        if info.task.parent_uid is not None:
+            info.parent_entries = engine._anchors.get(info.task.parent_uid)
+        for tid in tids:
+            per_tid.setdefault(tid, []).append(position)
+
+    for tid in sorted(per_tid):
+        t_index = None
+        version = 0
+        for position in per_tid[tid]:
+            info = infos[position]
+            if info.dead:
+                continue
+            info.remaining -= 1
+            if t_index is None:
+                version, t_index = engine._transaction_index(tid)
+            if _incremental_exists(engine, info, tid, version, t_index):
+                info.hits.append(tid)
+            abort_below = info.task.abort_below
+            if abort_below is not None and len(info.hits) + info.remaining < abort_below:
+                info.dead = True
+                stats.support_aborts += 1
+    return [info.hits for info in infos]
+
+
+def _incremental_exists(engine, info: _OracleTask, tid, version, t_index) -> bool:
+    """One (task, tid) verdict: extend anchors, seed, or fall back."""
+    task = info.task
+    pattern = info.index.compact
+    if pattern.n_vertices == 0:
+        return True
+    if task.extension is not None and info.parent_entries is not None:
+        parent_entry = info.parent_entries.get(tid)
+        if parent_entry is not None and parent_entry[2] == version:
+            engine.stats.anchor_extensions += 1
+            found, embeddings, complete = _extend_anchors(
+                engine, pattern, task.extension, parent_entry, t_index.compact
+            )
+            if found:
+                _store_anchors(engine, task.uid, tid, embeddings, complete, version)
+                return True
+            if parent_entry[1]:
+                engine.stats.anchor_complete_rejects += 1
+                return False
+    if pattern.n_edges == 1 and pattern.n_vertices == 2 and task.extension is None:
+        return _seed_single_edge(engine, info, tid, version, t_index)
+    engine.stats.anchor_fallbacks += 1
+    results = engine._compact_embeddings(info.index, t_index, max_count=engine.anchor_cap)
+    if not results:
+        return False
+    embeddings = tuple(
+        tuple(mapping[p_vertex] for p_vertex in range(pattern.n_vertices))
+        for mapping in results
+    )
+    _store_anchors(
+        engine, task.uid, tid, embeddings, len(results) < engine.anchor_cap, version
+    )
+    return True
+
+
+def _extend_anchors(engine, pattern, extension, parent_entry, target):
+    """All (capped) one-edge extensions of the parent's anchors."""
+    src_pos, dst_pos, has_new = extension
+    edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
+    cap = engine.anchor_cap
+    out: list[tuple[int, ...]] = []
+    capped = False
+    if not has_new:
+        for anchor in parent_entry[0]:
+            if target.edge_label_of.get((anchor[src_pos], anchor[dst_pos])) == edge_label:
+                out.append(anchor)
+                if len(out) >= cap:
+                    capped = True
+                    break
+    else:
+        new_pos = pattern.n_vertices - 1
+        new_label = pattern.vertex_labels[new_pos]
+        if dst_pos == new_pos:
+            adjacency, anchor_pos = target.out_adj, src_pos
+        else:
+            adjacency, anchor_pos = target.in_adj, dst_pos
+        for anchor in parent_entry[0]:
+            for neighbour, label in adjacency[anchor[anchor_pos]]:
+                if (
+                    label == edge_label
+                    and target.vertex_labels[neighbour] == new_label
+                    and neighbour not in anchor
+                ):
+                    out.append(anchor + (neighbour,))
+                    if len(out) >= cap:
+                        capped = True
+                        break
+            if capped:
+                break
+    return bool(out), tuple(out), parent_entry[1] and not capped
+
+
+def _seed_single_edge(engine, info: _OracleTask, tid, version, t_index) -> bool:
+    """Anchor a one-edge pattern from the transaction's triple buckets."""
+    engine.stats.anchor_seeds += 1
+    pattern = info.index.compact
+    ((src_pos, dst_pos),) = pattern.edge_label_of
+    triple = (
+        pattern.vertex_labels[src_pos],
+        pattern.edge_label_of[(src_pos, dst_pos)],
+        pattern.vertex_labels[dst_pos],
+    )
+    pairs = [pair for pair in t_index.triple_edges(triple) if pair[0] != pair[1]]
+    if not pairs:
+        return False
+    embedding_at = [0, 0]
+    embeddings = []
+    for t_src, t_dst in pairs[: engine.anchor_cap]:
+        embedding_at[src_pos] = t_src
+        embedding_at[dst_pos] = t_dst
+        embeddings.append(tuple(embedding_at))
+    _store_anchors(
+        engine, info.task.uid, tid, tuple(embeddings), len(pairs) <= engine.anchor_cap, version
+    )
+    return True
+
+
+def _store_anchors(engine, uid, tid, embeddings, complete, version) -> None:
+    """Record *embeddings* under ``(uid, tid)`` if the budget allows."""
+    if uid is None or not embeddings:
+        return
+    if engine._anchor_load + len(embeddings) > engine.anchor_budget:
+        return
+    per_tid = engine._anchors.setdefault(uid, {})
+    previous = per_tid.get(tid)
+    if previous is not None:
+        engine._anchor_load -= len(previous[0])
+    per_tid[tid] = (embeddings, complete, version)
+    engine._anchor_load += len(embeddings)
+    engine.stats.anchors_stored += len(embeddings)
+
+
+# ----------------------------------------------------------------------
+# Random chained level batches
+# ----------------------------------------------------------------------
+VERTEX_LABELS = ["port", "yard"]
+EDGE_LABELS = ["am", "pm"]
+
+
+@st.composite
+def multigraph_corpora(draw, max_transactions: int = 7):
+    """A small corpus of simplified random multigraphs.
+
+    Up to 8 vertices and 16 lanes over two labels each, so a pattern
+    often has more embeddings than a small ``anchor_cap`` keeps.
+    """
+    n_transactions = draw(st.integers(min_value=1, max_value=max_transactions))
+    corpus = []
+    for index in range(n_transactions):
+        n_vertices = draw(st.integers(min_value=2, max_value=8))
+        multigraph = LabeledMultiGraph(name=f"t{index}")
+        for v in range(n_vertices):
+            multigraph.add_vertex(f"v{v}", draw(st.sampled_from(VERTEX_LABELS)))
+        for _ in range(draw(st.integers(min_value=1, max_value=16))):
+            source = draw(st.integers(min_value=0, max_value=n_vertices - 1))
+            target = draw(st.integers(min_value=0, max_value=n_vertices - 1))
+            if source == target:
+                continue
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                multigraph.add_edge(
+                    f"v{source}", f"v{target}", draw(st.sampled_from(EDGE_LABELS))
+                )
+        corpus.append(multigraph.simplify())
+    return corpus
+
+
+def _one_edge_extension(parent: LabeledGraph, rng: random.Random, name: str):
+    """*parent* plus one random edge, with its extension descriptor.
+
+    Compact positions follow vertex insertion order, and a new vertex is
+    appended last, so positions in the descriptor are list indexes.
+    """
+    vertices = list(parent.vertices())
+    n = len(vertices)
+    child = parent.copy(name=name)
+    label = rng.choice(EDGE_LABELS)
+    missing = [
+        (source, target)
+        for source in range(n)
+        for target in range(n)
+        if source != target and not parent.has_edge(vertices[source], vertices[target])
+    ]
+    if missing and rng.random() < 0.4:
+        source, target = rng.choice(missing)
+        child.add_edge(vertices[source], vertices[target], label)
+        return child, (source, target, False)
+    child.add_vertex(f"n{n}", rng.choice(VERTEX_LABELS))
+    anchor = rng.randrange(n)
+    if rng.random() < 0.5:
+        child.add_edge(vertices[anchor], f"n{n}", label)
+        return child, (anchor, n, True)
+    child.add_edge(f"n{n}", vertices[anchor], label)
+    return child, (n, anchor, True)
+
+
+def _grown_extension(parent: LabeledGraph, host: LabeledGraph, rng, name: str):
+    """*parent* plus one edge *host* realises next to an embedding of it.
+
+    Returns ``(child, extension)`` like :func:`_one_edge_extension`, or
+    ``None`` when *parent* does not embed in *host* or no host edge
+    touches the chosen embedding.
+    """
+    embeddings = legacy_find_embeddings(parent, host, max_count=8)
+    if not embeddings:
+        return None
+    pattern_of = {image: vertex for vertex, image in rng.choice(embeddings).items()}
+    position = {vertex: index for index, vertex in enumerate(parent.vertices())}
+    options = []
+    for edge in host.edges():
+        source = pattern_of.get(edge.source)
+        target = pattern_of.get(edge.target)
+        if source is not None and target is not None:
+            if not parent.has_edge(source, target):
+                options.append((source, target, None, edge.label))
+        elif source is not None:
+            options.append((source, None, host.vertex_label(edge.target), edge.label))
+        elif target is not None:
+            options.append((None, target, host.vertex_label(edge.source), edge.label))
+    if not options:
+        return None
+    source, target, new_label, label = rng.choice(options)
+    child = parent.copy(name=name)
+    n = len(position)
+    if new_label is None:
+        child.add_edge(source, target, label)
+        return child, (position[source], position[target], False)
+    child.add_vertex(f"n{n}", new_label)
+    if target is None:
+        child.add_edge(source, f"n{n}", label)
+        return child, (position[source], n, True)
+    child.add_edge(f"n{n}", target, label)
+    return child, (n, position[target], True)
+
+
+def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
+    """Task factories for *n_levels* chained batches over *corpus*.
+
+    Level 1 seeds single-edge patterns; every later level extends the
+    previous level's patterns by one edge.  Scan sets are mostly the
+    parent's hits, sometimes every tid (so some tids have no parent
+    entry), and a few tasks are anonymous, search without a derivation,
+    or name a parent that stored nothing.  Returns one callable per
+    level mapping the previous level's ``(task, hits)`` pairs to tasks.
+    """
+    all_tids = list(range(len(corpus)))
+
+    def threshold(tids):
+        return rng.randint(1, len(tids) + 1) if abort and rng.random() < 0.7 else None
+
+    def seeds(_previous):
+        tasks = []
+        for index in range(rng.randint(1, 4)):
+            # Mostly an edge some transaction has, sometimes any triple.
+            host = rng.choice(corpus)
+            edges = list(host.edges())
+            if edges and rng.random() < 0.8:
+                edge = rng.choice(edges)
+                labels = (
+                    host.vertex_label(edge.source), host.vertex_label(edge.target), edge.label
+                )
+            else:
+                labels = (
+                    rng.choice(VERTEX_LABELS), rng.choice(VERTEX_LABELS), rng.choice(EDGE_LABELS)
+                )
+            pattern = LabeledGraph(name=f"s{index}")
+            pattern.add_vertex("a", labels[0])
+            pattern.add_vertex("b", labels[1])
+            pattern.add_edge("a", "b", labels[2])
+            uid = None if rng.random() < 0.1 else ("L1", index)
+            tasks.append(
+                EmbeddingTask(pattern=pattern, tids=all_tids, uid=uid,
+                              abort_below=threshold(all_tids))
+            )
+        return tasks
+
+    def extensions(level):
+        def build(previous):
+            tasks = []
+            for position, (parent_task, hits) in enumerate(previous):
+                for offset in range(rng.randint(1, 2)):
+                    name = f"L{level}-{position}-{offset}"
+                    grown = None
+                    if hits and rng.random() < 0.8:
+                        host = corpus[rng.choice(hits)]
+                        grown = _grown_extension(parent_task.pattern, host, rng, name)
+                    child, extension = grown or _one_edge_extension(
+                        parent_task.pattern, rng, name
+                    )
+                    tids = all_tids if rng.random() < 0.25 else hits
+                    parent_uid = parent_task.uid
+                    roll = rng.random()
+                    if roll < 0.1:
+                        parent_uid, extension = None, None
+                    elif roll < 0.15:
+                        parent_uid = ("ghost", level)
+                    uid = None if rng.random() < 0.1 else (f"L{level}", position, offset)
+                    tasks.append(
+                        EmbeddingTask(
+                            pattern=child, tids=tids, uid=uid, parent_uid=parent_uid,
+                            extension=extension, abort_below=threshold(tids),
+                        )
+                    )
+            return tasks
+        return build
+
+    return [seeds] + [extensions(level) for level in range(2, n_levels + 1)]
+
+
+def _twin_engines(corpus, **engine_options):
+    fast = MatchEngine(**engine_options)
+    oracle = MatchEngine(**engine_options)
+    fast.add_transactions(corpus)
+    oracle.add_transactions(corpus)
+    return fast, oracle
+
+
+def _run_chain(corpus, rng, fast, oracle, n_levels, abort, check_state=True):
+    previous = None
+    for build in _chained_levels(corpus, rng, n_levels, abort):
+        tasks = build(previous)
+        got = fast.support_with_embeddings(tasks)
+        want = transaction_major_supports(oracle, tasks)
+        assert got == want
+        if check_state:
+            assert fast._anchors == oracle._anchors
+            assert fast.anchor_load == oracle.anchor_load
+            assert fast.stats == oracle.stats
+        if not abort:
+            for task, hits in zip(tasks, got):
+                assert hits == [
+                    tid for tid in sorted(task.tids)
+                    if legacy_has_embedding(task.pattern, corpus[tid])
+                ]
+        previous = list(zip(tasks, got))
+
+
+@given(
+    corpus=multigraph_corpora(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    anchor_cap=st.integers(min_value=1, max_value=8),
+    n_levels=st.integers(min_value=2, max_value=3),
+    abort=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_pattern_major_scan_matches_transaction_major_oracle(
+    corpus, seed, anchor_cap, n_levels, abort
+):
+    """Tid lists, anchor entries, store load and every counter agree."""
+    fast, oracle = _twin_engines(corpus, anchor_cap=anchor_cap)
+    _run_chain(corpus, random.Random(seed), fast, oracle, n_levels, abort)
+    assert fast.stats.verdict_hits == fast.stats.verdict_misses == 0
+    assert not fast._verdicts
+
+
+@given(
+    corpus=multigraph_corpora(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    anchor_budget=st.integers(min_value=1, max_value=5),
+    abort=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_binding_anchor_budget_keeps_tid_lists(corpus, seed, anchor_budget, abort):
+    """A binding budget stores in a different order; verdicts must not move."""
+    fast, oracle = _twin_engines(corpus, anchor_cap=2, anchor_budget=anchor_budget)
+    _run_chain(corpus, random.Random(seed), fast, oracle, 3, abort, check_state=False)
+    assert fast.anchor_load <= anchor_budget
+
+
+def test_mutated_transaction_anchors_are_not_extended():
+    """Stale complete anchors must fall back to search on both scans."""
+
+    def host():
+        graph = LabeledGraph(name="mutating")
+        graph.add_vertex("a", "a")
+        graph.add_vertex("b", "b")
+        graph.add_edge("a", "b", "x")
+        return graph
+
+    hosts = [host(), host()]
+    fast, oracle = MatchEngine(), MatchEngine()
+    fast.add_transactions([hosts[0]])
+    oracle.add_transactions([hosts[1]])
+    seed = [EmbeddingTask(pattern=_edge_pattern(), tids=[0], uid="parent")]
+    assert fast.support_with_embeddings(seed) == transaction_major_supports(oracle, seed)
+    for graph in hosts:
+        # Only the new a2 -x-> b2 embedding extends by b2 -y-> c; the
+        # stored (complete) anchors predate it.
+        graph.add_vertex("a2", "a")
+        graph.add_vertex("b2", "b")
+        graph.add_vertex("c", "c")
+        graph.add_edge("a2", "b2", "x")
+        graph.add_edge("b2", "c", "y")
+    child = [
+        EmbeddingTask(
+            pattern=_extended_pattern(), tids=[0], uid="child",
+            parent_uid="parent", extension=(1, 2, True),
+        )
+    ]
+    extensions_before = fast.stats.anchor_extensions
+    assert fast.support_with_embeddings(child) == [[0]]
+    assert transaction_major_supports(oracle, child) == [[0]]
+    assert fast.stats.anchor_extensions == extensions_before
+    assert fast.stats.anchor_fallbacks == 1
+    assert fast._anchors == oracle._anchors
+    assert fast.anchor_load == oracle.anchor_load
+    assert fast.stats == oracle.stats
 
 
 class TestBitsets:
@@ -203,6 +667,41 @@ class TestExtensionPaths:
         assert result == [[]]
         assert engine.stats.anchor_fallbacks == before
         assert engine.stats.anchor_complete_rejects > 0
+
+    def test_incomplete_parent_never_yields_complete_child(self):
+        # Three a-x->b edges; anchor_cap=2 keeps the first two, so the
+        # parent's set is incomplete.  The child b-y->c extends only the
+        # first anchor without filling the cap — its set must still be
+        # incomplete, or the grandchild c-z->d (present only past the
+        # third edge) would be wrongly rejected.
+        host = LabeledGraph(name="host")
+        for index in range(3):
+            host.add_vertex(f"a{index}", "a")
+            host.add_vertex(f"b{index}", "b")
+            host.add_vertex(f"c{index}", "c")
+            host.add_edge(f"a{index}", f"b{index}", "x")
+        host.add_edge("b0", "c0", "y")
+        host.add_edge("b2", "c2", "y")
+        host.add_vertex("d2", "d")
+        host.add_edge("c2", "d2", "z")
+        engine = MatchEngine(anchor_cap=2)
+        (tid,) = engine.add_transactions([host])
+        parent, child = _edge_pattern(), _extended_pattern()
+        grandchild = child.copy(name="grandchild")
+        grandchild.add_vertex("p3", "d")
+        grandchild.add_edge("p2", "p3", "z")
+        tasks = [
+            [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")],
+            [EmbeddingTask(pattern=child, tids=[tid], uid="child",
+                           parent_uid="parent", extension=(1, 2, True))],
+            [EmbeddingTask(pattern=grandchild, tids=[tid], uid="grandchild",
+                           parent_uid="child", extension=(2, 3, True))],
+        ]
+        assert [engine.support_with_embeddings(level) for level in tasks] == [
+            [[tid]], [[tid]], [[tid]]
+        ]
+        assert engine._anchors["parent"][tid][1] is False
+        assert engine._anchors["child"][tid][:2] == (((0, 1, 2),), False)
 
     def test_early_abort_returns_partial_below_threshold(self):
         corpus = [self._host() for _ in range(6)]

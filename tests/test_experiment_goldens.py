@@ -6,8 +6,8 @@ more at ``scale=0.1``.  Each report is reduced to digests by
 :func:`experiment_digests` and compared with
 ``tests/golden/experiments.json``, so SUBDUE and candidate-path changes
 answer to the paper's outputs, not only to the scenario corpora.  The
-outputs do not depend on the support kernel or the runtime, so the same
-file holds under ``REPRO_KERNEL=vectorized`` and ``REPRO_WORKERS=2``.
+outputs do not depend on the runtime, so the same file holds under
+``REPRO_WORKERS=2``.
 
 Wall-clock values are left out: S5.1's ``runtime_grows_with_size``
 claim and its ``runtimes_seconds`` detail.

@@ -47,6 +47,29 @@ class TestLocation:
     def test_as_tuple(self):
         assert Location(40.0, -80.0).as_tuple() == (40.0, -80.0)
 
+    @pytest.mark.parametrize(
+        "latitude, longitude",
+        [
+            (float("nan"), -87.6),
+            (41.9, float("nan")),
+            (float("inf"), -87.6),
+            (41.9, float("-inf")),
+            (500.0, -87.6),
+            (90.06, -87.6),
+            (-90.1, -87.6),
+            (41.9, 180.1),
+            (41.9, -200.0),
+        ],
+    )
+    def test_non_finite_and_out_of_range_coordinates_rejected(self, latitude, longitude):
+        with pytest.raises(ValueError, match="latitude|longitude"):
+            Location(latitude, longitude)
+
+    def test_extreme_valid_coordinates_are_kept(self):
+        assert Location(90.0, 0.0).as_tuple() == (90.0, 0.0)
+        assert Location(-90.04, 180.0).as_tuple() == (-90.0, 180.0)
+        assert Location(0.0, -180.0).as_tuple() == (0.0, -180.0)
+
     def test_locations_are_hashable_and_usable_as_vertices(self):
         places = {Location(41.9, -87.6), Location(41.9, -87.6), Location(33.7, -84.4)}
         assert len(places) == 2
@@ -67,6 +90,14 @@ class TestTransaction:
     def test_negative_numeric_values_rejected(self, field):
         with pytest.raises(ValueError):
             _make_transaction(**{field: -1.0})
+
+    @pytest.mark.parametrize(
+        "field", ["total_distance", "gross_weight", "move_transit_hours"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numeric_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            _make_transaction(**{field: value})
 
     def test_od_pair(self):
         txn = _make_transaction()

@@ -1,20 +1,16 @@
-"""Differential tests: the vectorized columnar kernel against its oracles.
+"""Support-kernel edge cases, held against the legacy matcher.
 
-The numpy kernel (:mod:`repro.graphs.vectorized`) answers the same
-incremental support batches as the pure-python path in
-:meth:`MatchEngine.support_with_embeddings`, so these tests hold the two
-kernels — and the legacy dict-of-dicts matcher underneath both — to
-exact agreement on randomized multigraph corpora, plus the edge cases
-arrays make easy to get wrong: a capped anchor store, empty and
-singleton supports, tid spaces crossing the 64-bit word boundary, and
-columnar views outliving ``release_transactions`` / transaction
-mutation.
+The python scan behind :meth:`MatchEngine.support_with_embeddings` must
+agree exactly with ``legacy_has_embedding`` on randomized multigraph
+corpora, and keep doing so in the cases that are easy to get wrong: a
+capped anchor store, empty and singleton supports, tid spaces crossing
+the 64-bit word boundary, and engine state outliving
+``release_transactions`` / transaction mutation.  (The module name is
+historical; it is kept so that test ids stay stable.)
 
-What is *not* asserted: mid-scan abort timing, the partial tid lists of
-aborted (infrequent) tasks, anchor-store contents, or stats counters —
-the vectorized kernel schedules scans differently by design (see the
-module docstring of :mod:`repro.graphs.vectorized`); only verdicts and
-frequent-pattern supports are contractual.
+What is *not* asserted here: mid-scan abort timing or anchor-store
+contents — ``tests/test_embedding_store.py`` pins those against its
+transaction-major oracle.
 """
 
 from __future__ import annotations
@@ -25,14 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.graphs.compact import CompactGraph, LabelTable  # noqa: E402
-from repro.graphs.engine import KERNELS, EmbeddingTask, MatchEngine, resolve_kernel  # noqa: E402
-from repro.graphs.isomorphism import legacy_has_embedding  # noqa: E402
-from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph  # noqa: E402
-from repro.mining.fsg.miner import FSGMiner  # noqa: E402
-from repro.runtime import bits_of, bits_to_buffer, tids_from_buffer, tids_of  # noqa: E402
+from repro.graphs.compact import CompactGraph, LabelTable
+from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.isomorphism import legacy_has_embedding
+from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
+from repro.mining.fsg.miner import FSGMiner
+from repro.runtime import bits_of, bits_to_buffer, tids_from_buffer, tids_of
 
 
 # ----------------------------------------------------------------------
@@ -80,8 +74,8 @@ def _signature(result):
     )
 
 
-def _mine(corpus, kernel: str, anchor_cap: int = 8, min_support: int = 2, max_edges: int = 3):
-    engine = MatchEngine(kernel=kernel, anchor_cap=anchor_cap)
+def _mine(corpus, anchor_cap: int = 8, min_support: int = 2, max_edges: int = 3):
+    engine = MatchEngine(anchor_cap=anchor_cap)
     miner = FSGMiner(
         min_support=min_support,
         max_edges=max_edges,
@@ -91,65 +85,41 @@ def _mine(corpus, kernel: str, anchor_cap: int = 8, min_support: int = 2, max_ed
     return miner.mine(corpus)
 
 
-# ----------------------------------------------------------------------
-# Kernel resolution
-# ----------------------------------------------------------------------
-def test_resolve_kernel_defaults_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert resolve_kernel(None) == "python"
-    monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-    assert resolve_kernel(None) == "vectorized"
-    assert resolve_kernel("python") == "python"
-    with pytest.raises(ValueError):
-        resolve_kernel("simd")
-    assert set(KERNELS) == {"python", "vectorized"}
-
-
-def test_engine_records_resolved_kernel(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert MatchEngine().kernel == "python"
-    assert MatchEngine(kernel="vectorized").kernel == "vectorized"
-    monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-    assert MatchEngine().kernel == "vectorized"
-    assert MatchEngine(kernel="python").kernel == "python"
+def _legacy_supports(pattern, corpus) -> list[int]:
+    return [
+        tid for tid, transaction in enumerate(corpus) if legacy_has_embedding(pattern, transaction)
+    ]
 
 
 # ----------------------------------------------------------------------
-# Differential properties: vectorized == python == legacy
+# Differential properties: python kernel == legacy
 # ----------------------------------------------------------------------
 @given(corpus=multigraph_corpora())
 @settings(max_examples=25, deadline=None)
 def test_mining_differential_on_random_multigraph_corpora(corpus):
-    """Full level-wise mining agrees across kernels and the legacy matcher."""
-    python_result = _mine(corpus, "python")
-    vectorized_result = _mine(corpus, "vectorized")
-    assert _signature(python_result) == _signature(vectorized_result)
-    for entry in vectorized_result.patterns:
-        oracle = frozenset(
-            tid
-            for tid, transaction in enumerate(corpus)
-            if legacy_has_embedding(entry.pattern, transaction)
-        )
-        assert entry.supporting_transactions == oracle
+    """Every mined pattern's support equals the legacy matcher's."""
+    for entry in _mine(corpus).patterns:
+        assert sorted(entry.supporting_transactions) == _legacy_supports(entry.pattern, corpus)
 
 
 @given(corpus=multigraph_corpora(), anchor_cap=st.integers(min_value=1, max_value=3))
 @settings(max_examples=15, deadline=None)
 def test_tiny_anchor_cap_never_changes_verdicts(corpus, anchor_cap):
     """A capped anchor store forces fallback paths; output must not move."""
-    reference = _signature(_mine(corpus, "python", anchor_cap=8))
-    assert _signature(_mine(corpus, "vectorized", anchor_cap=anchor_cap)) == reference
-    assert _signature(_mine(corpus, "python", anchor_cap=anchor_cap)) == reference
+    capped = _mine(corpus, anchor_cap=anchor_cap)
+    assert _signature(capped) == _signature(_mine(corpus, anchor_cap=8))
+    for entry in capped.patterns:
+        assert sorted(entry.supporting_transactions) == _legacy_supports(entry.pattern, corpus)
 
 
 @given(corpus=multigraph_corpora(max_transactions=4))
 @settings(max_examples=15, deadline=None)
 def test_task_level_differential_with_abort(corpus):
-    """Raw support_with_embeddings batches agree task by task.
+    """Raw support_with_embeddings batches agree with the legacy matcher.
 
     Without ``abort_below`` the tid lists must match exactly; with it,
     only the frequent verdict (and the full list of frequent tasks) is
-    contractual, because the kernels abort at different scan points.
+    contractual: an aborted task returns a partial list.
     """
     patterns = [
         _chain("p1", ["port", "yard"]),
@@ -157,8 +127,8 @@ def test_task_level_differential_with_abort(corpus):
         _chain("p3", ["yard", "yard"], edge_label="pm"),
     ]
 
-    def run(kernel, abort_below=None):
-        engine = MatchEngine(kernel=kernel)
+    def run(abort_below=None):
+        engine = MatchEngine()
         tids = engine.add_transactions(corpus)
         tasks = [
             EmbeddingTask(pattern=pattern, tids=tids, uid=("p", index), abort_below=abort_below)
@@ -166,29 +136,16 @@ def test_task_level_differential_with_abort(corpus):
         ]
         return engine.support_with_embeddings(tasks)
 
-    exact_python = run("python")
-    exact_vectorized = run("vectorized")
-    assert exact_python == exact_vectorized
-    for pattern, hits in zip(patterns, exact_vectorized):
-        oracle = [
-            tid
-            for tid, transaction in enumerate(corpus)
-            if legacy_has_embedding(pattern, transaction)
-        ]
-        assert hits == oracle
+    exact = run()
+    for pattern, hits in zip(patterns, exact):
+        assert hits == _legacy_supports(pattern, corpus)
 
     threshold = 2
-    aborted_python = run("python", abort_below=threshold)
-    aborted_vectorized = run("vectorized", abort_below=threshold)
-    for exact, from_python, from_vectorized in zip(
-        exact_python, aborted_python, aborted_vectorized
-    ):
-        if len(exact) >= threshold:
-            assert from_python == exact
-            assert from_vectorized == exact
+    for full, aborted in zip(exact, run(abort_below=threshold)):
+        if len(full) >= threshold:
+            assert aborted == full
         else:
-            assert len(from_python) < threshold
-            assert len(from_vectorized) < threshold
+            assert len(aborted) < threshold
 
 
 # ----------------------------------------------------------------------
@@ -198,17 +155,16 @@ def test_empty_and_singleton_supports():
     corpus = [_chain("only", ["port", "yard"])]
     absent = _chain("absent", ["dock", "dock"])
     present = _chain("present", ["port", "yard"])
-    for kernel in KERNELS:
-        engine = MatchEngine(kernel=kernel)
-        tids = engine.add_transactions(corpus)
-        hits = engine.support_with_embeddings(
-            [
-                EmbeddingTask(pattern=absent, tids=tids, uid="absent"),
-                EmbeddingTask(pattern=present, tids=tids, uid="present"),
-                EmbeddingTask(pattern=present, tids=[], uid="no-tids"),
-            ]
-        )
-        assert hits == [[], [0], []]
+    engine = MatchEngine()
+    tids = engine.add_transactions(corpus)
+    hits = engine.support_with_embeddings(
+        [
+            EmbeddingTask(pattern=absent, tids=tids, uid="absent"),
+            EmbeddingTask(pattern=present, tids=tids, uid="present"),
+            EmbeddingTask(pattern=present, tids=[], uid="no-tids"),
+        ]
+    )
+    assert hits == [[], [0], []]
 
 
 def test_supports_crossing_word_boundaries():
@@ -219,17 +175,12 @@ def test_supports_crossing_word_boundaries():
         labels = ["port", "yard"] if rng.random() < 0.5 else ["yard", "port"]
         corpus.append(_chain(f"t{index}", labels))
     pattern = _chain("p", ["port", "yard"])
-    oracle = [
-        tid for tid, transaction in enumerate(corpus) if legacy_has_embedding(pattern, transaction)
-    ]
+    oracle = _legacy_supports(pattern, corpus)
     assert any(tid >= 64 for tid in oracle)
-    for kernel in KERNELS:
-        engine = MatchEngine(kernel=kernel)
-        tids = engine.add_transactions(corpus)
-        (hits,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=pattern, tids=tids, uid="p")]
-        )
-        assert hits == oracle
+    engine = MatchEngine()
+    tids = engine.add_transactions(corpus)
+    (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern=pattern, tids=tids, uid="p")])
+    assert hits == oracle
 
 
 @given(tids=st.sets(st.integers(min_value=0, max_value=300), max_size=40))
@@ -247,45 +198,42 @@ def test_bitset_buffer_roundtrip(tids):
 # Invalidation: released transactions and mutated graphs
 # ----------------------------------------------------------------------
 def test_release_transactions_invalidates_columns():
+    """A released tid raises and frees its anchors; survivors still answer."""
     corpus = [_chain(f"t{index}", ["port", "yard", "port"]) for index in range(4)]
     pattern = _chain("p", ["port", "yard"])
-    for kernel in KERNELS:
-        engine = MatchEngine(kernel=kernel)
-        tids = engine.add_transactions(corpus)
-        (before,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=pattern, tids=tids, uid="p")]
-        )
-        assert before == tids
-        engine.release_transactions([1, 2])
-        # A released tid raises; the survivors still answer correctly
-        # from rebuilt columnar state, not stale arrays.
-        with pytest.raises(KeyError):
-            engine.support_with_embeddings(
-                [EmbeddingTask(pattern=pattern, tids=[1], uid="p2")]
-            )
-        (after,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=pattern, tids=[0, 3], uid="p3")]
-        )
-        assert after == [0, 3]
+    engine = MatchEngine()
+    tids = engine.add_transactions(corpus)
+    (before,) = engine.support_with_embeddings(
+        [EmbeddingTask(pattern=pattern, tids=tids, uid="p")]
+    )
+    assert before == tids
+    load = engine.anchor_load
+    engine.release_transactions([1, 2])
+    assert engine.anchor_load == load // 2
+    with pytest.raises(KeyError):
+        engine.support_with_embeddings([EmbeddingTask(pattern=pattern, tids=[1], uid="p2")])
+    (after,) = engine.support_with_embeddings(
+        [EmbeddingTask(pattern=pattern, tids=[0, 3], uid="p3")]
+    )
+    assert after == [0, 3]
 
 
 def test_transaction_mutation_invalidates_columns():
-    """A version bump must refresh cached columns and stored anchors."""
-    for kernel in KERNELS:
-        engine = MatchEngine(kernel=kernel)
-        transaction = _chain("t0", ["port", "yard"])
-        tids = engine.add_transactions([transaction])
-        grown = _chain("p", ["port", "yard", "port"])
-        (before,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=grown, tids=tids, uid="grown")]
-        )
-        assert before == []
-        transaction.add_vertex("v2", "port")
-        transaction.add_edge("v1", "v2", "go")
-        (after,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=grown, tids=tids, uid="grown2")]
-        )
-        assert after == [0]
+    """A version bump must refresh the transaction's index and anchors."""
+    engine = MatchEngine()
+    transaction = _chain("t0", ["port", "yard"])
+    tids = engine.add_transactions([transaction])
+    grown = _chain("p", ["port", "yard", "port"])
+    (before,) = engine.support_with_embeddings(
+        [EmbeddingTask(pattern=grown, tids=tids, uid="grown")]
+    )
+    assert before == []
+    transaction.add_vertex("v2", "port")
+    transaction.add_edge("v1", "v2", "go")
+    (after,) = engine.support_with_embeddings(
+        [EmbeddingTask(pattern=grown, tids=tids, uid="grown2")]
+    )
+    assert after == [0]
 
 
 # ----------------------------------------------------------------------
@@ -296,9 +244,9 @@ def test_transaction_mutation_invalidates_columns():
 def test_compact_extended_matches_from_labeled(seed):
     """``CompactGraph.extended`` is field-for-field ``from_labeled``.
 
-    Candidate generation derives every child compact incrementally; the
-    columnar views and anchor enumeration inherit the adjacency tuple
-    order, so the equality must cover ordering, not just set content.
+    Candidate generation derives every child compact incrementally;
+    anchor enumeration inherits the adjacency tuple order, so the
+    equality must cover ordering, not just set content.
     """
     rng = random.Random(seed)
     n_vertices = rng.randint(2, 6)
