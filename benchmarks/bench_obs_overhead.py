@@ -39,15 +39,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_parallel_support import MAX_EDGES, MIN_SUPPORT, build_corpus  # noqa: E402
-from bench_session_protocol import mine  # noqa: E402
-from conftest import bench_env  # noqa: E402
+from conftest import bench_env, fsg_digest  # noqa: E402
 
+from repro.mining.fsg.miner import FSGMiner  # noqa: E402
 from repro.obs.tracer import NULL_TRACER, Tracer, set_tracer  # noqa: E402
 
 DEFAULT_TRANSACTIONS = 400
 DEFAULT_REPEATS = 3
 DISABLED_BUDGET = 0.01
 ENABLED_BUDGET = 0.10
+
+
+def mine(corpus):
+    """One serial mining run: (seconds, pattern count, digest, result)."""
+    miner = FSGMiner(min_support=MIN_SUPPORT, max_edges=MAX_EDGES)
+    start = time.perf_counter()
+    result = miner.mine(corpus)
+    elapsed = time.perf_counter() - start
+    return elapsed, len(result.patterns), fsg_digest(result), result
 
 
 def best_of(repeats: int, corpus, tracer=None):

@@ -66,7 +66,7 @@ def bench_env(scenario: str | None = None, corpus_size: int | None = None) -> di
     """The environment stamp every ``BENCH_*.json`` report embeds.
 
     Records what actually shaped the numbers — the numpy version backing
-    the packed-bitset helpers (``None`` when numpy is not importable),
+    the large bitset conversions (``None`` when numpy is not importable),
     the interpreter, the machine (CPU count and, where the
     platform exposes it, 1-minute load average at stamp time), the
     resolved runtime knobs (worker count and sharded backend), and every

@@ -83,11 +83,11 @@ class StructuralMiningPipeline:
 
     The pipeline owns one :class:`~repro.graphs.engine.MatchEngine` (or
     accepts a caller-supplied one) and threads it through partition mining
-    so every repetition shares the same label table, graph indexes, and
-    verdict cache.  ``workers`` (or a caller-supplied ``runtime``) spreads
-    support counting across shard workers; the mined patterns are
-    identical whatever the worker count, and the outcome's
-    ``engine_stats`` aggregates the matching counters across every shard.
+    so every repetition shares the same label table and graph indexes.
+    ``workers`` (or a caller-supplied ``runtime``) spreads support
+    counting across shard workers; the mined patterns are identical
+    whatever the worker count, and the outcome's ``engine_stats``
+    aggregates the matching counters across every shard.
     """
 
     edge_attribute: str = "GROSS_WEIGHT"

@@ -13,48 +13,33 @@ bottoms out in label-preserving subgraph isomorphism.  A
   histograms, memoized invariants / canonical codes);
 * queries start with invariant-based early rejection (sizes, label
   histograms, edge-triple containment) before any search;
-* registered transactions get a TID-keyed LRU of
-  ``(pattern canonical code, transaction id)`` match verdicts, so a
-  pattern re-queried against the same transaction through
-  :meth:`MatchEngine.support` or :meth:`MatchEngine.batch_support` is
-  answered from cache;
-* level-wise miners get the *embedding store*
+* level-wise miners count support through the *embedding store*
   (:meth:`MatchEngine.support_with_embeddings`): bounded per-``(pattern,
   tid)`` anchor embeddings, so a level-(k+1) candidate — its parent plus
   exactly one edge — is answered by extending a stored parent embedding
   instead of searching from scratch, with the full search as correctness
-  fallback.  This path never touches the verdict LRU: no ``(pattern,
-  tid)`` pair repeats within a mine, and every mine gets fresh tids.
+  fallback.
 
 Caching contract
 ----------------
 Indexes are keyed on graph identity plus the graph's mutation counter
 (:class:`~repro.graphs.labeled_graph.LabeledGraph` bumps an internal
 version on every mutation), so mutating a graph after it was indexed is
-safe: the next query rebuilds.  Verdict caching is only applied to
-transactions registered via :meth:`MatchEngine.add_transactions` (the
-engine holds strong references to those, so ids cannot be recycled), and
-only for patterns whose exact canonical code is computable; symmetric
-patterns that defeat canonicalisation are still matched, just never
-verdict-cached.  As in :mod:`repro.graphs.canonical`, labels are assumed
-to have distinct ``str()`` forms.
+safe: the next query rebuilds.  Stored anchors pin the same counter and
+are never extended once their transaction has mutated.  As in
+:mod:`repro.graphs.canonical`, labels are assumed to have distinct
+``str()`` forms.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.graphs.canonical import CanonicalizationError
 from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.index import GraphIndex
 from repro.graphs.labeled_graph import LabeledGraph, VertexId
-from repro.obs.tracer import get_tracer
-
-#: Sentinel for "canonical code unavailable" pattern keys.
-_NO_KEY = object()
 
 
 def resolve_kernel(kernel: str | None = None) -> str:
@@ -74,8 +59,6 @@ class EngineStats:
     indexes_built: int = 0
     searches: int = 0
     early_rejects: int = 0
-    verdict_hits: int = 0
-    verdict_misses: int = 0
     batch_calls: int = 0
     batch_patterns: int = 0
     anchor_seeds: int = 0
@@ -91,8 +74,6 @@ class EngineStats:
             "indexes_built": self.indexes_built,
             "searches": self.searches,
             "early_rejects": self.early_rejects,
-            "verdict_hits": self.verdict_hits,
-            "verdict_misses": self.verdict_misses,
             "batch_calls": self.batch_calls,
             "batch_patterns": self.batch_patterns,
             "anchor_seeds": self.anchor_seeds,
@@ -110,17 +91,6 @@ class _Entry:
     def __init__(self, version: int, index: GraphIndex) -> None:
         self.version = version
         self.index = index
-
-
-class _BatchedPattern:
-    """Per-pattern state hoisted out of the transaction scan of a batch."""
-
-    __slots__ = ("index", "key", "plans")
-
-    def __init__(self, index: GraphIndex) -> None:
-        self.index = index
-        self.key: object = _NO_KEY
-        self.plans: _Plan | None = None
 
 
 @dataclass
@@ -171,14 +141,12 @@ class MatchEngine:
     def __init__(
         self,
         label_table: LabelTable | None = None,
-        verdict_cache_size: int = 1 << 17,
         anchor_cap: int = 8,
         anchor_budget: int = 1 << 20,
     ) -> None:
         if anchor_cap < 1:
             raise ValueError(f"anchor_cap must be at least 1, got {anchor_cap}")
         self.table = label_table if label_table is not None else LabelTable()
-        self.verdict_cache_size = verdict_cache_size
         #: Max embeddings kept per (pattern uid, tid) anchor entry.
         self.anchor_cap = anchor_cap
         #: Max embeddings kept across the whole store; once reached, new
@@ -192,13 +160,12 @@ class MatchEngine:
         )
         self._transactions: list[LabeledGraph | CompactGraph | None] = []
         # Parallel to _transactions: their index entries, bypassing the
-        # weak dictionary on the per-tid hot path of support().  A None
-        # in either list marks a released tid.
+        # weak dictionary on the per-tid hot path of the support scan.  A
+        # None in either list marks a released tid.
         self._transaction_entries: list[_Entry | None] = []
-        self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
         # Inverted edge-triple index over *compact* (immutable) registered
-        # transactions: triple -> tids containing it.  Lets batch_support
-        # reject whole transactions per pattern with set intersections
+        # transactions: triple -> tids containing it.  Lets the support
+        # scan reject whole transactions per pattern with set intersections
         # instead of per-(pattern, tid) could_contain calls.  Mutable
         # LabeledGraph transactions are deliberately excluded — their
         # triple sets can change after registration.
@@ -308,15 +275,12 @@ class MatchEngine:
         return tids
 
     def release_transactions(self, tids: Iterable[int]) -> None:
-        """Drop all state held for *tids*: references, verdicts, anchors.
+        """Drop all state held for *tids*: references and anchors.
 
-        Tids are never reused (the slots stay occupied), so verdict-cache
-        keys remain unambiguous — but entries for released tids can never
-        hit again (a released tid raises before the cache is consulted),
-        so they are evicted here rather than left to squat in the LRU and
-        crowd out live verdicts.  A shared engine that serves many mining
-        rounds must release each round's transactions or it retains every
-        graph ever mined.  Querying a released tid raises.
+        Tids are never reused (the slots stay occupied).  A shared engine
+        that serves many mining rounds must release each round's
+        transactions or it retains every graph ever mined.  Querying a
+        released tid raises.
         """
         released = set(tids)
         if not released:
@@ -332,9 +296,6 @@ class MatchEngine:
                 self._compact_tids.discard(tid)
             self._transactions[tid] = None
             self._transaction_entries[tid] = None
-        stale = [key for key in self._verdicts if key[1] in released]
-        for key in stale:
-            del self._verdicts[key]
         for per_tid in self._anchors.values():
             for tid in released & per_tid.keys():
                 self._anchor_load -= len(per_tid.pop(tid)[0])
@@ -347,10 +308,9 @@ class MatchEngine:
     def _transaction_index(self, tid: int) -> tuple[int, GraphIndex]:
         """The ``(version, fresh index)`` of registered transaction *tid*.
 
-        The one per-tid refresh step shared by every support path:
-        raises for released tids and rebuilds the index (updating the
-        fast entry list) when the transaction mutated since it was last
-        indexed.
+        The support scan's per-tid refresh step: raises for released
+        tids and rebuilds the index (updating the fast entry list) when
+        the transaction mutated since it was last indexed.
         """
         target = self._transactions[tid]
         if target is None:
@@ -457,162 +417,6 @@ class MatchEngine:
         # covering all edges, i.e. an isomorphism.
         return bool(self._compact_embeddings(f_index, s_index, max_count=1))
 
-    def support(
-        self,
-        pattern: LabeledGraph,
-        tids: Iterable[int] | None = None,
-        min_support: int | None = None,
-    ) -> frozenset[int]:
-        """Registered transactions (restricted to *tids*) containing *pattern*.
-
-        Verdicts are cached per ``(pattern canonical code, tid)`` so the
-        same pattern re-queried against the same transaction — e.g. across
-        FSG levels or mining repetitions — skips the search entirely.
-
-        *min_support* arms the early-abort bound: once hits so far plus
-        transactions left to scan cannot reach it, scanning stops and the
-        partial hit set is returned.  The partial set is always smaller
-        than *min_support*, so a caller that drops sub-threshold patterns
-        behaves identically with or without the bound — only the wasted
-        tail of the scan disappears.
-        """
-        p_index = self.index_of(pattern)
-        pattern_key = self._pattern_key(p_index)
-        scan = sorted(tids) if tids is not None else range(len(self._transactions))
-        remaining = len(scan)
-        supported: list[int] = []
-        verdicts = self._verdicts
-        stats = self.stats
-        cacheable = pattern_key is not _NO_KEY
-        for position, tid in enumerate(scan):
-            if min_support is not None and len(supported) + (remaining - position) < min_support:
-                stats.support_aborts += 1
-                break
-            version, t_index = self._transaction_index(tid)
-            key = None
-            if cacheable:
-                key = (pattern_key, tid, version)
-                cached = verdicts.get(key)
-                if cached is not None:
-                    verdicts.move_to_end(key)
-                    stats.verdict_hits += 1
-                    if cached:
-                        supported.append(tid)
-                    continue
-                stats.verdict_misses += 1
-            verdict = bool(self._compact_embeddings(p_index, t_index, max_count=1))
-            if key is not None:
-                verdicts[key] = verdict
-                if len(verdicts) > self.verdict_cache_size:
-                    verdicts.popitem(last=False)
-            if verdict:
-                supported.append(tid)
-        return frozenset(supported)
-
-    def support_count(
-        self, pattern: LabeledGraph, tids: Iterable[int] | None = None
-    ) -> int:
-        """Number of registered transactions containing *pattern*."""
-        return len(self.support(pattern, tids))
-
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph | CompactGraph],
-        tid_lists: Sequence[Iterable[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        """Supports of a whole pattern batch, one pass over the transactions.
-
-        ``tid_lists[i]`` restricts pattern ``i`` to those registered
-        transactions (``None`` scans every live transaction for every
-        pattern).  The scan is transaction-major: each transaction's index
-        entry is resolved once for the whole batch and its candidate
-        buckets are filtered once per distinct ``(label, min-out, min-in)``
-        requirement instead of once per pattern, and each pattern's
-        matching order and edge-requirement plan is computed once instead
-        of once per transaction.  Verdicts use the same
-        ``(pattern canonical code, tid, version)`` LRU as :meth:`support`,
-        so the two paths are interchangeable and return identical sets.
-
-        Patterns may be given in compact form (the runtime workers' wire
-        format); their labels must have been interned through this
-        engine's table.  ``pattern_keys[i]``, when given, supplies pattern
-        ``i``'s verdict-cache key precomputed elsewhere (a canonical-code
-        string, or ``False`` for "canonicalisation fails, don't cache");
-        ``None`` entries are computed here.  Canonical codes are the most
-        expensive per-pattern setup, so a parent that already memoized
-        them (candidate dedup does) should always pass them along rather
-        than have every shard recompute them.
-        """
-        batched = [_BatchedPattern(self._index_of_any(pattern)) for pattern in patterns]
-        if pattern_keys is not None and len(pattern_keys) != len(batched):
-            raise ValueError("pattern_keys must align with patterns")
-        for position, info in enumerate(batched):
-            provided = pattern_keys[position] if pattern_keys is not None else None
-            if provided is None:
-                info.key = self._pattern_key(info.index)
-            elif provided is False:
-                info.key = _NO_KEY
-            else:
-                info.key = provided
-        self.stats.batch_calls += 1
-        self.stats.batch_patterns += len(batched)
-
-        if tid_lists is None:
-            live = [
-                tid
-                for tid, transaction in enumerate(self._transactions)
-                if transaction is not None
-            ]
-            tid_lists = [live] * len(batched)
-        elif len(tid_lists) != len(batched):
-            raise ValueError("tid_lists must align with patterns")
-
-        per_tid: dict[int, list[int]] = {}
-        compact_tids = self._compact_tids
-        stats = self.stats
-        for position, tids in enumerate(tid_lists):
-            tids = list(tids)
-            # Whole-transaction rejection via the inverted triple index:
-            # one set intersection per pattern replaces a could_contain
-            # call per (pattern, compact transaction) pair.
-            allowed = self._triple_filter(batched[position].index)
-            if allowed is not None and compact_tids:
-                kept = [
-                    tid for tid in tids if tid not in compact_tids or tid in allowed
-                ]
-                stats.early_rejects += len(tids) - len(kept)
-                tids = kept
-            for tid in tids:
-                per_tid.setdefault(tid, []).append(position)
-
-        supported: list[list[int]] = [[] for _ in batched]
-        verdicts = self._verdicts
-        for tid in sorted(per_tid):
-            version, t_index = self._transaction_index(tid)
-            candidate_cache: dict[tuple[int, int, int], list[int]] = {}
-            for position in per_tid[tid]:
-                info = batched[position]
-                key = None
-                if info.key is not _NO_KEY:
-                    key = (info.key, tid, version)
-                    cached = verdicts.get(key)
-                    if cached is not None:
-                        verdicts.move_to_end(key)
-                        stats.verdict_hits += 1
-                        if cached:
-                            supported[position].append(tid)
-                        continue
-                    stats.verdict_misses += 1
-                verdict = self._batched_exists(info, t_index, candidate_cache)
-                if key is not None:
-                    verdicts[key] = verdict
-                    if len(verdicts) > self.verdict_cache_size:
-                        verdicts.popitem(last=False)
-                if verdict:
-                    supported[position].append(tid)
-        return [frozenset(tids) for tids in supported]
-
     def _triple_filter(self, p_index: GraphIndex):
         """Compact tids that contain every edge triple of the pattern.
 
@@ -630,38 +434,6 @@ class MatchEngine:
                 return frozenset()
             allowed = bucket if allowed is None else allowed & bucket
         return allowed
-
-    def _batched_exists(
-        self,
-        info: "_BatchedPattern",
-        t_index: GraphIndex,
-        candidate_cache: dict[tuple[int, int, int], list[int]],
-    ) -> bool:
-        """Existence check for one batched pattern against one transaction."""
-        pattern = info.index.compact
-        if pattern.n_vertices == 0:
-            return True
-        if not t_index.could_contain(info.index):
-            self.stats.early_rejects += 1
-            return False
-        candidates: list[list[int]] = []
-        for p_vertex in range(pattern.n_vertices):
-            requirement = (
-                pattern.vertex_labels[p_vertex],
-                len(pattern.out_adj[p_vertex]),
-                len(pattern.in_adj[p_vertex]),
-            )
-            feasible = candidate_cache.get(requirement)
-            if feasible is None:
-                feasible = t_index.candidates(*requirement)
-                candidate_cache[requirement] = feasible
-            if not feasible:
-                return False
-            candidates.append(feasible)
-        self.stats.searches += 1
-        if info.plans is None:
-            info.plans = _plans_for(pattern, _static_matching_order(pattern))
-        return bool(_search(pattern, t_index.compact, info.plans, candidates, max_count=1))
 
     # ------------------------------------------------------------------
     # Incremental support: the embedding store
@@ -700,9 +472,9 @@ class MatchEngine:
         The scan is pattern-major: each task resolves its strategy
         (extend, seed, or search) and the extension edge's labels once,
         then walks its tids in ascending order; each tid's index entry is
-        resolved once per batch.  Per-task ``abort_below`` arms the same
-        early-abort bound as :meth:`support`.  The verdict LRU is neither
-        read nor written here.  Returns one ascending tid list per task.
+        resolved once per batch.  Per-task ``abort_below`` arms the
+        early-abort bound (see :class:`EmbeddingTask`).  Returns one
+        ascending tid list per task.
         """
         stats = self.stats
         stats.batch_calls += 1
@@ -713,9 +485,9 @@ class MatchEngine:
         scans: list[tuple[list[int], int, dict[int, AnchorEntry] | None] | None] = []
         for task, p_index in zip(tasks, indexes):
             tids = sorted(task.tids)
-            # Whole-transaction rejection via the inverted triple index,
-            # exactly as in batch_support.  A rejected tid is a definitive
-            # "no", so it also shrinks the early-abort remainder.
+            # Whole-transaction rejection via the inverted triple index.  A
+            # rejected tid is a definitive "no", so it also shrinks the
+            # early-abort remainder.
             allowed = self._triple_filter(p_index)
             if allowed is not None and compact_tids:
                 kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
@@ -966,13 +738,6 @@ class MatchEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _pattern_key(self, p_index: GraphIndex):
-        try:
-            return p_index.canonical()
-        except CanonicalizationError:
-            get_tracer().metrics.counter("canonical_fallbacks", site="engine")
-            return _NO_KEY
-
     def _compact_embeddings(
         self,
         p_index: GraphIndex,
@@ -1040,9 +805,7 @@ def _search(
 
     *plans* fixes the placement order and per-position edge requirements;
     *candidates* holds, per pattern vertex, the feasible target vertices
-    used at unanchored positions.  Shared by the per-query path (dynamic,
-    target-informed order) and the batched path (static per-pattern order
-    reused across a whole transaction scan).
+    used at unanchored positions.
     """
     t_labels = target.vertex_labels
     t_out = target.out_adj
@@ -1108,40 +871,6 @@ def _search(
 
     backtrack(0)
     return results
-
-
-def _static_matching_order(pattern: CompactGraph) -> list[int]:
-    """Target-independent frontier-extending order (highest degree first).
-
-    The batched path reuses one order for a whole transaction scan, so it
-    cannot rank by per-target candidate counts the way
-    :func:`_matching_order` does; degree is the best target-free proxy.
-    """
-    n = pattern.n_vertices
-    neighbours = [
-        {dst for dst, _ in pattern.out_adj[v]} | {src for src, _ in pattern.in_adj[v]}
-        for v in range(n)
-    ]
-    degree = [len(pattern.out_adj[v]) + len(pattern.in_adj[v]) for v in range(n)]
-    remaining = set(range(n))
-    in_order = [False] * n
-    order: list[int] = []
-
-    def rank(v: int) -> tuple[int, int]:
-        return (-degree[v], v)
-
-    start = min(remaining, key=rank)
-    order.append(start)
-    in_order[start] = True
-    remaining.remove(start)
-    while remaining:
-        frontier = [v for v in remaining if any(in_order[n_] for n_ in neighbours[v])]
-        pool = frontier or sorted(remaining)
-        nxt = min(pool, key=rank)
-        order.append(nxt)
-        in_order[nxt] = True
-        remaining.remove(nxt)
-    return order
 
 
 def _matching_order(pattern: CompactGraph, candidates: list[list[int]]) -> list[int]:

@@ -22,11 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-try:  # networkx is an optional convenience for conversion helpers.
-    import networkx as _nx
-except ImportError:  # pragma: no cover - networkx is installed in this environment
-    _nx = None
-
 Label = Hashable
 VertexId = Hashable
 
@@ -260,10 +255,16 @@ class LabeledGraph:
     # Interoperability
     # ------------------------------------------------------------------
     def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph` (labels stored as attributes)."""
-        if _nx is None:  # pragma: no cover - networkx is installed in this environment
-            raise ImportError("networkx is required for to_networkx()")
-        graph = _nx.DiGraph(name=self.name)
+        """Convert to a :class:`networkx.DiGraph` (labels stored as attributes).
+
+        networkx is imported here, not at module load: it is an optional
+        convenience that only these conversion helpers need.
+        """
+        try:
+            import networkx
+        except ImportError:  # pragma: no cover - networkx is installed in this environment
+            raise ImportError("networkx is required for to_networkx()") from None
+        graph = networkx.DiGraph(name=self.name)
         for vertex, label in self._vertex_labels.items():
             graph.add_node(vertex, label=label)
         for edge in self.edges():
@@ -272,7 +273,11 @@ class LabeledGraph:
 
     @classmethod
     def from_networkx(cls, graph) -> "LabeledGraph":
-        """Build from a :class:`networkx.DiGraph` with ``label`` attributes."""
+        """Build from a :class:`networkx.DiGraph` with ``label`` attributes.
+
+        Reads *graph* through its own methods, so this needs no networkx
+        import.
+        """
         result = cls(name=str(graph.name) if graph.name else "")
         for node, data in graph.nodes(data=True):
             result.add_vertex(node, data.get("label", ""))

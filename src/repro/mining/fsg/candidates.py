@@ -71,24 +71,22 @@ Extension = tuple[int, int, bool]
 class Candidate:
     """A candidate pattern together with the parent transactions to scan.
 
-    ``parent_tids`` is the union of every merged parent's supporting set
-    (the legacy scan restriction).  ``parent_bits`` is the *intersection*
-    of the same sets as a bitset: a candidate embeds in a transaction only
-    if every one of its parents does, so when isomorphic duplicates from
-    several parents merge, the intersection is the tightest sound scan
-    set — strictly smaller than any single parent's list whenever the
-    parents disagree.  ``uid`` / ``parent_uid`` / ``extension`` tie the
-    candidate to the engine's embedding store: the candidate is
-    ``parent_uid``'s pattern plus the one ``extension`` edge, and its own
-    anchors are filed under ``uid`` once it survives.  Candidates built
-    without derivation info (legacy call sites, tests) leave them unset
-    and simply take the full-search path.
+    ``parent_bits`` is the scan set: the *intersection* of every merged
+    parent's supporting set, as a TID bitset.  A candidate embeds in a
+    transaction only if every one of its parents does, so when isomorphic
+    duplicates from several parents merge, the intersection is the
+    tightest sound scan set — strictly smaller than any single parent's
+    set whenever the parents disagree.  ``uid`` / ``parent_uid`` /
+    ``extension`` tie the candidate to the engine's embedding store: the
+    candidate is ``parent_uid``'s pattern plus the one ``extension`` edge,
+    and its own anchors are filed under ``uid`` once it survives.
+    Candidates built without derivation info (tests) leave them unset and
+    simply take the full-search path.
     """
 
     pattern: LabeledGraph
-    parent_tids: frozenset[int]
-    invariant: str = field(default="")
     parent_bits: int | None = None
+    invariant: str = field(default="")
     parent_uid: object = None
     extension: Extension | None = None
     extension_labels: tuple[Hashable, Hashable | None] | None = None
@@ -236,7 +234,7 @@ def deduplicate(
     candidates: Iterable[Candidate],
     engine: MatchEngine | None = None,
 ) -> list[Candidate]:
-    """Merge isomorphic candidates, unioning their parent transaction sets.
+    """Merge isomorphic candidates, intersecting their parent scan sets.
 
     Candidates are grouped into invariant buckets in first-seen order (the
     emission order downstream consumers — and the paper examples' printed
@@ -255,11 +253,9 @@ def deduplicate(
         bucket = buckets.setdefault(candidate.fingerprint(), [])
         for existing in bucket:
             if _same_class(existing, candidate, engine):
-                existing.parent_tids = existing.parent_tids | candidate.parent_tids
                 # The candidate embeds nowhere its parent doesn't, for
-                # *every* parent it merged from — so the bitset scan list
-                # tightens to the intersection while the legacy frozenset
-                # stays the historical union.
+                # *every* parent it merged from — so the scan set tightens
+                # to the intersection.
                 if existing.parent_bits is not None and candidate.parent_bits is not None:
                     existing.parent_bits &= candidate.parent_bits
                 break
@@ -328,7 +324,6 @@ def generate_candidates(
             raw.append(
                 Candidate(
                     pattern=extended,
-                    parent_tids=parent.parent_tids,
                     parent_bits=parent.parent_bits,
                     parent_uid=parent.uid,
                     extension=extension,

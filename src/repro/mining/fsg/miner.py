@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.graphs.canonical import CanonicalizationError
 from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.candidates import (
@@ -34,13 +33,7 @@ from repro.mining.fsg.candidates import (
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
 from repro.obs.tracer import get_tracer
-from repro.runtime.base import (
-    LevelRequest,
-    MiningRuntime,
-    MiningSession,
-    SerialRuntime,
-    zero_telemetry,
-)
+from repro.runtime.base import LevelRequest, MiningRuntime, MiningSession, SerialRuntime
 from repro.runtime.bitsets import (
     bits_of,
     is_contiguous,
@@ -98,25 +91,19 @@ class FSGMiner:
         runtime, for support counting.  ``None`` (the default) creates a
         private engine per :meth:`mine` call; passing a shared engine lets
         repeated runs (e.g. the repeated-partitioning structural miner)
-        reuse one label table and verdict cache across mining rounds.
+        reuse one label table and its indexes across mining rounds.
     runtime:
         The :class:`~repro.runtime.base.MiningRuntime` that owns the
-        transactions and answers per-level batched support queries.
-        ``None`` (the default) wraps *engine* in a
-        :class:`~repro.runtime.base.SerialRuntime`, which preserves the
-        single-engine behaviour exactly; pass a
-        :class:`~repro.runtime.shards.ShardedEngine` to spread support
-        counting across worker shards.  The miner never closes a
+        transactions.  Each :meth:`mine` call opens one of its mining
+        sessions and counts every level's support through it:
+        candidates carry their parents' intersected TID bitsets plus the
+        one extension edge, and each ``(pattern, tid)`` query extends a
+        stored parent embedding instead of searching from scratch, with
+        full search as the correctness fallback.  ``None`` (the default)
+        wraps *engine* in a :class:`~repro.runtime.base.SerialRuntime`;
+        pass a :class:`~repro.runtime.shards.ShardedEngine` to spread
+        support counting across worker shards.  The miner never closes a
         caller-supplied runtime.
-    use_embedding_store:
-        Route support counting through the runtime's incremental
-        embedding-store path (default): candidates carry their parents'
-        intersected TID bitsets plus the one extension edge, and each
-        ``(pattern, tid)`` query extends a stored parent embedding
-        instead of searching from scratch, with full search as the
-        correctness fallback.  Mining output is identical either way —
-        ``False`` keeps the pattern-major full-search path for baselines
-        and differential tests.
     """
 
     min_support: float | int = 0.05
@@ -126,7 +113,6 @@ class FSGMiner:
     min_pattern_edges: int = 1
     engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
-    use_embedding_store: bool = True
     #: Tracer receiving this run's spans and metrics; ``None`` (default)
     #: uses the process-global active tracer — the no-op singleton unless
     #: tracing was turned on (``--trace`` / ``REPRO_TRACE``), so the
@@ -164,7 +150,7 @@ class FSGMiner:
             finally:
                 # A shared runtime keeps serving after this run; drop this run's
                 # transaction references so it does not retain every graph ever
-                # mined (fresh tids per run make cross-run verdict reuse moot).
+                # mined.
                 runtime.release_transactions(runtime_tids)
             mine_span.set(levels=result.levels_completed, patterns=len(result.patterns))
         finally:
@@ -191,20 +177,14 @@ class FSGMiner:
             n_transactions=n_transactions,
             min_support=support_threshold,
         )
-        use_store = self.use_embedding_store
         to_global, to_local = _bitset_translators(list(runtime_tids))
-        uids = (
-            zip(itertools.repeat(next(_RUN_TOKENS)), itertools.count())
-            if use_store
-            else None
-        )
+        uids = zip(itertools.repeat(next(_RUN_TOKENS)), itertools.count())
         live_uids: list[object] = []
         # One mining session spans every level of this run: the runtime
         # may keep shard-resident candidate state alive between levels
         # (delta-shipped patterns, deferred evictions) — see
-        # :meth:`MiningRuntime.open_session`.  The sessionless full-search
-        # path never needs one.
-        session: MiningSession | None = runtime.open_session() if use_store else None
+        # :meth:`MiningRuntime.open_session`.
+        session = runtime.open_session()
 
         level_started = time.perf_counter()
         # Levels straddle control flow a ``with`` block cannot (the prime
@@ -213,22 +193,23 @@ class FSGMiner:
         level_span = tracer.span("fsg.level", level=1)
         triples_with_tids = frequent_single_edges(transactions, support_threshold)
         frequent_triples = list(triples_with_tids)
-        level_patterns: list[tuple[Candidate, frozenset[int]]] = []
-        for triple, tids in triples_with_tids.items():
-            candidate = Candidate(
-                pattern=single_edge_pattern(*triple),
-                parent_tids=tids,
+        level_patterns: list[tuple[Candidate, frozenset[int]]] = [
+            (
+                Candidate(
+                    pattern=single_edge_pattern(*triple),
+                    parent_bits=bits_of(tids),
+                    uid=next(uids),
+                ),
+                tids,
             )
-            if use_store:
-                candidate.uid = next(uids)
-                candidate.parent_bits = bits_of(tids)
-            level_patterns.append((candidate, tids))
+            for triple, tids in triples_with_tids.items()
+        ]
         result.candidates_generated += len(level_patterns)
         self._record_level(result, level_patterns, level=1)
         result.levels_completed = 1
 
         try:
-            if use_store and level_patterns:
+            if level_patterns:
                 # Prime the embedding store: seed each frequent single
                 # edge's anchors across its (already exact) support, so
                 # level-2 candidates extend instead of searching.
@@ -251,9 +232,8 @@ class FSGMiner:
                 parents = [
                     Candidate(
                         pattern=candidate.pattern,
-                        parent_tids=tids,
                         invariant=candidate.invariant,
-                        parent_bits=bits_of(tids) if use_store else None,
+                        parent_bits=bits_of(tids),
                         uid=candidate.uid,
                     )
                     for candidate, tids in level_patterns
@@ -276,29 +256,23 @@ class FSGMiner:
                 support_span = tracer.span(
                     "fsg.support", level=level + 1, candidates=len(candidates)
                 )
-                if use_store:
-                    for candidate in candidates:
-                        candidate.uid = next(uids)
-                    level_patterns = self._prune_level_incremental(
-                        candidates, support_threshold, session, to_global, to_local
-                    )
-                    # The parent level's anchors (and session-store
-                    # patterns) have served their one consumer level, and
-                    # failed candidates' will never have one — retire
-                    # both, keep the survivors'.
-                    surviving_uids = {candidate.uid for candidate, _ in level_patterns}
-                    retired = live_uids + [
-                        candidate.uid
-                        for candidate in candidates
-                        if candidate.uid not in surviving_uids
-                    ]
-                    session.evict(retired)
-                    live_uids = sorted(surviving_uids)
-                else:
-                    level_patterns = self._prune_level(
-                        candidates, support_threshold, engine, runtime, runtime_tids,
-                        result=result, level=level + 1,
-                    )
+                for candidate in candidates:
+                    candidate.uid = next(uids)
+                level_patterns = self._prune_level_incremental(
+                    candidates, support_threshold, session, to_global, to_local
+                )
+                # The parent level's anchors (and session-store patterns)
+                # have served their one consumer level, and failed
+                # candidates' will never have one — retire both, keep the
+                # survivors'.
+                surviving_uids = {candidate.uid for candidate, _ in level_patterns}
+                retired = live_uids + [
+                    candidate.uid
+                    for candidate in candidates
+                    if candidate.uid not in surviving_uids
+                ]
+                session.evict(retired)
+                live_uids = sorted(surviving_uids)
                 support_span.finish(survivors=len(level_patterns))
                 level += 1
                 result.level_seconds[level] = time.perf_counter() - level_started
@@ -308,115 +282,24 @@ class FSGMiner:
                     self._record_level(result, level_patterns, level=level)
                     result.levels_completed = level
         finally:
-            if session is not None:
-                if live_uids:
-                    session.evict(live_uids)
-                session.close()
+            if live_uids:
+                session.evict(live_uids)
+            session.close()
         return result
-
-    def _prune_level(
-        self,
-        candidates: Sequence[Candidate],
-        support_threshold: int,
-        engine: MatchEngine,
-        runtime: MiningRuntime,
-        runtime_tids: Sequence[int],
-        result: FSGResult | None = None,
-        level: int | None = None,
-    ) -> list[tuple[Candidate, frozenset[int]]]:
-        """Evaluate a whole level's candidates through the runtime.
-
-        Candidate parent TID lists are local indices into this run's
-        transaction sequence; they are translated to the runtime's global
-        tid space for the batched query and the resulting support sets are
-        translated back, so callers only ever see local ids.  Candidate
-        canonical codes — memoized by deduplication an instant ago — ride
-        along as verdict-cache keys so shards never recanonicalise.
-
-        When *result*/*level* are given, a session-telemetry record
-        (wire bytes, planning seconds, patterns shipped) is filed for the
-        level, measured with the same rulers as the embedding-store path
-        — so ``use_embedding_store=False`` A/B runs report through the
-        very telemetry they are compared against.
-        """
-        planning_started = time.perf_counter()
-        local_of = {global_tid: local for local, global_tid in enumerate(runtime_tids)}
-        # A candidate's support is bounded by its parent TID list, so a
-        # list already below threshold can never survive — don't even ship
-        # those candidates to the runtime.
-        viable = [
-            candidate
-            for candidate in candidates
-            if len(candidate.parent_tids) >= support_threshold
-        ]
-        tid_lists = [
-            [runtime_tids[local] for local in sorted(candidate.parent_tids)]
-            for candidate in viable
-        ]
-        pattern_keys: list[object] = []
-        for candidate in viable:
-            try:
-                pattern_keys.append(engine.canonical_code(candidate.pattern))
-            except CanonicalizationError:
-                get_tracer().metrics.counter("canonical_fallbacks", site="miner")
-                pattern_keys.append(False)
-        planning_seconds = time.perf_counter() - planning_started
-        wire_before = getattr(runtime, "wire_bytes_shipped", 0)
-        recovery = getattr(runtime, "recovery", None)
-        recovery_before = dict(recovery) if recovery is not None else None
-        supports = runtime.batch_support(
-            [candidate.pattern for candidate in viable], tid_lists, pattern_keys
-        )
-        if result is not None and level is not None:
-            counters = zero_telemetry()
-            counters["planning_seconds"] = planning_seconds
-            counters["wire_bytes"] = (
-                getattr(runtime, "wire_bytes_shipped", 0) - wire_before
-            )
-            if recovery_before is not None:
-                # Supervised runtimes respawn dead workers and replay the
-                # level; file what this level cost in recoveries.
-                for key in ("worker_restarts", "level_replays"):
-                    counters[key] = recovery[key] - recovery_before[key]
-            # The batch protocol always ships whole patterns; one count
-            # per shipped candidate (a sharded runtime posts each only to
-            # the shards its tid list touches, but the per-(request,
-            # shard) breakdown is not visible parent-side here).
-            counters["patterns_full"] = len(viable)
-            scan_units = getattr(runtime, "last_level_scan_units", None)
-            if scan_units:
-                counters["shard_scan_max"] = max(scan_units)
-                counters["shard_scan_min"] = min(scan_units)
-            result.level_telemetry[level] = counters
-            drain = getattr(runtime, "drain_worker_spans", None)
-            if drain is not None:
-                drain(level=level)
-        surviving: list[tuple[Candidate, frozenset[int]]] = []
-        for candidate, supported in zip(viable, supports):
-            if len(supported) >= support_threshold:
-                tids = frozenset(local_of[global_tid] for global_tid in supported)
-                surviving.append((candidate, tids))
-        return surviving
 
     def _level_done(
         self,
         result: FSGResult,
         tracer,
-        session: MiningSession | None,
+        session: MiningSession,
         level: int,
     ) -> None:
-        """Per-level telemetry bookkeeping shared by both support paths.
+        """Per-level telemetry bookkeeping.
 
-        Files the level's session telemetry on the result (the sessionless
-        batch path filed its own in :meth:`_prune_level`; level 1 without
-        a session never touches the runtime, so it gets explicit zeros to
-        keep the per-level key set identical across paths) and mirrors
-        the counters into the tracer's metrics registry labeled by level.
+        Files the level's session telemetry on the result and mirrors the
+        counters into the tracer's metrics registry labeled by level.
         """
-        if session is not None:
-            result.level_telemetry[level] = session.take_telemetry()
-        elif level not in result.level_telemetry:
-            result.level_telemetry[level] = zero_telemetry()
+        result.level_telemetry[level] = session.take_telemetry()
         if tracer.enabled:
             tracer.metrics.absorb(result.level_telemetry[level], level=str(level))
             tracer.metrics.gauge(

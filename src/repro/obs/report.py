@@ -6,10 +6,10 @@ the plain-text report ``repro trace summarize`` prints:
 * a **level × worker table** of seconds spent per mining level on each
   timeline (shard workers when the run was sharded, the main timeline
   otherwise), with a per-level imbalance ratio — the max/min across
-  shards that round-robin tid placement cannot always keep near 1.0;
+  shards that tid placement cannot always keep near 1.0;
 * the **top-N spans** by duration, across all workers;
-* **metric highlights** — wire bytes, shipment mix, store and
-  verdict-cache hit rates — derived from the registry counters.
+* **metric highlights** — wire bytes, shipment mix and session-store
+  hits — derived from the registry counters.
 
 Everything renders from the trace alone, so the report works the same
 on a live tracer (``scenarios verify --report``) and on a JSONL file
@@ -159,10 +159,6 @@ def _metrics_section(data: TraceData) -> list[str]:
             f"pattern shipments: {full:,.0f} full / {delta:,.0f} delta "
             f"(delta share {_rate(delta, full)})"
         )
-    verdict_hits = metrics.counter_total("verdict_hits")
-    verdict_misses = metrics.counter_total("verdict_misses")
-    if verdict_hits or verdict_misses:
-        derived.append(f"verdict-cache hit rate: {_rate(verdict_hits, verdict_misses)}")
     store_hits = metrics.counter_total("store_hits")
     if store_hits or full:
         derived.append(f"session store hits: {store_hits:,.0f}")

@@ -1,19 +1,22 @@
-"""Parallel mining runtime: sharded support counting and batched evaluation.
+"""Parallel mining runtime: sharded, session-based support counting.
 
 The level-wise miners spend nearly all their time in per-(pattern,
 transaction) support checks.  This package is the execution subsystem that
 scales that hot path without ever changing mining output:
 
 * :class:`~repro.runtime.base.MiningRuntime` — the substrate interface
-  the miners program against (register transactions, batched support over
-  global tids, aggregated stats).
+  the miners program against (register transactions, open a
+  :class:`~repro.runtime.base.MiningSession` that answers each level's
+  support over global tids, aggregated stats).
 * :class:`~repro.runtime.base.SerialRuntime` — single-engine reference
-  implementation; the default everywhere, byte-identical to the
-  pre-runtime behaviour.
-* :class:`~repro.runtime.shards.ShardedEngine` — K shards, each owning
-  its transactions' indexes and verdict cache, fed by a
-  :class:`~repro.runtime.planner.BatchSupportPlanner` that evaluates a
-  whole FSG level against each shard in one transaction-major pass.
+  implementation and the default everywhere: its
+  :class:`~repro.runtime.base.DelegatingSession` hands each level to
+  :meth:`~repro.graphs.engine.MatchEngine.support_with_embeddings`.
+* :class:`~repro.runtime.shards.ShardedEngine` — K shards placed by
+  support weight, each owning its transactions' indexes and embedding
+  store; its :class:`~repro.runtime.shards.ShardedSession` ships each
+  level through a :class:`~repro.runtime.planner.BatchSupportPlanner`
+  as one delta-encoded ``slevel`` message per shard.
 * :class:`~repro.runtime.pool.WorkerPool` — the backend abstraction:
   ``serial`` (inline, deterministic debugging) and ``process``
   (``multiprocessing`` workers speaking the CompactGraph wire format,
@@ -27,8 +30,7 @@ scales that hot path without ever changing mining output:
   in-process degraded mode as the last resort, so output never changes.
 
 Pick a runtime with :func:`create_runtime`, or set ``REPRO_WORKERS`` /
-``REPRO_BACKEND`` / ``REPRO_PLACEMENT`` to switch a
-whole run (or CI job) without code changes.
+``REPRO_BACKEND`` to switch a whole run (or CI job) without code changes.
 """
 
 from __future__ import annotations
@@ -49,22 +51,13 @@ from repro.runtime.base import (
 from repro.runtime.bitsets import (
     bits_of,
     bits_to_buffer,
-    buffer_to_bits,
-    pack_bits,
     popcount,
     tids_from_buffer,
     tids_of,
-    unpack_bits,
 )
-from repro.runtime.planner import (
-    PLACEMENT_ENV,
-    BatchSupportPlanner,
-    PlacementPolicy,
-    ShardBatch,
-    ShardLevelBatch,
-    ShardSessionBatch,
-    resolve_placement,
-)
+from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy, ShardSessionBatch
+# Only for the benchmark's environment stamp; see resolve_placement.
+from repro.runtime.planner import resolve_placement
 from repro.runtime.faults import (
     FAULTS_ENV,
     FaultClause,
@@ -91,7 +84,6 @@ from repro.runtime.wire import resolve_wire
 __all__ = [
     "BACKENDS",
     "FAULTS_ENV",
-    "PLACEMENT_ENV",
     "SESSION_TELEMETRY_KEYS",
     "WORKER_TIMEOUT_ENV",
     "BatchSupportPlanner",
@@ -106,8 +98,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "SerialRuntime",
-    "ShardBatch",
-    "ShardLevelBatch",
     "ShardSessionBatch",
     "ShardWorker",
     "ShardedEngine",
@@ -119,11 +109,9 @@ __all__ = [
     "WorkerPool",
     "bits_of",
     "bits_to_buffer",
-    "buffer_to_bits",
     "create_runtime",
     "make_pool",
     "merge_stats",
-    "pack_bits",
     "popcount",
     "resolve_backend",
     "resolve_faults",
@@ -133,7 +121,6 @@ __all__ = [
     "resolve_workers",
     "tids_from_buffer",
     "tids_of",
-    "unpack_bits",
 ]
 
 
@@ -151,9 +138,9 @@ def create_runtime(
     to ``process``, or ``REPRO_BACKEND``).
 
     *engine* applies to the serial case only: a sharded runtime owns one
-    engine (label table, indexes, verdict cache) per shard by design, so
-    a caller-supplied engine — and any caches warmed in it — is not used
-    when sharding is selected.
+    engine (label table, indexes, embedding store) per shard by design,
+    so a caller-supplied engine — and any state warmed in it — is not
+    used when sharding is selected.
     """
     workers = resolve_workers(workers)
     if workers <= 1:

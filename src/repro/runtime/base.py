@@ -3,11 +3,12 @@
 A :class:`MiningRuntime` is what the level-wise miners talk to when they
 need support counts: it owns the registered transaction corpus (however it
 is physically laid out — one engine, K in-process shards, K worker
-processes) and answers batched per-level support queries over global
-transaction ids.  :class:`SerialRuntime` is the degenerate single-engine
-case and reproduces the pre-runtime behaviour exactly — same engine calls,
-same verdict-cache traffic, same results — so it is both the default and
-the determinism oracle for the sharded implementations.
+processes) and answers per-level support queries over global transaction
+ids through a :class:`MiningSession`.  :class:`SerialRuntime` is the
+degenerate single-engine case — its :class:`DelegatingSession` hands each
+level straight to :meth:`MatchEngine.support_with_embeddings` — so it is
+both the default and the determinism oracle for the sharded
+implementation.
 
 Worker counts come from an explicit setting or, when unset, from the
 ``REPRO_WORKERS`` environment variable (``0`` / ``1`` mean serial); the
@@ -155,10 +156,9 @@ class MiningSession(ABC):
     A level-wise miner opens one session per mining run and drives every
     level through it.  The session is what lets a runtime keep per-level
     state alive between calls — resident shard-side pattern stores, delta
-    shipping of derived candidates, deferred evictions — none of which
-    the stateless :meth:`MiningRuntime.batch_support_level` can amortise.
-    Sessions never change mining output: :meth:`support_level` must
-    return exactly what the runtime's stateless method would.
+    shipping of derived candidates, deferred evictions.  Sessions never
+    change mining output: every runtime's session returns exactly what
+    the serial :class:`DelegatingSession` would.
     """
 
     def __init__(self) -> None:
@@ -170,12 +170,16 @@ class MiningSession(ABC):
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
-        """Per-request supporting-tid bitsets for one mining level.
+        """Per-request supporting-tid *bitsets* for one mining level.
 
-        Semantics are identical to
-        :meth:`MiningRuntime.batch_support_level`; a session is free to
-        answer through resident state instead of shipping each request
-        whole.
+        Requests carry global-tid bitsets and embedding-store derivations;
+        answers come back as global-tid bitsets.  *min_support* arms
+        per-pattern early abort — a request whose support provably cannot
+        reach it may return a partial bitset, always of population below
+        the threshold.  Requests whose patterns survive are counted
+        exactly; together with the exactness of extension-vs-search
+        verdicts this keeps every runtime's mining output identical to
+        the serial full-search reference.
         """
 
     @abstractmethod
@@ -208,81 +212,41 @@ class MiningSession(ABC):
 
 
 class DelegatingSession(MiningSession):
-    """A stateless session: every call delegates to the runtime directly.
+    """The serial runtime's session: each level goes straight to its engine.
 
-    This is the default session of every runtime, and the only session
-    :class:`SerialRuntime` ever hands out — the delegation preserves the
-    exact engine-call sequence of the sessionless path, so serial mining
-    stays byte-identical whether or not a session is in the loop.
-    ``wire_bytes`` telemetry is read from the runtime's
-    ``wire_bytes_shipped`` counter when it keeps one (sharded runtimes
-    do), which is what lets a full-wire sharded baseline be measured
-    through the same telemetry as the delta protocol.
+    :meth:`support_level` is :meth:`MatchEngine.support_with_embeddings`
+    over the level's requests, and :meth:`evict` retires their anchors
+    with :meth:`MatchEngine.drop_anchors`.  One engine is one "shard", so
+    the only telemetry is one ``patterns_full`` per request; everything
+    else (wire bytes, store traffic, placement, recovery) stays zero.
     """
 
-    def __init__(self, runtime: "MiningRuntime") -> None:
+    def __init__(self, engine: MatchEngine) -> None:
         super().__init__()
-        self._runtime = runtime
-        # Levels served so far; the miner primes level 1 first, so call
-        # N is mining level N — used to stamp gathered worker spans.
-        self._level = 0
-
-    def _wire_counter(self) -> int:
-        return getattr(self._runtime, "wire_bytes_shipped", 0)
-
-    def _posted_counter(self) -> int | None:
-        return getattr(self._runtime, "level_patterns_posted", None)
+        self._engine = engine
 
     def support_level(
         self,
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
-        self._level += 1
-        wire_before = self._wire_counter()
-        posted_before = self._posted_counter()
-        recovery = getattr(self._runtime, "recovery", None)
-        recovery_before = dict(recovery) if recovery is not None else None
-        supports = self._runtime.batch_support_level(requests, min_support)
-        self._telemetry["wire_bytes"] += self._wire_counter() - wire_before
-        if recovery_before is not None:
-            # Supervised runtimes count respawns and replays; surface the
-            # delta this level caused, same pattern as the wire counter.
-            for key in ("worker_restarts", "level_replays"):
-                self._telemetry[key] += recovery[key] - recovery_before[key]
-        if posted_before is not None:
-            # Sharded runtimes count the full wires they actually posted
-            # — one per (request, shard) pair, the same ruler the
-            # stateful session and the shard-side stats counters use.
-            self._telemetry["patterns_full"] += self._posted_counter() - posted_before
-        else:
-            # One engine, one "shard": per-(request, shard) degenerates
-            # to one shipment per request.
-            self._telemetry["patterns_full"] += len(requests)
-        # Sharded runtimes record each level's per-shard scan workload;
-        # surface the placement skew (absent attribute on SerialRuntime:
-        # one engine, no skew to report).
-        scan_units = getattr(self._runtime, "last_level_scan_units", None)
-        if scan_units:
-            self._telemetry["shard_scan_max"] = max(scan_units)
-            self._telemetry["shard_scan_min"] = min(scan_units)
-        placement_loads = getattr(self._runtime, "placement_loads", None)
-        if placement_loads:
-            self._telemetry["placement_weight_max"] = max(placement_loads)
-            self._telemetry["placement_weight_min"] = min(placement_loads)
-        # Sharded runtimes buffer the worker spans a tracing run gathers;
-        # stamp them with this level (no-op attribute on SerialRuntime).
-        drain = getattr(self._runtime, "drain_worker_spans", None)
-        if drain is not None:
-            drain(level=self._level)
-        return supports
+        tasks = [
+            EmbeddingTask(
+                pattern=request.pattern,
+                tids=tids_of(request.tid_bits),
+                uid=request.uid,
+                parent_uid=request.parent_uid,
+                extension=request.extension,
+                abort_below=min_support,
+            )
+            for request in requests
+        ]
+        supports = self._engine.support_with_embeddings(tasks)
+        self._telemetry["patterns_full"] += len(requests)
+        return [bits_of(tids) for tids in supports]
 
     def evict(self, uids: Iterable[object]) -> None:
-        # No pattern store behind a stateless session, so no store
-        # evictions to report — only the wire the retirement costs.
-        before = self._wire_counter()
-        self._runtime.drop_anchors(list(uids))
-        self._telemetry["wire_bytes"] += self._wire_counter() - before
+        self._engine.drop_anchors(uids)
 
 
 class MiningRuntime(ABC):
@@ -304,59 +268,12 @@ class MiningRuntime(ABC):
         """Drop the references held for *tids* (tids are never reused)."""
 
     @abstractmethod
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph],
-        tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        """Per-pattern supporting global tids for a whole candidate batch.
-
-        ``tid_lists[i]`` restricts pattern ``i`` to those global tids;
-        ``None`` scans every live transaction for every pattern.
-        ``pattern_keys`` optionally carries each pattern's precomputed
-        verdict-cache key (canonical-code string, ``False`` for
-        uncacheable, ``None`` for unknown) so shards never redo the
-        canonicalisation a caller has already memoized.
-        """
-
-    def support(
-        self, pattern: LabeledGraph, tids: Sequence[int] | None = None
-    ) -> frozenset[int]:
-        """Supporting global tids of a single pattern."""
-        return self.batch_support([pattern], None if tids is None else [tids])[0]
-
-    @abstractmethod
-    def batch_support_level(
-        self,
-        requests: Sequence[LevelRequest],
-        min_support: int | None = None,
-    ) -> list[int]:
-        """Per-request supporting-tid *bitsets* for one mining level.
-
-        The incremental counterpart of :meth:`batch_support`: requests
-        carry global-tid bitsets and embedding-store derivations, answers
-        come back as global-tid bitsets (shard results merge with ``|``).
-        *min_support* arms per-pattern early abort — a request whose
-        support provably cannot reach it may return a partial bitset,
-        always of population below the threshold.  Requests whose
-        patterns survive are counted exactly; together with the exactness
-        of extension-vs-search verdicts this keeps every runtime's mining
-        output identical to the serial full-search reference.
-        """
-
-    def drop_anchors(self, uids: Iterable[object]) -> None:
-        """Forget stored embeddings for *uids* on every shard (no-op default)."""
-
     def open_session(self) -> MiningSession:
         """Open a mining session for one level-wise run.
 
-        The default is a :class:`DelegatingSession` (stateless, exact
-        same calls as driving the runtime directly); runtimes with
-        per-level state worth keeping alive override this.  The caller
-        owns the session and must :meth:`MiningSession.close` it.
+        The caller owns the session and must :meth:`MiningSession.close`
+        it.
         """
-        return DelegatingSession(self)
 
     @abstractmethod
     def stats(self) -> dict[str, int]:
@@ -373,14 +290,12 @@ class MiningRuntime(ABC):
 
 
 class SerialRuntime(MiningRuntime):
-    """Single-engine runtime reproducing the pre-runtime behaviour exactly.
+    """Single-engine runtime: the default and the determinism oracle.
 
-    Support queries go through :meth:`MatchEngine.support` pattern by
-    pattern — the same calls, in the same order, as the miners made before
-    the runtime existed — so every existing test and example is bitwise
-    unchanged under the default runtime.  (The batched transaction-major
-    pass is the sharded runtimes' job; see
-    :class:`~repro.runtime.shards.ShardedEngine`.)
+    Its sessions hand each level to the one engine's
+    :meth:`MatchEngine.support_with_embeddings`; the sharded runtime
+    (:class:`~repro.runtime.shards.ShardedEngine`) must return exactly
+    the same support sets.
     """
 
     def __init__(self, engine: MatchEngine | None = None) -> None:
@@ -392,43 +307,8 @@ class SerialRuntime(MiningRuntime):
     def release_transactions(self, tids: Iterable[int]) -> None:
         self.engine.release_transactions(tids)
 
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph],
-        tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        # pattern_keys is accepted for interface parity but unused: the
-        # engine's own per-index memoization already makes keys free here.
-        if tid_lists is not None and len(tid_lists) != len(patterns):
-            raise ValueError("tid_lists must align with patterns")
-        return [
-            self.engine.support(
-                pattern, None if tid_lists is None else tid_lists[position]
-            )
-            for position, pattern in enumerate(patterns)
-        ]
-
-    def batch_support_level(
-        self,
-        requests: Sequence[LevelRequest],
-        min_support: int | None = None,
-    ) -> list[int]:
-        tasks = [
-            EmbeddingTask(
-                pattern=request.pattern,
-                tids=tids_of(request.tid_bits),
-                uid=request.uid,
-                parent_uid=request.parent_uid,
-                extension=request.extension,
-                abort_below=min_support,
-            )
-            for request in requests
-        ]
-        return [bits_of(tids) for tids in self.engine.support_with_embeddings(tasks)]
-
-    def drop_anchors(self, uids: Iterable[object]) -> None:
-        self.engine.drop_anchors(uids)
+    def open_session(self) -> MiningSession:
+        return DelegatingSession(self.engine)
 
     def stats(self) -> dict[str, int]:
         snapshot = self.engine.stats_snapshot()

@@ -15,19 +15,8 @@ Bitsets are value objects — hashable, picklable as ordinary ints, and
 trivially shippable over the runtime's worker pipes.  The helpers here
 are the only places that convert between bitsets and explicit tid
 collections, so the rest of the code can stay representation-agnostic.
-
-Packed representation
----------------------
-The int form is ideal for algebra (``|``/``&`` are single CPython ops)
-but converting between it and explicit tid lists is a per-bit Python
-loop.  When numpy is available, large conversions go through a *packed*
-form instead — a little-endian ``uint64`` word array (word ``w`` bit
-``b`` set ⟺ tid ``64*w + b`` in the set) — with vectorized popcount,
-union/intersection/translation, and an early-abort partial popcount.
-The ``pack_bits`` / ``unpack_bits`` pair and the flat byte-buffer wire
-helpers (``bits_to_buffer`` / ``buffer_to_bits`` / ``tids_from_buffer``)
-are lossless round trips, and every helper keeps a pure-python fallback,
-so callers never need to know whether numpy is importable.
+Large conversions unpack through numpy when it is importable; every
+helper keeps a pure-python fallback.
 """
 
 from __future__ import annotations
@@ -38,9 +27,6 @@ try:  # numpy is optional: every helper keeps a pure-python fallback.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
-
-#: Bits per packed word.
-WORD_BITS = 64
 
 #: Below these sizes the pure-python paths win (no array setup cost).
 _NUMPY_BITS_THRESHOLD = 256
@@ -131,11 +117,6 @@ def bits_to_buffer(bits: int) -> bytes:
     return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
 
-def buffer_to_bits(buffer: bytes) -> int:
-    """Inverse of :func:`bits_to_buffer` (trailing zero bytes are fine)."""
-    return int.from_bytes(buffer, "little")
-
-
 def tids_from_buffer(buffer: bytes) -> list[int]:
     """The ascending tids encoded by a :func:`bits_to_buffer` buffer.
 
@@ -150,148 +131,7 @@ def tids_from_buffer(buffer: bytes) -> list[int]:
     return tids_of(int.from_bytes(buffer, "little"))
 
 
-# ----------------------------------------------------------------------
-# Packed uint64 word arrays
-# ----------------------------------------------------------------------
-def pack_bits(bits: int, n_words: int | None = None):
-    """*bits* as a little-endian ``uint64`` word array (numpy required).
-
-    ``n_words`` pads the array to a fixed width so sets over one tid
-    universe can be combined without alignment checks.
-    """
-    _require_numpy()
-    words = (bits.bit_length() + WORD_BITS - 1) // WORD_BITS
-    if n_words is not None:
-        if words > n_words:
-            raise ValueError(f"bitset needs {words} words, caller allowed {n_words}")
-        words = n_words
-    buffer = bits.to_bytes(words * 8, "little")
-    return _np.frombuffer(buffer, dtype="<u8").copy()
-
-
-def unpack_bits(packed) -> int:
-    """Inverse of :func:`pack_bits`."""
-    _require_numpy()
-    return int.from_bytes(
-        _np.ascontiguousarray(packed, dtype="<u8").tobytes(), "little"
-    )
-
-
-def packed_tids(packed) -> list[int]:
-    """The ascending tids of a packed word array."""
-    _require_numpy()
-    unpacked = _np.unpackbits(
-        _np.ascontiguousarray(packed, dtype="<u8").view(_np.uint8), bitorder="little"
-    )
-    return _np.flatnonzero(unpacked).tolist()
-
-
-def packed_from_tids(tids: Iterable[int], n_words: int | None = None):
-    """The packed word array holding exactly *tids*."""
-    _require_numpy()
-    tids = list(tids)
-    highest = max(tids) if tids else -1
-    words = highest // WORD_BITS + 1 if highest >= 0 else 0
-    if n_words is not None:
-        if words > n_words:
-            raise ValueError(f"tids need {words} words, caller allowed {n_words}")
-        words = n_words
-    indicator = _np.zeros(words * WORD_BITS, dtype=_np.uint8)
-    if tids:
-        indicator[_np.asarray(tids, dtype=_np.int64)] = 1
-    return _np.packbits(indicator, bitorder="little").view("<u8").copy()
-
-
-def _word_popcounts(packed):
-    """Per-word popcounts (vectorized; unpackbits fallback for old numpy)."""
-    if hasattr(_np, "bitwise_count"):
-        return _np.bitwise_count(packed)
-    bits = _np.unpackbits(packed.view(_np.uint8)).reshape(packed.size, WORD_BITS)
-    return bits.sum(axis=1, dtype=_np.int64)
-
-
-def packed_popcount(packed) -> int:
-    """Number of tids in a packed word array (vectorized popcount)."""
-    _require_numpy()
-    if packed.size == 0:
-        return 0
-    return int(_word_popcounts(packed).sum())
-
-
-def packed_popcount_at_least(packed, bound: int, chunk_words: int = 1024) -> bool:
-    """Whether the popcount reaches *bound*, aborting as soon as it does.
-
-    The early-abort partial popcount: counts ``chunk_words`` words at a
-    time and stops at the first chunk that pushes the running total past
-    *bound*, so huge sets with early mass never pay a full scan.
-    """
-    _require_numpy()
-    if bound <= 0:
-        return True
-    total = 0
-    for start in range(0, packed.size, chunk_words):
-        total += int(_word_popcounts(packed[start : start + chunk_words]).sum())
-        if total >= bound:
-            return True
-    return False
-
-
-def _aligned(first, second):
-    """*first*, *second* zero-padded to a common word width."""
-    if first.size == second.size:
-        return first, second
-    width = max(first.size, second.size)
-    if first.size < width:
-        first = _np.concatenate([first, _np.zeros(width - first.size, dtype="<u8")])
-    if second.size < width:
-        second = _np.concatenate([second, _np.zeros(width - second.size, dtype="<u8")])
-    return first, second
-
-
-def packed_union(first, second):
-    """Word-wise union of two packed arrays (widths may differ)."""
-    _require_numpy()
-    first, second = _aligned(first, second)
-    return first | second
-
-
-def packed_intersect(first, second):
-    """Word-wise intersection of two packed arrays (widths may differ)."""
-    _require_numpy()
-    first, second = _aligned(first, second)
-    return first & second
-
-
-def packed_translate(packed, mapping: "list[int] | dict[int, int]", n_words: int | None = None):
-    """Rewrite each tid of *packed* through *mapping* (vectorized remap).
-
-    List mappings remap with one fancy-indexing pass; dict mappings fall
-    back to a per-tid lookup (they are only used for gappy allocations,
-    which the runtimes never produce in practice).
-    """
-    _require_numpy()
-    tids = packed_tids(packed)
-    if isinstance(mapping, dict):
-        remapped = [mapping[tid] for tid in tids]
-    elif tids:
-        remapped = _np.asarray(mapping, dtype=_np.int64)[
-            _np.asarray(tids, dtype=_np.int64)
-        ]
-    else:
-        remapped = []
-    return packed_from_tids(remapped, n_words=n_words)
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - exercised only without numpy
-        raise ImportError(
-            "packed uint64 bitsets need numpy, which is not importable in this "
-            "environment; use the plain-int bitset helpers instead"
-        )
-
-
 __all__ = [
-    "WORD_BITS",
     "bits_of",
     "tids_of",
     "popcount",
@@ -299,15 +139,5 @@ __all__ = [
     "shift_bits",
     "is_contiguous",
     "bits_to_buffer",
-    "buffer_to_bits",
     "tids_from_buffer",
-    "pack_bits",
-    "unpack_bits",
-    "packed_tids",
-    "packed_from_tids",
-    "packed_popcount",
-    "packed_popcount_at_least",
-    "packed_union",
-    "packed_intersect",
-    "packed_translate",
 ]

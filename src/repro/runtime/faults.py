@@ -27,13 +27,14 @@ and filter keys
 ``shard=N``
     Only fire on shard ``N`` (default: any shard).
 ``op=NAME``
-    Only fire on messages whose op is ``NAME`` (``slevel``, ``level``,
-    ``batch``, ``add``...; default: any op).
+    Only fire on messages whose op is ``NAME``, one of
+    :data:`~repro.runtime.wire.SHARD_OPS` (``labels``, ``add``,
+    ``release``, ``slevel``, ``sevict``, ``stats``; default: any op).
+    Any other name is rejected when the plan is parsed.
 ``level=N``
-    Only fire on the worker's ``N``-th level-type message (``slevel`` /
-    ``level`` / ``batch``), counted from arming.  The miner primes level
-    1 first, so on a freshly armed worker this is the mining level for
-    shards that receive every level.
+    Only fire on the worker's ``N``-th ``slevel`` message, counted from
+    arming.  The miner primes level 1 first, so on a freshly armed worker
+    this is the mining level for shards that receive every level.
 ``nth=N``
     Only fire on the ``N``-th message matching the clause's other
     filters (1-based; default: the first match).
@@ -60,6 +61,8 @@ import signal
 import time
 from dataclasses import dataclass
 
+from repro.runtime.wire import SHARD_OPS
+
 #: Environment variable carrying the fault-plan spec.
 FAULTS_ENV = "REPRO_FAULTS"
 
@@ -67,8 +70,8 @@ FAULTS_ENV = "REPRO_FAULTS"
 FAULT_KINDS = ("kill", "hang", "corrupt-reply")
 
 #: Message ops that advance the injector's level counter (the worker-side
-#: mirror of "one mining level = one level-type message per shard").
-_LEVEL_OPS = frozenset({"slevel", "level", "batch"})
+#: mirror of "one mining level = one ``slevel`` message per shard").
+_LEVEL_OPS = frozenset({"slevel"})
 
 #: What a corrupted reply is replaced with: a value no shard op ever
 #: legitimately returns, so the parent's shape validation always flags it.
@@ -123,6 +126,13 @@ class FaultClause:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
+            )
+        if self.op is not None and self.op not in SHARD_OPS:
+            # A clause filtering on an op no shard message carries would
+            # parse and then never fire.
+            raise ValueError(
+                f"fault clause op={self.op!r} names no shard message; "
+                f"expected one of {SHARD_OPS}"
             )
         for name in ("shard", "level", "nth", "times"):
             value = getattr(self, name)

@@ -1,28 +1,25 @@
-"""Batched per-level support planning across shards.
+"""Per-level support planning across shards.
 
 At each FSG level the miner has a batch of surviving candidate patterns,
-each with the (global) transaction ids it could possibly occur in — its
-parent's TID list.  The :class:`BatchSupportPlanner` turns that batch into
-one task per shard:
+each with the (global) transaction ids it could possibly occur in — the
+intersection of its parents' supporting sets.  The
+:class:`BatchSupportPlanner` turns that batch into one task per shard:
 
 * global tids are translated to each shard's local tid space;
 * a pattern is only shipped to a shard that owns at least one of its
   candidate transactions (a pattern whose parents all live elsewhere costs
   the shard nothing — not even a pickle);
-* every pattern is encoded once as a :class:`~repro.graphs.compact.
-  CompactGraph` wire tuple, shared by all shard tasks that need it.
+* a pattern whose parent is resident in the shard's session store ships
+  as a small delta, anything else as one :class:`~repro.graphs.compact.
+  CompactGraph` wire tuple shared by all shard tasks that need it.
 
-The shard evaluates its task in a single transaction-major pass
-(:meth:`~repro.graphs.engine.MatchEngine.batch_support`): per transaction,
-the index entry is resolved once and candidate buckets are filtered once
-per distinct requirement, serving every pattern in the batch.  Merging is
-trivial because shards partition the transactions: the per-pattern global
-support set is the disjoint union of the shard-local results.
+Merging is trivial because shards partition the transactions: the
+per-pattern global support set is the disjoint union of the shard-local
+results.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,80 +29,38 @@ from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_of
 
 
 class PlacementPolicy:
-    """Deterministic tid-to-shard placement.
+    """Deterministic, support-weighted tid-to-shard placement.
 
-    ``weighted`` (the default) greedily assigns each arriving
-    transaction to the currently lightest shard, where a transaction's
-    weight is its edge count — the level-1 scan cost every shard pays
-    per resident transaction.  Ties break toward the lowest shard id,
-    so placement is a pure function of the arrival order and weights:
-    reruns of the same corpus reproduce the same partition, which keeps
-    golden digests stable.  On uniform weights the policy degenerates to
-    exact round-robin, matching the legacy layout.
-
-    ``roundrobin`` keeps the legacy static ``arrival % n_shards``
-    placement, retained as the A/B baseline for the skew benchmarks.
+    Each arriving transaction goes to the currently lightest shard, where
+    a transaction's weight is its edge count — the level-1 scan cost
+    every shard pays per resident transaction.  Ties break toward the
+    lowest shard id, so placement is a pure function of the arrival
+    order and weights: reruns of the same corpus reproduce the same
+    partition, which keeps golden digests stable.  On uniform weights the
+    policy degenerates to exact round-robin.
     """
 
-    POLICIES = ("weighted", "roundrobin")
-
-    def __init__(self, n_shards: int, policy: str = "weighted"):
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; expected one of {self.POLICIES}"
-            )
+    def __init__(self, n_shards: int):
         self.n_shards = n_shards
-        self.policy = policy
-        #: Cumulative placed weight per shard — the balance the weighted
-        #: policy levels, exported to telemetry by the engine.
+        #: Cumulative placed weight per shard — the balance the policy
+        #: levels, exported to telemetry by the engine.
         self.loads = [0] * n_shards
-        self._arrivals = 0
 
     def place(self, weight: int) -> int:
         """Assign the next transaction (scan cost *weight*) to a shard."""
-        if self.policy == "roundrobin":
-            shard = self._arrivals % self.n_shards
-        else:
-            shard = min(range(self.n_shards), key=lambda s: (self.loads[s], s))
-        self._arrivals += 1
+        shard = min(range(self.n_shards), key=lambda s: (self.loads[s], s))
         self.loads[shard] += max(1, weight)
         return shard
 
 
-#: Environment fallback consulted when no explicit placement policy is given.
-PLACEMENT_ENV = "REPRO_PLACEMENT"
+def resolve_placement(policy: str | None = None) -> str:
+    """The placement policy's name, which is always ``"weighted"``.
 
-
-def resolve_placement(policy: str | None) -> str:
-    """Resolve the placement policy: explicit value, else
-    ``$REPRO_PLACEMENT``, else ``"weighted"``."""
-    if policy is None:
-        policy = os.environ.get(PLACEMENT_ENV) or PlacementPolicy.POLICIES[0]
-    if policy not in PlacementPolicy.POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; "
-            f"expected one of {PlacementPolicy.POLICIES}"
-        )
-    return policy
-
-
-@dataclass
-class ShardBatch:
-    """The slice of a level batch destined for one shard.
-
-    ``positions[i]`` is the index into the level's candidate list that
-    ``wires[i]`` / ``tid_lists[i]`` correspond to; ``tid_lists`` are in the
-    shard's *local* tid space.
+    Kept only for the benchmark's environment stamp
+    (``perfbench/bench.py`` imports it); once that import is dropped,
+    this function can go too.  Reads no environment variable.
     """
-
-    shard: int
-    positions: list[int] = field(default_factory=list)
-    wires: list[tuple] = field(default_factory=list)
-    tid_lists: list[list[int]] = field(default_factory=list)
-    keys: list[object] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not self.positions
+    return "weighted"
 
 
 class BatchSupportPlanner:
@@ -116,70 +71,6 @@ class BatchSupportPlanner:
             raise ValueError(f"need at least one shard, got {n_shards}")
         self.n_shards = n_shards
 
-    def plan(
-        self,
-        patterns: Sequence[LabeledGraph | CompactGraph],
-        tid_lists: Sequence[Sequence[int]] | None,
-        table: LabelTable,
-        locate,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[ShardBatch]:
-        """Build one :class:`ShardBatch` per shard.
-
-        *locate* maps a global tid to its ``(shard, local tid)`` home (the
-        sharded engine's placement function).  With ``tid_lists=None`` the
-        caller must expand to the full live tid list first — the planner
-        never guesses at corpus membership.  ``pattern_keys`` (per-pattern
-        verdict-cache keys, see :meth:`MatchEngine.batch_support`) ride
-        along to whichever shards receive the pattern.
-        """
-        if tid_lists is None:
-            raise ValueError("the planner needs explicit tid lists per pattern")
-        if len(tid_lists) != len(patterns):
-            raise ValueError("tid_lists must align with patterns")
-        if pattern_keys is not None and len(pattern_keys) != len(patterns):
-            raise ValueError("pattern_keys must align with patterns")
-        batches = [ShardBatch(shard=shard) for shard in range(self.n_shards)]
-        for position, (pattern, tids) in enumerate(zip(patterns, tid_lists)):
-            by_shard: dict[int, list[int]] = {}
-            for tid in tids:
-                shard, local = locate(tid)
-                by_shard.setdefault(shard, []).append(local)
-            if not by_shard:
-                continue
-            wire = self._wire_of(pattern, table)
-            key = pattern_keys[position] if pattern_keys is not None else None
-            for shard, locals_ in sorted(by_shard.items()):
-                batch = batches[shard]
-                batch.positions.append(position)
-                batch.wires.append(wire)
-                batch.tid_lists.append(sorted(locals_))
-                batch.keys.append(key)
-        return batches
-
-    @staticmethod
-    def merge(
-        n_patterns: int,
-        batches: Sequence[ShardBatch],
-        shard_results: Sequence[Sequence[Sequence[int]] | None],
-        to_global,
-    ) -> list[frozenset[int]]:
-        """Union shard-local supports back into per-pattern global tid sets.
-
-        ``shard_results[k]`` aligns with ``batches[k].positions``;
-        *to_global* maps ``(shard, local tid)`` back to the global tid.
-        Shards own disjoint transactions, so the union is merge-order
-        independent — the frozensets are identical whatever order replies
-        arrive in.
-        """
-        merged: list[set[int]] = [set() for _ in range(n_patterns)]
-        for batch, result in zip(batches, shard_results):
-            if result is None:
-                continue
-            for position, locals_ in zip(batch.positions, result):
-                merged[position].update(to_global(batch.shard, local) for local in locals_)
-        return [frozenset(tids) for tids in merged]
-
     @staticmethod
     def _wire_of(pattern: LabeledGraph | CompactGraph, table: LabelTable) -> tuple:
         if isinstance(pattern, CompactGraph):
@@ -188,60 +79,10 @@ class BatchSupportPlanner:
             return pattern.to_wire()
         return CompactGraph.from_labeled(pattern, table).to_wire()
 
-    # ------------------------------------------------------------------
-    # Incremental (embedding-store) level planning
-    # ------------------------------------------------------------------
-    def plan_level(
-        self,
-        requests: Sequence,
-        table: LabelTable,
-        locate,
-        min_support: int | None = None,
-    ) -> list["ShardLevelBatch"]:
-        """Split :class:`~repro.runtime.base.LevelRequest` batches per shard.
-
-        Like :meth:`plan`, but requests carry global-tid *bitsets* and the
-        embedding-store derivation tokens (uid / parent uid / extension),
-        which ride along to every shard that owns any of the request's
-        candidate transactions.  The early-abort threshold is translated
-        into each shard's frame of reference: a shard holding ``m`` of a
-        request's ``n`` candidate tids may abort once even sweeping its
-        remaining slice cannot push the *global* count to *min_support* —
-        i.e. its local bound is ``min_support - (n - m)``.  That bound is
-        sound whatever the other shards find, so aborts can never make
-        runtimes disagree on which candidates survive.
-        """
-        batches = [ShardLevelBatch(shard=shard) for shard in range(self.n_shards)]
-        for position, request in enumerate(requests):
-            tids = tids_of(request.tid_bits)
-            by_shard: dict[int, list[int]] = {}
-            for tid in tids:
-                shard, local = locate(tid)
-                by_shard.setdefault(shard, []).append(local)
-            if not by_shard:
-                continue
-            wire = self._wire_of(request.pattern, table)
-            total = len(tids)
-            for shard, locals_ in sorted(by_shard.items()):
-                batch = batches[shard]
-                batch.positions.append(position)
-                batch.wires.append(wire)
-                batch.tid_lists.append(sorted(locals_))
-                batch.scan_tids += len(locals_)
-                batch.uids.append(request.uid)
-                batch.parent_uids.append(request.parent_uid)
-                batch.extensions.append(request.extension)
-                if min_support is None:
-                    batch.abort_bounds.append(None)
-                else:
-                    bound = min_support - (total - len(locals_))
-                    batch.abort_bounds.append(bound if bound > 0 else None)
-        return batches
-
     @staticmethod
     def merge_level(
         n_requests: int,
-        batches: Sequence["ShardLevelBatch"],
+        batches: Sequence["ShardSessionBatch"],
         shard_results: Sequence[Sequence[Sequence[int]] | None],
         to_global,
     ) -> list[int]:
@@ -263,10 +104,6 @@ class BatchSupportPlanner:
                     )
         return merged
 
-
-    # ------------------------------------------------------------------
-    # Stateful (mining-session) level planning
-    # ------------------------------------------------------------------
     def plan_session_level(
         self,
         requests: Sequence,
@@ -278,8 +115,11 @@ class BatchSupportPlanner:
     ) -> list["ShardSessionBatch"]:
         """Split a level across shards that keep resident pattern stores.
 
-        Like :meth:`plan_level`, but each ``(request, shard)`` pair ships
-        the cheapest payload the shard's state allows:
+        *locate* maps a global tid to its ``(shard, local tid)`` home (the
+        sharded engine's placement function).  Each
+        :class:`~repro.runtime.base.LevelRequest` goes to every shard that
+        owns any of its candidate transactions, and each ``(request,
+        shard)`` pair ships the cheapest payload the shard's state allows:
 
         * **delta** ``("d", edge_label_id, new_label_id, mask_buffer)``
           when the request's parent is resident on the shard
@@ -299,7 +139,13 @@ class BatchSupportPlanner:
         :func:`~repro.runtime.bitsets.tids_from_buffer` unpack, and the
         buffer pickles as raw bytes with no bignum re-encoding.
 
-        Abort bounds are localized exactly as in :meth:`plan_level`.
+        The early-abort threshold is translated into each shard's frame
+        of reference: a shard holding ``m`` of a request's ``n`` candidate
+        tids may abort once even sweeping its remaining slice cannot push
+        the *global* count to *min_support* — i.e. its local bound is
+        ``min_support - (n - m)``.  That bound is sound whatever the other
+        shards find, so aborts can never make runtimes disagree on which
+        candidates survive.
         """
         batches = [ShardSessionBatch(shard=shard) for shard in range(self.n_shards)]
         for position, request in enumerate(requests):
@@ -362,6 +208,10 @@ class BatchSupportPlanner:
                     batch.abort_bounds.append(bound if bound > 0 else None)
         return batches
 
+    # Only perfbench/layers.py reads these two names (it times them as
+    # ``runtime.plan``); every call goes through plan_session_level.
+    plan = plan_level = plan_session_level
+
 
 @dataclass
 class ShardSessionBatch:
@@ -373,8 +223,8 @@ class ShardSessionBatch:
     a delta ``("d", edge_label_id, new_label_id, mask_buffer)`` tuple,
     scan sets as flat bitset byte buffers (see
     :meth:`BatchSupportPlanner.plan_session_level`).  Replies align with
-    ``positions`` too, so :meth:`BatchSupportPlanner.merge_level` merges
-    session batches unchanged.
+    ``positions`` too, which is what
+    :meth:`BatchSupportPlanner.merge_level` relies on.
     """
 
     shard: int
@@ -396,29 +246,3 @@ class ShardSessionBatch:
 
     def count_delta(self) -> int:
         return sum(1 for payload in self.payloads if payload[0] == "d")
-
-
-@dataclass
-class ShardLevelBatch:
-    """The slice of an incremental level batch destined for one shard.
-
-    Parallel lists, all aligned with ``positions`` (indices into the
-    level's request list); ``tid_lists`` are in the shard's local tid
-    space and ``abort_bounds`` are the shard-local early-abort
-    thresholds (``None`` disables abort for that request).
-    """
-
-    shard: int
-    positions: list[int] = field(default_factory=list)
-    wires: list[tuple] = field(default_factory=list)
-    tid_lists: list[list[int]] = field(default_factory=list)
-    uids: list[object] = field(default_factory=list)
-    parent_uids: list[object] = field(default_factory=list)
-    extensions: list[tuple | None] = field(default_factory=list)
-    abort_bounds: list[int | None] = field(default_factory=list)
-    #: Scan workload routed to this shard: candidate tids summed over the
-    #: level's requests (the shard-skew telemetry's unit of account).
-    scan_tids: int = 0
-
-    def is_empty(self) -> bool:
-        return not self.positions

@@ -1,11 +1,12 @@
 """Sharded support counting: K engine shards behind one runtime facade.
 
-A :class:`ShardedEngine` partitions registered transactions round-robin
-across K shards.  Each shard owns the full matching state for its slice —
-a :class:`~repro.graphs.compact.LabelTable` replica, the per-transaction
-:class:`~repro.graphs.index.GraphIndex` set, and its own
-``(pattern canonical code, tid)`` verdict LRU — so shards never share
-mutable state and support counts merge by disjoint union.
+A :class:`ShardedEngine` places registered transactions across K shards
+by support weight (:class:`~repro.runtime.planner.PlacementPolicy`).
+Each shard owns the full matching state for its slice — a
+:class:`~repro.graphs.compact.LabelTable` replica, the per-transaction
+:class:`~repro.graphs.index.GraphIndex` set, and its own embedding and
+session-pattern stores — so shards never share mutable state and support
+counts merge by disjoint union.
 
 Transactions and patterns travel as :class:`CompactGraph` wire tuples:
 pure-integer payloads against a label-table replica the parent keeps in
@@ -15,7 +16,7 @@ label and never rebuild string keys.  Every message is pickled once, in
 envelope (see :mod:`repro.runtime.wire`), so the pickles are mostly
 tuples of small ints.
 
-Level-wise mining goes further through a **mining session**
+Level-wise mining runs through a **mining session**
 (:class:`ShardedSession`, opened with :meth:`ShardedEngine.open_session`):
 each shard keeps a resident pattern store keyed by candidate uid, so a
 level-(k+1) candidate — its parent plus one edge — ships as a small delta
@@ -66,7 +67,6 @@ from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer, get_tracer
 from repro.runtime.base import (
-    DelegatingSession,
     LevelRequest,
     MiningRuntime,
     MiningSession,
@@ -75,12 +75,9 @@ from repro.runtime.base import (
 )
 from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_from_buffer, tids_of
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
-from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy, resolve_placement
+from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy
 from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
-from repro.runtime.wire import BLOB_OP, decode_message, encode_message
-
-#: Session protocols understood by :class:`ShardedEngine`.
-SESSION_PROTOCOLS = ("delta", "full")
+from repro.runtime.wire import BLOB_OP, SHARD_OPS, decode_message, encode_message
 
 #: Reply-wrapper tag a tracing :class:`ShardWorker` uses to piggyback its
 #: finished span and metric buffers on the normal reply — no extra round
@@ -90,7 +87,7 @@ _OBS_REPLY = "__obs__"
 #: Worker span names that time per-level messages; the parent stamps
 #: these with the mining level when it drains them (other worker spans —
 #: add/release/stats — are level-free and left unstamped).
-_LEVELED_WORKER_SPANS = frozenset({"shard.slevel", "shard.level", "shard.batch"})
+_LEVELED_WORKER_SPANS = frozenset({"shard.slevel"})
 
 #: Default bound on resident patterns per shard store.  Mining keeps at
 #: most ~two levels' candidates alive (the miner evicts each level as
@@ -159,8 +156,6 @@ def _resolve_recovery_backoff(backoff: float | None) -> float:
 #: on junk.
 _REPLY_SHAPES: dict[str, type] = {
     "add": list,
-    "batch": list,
-    "level": list,
     "stats": dict,
 }
 
@@ -177,7 +172,8 @@ def _reply_shape_ok(op: str, reply) -> bool:
 class ShardWorker:
     """One shard's state and message handler.
 
-    Messages (each answered by exactly one reply):
+    Messages (each answered by exactly one reply; the handled ops are
+    :data:`~repro.runtime.wire.SHARD_OPS`, dispatched to ``_op_<op>``):
 
     ``("labels", labels)``
         Append the parent table's delta to the replica; ack with ``None``.
@@ -185,25 +181,18 @@ class ShardWorker:
         Register transactions from wire tuples; reply with local tids.
     ``("release", local_tids)``
         Drop transaction references; ack with ``None``.
-    ``("batch", wires, tid_lists, keys)``
-        Batched support for the patterns against local tids (``keys``
-        carries precomputed verdict-cache keys); reply with a sorted
-        local tid list per pattern.
-    ``("level", wires, tid_lists, uids, parent_uids, extensions, bounds)``
-        Incremental (embedding-store) support for one mining level:
-        parallel lists per pattern, ``bounds`` being shard-local
-        early-abort thresholds.  Anchors stay in this shard's engine —
-        only the small uid/extension tokens ever cross the pipe.  Reply
-        with a sorted local tid list per pattern.
     ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
-        One *session* level against the resident pattern store.
-        ``evictions`` (parent-retired uids, piggybacked here instead of
-        costing their own round trip) are applied first — pattern store
-        and anchors both.  Each ``payloads[i]`` is a full wire
+        One mining level against the resident pattern store: parallel
+        lists per pattern, ``bounds`` being shard-local early-abort
+        thresholds.  Anchors stay in this shard's engine — only the small
+        uid/extension tokens ever cross the pipe.  ``evictions``
+        (parent-retired uids, piggybacked here instead of costing their
+        own round trip) are applied first — pattern store and anchors
+        both.  Each ``payloads[i]`` is a full wire
         ``("w", wire, tid_buffer)`` or a delta
         ``("d", edge_label_id, new_label_id, mask_buffer)`` — scan sets
-        as flat bitset byte buffers — reconstructed from
-        the stored parent; every pattern is filed in the store under its
+        as flat bitset byte buffers — reconstructed from the stored
+        parent; every pattern is filed in the store under its
         uid, and its resulting hit list is remembered so next level's
         delta masks can be decoded against it.  Reply with
         ``(hit lists, capacity-evicted uids, store hits)`` — the store
@@ -213,8 +202,6 @@ class ShardWorker:
     ``("sevict", uids)``
         Retire *uids* from the pattern store *and* the embedding store;
         ack with ``None`` (the session's close-time flush).
-    ``("drop_anchors", uids)``
-        Retire the embedding-store entries of *uids*; ack with ``None``.
     ``("stats",)``
         Reply with the shard engine's counter snapshot merged with this
         worker's session-protocol counters.
@@ -278,11 +265,11 @@ class ShardWorker:
             self._session_hits.pop(uid, None)
             self._session_order.pop(uid, None)
 
-    def _session_level(self, message: tuple):
+    def _op_slevel(self, message: tuple):
         _, evictions, payloads, uids, parent_uids, extensions, bounds = message
         if evictions:
             # Parent-retired uids: gone from the store *and* the anchor
-            # store, exactly as a drop_anchors broadcast would have done.
+            # store.
             self._store_drop(evictions)
             self.engine.drop_anchors(evictions)
         tasks: list[EmbeddingTask] = []
@@ -367,7 +354,7 @@ class ShardWorker:
         """Cheap size attributes for the per-message worker span."""
         if op == "slevel":
             return {"patterns": len(message[2]), "evictions": len(message[1])}
-        if op in ("level", "batch", "add"):
+        if op == "add":
             return {"patterns": len(message[1])}
         return {}
 
@@ -420,53 +407,32 @@ class ShardWorker:
         return reply
 
     def _handle(self, message: tuple, op: str):
-        if op == "labels":
-            self.table.extend(message[1])
-            return None
-        if op == "add":
-            compacts = [CompactGraph.from_wire(wire, self.table) for wire in message[1]]
-            return self.engine.add_compact_transactions(compacts)
-        if op == "release":
-            self.engine.release_transactions(message[1])
-            return None
-        if op == "batch":
-            patterns = [CompactGraph.from_wire(wire, self.table) for wire in message[1]]
-            self.counters["patterns_shipped_full"] += len(patterns)
-            supports = self.engine.batch_support(patterns, message[2], message[3])
-            return [sorted(tids) for tids in supports]
-        if op == "level":
-            _, wires, tid_lists, uids, parent_uids, extensions, bounds = message
-            self.counters["patterns_shipped_full"] += len(wires)
-            tasks = [
-                EmbeddingTask(
-                    pattern=CompactGraph.from_wire(wire, self.table),
-                    tids=tids,
-                    uid=uid,
-                    parent_uid=parent_uid,
-                    extension=extension,
-                    abort_below=bound,
-                )
-                for wire, tids, uid, parent_uid, extension, bound in zip(
-                    wires, tid_lists, uids, parent_uids, extensions, bounds
-                )
-            ]
-            return self.engine.support_with_embeddings(tasks)
-        if op == "slevel":
-            return self._session_level(message)
-        if op == "sevict":
-            self._store_drop(message[1])
-            self.engine.drop_anchors(message[1])
-            return None
-        if op == "drop_anchors":
-            self.engine.drop_anchors(message[1])
-            return None
-        if op == "stats":
-            return {**self.engine.stats_snapshot(), **self.counters}
-        raise ValueError(f"unknown shard message {op!r}")
+        if op not in SHARD_OPS:
+            raise ValueError(
+                f"unknown shard message {op!r}; expected one of {SHARD_OPS}"
+            )
+        return getattr(self, f"_op_{op}")(message)
+
+    def _op_labels(self, message: tuple) -> None:
+        self.table.extend(message[1])
+
+    def _op_add(self, message: tuple) -> list[int]:
+        compacts = [CompactGraph.from_wire(wire, self.table) for wire in message[1]]
+        return self.engine.add_compact_transactions(compacts)
+
+    def _op_release(self, message: tuple) -> None:
+        self.engine.release_transactions(message[1])
+
+    def _op_sevict(self, message: tuple) -> None:
+        self._store_drop(message[1])
+        self.engine.drop_anchors(message[1])
+
+    def _op_stats(self, message: tuple) -> dict[str, int]:
+        return {**self.engine.stats_snapshot(), **self.counters}
 
 
 class ShardedEngine(MiningRuntime):
-    """K-shard mining runtime with batched per-level evaluation.
+    """K-shard mining runtime: each level is one scatter/gather round.
 
     Parameters
     ----------
@@ -477,15 +443,6 @@ class ShardedEngine(MiningRuntime):
         ``"process"`` (default, real parallelism via ``multiprocessing``)
         or ``"serial"`` (same code path inline — determinism / debugging).
         ``None`` consults ``REPRO_BACKEND``.
-    session_protocol:
-        ``"delta"`` (default) gives :meth:`open_session` callers the
-        stateful :class:`ShardedSession` — resident shard stores, delta
-        shipping, piggybacked evictions.  ``"full"`` falls back to a
-        stateless :class:`~repro.runtime.base.DelegatingSession` over
-        :meth:`batch_support_level` (every level re-ships every pattern
-        in full — the pre-session wire protocol, kept as the benchmark
-        baseline and an A/B escape hatch).  Mining output is identical
-        either way.
     session_store_capacity:
         Bound on resident patterns per shard store; overflowing entries
         are evicted oldest-first and resent in full on a later miss.
@@ -509,45 +466,30 @@ class ShardedEngine(MiningRuntime):
         finite and ``>= 0``.  A bad value of either knob (or a NaN
         *worker_timeout* on the process backend) raises ``ValueError``
         here, before any worker starts.
-    placement:
-        Tid placement policy (``None`` consults ``REPRO_PLACEMENT``,
-        default ``"weighted"``): support-weighted least-loaded placement
-        by transaction edge count, or ``"roundrobin"`` for the legacy
-        static layout (the A/B baseline for the skew benchmarks).
     """
 
     def __init__(
         self,
         shards: int = 2,
         backend: str | None = None,
-        session_protocol: str = "delta",
         session_store_capacity: int = DEFAULT_STORE_CAPACITY,
         faults: "FaultPlan | str | None" = None,
         worker_timeout: float | None = None,
         recovery_retries: int | None = None,
         recovery_backoff: float | None = None,
-        placement: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if session_protocol not in SESSION_PROTOCOLS:
-            raise ValueError(
-                f"session_protocol must be one of {SESSION_PROTOCOLS}, "
-                f"got {session_protocol!r}"
-            )
         self.n_shards = shards
         self.backend = resolve_backend(backend)
-        self.session_protocol = session_protocol
         # Recovery knobs are checked before any worker starts, so a bad
         # value fails the constructor instead of leaking a pool.
         self._recovery_retries = _resolve_recovery_retries(recovery_retries)
         self._recovery_backoff = _resolve_recovery_backoff(recovery_backoff)
         self.table = LabelTable()
         self.planner = BatchSupportPlanner(shards)
-        self._placement = PlacementPolicy(shards, resolve_placement(placement))
+        self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0
-        self._level_patterns_posted = 0
-        self._last_level_scan_units: list[int] = []
         self._pool = make_pool(
             self.backend,
             shards,
@@ -619,10 +561,10 @@ class ShardedEngine(MiningRuntime):
         """Forward gathered worker spans to the tracer, stamping *level*.
 
         Workers cannot know which mining level a message served, but the
-        caller that just gathered a level does — sessions (and the batch
-        miner path) call this right after each level so per-level shard
-        timings line up in the merged trace.  Leveled span names only;
-        add/stats/release spans pass through unstamped.
+        caller that just gathered a level does — the session calls this
+        right after each level so per-level shard timings line up in the
+        merged trace.  Leveled span names only; add/stats/release spans
+        pass through unstamped.
         """
         spans = self._worker_spans
         if not spans:
@@ -793,7 +735,7 @@ class ShardedEngine(MiningRuntime):
                     raise next_death
                 continue
             break
-        if op in ("slevel", "level", "batch"):
+        if op == "slevel":
             self.recovery["level_replays"] += 1
             tracer.metrics.counter("level_replays", shard=str(shard))
         elapsed = time.perf_counter() - started
@@ -841,30 +783,6 @@ class ShardedEngine(MiningRuntime):
         decision's outcome visible in the per-level record.
         """
         return list(self._placement.loads)
-
-    @property
-    def level_patterns_posted(self) -> int:
-        """Full pattern wires posted by :meth:`batch_support_level`.
-
-        One count per ``(request, shard)`` pair — the ruler the session
-        telemetry's ``patterns_full`` uses, letting a stateless
-        :class:`DelegatingSession` over this runtime report shipments
-        comparably to the stateful session.
-        """
-        return self._level_patterns_posted
-
-    @property
-    def last_level_scan_units(self) -> list[int]:
-        """Per-shard scan workload of the most recent support batch.
-
-        One entry per shard (idle shards report zero): the number of
-        candidate tids the planner routed there, summed over the batch.
-        Sessions surface the max/min of this list as the
-        ``shard_scan_max`` / ``shard_scan_min`` telemetry — the signal
-        that makes placement skew under label- or size-skewed corpora
-        visible per level.
-        """
-        return list(self._last_level_scan_units)
 
     # ------------------------------------------------------------------
     # Dispatch: wire accounting + scatter/gather
@@ -1038,84 +956,8 @@ class ShardedEngine(MiningRuntime):
             for local in locals_:
                 wires[local] = self._tombstone_wire()
 
-    def batch_support(
-        self,
-        patterns: Sequence[LabeledGraph],
-        tid_lists: Sequence[Sequence[int]] | None = None,
-        pattern_keys: Sequence[object] | None = None,
-    ) -> list[frozenset[int]]:
-        if tid_lists is None:
-            live = sorted(tid for tid in self._home if tid not in self._released)
-            tid_lists = [live] * len(patterns)
-        batches = self.planner.plan(
-            patterns, tid_lists, self.table, self.locate, pattern_keys
-        )
-        self._last_level_scan_units = [
-            sum(len(tids) for tids in batch.tid_lists) for batch in batches
-        ]
-        # Scatter/gather: all shards evaluate their slice of the level
-        # concurrently under the process backend.
-        pending = self._scatter(
-            [
-                (batch.shard, ("batch", batch.wires, batch.tid_lists, batch.keys))
-                for batch in batches
-                if not batch.is_empty()
-            ]
-        )
-        replies = self._gather(pending)
-        results: list[Sequence[Sequence[int]] | None] = [
-            replies.get(shard) for shard in range(self.n_shards)
-        ]
-        return self.planner.merge(len(patterns), batches, results, self.to_global)
-
-    def batch_support_level(
-        self,
-        requests: Sequence[LevelRequest],
-        min_support: int | None = None,
-    ) -> list[int]:
-        batches = self.planner.plan_level(requests, self.table, self.locate, min_support)
-        self._last_level_scan_units = [batch.scan_tids for batch in batches]
-        self._level_patterns_posted += sum(len(batch.wires) for batch in batches)
-        pending = self._scatter(
-            [
-                (
-                    batch.shard,
-                    (
-                        "level",
-                        batch.wires,
-                        batch.tid_lists,
-                        batch.uids,
-                        batch.parent_uids,
-                        batch.extensions,
-                        batch.abort_bounds,
-                    ),
-                )
-                for batch in batches
-                if not batch.is_empty()
-            ]
-        )
-        replies = self._gather(pending)
-        results: list[Sequence[Sequence[int]] | None] = [
-            replies.get(shard) for shard in range(self.n_shards)
-        ]
-        return self.planner.merge_level(len(requests), batches, results, self.to_global)
-
     def open_session(self) -> MiningSession:
-        """A mining session under the configured ``session_protocol``."""
-        if self.session_protocol == "delta":
-            return ShardedSession(self)
-        return DelegatingSession(self)
-
-    def drop_anchors(self, uids) -> None:
-        # Anchors are shard-local, so every shard is told to retire the
-        # level; a shard that never stored a uid treats it as a no-op.
-        uid_list = list(uids)
-        if not uid_list:
-            return
-        pending = self._scatter(
-            [(shard, ("drop_anchors", uid_list)) for shard in range(self.n_shards)]
-        )
-        self._gather(pending)
+        return ShardedSession(self)
 
     def stats(self) -> dict[str, int]:
         pending = self._scatter(
@@ -1266,7 +1108,6 @@ class ShardedSession(MiningSession):
         # Placement skew across every shard, idle shards included: the
         # level's per-shard scan workload as the planner routed it.
         scan_units = [batch.scan_tids for batch in batches]
-        runtime._last_level_scan_units = scan_units
         telemetry["shard_scan_max"] = max(scan_units)
         telemetry["shard_scan_min"] = min(scan_units)
         placement_loads = runtime.placement_loads

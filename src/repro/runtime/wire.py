@@ -19,6 +19,7 @@ import pickle
 
 __all__ = [
     "BLOB_OP",
+    "SHARD_OPS",
     "WIRE_PICKLE_PROTOCOL",
     "decode_message",
     "encode_message",
@@ -27,6 +28,14 @@ __all__ = [
 
 #: Envelope op of every shard message: ``(BLOB_OP, inner_op, blob)``.
 BLOB_OP = "__blob__"
+
+#: The ops of the logical shard messages a
+#: :class:`~repro.runtime.shards.ShardWorker` handles (its docstring
+#: lists their shapes).  The worker dispatches on this tuple, and a fault
+#: clause's ``op=`` filter must name one of these ops.  The control
+#: messages ``trace`` and ``faults`` are not listed: the worker handles
+#: them before any hook runs.
+SHARD_OPS = ("labels", "add", "release", "slevel", "sevict", "stats")
 
 #: Pinned pickle protocol.  Pinning (rather than ``HIGHEST_PROTOCOL``)
 #: keeps shipped byte counts stable across interpreter upgrades, so

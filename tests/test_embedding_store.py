@@ -481,8 +481,6 @@ def test_pattern_major_scan_matches_transaction_major_oracle(
     """Tid lists, anchor entries, store load and every counter agree."""
     fast, oracle = _twin_engines(corpus, anchor_cap=anchor_cap)
     _run_chain(corpus, random.Random(seed), fast, oracle, n_levels, abort)
-    assert fast.stats.verdict_hits == fast.stats.verdict_misses == 0
-    assert not fast._verdicts
 
 
 @given(
@@ -561,20 +559,38 @@ class TestBitsets:
         assert is_contiguous([])
 
 
+def _store_starved(corpus, **options):
+    """The store-off reference: mine with ``MatchEngine(anchor_budget=0)``.
+
+    A zero budget stores no anchor, so every query past the seeded single
+    edges takes the full indexed search.  Every support set is checked
+    against a per-tid ``legacy_has_embedding`` scan on the way out.
+    """
+    engine = MatchEngine(anchor_budget=0)
+    result = FSGMiner(engine=engine, **options).mine(corpus)
+    assert engine.stats.anchors_stored == engine.stats.anchor_extensions == 0
+    assert engine.stats.anchor_fallbacks > 0
+    for entry in result.patterns:
+        assert sorted(entry.supporting_transactions) == [
+            tid
+            for tid, transaction in enumerate(corpus)
+            if legacy_has_embedding(entry.pattern, transaction)
+        ]
+    return result
+
+
 class TestMiningEquivalence:
     @pytest.mark.parametrize("seed", [11, 29])
     def test_store_on_equals_store_off_serial(self, seed):
         corpus = _random_corpus(seed)
-        on = FSGMiner(min_support=0.15, max_edges=4, use_embedding_store=True).mine(corpus)
-        off = FSGMiner(min_support=0.15, max_edges=4, use_embedding_store=False).mine(corpus)
+        on = FSGMiner(min_support=0.15, max_edges=4).mine(corpus)
+        off = _store_starved(corpus, min_support=0.15, max_edges=4)
         assert _signature(on) == _signature(off)
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_store_on_equals_store_off_sharded(self, shards):
         corpus = _random_corpus(5)
-        reference = FSGMiner(
-            min_support=0.15, max_edges=4, use_embedding_store=False
-        ).mine(corpus)
+        reference = _store_starved(corpus, min_support=0.15, max_edges=4)
         runtime = ShardedEngine(shards=shards, backend="serial")
         try:
             sharded = FSGMiner(min_support=0.15, max_edges=4, runtime=runtime).mine(corpus)
@@ -589,7 +605,7 @@ class TestMiningEquivalence:
         engine = MatchEngine(anchor_cap=1, anchor_budget=3)
         runtime = SerialRuntime(engine=engine)
         capped = FSGMiner(min_support=0.15, max_edges=3, engine=engine, runtime=runtime).mine(corpus)
-        reference = FSGMiner(min_support=0.15, max_edges=3, use_embedding_store=False).mine(corpus)
+        reference = _store_starved(corpus, min_support=0.15, max_edges=3)
         assert _signature(capped) == _signature(reference)
         assert engine.stats.anchor_fallbacks > 0
 
@@ -639,7 +655,7 @@ class TestExtensionPaths:
         )
         assert result == [[tid]]
         assert engine.stats.anchor_fallbacks > before
-        assert engine.support(child, [tid]) == frozenset({tid})
+        assert legacy_has_embedding(child, self._host())
 
     def test_complete_anchor_miss_is_a_definitive_no(self):
         # With a roomy cap the parent's anchor set is complete, so a
@@ -719,11 +735,10 @@ class TestExtensionPaths:
 
     def test_mutated_transaction_invalidates_anchors(self):
         # Regression: anchors must honour the same version discipline as
-        # the verdict LRU.  Seed complete parent anchors, then mutate the
-        # registered transaction so a *new* parent embedding (absent from
-        # the stale anchors) is the only one that extends; a stale
-        # complete-set reject here would be a wrong definitive "no" — and
-        # would poison the verdict cache for plain support() too.
+        # the graph indexes.  Seed complete parent anchors, then mutate
+        # the registered transaction so a *new* parent embedding (absent
+        # from the stale anchors) is the only one that extends; a stale
+        # complete-set reject here would be a wrong definitive "no".
         host = LabeledGraph(name="mutating")
         host.add_vertex("a", "a")
         host.add_vertex("b", "b")
@@ -751,7 +766,7 @@ class TestExtensionPaths:
             ]
         )
         assert result == [[tid]]
-        assert engine.support(child, [tid]) == frozenset({tid})
+        assert legacy_has_embedding(child, host)
 
     def test_release_transactions_evicts_anchors(self):
         engine = MatchEngine()
@@ -785,20 +800,22 @@ class TestRuntimeLevelAPI:
             tids = runtime.add_transactions(corpus)
             bits = bits_of(tids)
             try:
-                (parent_bits,) = runtime.batch_support_level(
-                    [LevelRequest(pattern=parent, tid_bits=bits, uid=("r", 0))]
-                )
-                (child_bits,) = runtime.batch_support_level(
-                    [
-                        LevelRequest(
-                            pattern=child,
-                            tid_bits=parent_bits,
-                            uid=("r", 1),
-                            parent_uid=("r", 0),
-                            extension=(1, 2, True),
-                        )
-                    ]
-                )
+                with runtime.open_session() as session:
+                    (parent_bits,) = session.support_level(
+                        [LevelRequest(pattern=parent, tid_bits=bits, uid=("r", 0))]
+                    )
+                    (child_bits,) = session.support_level(
+                        [
+                            LevelRequest(
+                                pattern=child,
+                                tid_bits=parent_bits,
+                                uid=("r", 1),
+                                parent_uid=("r", 0),
+                                extension=(1, 2, True),
+                                extension_labels=("y", "c"),
+                            )
+                        ]
+                    )
             finally:
                 runtime.release_transactions(tids)
             return parent_bits, child_bits

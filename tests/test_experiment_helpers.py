@@ -13,8 +13,9 @@ from repro.core.experiments import (
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.em_clustering import ClusterSummary
 from repro.mining.fsg.candidates import Candidate, single_edge_pattern
+from repro.mining.fsg.miner import FSGMiner
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
-from repro.mining.fsg.support import count_support, prune_infrequent, supporting_transactions
+from repro.runtime import LevelRequest, SerialRuntime, bits_of, popcount, tids_of
 
 
 class TestScaledPartitionCount:
@@ -88,6 +89,8 @@ class TestPlantedSpecification:
 
 
 class TestFsgSupportCounting:
+    """Support counting through the serial runtime's level session."""
+
     def _transactions(self):
         return [
             hub_and_spoke(2, edge_labels=[1, 1], prefix="a"),
@@ -95,42 +98,69 @@ class TestFsgSupportCounting:
             chain(2, edge_labels=[2, 2], prefix="c"),
         ]
 
+    @staticmethod
+    def _session(transactions):
+        # A fresh runtime numbers the transactions 0..n-1, so its global
+        # tids are the local indices.
+        runtime = SerialRuntime()
+        runtime.add_transactions(transactions)
+        return runtime.open_session()
+
+    def _support_bits(self, candidate, transactions, scan_bits=None) -> int:
+        with self._session(transactions) as session:
+            (bits,) = session.support_level(
+                [
+                    LevelRequest(
+                        pattern=candidate.pattern,
+                        tid_bits=candidate.parent_bits if scan_bits is None else scan_bits,
+                    )
+                ]
+            )
+        return bits
+
     def test_supporting_transactions_restricted_to_parents(self):
         transactions = self._transactions()
         candidate = Candidate(
             pattern=single_edge_pattern("place", 1, "place"),
-            parent_tids=frozenset({0}),
+            parent_bits=bits_of([0]),
         )
-        assert supporting_transactions(candidate, transactions) == frozenset({0})
+        assert tids_of(self._support_bits(candidate, transactions)) == [0]
 
     def test_supporting_transactions_full_scan(self):
         transactions = self._transactions()
         candidate = Candidate(
             pattern=single_edge_pattern("place", 1, "place"),
-            parent_tids=frozenset({0}),
+            parent_bits=bits_of([0]),
         )
-        tids = supporting_transactions(candidate, transactions, restrict_to_parent_tids=False)
-        assert tids == frozenset({0, 1})
+        every_tid = bits_of(range(len(transactions)))
+        assert tids_of(self._support_bits(candidate, transactions, every_tid)) == [0, 1]
 
     def test_count_support(self):
         transactions = self._transactions()
         candidate = Candidate(
             pattern=single_edge_pattern("place", 2, "place"),
-            parent_tids=frozenset({0, 1, 2}),
+            parent_bits=bits_of([0, 1, 2]),
         )
-        assert count_support(candidate, transactions) == 1
+        assert popcount(self._support_bits(candidate, transactions)) == 1
 
     def test_prune_infrequent(self):
         transactions = self._transactions()
         frequent = Candidate(
             pattern=single_edge_pattern("place", 1, "place"),
-            parent_tids=frozenset({0, 1, 2}),
+            parent_bits=bits_of([0, 1, 2]),
         )
         rare = Candidate(
             pattern=single_edge_pattern("place", 2, "place"),
-            parent_tids=frozenset({0, 1, 2}),
+            parent_bits=bits_of([0, 1, 2]),
         )
-        surviving = prune_infrequent([frequent, rare], transactions, min_support=2)
+        with self._session(transactions) as session:
+            surviving = FSGMiner()._prune_level_incremental(
+                [frequent, rare],
+                support_threshold=2,
+                session=session,
+                to_global=lambda bits: bits,
+                to_local=lambda bits: bits,
+            )
         assert len(surviving) == 1
         survivor, tids = surviving[0]
         assert survivor is frequent

@@ -37,11 +37,13 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     ShardedEngine,
+    ShardWorker,
     SimulatedWorkerDeath,
     WorkerDeath,
     resolve_faults,
 )
 from repro.runtime.faults import CORRUPTED_REPLY, FaultInjector, compile_injector
+from repro.runtime.wire import SHARD_OPS
 from repro.scenarios import differential_check, get_scenario
 
 
@@ -106,9 +108,15 @@ class TestFaultPlanGrammar:
         )
 
     def test_spec_roundtrip(self):
-        spec = "kill:shard=1,level=2; hang:op=slevel,times=3,sticky; corrupt-reply"
-        plan = FaultPlan.parse(spec)
-        assert FaultPlan.parse(plan.to_spec()) == plan
+        for spec in (
+            "kill:shard=1,level=2; hang:op=slevel,times=3,sticky; corrupt-reply",
+            # The CI chaos lane's three plans.
+            "kill:shard=1,level=2",
+            "hang:shard=0,op=slevel",
+            "corrupt-reply:shard=1,nth=3",
+        ):
+            plan = FaultPlan.parse(spec)
+            assert FaultPlan.parse(plan.to_spec()) == plan
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan.parse("")
@@ -130,6 +138,22 @@ class TestFaultPlanGrammar:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("op", ["nope", "level", "batch", "trace"])
+    def test_op_naming_no_shard_message_rejected(self, op):
+        # A clause whose op no shard message carries would never fire, so
+        # a chaos lane with a typo would pass without injecting anything.
+        with pytest.raises(ValueError, match="slevel") as failure:
+            FaultPlan.parse(f"kill:op={op}")
+        assert all(name in str(failure.value) for name in SHARD_OPS)
+
+    def test_every_shard_op_has_a_worker_handler(self):
+        # Fault clauses and the worker dispatch read the same op tuple.
+        for op in SHARD_OPS:
+            assert FaultClause.parse(f"kill:op={op}").op == op
+            assert callable(getattr(ShardWorker, f"_op_{op}"))
+        with pytest.raises(ValueError, match="expected one of"):
+            ShardWorker()._handle(("batch",), "batch")
 
     def test_sticky_only_and_for_shard_filters(self):
         plan = FaultPlan.parse("kill:shard=0; hang:shard=1,sticky; corrupt-reply")
@@ -351,14 +375,14 @@ class TestRecoveryEquivalence:
             runtime.close()
         assert mining_signature(mined) == reference
 
-    @pytest.mark.parametrize("protocol", ["delta", "full"])
+    # Delta is the one session protocol; the id keeps naming it.
+    @pytest.mark.parametrize("protocol", ["delta"])
     def test_process_backend_sigkill_mid_level(self, baseline, protocol):
         corpus, reference = baseline
         mined, stats = mine_sharded(
             corpus,
             faults="kill:shard=1,level=2",
             backend="process",
-            session_protocol=protocol,
         )
         assert mining_signature(mined) == reference
         assert stats["worker_restarts"] >= 1

@@ -13,6 +13,7 @@ from repro.mining.fsg.candidates import (
     generate_candidates,
     single_edge_pattern,
 )
+from repro.runtime.bitsets import bits_of
 
 
 class TestSingleEdges:
@@ -84,19 +85,20 @@ class TestExtension:
 
 class TestDeduplication:
     def test_isomorphic_candidates_merged(self):
-        first = Candidate(pattern=hub_and_spoke(2, prefix="a"), parent_tids=frozenset({1}))
-        second = Candidate(pattern=hub_and_spoke(2, prefix="b"), parent_tids=frozenset({2}))
+        # Merged duplicates scan only where every parent is supported.
+        first = Candidate(pattern=hub_and_spoke(2, prefix="a"), parent_bits=bits_of([1, 2]))
+        second = Candidate(pattern=hub_and_spoke(2, prefix="b"), parent_bits=bits_of([2, 3]))
         unique = deduplicate([first, second])
         assert len(unique) == 1
-        assert unique[0].parent_tids == frozenset({1, 2})
+        assert unique[0].parent_bits == bits_of([2])
 
     def test_distinct_candidates_kept(self):
-        first = Candidate(pattern=hub_and_spoke(2), parent_tids=frozenset({1}))
-        second = Candidate(pattern=chain(2), parent_tids=frozenset({1}))
+        first = Candidate(pattern=hub_and_spoke(2), parent_bits=bits_of([1]))
+        second = Candidate(pattern=chain(2), parent_bits=bits_of([1]))
         assert len(deduplicate([first, second])) == 2
 
     def test_generate_candidates_unique_up_to_isomorphism(self):
-        seed = Candidate(pattern=single_edge_pattern("place", 0, "place"), parent_tids=frozenset({0, 1}))
+        seed = Candidate(pattern=single_edge_pattern("place", 0, "place"), parent_bits=bits_of([0, 1]))
         candidates = generate_candidates([seed], [("place", 0, "place")])
         for i, first in enumerate(candidates):
             for second in candidates[i + 1:]:

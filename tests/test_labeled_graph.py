@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.graphs.labeled_graph import Edge, LabeledGraph, LabeledMultiGraph
 
 
@@ -111,6 +117,20 @@ class TestLabeledGraphDerivation:
         back = LabeledGraph.from_networkx(nx_graph)
         assert back.n_vertices == 3 and back.n_edges == 3
         assert back.edge_label("b", "c") == 2
+
+    def test_import_repro_leaves_networkx_unloaded(self):
+        # networkx is imported inside the conversion helpers only, so a
+        # fresh interpreter importing the package never pays for it.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        script = "import sys, repro; print('networkx' in sys.modules)"
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert output == "False"
 
 
 class TestLabeledMultiGraph:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.graphs.canonical import CanonicalizationError, canonical_code
 from repro.graphs.compact import CompactGraph, LabelTable
-from repro.graphs.engine import MatchEngine
+from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.index import GraphIndex
 from repro.graphs.isomorphism import (
     legacy_are_isomorphic,
@@ -134,6 +134,16 @@ class TestDifferentialIsomorphism:
             assert engine.are_isomorphic(left, right) == legacy_are_isomorphic(left, right)
 
 
+def _support(engine, pattern, tids=None, abort_below=None) -> frozenset[int]:
+    """*pattern*'s support over *tids* (default: every slot) in one level scan."""
+    if tids is None:
+        tids = range(engine.n_transactions)
+    (hits,) = engine.support_with_embeddings(
+        [EmbeddingTask(pattern=pattern, tids=list(tids), abort_below=abort_below)]
+    )
+    return frozenset(hits)
+
+
 class TestDifferentialSupport:
     @pytest.mark.parametrize("seed", range(32, 38))
     def test_support_matches_legacy_scan(self, seed):
@@ -150,22 +160,9 @@ class TestDifferentialSupport:
             for tid, transaction in enumerate(transactions)
             if legacy_has_embedding(pattern, transaction)
         )
-        assert engine.support(pattern) == expected
+        assert _support(engine, pattern) == expected
         restricted = sorted(expected)[: max(1, len(expected) // 2)]
-        assert engine.support(pattern, restricted) == frozenset(restricted) & expected
-
-    def test_verdict_cache_hits_on_repeat_queries(self):
-        rng = random.Random(99)
-        engine = MatchEngine()
-        transactions = [_random_graph(rng, 8, 12, prefix=f"t{i}_") for i in range(10)]
-        engine.add_transactions(transactions)
-        pattern = _random_pattern(rng, transactions[0], 2)
-        first = engine.support(pattern)
-        misses = engine.stats.verdict_misses
-        second = engine.support(pattern)
-        assert second == first
-        assert engine.stats.verdict_misses == misses  # all answered from cache
-        assert engine.stats.verdict_hits >= len(transactions)
+        assert _support(engine, pattern, restricted) == frozenset(restricted) & expected
 
     def test_released_transactions_free_slots_but_keep_tids(self):
         rng = random.Random(5)
@@ -173,39 +170,21 @@ class TestDifferentialSupport:
         first_batch = [_random_graph(rng, 6, 8, prefix=f"a{i}_") for i in range(4)]
         tids = engine.add_transactions(first_batch)
         pattern = _random_pattern(rng, first_batch[0], 1)
-        engine.support(pattern)
+        _support(engine, pattern)
         engine.release_transactions(tids)
         with pytest.raises(KeyError):
-            engine.support(pattern, tids)
+            _support(engine, pattern, tids)
         with pytest.raises(KeyError):
             engine.transaction(tids[0])
         # New registrations get fresh tids after the released slots.
         second_batch = [_random_graph(rng, 6, 8, prefix=f"b{i}_") for i in range(2)]
         new_tids = engine.add_transactions(second_batch)
         assert min(new_tids) > max(tids)
-        assert engine.support(pattern, new_tids) == frozenset(
+        assert _support(engine, pattern, new_tids) == frozenset(
             tid
             for tid, transaction in zip(new_tids, second_batch)
             if legacy_has_embedding(pattern, transaction)
         )
-
-    def test_release_evicts_cached_verdicts(self):
-        # Regression: released tids can never hit the verdict cache again
-        # (querying them raises first), so leaving their entries in the
-        # LRU only crowded out live verdicts.  Release must evict them.
-        rng = random.Random(7)
-        engine = MatchEngine()
-        transactions = [_random_graph(rng, 6, 8, prefix=f"a{i}_") for i in range(4)]
-        tids = engine.add_transactions(transactions)
-        pattern = _random_pattern(rng, transactions[0], 1)
-        engine.support(pattern)
-        assert any(key[1] in set(tids) for key in engine._verdicts)
-        keep = [_random_graph(rng, 6, 8, prefix=f"b{i}_") for i in range(2)]
-        kept_tids = engine.add_transactions(keep)
-        engine.support(pattern, kept_tids)
-        engine.release_transactions(tids)
-        assert not any(key[1] in set(tids) for key in engine._verdicts)
-        assert any(key[1] in set(kept_tids) for key in engine._verdicts)
 
     def test_support_early_abort_stops_short_of_threshold(self):
         rng = random.Random(13)
@@ -216,11 +195,11 @@ class TestDifferentialSupport:
         pattern.add_vertex("p0", "absent-label")
         pattern.add_vertex("p1", "absent-label")
         pattern.add_edge("p0", "p1", "absent-edge")
-        partial = engine.support(pattern, tids, min_support=len(tids) + 5)
+        partial = _support(engine, pattern, tids, abort_below=len(tids) + 5)
         assert len(partial) < len(tids) + 5
         assert engine.stats.support_aborts >= 1
         # A reachable threshold leaves the result exact.
-        assert engine.support(pattern, tids, min_support=1) == frozenset()
+        assert _support(engine, pattern, tids, abort_below=1) == frozenset()
 
     def test_mutated_graph_is_reindexed(self):
         engine = MatchEngine()
@@ -298,13 +277,13 @@ class TestSymmetricDeduplication:
             engine.canonical_code(first)
         merged = deduplicate(
             [
-                Candidate(pattern=first, parent_tids=frozenset({0})),
-                Candidate(pattern=second, parent_tids=frozenset({1})),
+                Candidate(pattern=first, parent_bits=0b011),
+                Candidate(pattern=second, parent_bits=0b110),
             ],
             engine=engine,
         )
         assert len(merged) == 1
-        assert merged[0].parent_tids == frozenset({0, 1})
+        assert merged[0].parent_bits == 0b010
 
     def test_dedup_keeps_nonisomorphic_symmetric_patterns(self):
         engine = MatchEngine()
@@ -313,8 +292,8 @@ class TestSymmetricDeduplication:
         other.add_edge("bs0", "bs1", "x")  # break isomorphism, keep symmetry high
         merged = deduplicate(
             [
-                Candidate(pattern=star, parent_tids=frozenset({0})),
-                Candidate(pattern=other, parent_tids=frozenset({1})),
+                Candidate(pattern=star, parent_bits=0b01),
+                Candidate(pattern=other, parent_bits=0b10),
             ],
             engine=engine,
         )

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.obs import (
@@ -306,18 +307,24 @@ class TestShardedTracing:
 
 
 # ----------------------------------------------------------------------
-# Telemetry without the embedding store (blind-spot fix)
+# Telemetry when the embedding store holds nothing (full search only)
 # ----------------------------------------------------------------------
 class TestNonStoreTelemetry:
     def test_full_search_path_reports_wire_and_planning(self):
         corpus = random_corpus(seed=63, size=20)
         runtime = ShardedEngine(shards=2, backend="serial")
         try:
-            result = FSGMiner(
-                min_support=3, max_edges=3, use_embedding_store=False, runtime=runtime
-            ).mine(corpus)
+            # Serial backend: the shard handlers are in-process.  A zero
+            # anchor budget stores nothing, so every non-seed query on
+            # every shard takes the full search.
+            for worker in runtime._pool._handlers:
+                worker.engine.anchor_budget = 0
+            result = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            stats = runtime.stats()
         finally:
             runtime.close()
+        assert stats["anchors_stored"] == stats["anchor_extensions"] == 0
+        assert stats["anchor_fallbacks"] > 0
         assert result.level_telemetry
         for counters in result.level_telemetry.values():
             assert set(counters) == set(SESSION_TELEMETRY_KEYS)
@@ -330,9 +337,9 @@ class TestNonStoreTelemetry:
 
     def test_serial_runtime_still_files_records(self):
         corpus = random_corpus(seed=64, size=16)
-        result = FSGMiner(
-            min_support=3, max_edges=3, use_embedding_store=False
-        ).mine(corpus)
+        engine = MatchEngine(anchor_budget=0)
+        result = FSGMiner(min_support=3, max_edges=3, engine=engine).mine(corpus)
+        assert engine.stats.anchors_stored == 0
         assert result.level_telemetry
         assert set(result.session_totals()) == set(SESSION_TELEMETRY_KEYS)
 

@@ -217,20 +217,19 @@ class TestEmbeddingStoreProperties:
         Mining a random (simplified-multigraph) corpus through the
         embedding store — including deliberately tiny anchor caps that
         force the overflow/fallback path — must yield exactly the
-        patterns and supporting-TID sets of the store-less full-search
-        miner, and every support set must match a from-scratch
-        ``legacy_has_embedding`` scan.
+        patterns and supporting-TID sets of a store-starved miner
+        (``anchor_budget=0`` stores no anchor, so every non-seed query
+        takes the full search), and every support set must match a
+        from-scratch ``legacy_has_embedding`` scan.
         """
         corpus = [multigraph.simplify() for multigraph in multigraphs]
         if all(graph.n_edges == 0 for graph in corpus):
             return
         engine = MatchEngine(anchor_cap=cap)
-        with_store = FSGMiner(
-            min_support=2, max_edges=3, engine=engine, use_embedding_store=True
-        ).mine(corpus)
-        without_store = FSGMiner(
-            min_support=2, max_edges=3, use_embedding_store=False
-        ).mine(corpus)
+        with_store = FSGMiner(min_support=2, max_edges=3, engine=engine).mine(corpus)
+        starved = MatchEngine(anchor_budget=0)
+        without_store = FSGMiner(min_support=2, max_edges=3, engine=starved).mine(corpus)
+        assert starved.stats.anchors_stored == starved.stats.anchor_extensions == 0
 
         def signature(result):
             return sorted(
@@ -243,7 +242,7 @@ class TestEmbeddingStoreProperties:
             )
 
         assert signature(with_store) == signature(without_store)
-        for entry in with_store.patterns:
+        for entry in with_store.patterns + without_store.patterns:
             legacy = frozenset(
                 tid
                 for tid, transaction in enumerate(corpus)

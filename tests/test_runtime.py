@@ -18,21 +18,24 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.graphs.compact import CompactGraph, LabelTable
-from repro.graphs.engine import MatchEngine
+from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
     BatchSupportPlanner,
+    LevelRequest,
     SerialRuntime,
     ShardedEngine,
     WorkerError,
+    bits_of,
     create_runtime,
     merge_stats,
     resolve_backend,
     resolve_placement,
     resolve_workers,
+    tids_from_buffer,
 )
-from repro.runtime.planner import PLACEMENT_ENV, PlacementPolicy
+from repro.runtime.planner import PlacementPolicy
 from repro.runtime.pool import ProcessBackend, SerialBackend
 from repro.runtime.wire import BLOB_OP, decode_message
 
@@ -127,19 +130,25 @@ class TestEquivalence:
         )
 
     def test_batch_support_matches_pattern_major(self):
+        # One level batch of two tasks (one restricted) answers exactly
+        # what the same tasks answer one call at a time.
         corpus = random_corpus(13, size=12)
         pattern = LabeledGraph(name="p")
         pattern.add_vertex("a", "A")
         pattern.add_vertex("b", "B")
         pattern.add_edge("a", "b", "x")
-        serial = SerialRuntime()
-        tids = serial.add_transactions(corpus)
-        expected = serial.support(pattern, tids)
         engine = MatchEngine()
-        engine.add_transactions(corpus)
-        batched = engine.batch_support([pattern, pattern], [tids, tids[:5]])
-        assert batched[0] == expected
-        assert batched[1] == expected & frozenset(tids[:5])
+        tids = engine.add_transactions(corpus)
+        tasks = [
+            EmbeddingTask(pattern=pattern, tids=tids),
+            EmbeddingTask(pattern=pattern, tids=tids[:5]),
+        ]
+        batched = engine.support_with_embeddings(tasks)
+        single = MatchEngine()
+        single.add_transactions(corpus)
+        one_by_one = [single.support_with_embeddings([task])[0] for task in tasks]
+        assert batched == one_by_one
+        assert batched[1] == [tid for tid in batched[0] if tid in tids[:5]]
 
 
 # ----------------------------------------------------------------------
@@ -297,13 +306,14 @@ class TestShardedEngine:
             pattern.add_vertex("a", "A")
             pattern.add_vertex("b", "B")
             pattern.add_edge("a", "b", "x")
-            runtime.batch_support([pattern], [tids])
+            with runtime.open_session() as session:
+                session.support_level([LevelRequest(pattern=pattern, tid_bits=bits_of(tids))])
             stats = runtime.stats()
         finally:
             runtime.close()
         assert stats["shards"] == 2
         # Every transaction indexed once across the shards, plus one
-        # pattern index per shard that received the batch.
+        # pattern index per shard that received the level.
         assert stats["indexes_built"] >= len(corpus)
         assert stats["searches"] + stats["early_rejects"] > 0
 
@@ -318,8 +328,10 @@ class TestShardedEngine:
             tids = runtime.add_transactions(corpus)
             runtime.release_transactions(tids[:2])
             pattern = corpus[0].copy()
-            with pytest.raises(KeyError):
-                runtime.batch_support([pattern], [tids[:1]])
+            request = LevelRequest(pattern=pattern, tid_bits=bits_of(tids[:1]))
+            with runtime.open_session() as session:
+                with pytest.raises(KeyError):
+                    session.support_level([request])
         finally:
             runtime.close()
 
@@ -329,19 +341,11 @@ class TestShardedEngine:
         pattern = LabeledGraph(name="p")
         pattern.add_vertex("a", "A")
         # Both tids live on shard 1; shards 0 and 2 get empty batches.
-        batches = planner.plan([pattern], [[4, 7]], table, lambda tid: (1, tid))
+        request = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 7]))
+        batches = planner.plan_session_level([request], table, lambda tid: (1, tid))
         assert [batch.is_empty() for batch in batches] == [True, False, True]
-        assert batches[1].tid_lists == [[4, 7]]
-
-    def test_round_robin_placement_legacy_policy(self):
-        corpus = random_corpus(23, size=6)
-        runtime = ShardedEngine(shards=3, backend="serial", placement="roundrobin")
-        try:
-            tids = runtime.add_transactions(corpus)
-            shards = [runtime.locate(tid)[0] for tid in tids]
-        finally:
-            runtime.close()
-        assert shards == [0, 1, 2, 0, 1, 2]
+        ((tag, _wire, tid_buffer),) = batches[1].payloads
+        assert tag == "w" and tids_from_buffer(tid_buffer) == [4, 7]
 
     def test_weighted_placement_levels_edge_load(self):
         # Weighted placement assigns each arrival to the lightest shard
@@ -365,7 +369,7 @@ class TestShardedEngine:
     def test_weighted_placement_degenerates_to_round_robin_on_uniform(self):
         from repro.runtime.planner import PlacementPolicy
 
-        policy = PlacementPolicy(3, "weighted")
+        policy = PlacementPolicy(3)
         shards = [policy.place(5) for _ in range(6)]
         assert shards == [0, 1, 2, 0, 1, 2]
 
@@ -394,14 +398,11 @@ class TestKnobs:
         with pytest.raises(ValueError):
             resolve_backend("threads")
 
-    def test_resolve_placement_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_ENV, raising=False)
-        assert resolve_placement(None) == "weighted"
-        monkeypatch.setenv(PLACEMENT_ENV, "roundrobin")
-        assert resolve_placement(None) == "roundrobin"
-        with pytest.raises(ValueError):
-            resolve_placement("hash")
-        assert PlacementPolicy.POLICIES[0] == "weighted"
+    def test_resolve_placement_default_and_env(self):
+        # One placement policy: the name the benchmark stamps is fixed,
+        # whatever the argument, and no environment variable is read.
+        assert resolve_placement() == resolve_placement(None) == "weighted"
+        assert resolve_placement("weighted") == "weighted"
 
     # A bad recovery knob used to be accepted and only surfaced as a bare
     # ValueError from time.sleep once a respawned worker died again; a

@@ -4,24 +4,26 @@ The load-bearing properties, in order:
 
 * **equivalence** — mining through a stateful session (delta-shipped
   levels, shard-resident pattern stores, piggybacked evictions) produces
-  exactly the serial runtime's output, whatever the shard count, backend,
-  store capacity, or protocol;
+  exactly the serial runtime's output, whatever the shard count, backend
+  or store capacity;
 * **scatter/gather** — per-level dispatch sends to every shard before
   receiving from any, and a worker failing mid-level surfaces as a
   :class:`WorkerError` (remote traceback attached) on both backends while
   leaving the session and runtime closeable;
-* **protocol mechanics** — delta vs full payload selection, store-miss
-  full-wire resends, capacity evictions reported on replies, telemetry
-  and stats counters.
+* **protocol mechanics** — delta vs full-wire payload selection,
+  store-miss full-wire resends, capacity evictions reported on replies,
+  telemetry and stats counters.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
@@ -34,7 +36,6 @@ from repro.runtime import (
     ShardedSession,
     WorkerError,
     bits_of,
-    tids_of,
 )
 
 
@@ -85,6 +86,15 @@ def mining_signature(result):
     )
 
 
+def legacy_support_bits(pattern: LabeledGraph, corpus) -> int:
+    """The serial oracle: tids (corpus positions) a legacy scan supports."""
+    return bits_of(
+        tid
+        for tid, transaction in enumerate(corpus)
+        if legacy_has_embedding(pattern, transaction)
+    )
+
+
 def edge_pattern() -> LabeledGraph:
     pattern = LabeledGraph(name="edge-pattern")
     pattern.add_vertex("p0", "A")
@@ -98,6 +108,23 @@ def child_pattern(edge_label: str = "y", new_label: str = "C") -> LabeledGraph:
     pattern.add_vertex("p2", new_label)
     pattern.add_edge("p1", "p2", edge_label)
     return pattern
+
+
+class _FullWireSession(ShardedSession):
+    """A session whose requests lose their extension labels, so the
+    planner ships every candidate in full wire form — the path roots and
+    store-miss resends take."""
+
+    def support_level(self, requests, min_support=None):
+        return super().support_level(
+            [replace(request, extension_labels=None) for request in requests],
+            min_support,
+        )
+
+
+class _FullWireEngine(ShardedEngine):
+    def open_session(self):
+        return _FullWireSession(self)
 
 
 # ----------------------------------------------------------------------
@@ -114,24 +141,29 @@ class TestSessionEquivalence:
         finally:
             runtime.close()
         assert mining_signature(mined) == mining_signature(baseline)
+        # Derived candidates really did travel as deltas: the output
+        # above held with the delta protocol in the loop.
+        totals = mined.session_totals()
+        assert totals["patterns_delta"] > 0
+        assert totals["wire_bytes"] > 0
 
     @chaos_exempt
     def test_full_protocol_matches_but_ships_more(self):
         corpus = random_corpus(43, size=20)
         results = {}
-        wire = {}
-        for protocol in ("delta", "full"):
-            runtime = ShardedEngine(
-                shards=2, backend="serial", session_protocol=protocol
-            )
+        totals = {}
+        for protocol, engine in (("delta", ShardedEngine), ("full", _FullWireEngine)):
+            runtime = engine(shards=2, backend="serial")
             try:
                 mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
             finally:
                 runtime.close()
             results[protocol] = mining_signature(mined)
-            wire[protocol] = mined.session_totals()["wire_bytes"]
+            totals[protocol] = mined.session_totals()
         assert results["delta"] == results["full"]
-        assert 0 < wire["delta"] < wire["full"]
+        assert totals["full"]["patterns_delta"] == 0
+        assert totals["delta"]["patterns_delta"] > 0
+        assert 0 < totals["delta"]["wire_bytes"] < totals["full"]["wire_bytes"]
 
     @pytest.mark.slow
     def test_process_backend_delta_matches_serial(self):
@@ -235,21 +267,20 @@ class TestTelemetry:
 @chaos_exempt
 class TestSessionProtocol:
     def _runtime_with_corpus(self, **kwargs):
+        # A fresh runtime hands out tids 0..n-1: global tid == corpus index.
         corpus = random_corpus(79, size=10)
         runtime = ShardedEngine(shards=2, backend="serial", **kwargs)
         tids = runtime.add_transactions(corpus)
-        serial = SerialRuntime()
-        serial_tids = serial.add_transactions(corpus)
-        return corpus, runtime, tids, serial, serial_tids
+        return corpus, runtime, tids
 
     def test_delta_shipping_and_store_miss_resend(self):
-        corpus, runtime, tids, serial, serial_tids = self._runtime_with_corpus()
+        corpus, runtime, tids = self._runtime_with_corpus()
         session = runtime.open_session()
         assert isinstance(session, ShardedSession)
         try:
             root = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="root")
             (root_bits,) = session.support_level([root])
-            assert root_bits == bits_of(serial.support(edge_pattern(), serial_tids))
+            assert root_bits == legacy_support_bits(edge_pattern(), corpus)
             assert runtime.stats()["patterns_shipped_delta"] == 0
 
             child = LevelRequest(
@@ -261,7 +292,7 @@ class TestSessionProtocol:
                 extension_labels=("y", "C"),
             )
             (child_bits,) = session.support_level([child])
-            assert child_bits == bits_of(serial.support(child_pattern(), serial_tids))
+            assert child_bits == legacy_support_bits(child_pattern(), corpus)
             stats = runtime.stats()
             assert stats["patterns_shipped_delta"] > 0
             full_so_far = stats["patterns_shipped_full"]
@@ -288,7 +319,7 @@ class TestSessionProtocol:
             runtime.close()
 
     def test_close_flushes_shard_stores(self):
-        corpus, runtime, tids, _, _ = self._runtime_with_corpus()
+        corpus, runtime, tids = self._runtime_with_corpus()
         session = runtime.open_session()
         root = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="root")
         session.support_level([root])
@@ -301,24 +332,13 @@ class TestSessionProtocol:
         runtime.close()
 
     def test_closed_session_rejects_queries(self):
-        _, runtime, tids, _, _ = self._runtime_with_corpus()
+        _, runtime, tids = self._runtime_with_corpus()
         session = runtime.open_session()
         session.close()
         session.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             session.support_level([])
         runtime.close()
-
-    def test_full_protocol_opens_delegating_session(self):
-        runtime = ShardedEngine(shards=2, backend="serial", session_protocol="full")
-        try:
-            assert isinstance(runtime.open_session(), DelegatingSession)
-        finally:
-            runtime.close()
-
-    def test_invalid_session_protocol_rejected(self):
-        with pytest.raises(ValueError, match="session_protocol"):
-            ShardedEngine(shards=2, backend="serial", session_protocol="magic")
 
     def test_serial_runtime_session_is_stateless_delegate(self):
         corpus = random_corpus(83, size=8)
@@ -327,9 +347,9 @@ class TestSessionProtocol:
         session = runtime.open_session()
         assert isinstance(session, DelegatingSession)
         request = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids))
-        assert session.support_level([request]) == runtime.batch_support_level(
-            [LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids))]
-        )
+        assert session.support_level([request]) == [
+            legacy_support_bits(edge_pattern(), corpus)
+        ]
         telemetry = session.take_telemetry()
         assert telemetry["wire_bytes"] == 0
         assert telemetry["patterns_full"] == 1
@@ -365,11 +385,13 @@ class TestScatterGather:
         # One request per shard plus one spanning both, so a sequential
         # per-shard call() loop would interleave sends and recvs.
         return [
-            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids)),
-            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids[:2])),
+            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="all"),
+            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids[:2]), uid="few"),
         ]
 
-    @pytest.mark.parametrize("drive", ["batch_support_level", "session"])
+    # "session" drives one level; "close" drives the close-time flush of
+    # that level's shard stores.
+    @pytest.mark.parametrize("drive", ["session", "close"])
     def test_all_sends_precede_any_recv(self, drive):
         corpus = random_corpus(89, size=8)
         runtime = ShardedEngine(shards=2, backend="serial")
@@ -378,14 +400,12 @@ class TestScatterGather:
             tids = runtime.add_transactions(corpus)
             recorder = _RecordingPool(runtime._pool)
             runtime._pool = recorder
-            if drive == "session":
-                session = runtime.open_session()
+            session = runtime.open_session()
             recorder.events.clear()
-            requests = self._spanning_requests(runtime, tids)
-            if drive == "batch_support_level":
-                runtime.batch_support_level(requests)
-            else:
-                session.support_level(requests)
+            session.support_level(self._spanning_requests(runtime, tids))
+            if drive == "close":
+                recorder.events.clear()
+                session.close()
             events = list(recorder.events)
             sends = [i for i, (kind, _) in enumerate(events) if kind == "send"]
             recvs = [i for i, (kind, _) in enumerate(events) if kind == "recv"]
@@ -400,16 +420,15 @@ class TestScatterGather:
                 session.close()
             runtime.close()
 
-    def test_batch_support_is_scatter_gather_too(self):
+    def test_add_transactions_is_scatter_gather_too(self):
         corpus = random_corpus(97, size=8)
         runtime = ShardedEngine(shards=2, backend="serial")
         try:
-            tids = runtime.add_transactions(corpus)
             recorder = _RecordingPool(runtime._pool)
             runtime._pool = recorder
-            recorder.events.clear()
-            runtime.batch_support([edge_pattern()], [tids])
+            runtime.add_transactions(corpus)
             kinds = [kind for kind, _ in recorder.events]
+            assert {worker for _, worker in recorder.events} == {0, 1}
             assert kinds == sorted(kinds, key=lambda kind: kind != "send"), (
                 "expected every send before the first recv, got " + repr(kinds)
             )
@@ -497,9 +516,7 @@ class TestWorkerFailures:
             # query gets a correct answer instead of last level's.
             probe = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="probe")
             (bits,) = session.support_level([probe])
-            serial = SerialRuntime()
-            serial_tids = serial.add_transactions(corpus)
-            assert sorted(tids_of(bits)) == sorted(serial.support(edge_pattern(), serial_tids))
+            assert bits == legacy_support_bits(edge_pattern(), corpus)
             session.close()
         finally:
             runtime.close()

@@ -80,7 +80,6 @@ def _mine(corpus, anchor_cap: int = 8, min_support: int = 2, max_edges: int = 3)
         min_support=min_support,
         max_edges=max_edges,
         engine=engine,
-        use_embedding_store=True,
     )
     return miner.mine(corpus)
 
