@@ -365,8 +365,8 @@ def _scenarios_verify(args, stream) -> int:
         )
     if args.report is not None:
         # The report rides on the golden entries but adds each sharded
-        # run's aggregated runtime counters (wire bytes shipped, full- vs
-        # delta-shipped patterns, store evictions, cache hit rates...);
+        # run's aggregated runtime counters (wire bytes and patterns
+        # shipped, anchor and search counters, recovery counts...);
         # those are observational and deliberately never written to the
         # golden file itself.
         report_entries = {

@@ -202,22 +202,42 @@ class Transaction:
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, object]) -> "Transaction":
-        """Build a transaction from a flat record produced by :meth:`as_record`."""
+    def from_record(cls, record: Mapping[str, object]) -> "Transaction":
+        """Build a transaction from a flat record produced by :meth:`as_record`.
+
+        A missing field, a ``None`` value, or a value that does not parse
+        as its column's type raises ``ValueError`` naming the field, as
+        does every check :class:`Location` and :class:`Transaction` make.
+        """
+
+        def parsed(name: str, parse):
+            if name not in record:
+                raise ValueError(f"record has no {name} field")
+            value = record[name]
+            if value is None:
+                raise ValueError(f"record field {name} is None")
+            try:
+                return parse(value)
+            except (TypeError, ValueError, OverflowError) as error:
+                raise ValueError(f"record field {name}={value!r}: {error}") from error
+
+        def iso_date(value: object) -> date:
+            return date.fromisoformat(str(value))
+
         return cls(
-            id=int(record["ID"]),
-            req_pickup_dt=date.fromisoformat(str(record["REQ_PICKUP_DT"])),
-            req_delivery_dt=date.fromisoformat(str(record["REQ_DELIVERY_DT"])),
+            id=parsed("ID", int),
+            req_pickup_dt=parsed("REQ_PICKUP_DT", iso_date),
+            req_delivery_dt=parsed("REQ_DELIVERY_DT", iso_date),
             origin=Location(
-                float(record["ORIGIN_LATITUDE"]), float(record["ORIGIN_LONGITUDE"])
+                parsed("ORIGIN_LATITUDE", float), parsed("ORIGIN_LONGITUDE", float)
             ),
             destination=Location(
-                float(record["DEST_LATITUDE"]), float(record["DEST_LONGITUDE"])
+                parsed("DEST_LATITUDE", float), parsed("DEST_LONGITUDE", float)
             ),
-            total_distance=float(record["TOTAL_DISTANCE"]),
-            gross_weight=float(record["GROSS_WEIGHT"]),
-            move_transit_hours=float(record["MOVE_TRANSIT_HOURS"]),
-            trans_mode=TransMode(str(record["TRANS_MODE"])),
+            total_distance=parsed("TOTAL_DISTANCE", float),
+            gross_weight=parsed("GROSS_WEIGHT", float),
+            move_transit_hours=parsed("MOVE_TRANSIT_HOURS", float),
+            trans_mode=parsed("TRANS_MODE", lambda value: TransMode(str(value))),
         )
 
 

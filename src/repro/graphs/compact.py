@@ -276,53 +276,6 @@ class CompactGraph:
         name, vertex_labels, edges, vertex_ids = self.to_wire()
         return (CompactGraph, (name, vertex_labels, edges, vertex_ids, self.table))
 
-    def extend(
-        self,
-        extension: tuple[int, int, bool],
-        edge_label_id: int,
-        new_vertex_label_id: int | None = None,
-    ) -> "CompactGraph":
-        """This graph plus one edge, in candidate-generation layout.
-
-        *extension* is the FSG extension descriptor ``(source_position,
-        target_position, has_new_vertex)`` in compact vertex positions.
-        The result matches what compacting the extended
-        :class:`LabeledGraph` candidate would produce — existing vertices
-        keep their positions, a new vertex is appended last with the
-        ``p<n>``-style identifier candidate generation would have chosen —
-        which is what lets a mining-session shard rebuild a level-(k+1)
-        candidate from its stored parent plus a few integers instead of
-        receiving the full wire tuple.  (Adjacency *order* may differ from
-        the wire form when the new edge's source is not the last-inserted
-        vertex; order never affects match verdicts, only which capped
-        anchors get stored.)
-        """
-        source, target, has_new = extension
-        vertex_labels = list(self.vertex_labels)
-        vertex_ids = list(self.vertex_ids)
-        if has_new:
-            if new_vertex_label_id is None:
-                raise ValueError("a new-vertex extension needs the new vertex's label")
-            vertex_labels.append(new_vertex_label_id)
-            fresh = self.n_vertices
-            while f"p{fresh}" in vertex_ids:  # mirrors _fresh_vertex_name
-                fresh += 1
-            vertex_ids.append(f"p{fresh}")
-        bound = len(vertex_labels)
-        if not (0 <= source < bound and 0 <= target < bound):
-            raise ValueError(f"extension {extension!r} out of range for {bound} vertices")
-        edges = [
-            (src, dst, label_id) for (src, dst), label_id in self.edge_label_of.items()
-        ]
-        edges.append((source, target, edge_label_id))
-        return CompactGraph(
-            name=self.name,
-            vertex_labels=vertex_labels,
-            edges=edges,
-            vertex_ids=vertex_ids,
-            table=self.table,
-        )
-
     def to_labeled(self) -> LabeledGraph:
         """Reconstruct the original :class:`LabeledGraph` (lossless inverse)."""
         graph = LabeledGraph(name=self.name)

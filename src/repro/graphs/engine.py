@@ -114,7 +114,7 @@ class EmbeddingTask:
     caller discards it either way).
     """
 
-    pattern: "LabeledGraph | CompactGraph | GraphIndex"
+    pattern: "LabeledGraph | CompactGraph"
     tids: Sequence[int]
     uid: object = None
     parent_uid: object = None
@@ -177,13 +177,6 @@ class MatchEngine:
         # a process boundary.
         self._anchors: dict[object, dict[int, AnchorEntry]] = {}
         self._anchor_load = 0
-        # The session pattern store: uid -> GraphIndex of a candidate
-        # pattern registered by a mining session.  Like anchors, uids are
-        # caller-owned opaque tokens; unlike anchors the stored value is
-        # the pattern itself, which is what lets a level-(k+1) candidate
-        # be rebuilt from its stored parent plus one edge instead of
-        # arriving as a full wire tuple.
-        self._session_patterns: dict[object, GraphIndex] = {}
 
     # ------------------------------------------------------------------
     # Indexing
@@ -659,69 +652,8 @@ class MatchEngine:
         """Total embeddings currently held by the store (budget accounting)."""
         return self._anchor_load
 
-    # ------------------------------------------------------------------
-    # The session pattern store: uid-addressed pattern reconstruction
-    # ------------------------------------------------------------------
-    def register_session_pattern(self, uid: object, pattern: CompactGraph) -> GraphIndex:
-        """Store *pattern* under *uid* and return its (fresh) index.
-
-        The index is built once here and reused for every query the
-        session issues against the pattern — the same economy
-        :meth:`index_of` provides for :class:`LabeledGraph` callers, but
-        addressed by the session's opaque uid instead of object identity.
-        """
-        if pattern.table is not self.table:
-            raise ValueError(
-                "session pattern was interned through a different label table"
-            )
-        index = GraphIndex(pattern)
-        self.stats.indexes_built += 1
-        self._session_patterns[uid] = index
-        return index
-
-    def stored_session_pattern(self, uid: object) -> GraphIndex | None:
-        """The stored index of *uid*, or ``None`` when absent/evicted."""
-        return self._session_patterns.get(uid)
-
-    def extend_session_pattern(
-        self,
-        uid: object,
-        parent_uid: object,
-        extension: tuple[int, int, bool],
-        edge_label_id: int,
-        new_vertex_label_id: int | None = None,
-    ) -> GraphIndex:
-        """Rebuild *uid*'s pattern from its stored parent plus one edge.
-
-        This is the receiving end of the mining-session delta protocol:
-        the level-(k+1) candidate is its parent's pattern extended by the
-        one *extension* edge, so a shard that still holds the parent
-        reconstructs the child from a handful of integers.  Raises
-        ``KeyError`` when the parent is not resident — the caller must
-        then be sent the full wire form instead.
-        """
-        parent = self._session_patterns.get(parent_uid)
-        if parent is None:
-            raise KeyError(
-                f"no stored session pattern {parent_uid!r} to extend into {uid!r}"
-            )
-        compact = parent.compact.extend(extension, edge_label_id, new_vertex_label_id)
-        return self.register_session_pattern(uid, compact)
-
-    def drop_session_patterns(self, uids: Iterable[object]) -> None:
-        """Forget the stored patterns of *uids* (absent uids are no-ops)."""
-        for uid in uids:
-            self._session_patterns.pop(uid, None)
-
-    @property
-    def session_pattern_count(self) -> int:
-        """Number of patterns currently resident in the session store."""
-        return len(self._session_patterns)
-
-    def _index_of_any(self, pattern: LabeledGraph | CompactGraph | GraphIndex) -> GraphIndex:
+    def _index_of_any(self, pattern: LabeledGraph | CompactGraph) -> GraphIndex:
         """An index for *pattern* whatever form it arrives in."""
-        if isinstance(pattern, GraphIndex):
-            return pattern
         if isinstance(pattern, CompactGraph):
             if pattern.table is not self.table:
                 raise ValueError(

@@ -216,10 +216,10 @@ def extension_labels(
     """The ``(edge label, new-vertex label or None)`` of an extension.
 
     Positions index the pattern's vertex insertion order (the same
-    convention as :data:`Extension`).  Together with the parent pattern,
-    these labels are all a mining-session shard needs to rebuild the
-    candidate from its resident parent — the payload of the runtime's
-    delta protocol.
+    convention as :data:`Extension`).  Together with the parent's compact
+    form, these labels are all :meth:`CompactGraph.extended
+    <repro.graphs.compact.CompactGraph.extended>` needs to derive the
+    candidate's compact form without a full rebuild.
     """
     source_position, target_position, has_new = extension
     vertices = list(pattern.vertices())

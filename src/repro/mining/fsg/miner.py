@@ -34,14 +34,7 @@ from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
 from repro.obs.tracer import get_tracer
 from repro.runtime.base import LevelRequest, MiningRuntime, MiningSession, SerialRuntime
-from repro.runtime.bitsets import (
-    bits_of,
-    is_contiguous,
-    popcount,
-    shift_bits,
-    tids_of,
-    translate_bits,
-)
+from repro.runtime.bitsets import bits_of, is_contiguous, popcount, shift_bits, tids_of
 
 #: Distinguishes embedding-store uids across mining runs sharing one
 #: runtime (e.g. the repeated-partitioning structural miner): a uid is
@@ -138,12 +131,19 @@ class FSGMiner:
         try:
             runtime_tids = runtime.add_transactions(transactions)
             try:
+                if not is_contiguous(runtime_tids):
+                    raise RuntimeError(
+                        f"{type(runtime).__name__}.add_transactions returned "
+                        f"non-consecutive tids {runtime_tids[:8]}...; "
+                        "MiningRuntime.add_transactions must hand out one "
+                        "call's tids consecutively"
+                    )
                 result = self._mine_levels(
                     transactions,
                     support_threshold,
                     engine,
                     runtime,
-                    runtime_tids,
+                    runtime_tids[0] if runtime_tids else 0,
                     n_transactions,
                     tracer,
                 )
@@ -169,7 +169,7 @@ class FSGMiner:
         support_threshold: int,
         engine: MatchEngine,
         runtime: MiningRuntime,
-        runtime_tids: Sequence[int],
+        tid_base: int,
         n_transactions: int,
         tracer,
     ) -> FSGResult:
@@ -177,13 +177,19 @@ class FSGMiner:
             n_transactions=n_transactions,
             min_support=support_threshold,
         )
-        to_global, to_local = _bitset_translators(list(runtime_tids))
+        # The run's tids are the runtime's tid_base, tid_base + 1, ...
+        # (checked in mine), so local <-> global is one shift.
+        def to_global(bits: int) -> int:
+            return shift_bits(bits, tid_base)
+
+        def to_local(bits: int) -> int:
+            return shift_bits(bits, -tid_base)
+
         uids = zip(itertools.repeat(next(_RUN_TOKENS)), itertools.count())
         live_uids: list[object] = []
         # One mining session spans every level of this run: the runtime
-        # may keep shard-resident candidate state alive between levels
-        # (delta-shipped patterns, deferred evictions) — see
-        # :meth:`MiningRuntime.open_session`.
+        # may keep shard-resident anchors alive between levels and defer
+        # their evictions — see :meth:`MiningRuntime.open_session`.
         session = runtime.open_session()
 
         level_started = time.perf_counter()
@@ -261,10 +267,9 @@ class FSGMiner:
                 level_patterns = self._prune_level_incremental(
                     candidates, support_threshold, session, to_global, to_local
                 )
-                # The parent level's anchors (and session-store patterns)
-                # have served their one consumer level, and failed
-                # candidates' will never have one — retire both, keep the
-                # survivors'.
+                # The parent level's anchors have served their one consumer
+                # level, and failed candidates' will never have one —
+                # retire both, keep the survivors'.
                 surviving_uids = {candidate.uid for candidate, _ in level_patterns}
                 retired = live_uids + [
                     candidate.uid
@@ -318,7 +323,6 @@ class FSGMiner:
                 uid=candidate.uid,
                 parent_uid=candidate.parent_uid,
                 extension=candidate.extension,
-                extension_labels=candidate.extension_labels,
             )
             for candidate in candidates
         ]
@@ -337,12 +341,11 @@ class FSGMiner:
         merged parents' TID sets, so candidates whose intersection is
         already below threshold never even reach the runtime; the rest
         ship their derivation (parent uid + extension edge) so shards
-        extend stored parent embeddings — and, under a stateful session,
-        rebuild the candidate pattern itself from the resident parent —
-        with ``min_support`` arming the per-pattern early abort.  Aborted
-        candidates return partial bitsets of population below threshold
-        and are dropped here, so survivors — the only thing the next
-        level and the result see — are exact whatever the runtime did.
+        extend stored parent embeddings, with ``min_support`` arming the
+        per-pattern early abort.  Aborted candidates return partial
+        bitsets of population below threshold and are dropped here, so
+        survivors — the only thing the next level and the result see —
+        are exact whatever the runtime did.
         """
         viable = [
             candidate
@@ -376,27 +379,6 @@ class FSGMiner:
                     supporting_transactions=tids,
                 )
             )
-
-
-def _bitset_translators(runtime_tids: list[int]):
-    """(local->global, global->local) bitset translators for one run.
-
-    Runtimes allocate a run's global tids consecutively, so translation
-    is normally a single shift; the per-bit remap is kept as a fallback
-    for any runtime that ever hands out a gappy allocation.
-    """
-    if is_contiguous(runtime_tids):
-        base = runtime_tids[0] if runtime_tids else 0
-        return (
-            lambda bits: shift_bits(bits, base),
-            lambda bits: shift_bits(bits, -base),
-        )
-    global_of = runtime_tids
-    local_of = {global_tid: local for local, global_tid in enumerate(runtime_tids)}
-    return (
-        lambda bits: translate_bits(bits, global_of),
-        lambda bits: translate_bits(bits, local_of),
-    )
 
 
 def mine_frequent_subgraphs(

@@ -60,11 +60,11 @@ class FSGResult:
     #: Purely observational — never part of any digest or comparison.
     level_seconds: dict[int, float] = field(default_factory=dict, compare=False)
     #: Mining-session counters per level (wire bytes shipped, planning
-    #: seconds, full-vs-delta pattern shipments, store hits, evictions —
-    #: see :data:`repro.runtime.base.SESSION_TELEMETRY_KEYS`), keyed like
-    #: :attr:`level_seconds`.  The embedding-store path fills every key;
-    #: store-less runs fill the wire/planning counters and zero the rest.
-    #: Purely observational, never part of any digest.
+    #: seconds, pattern shipments, placement skew, recoveries — see
+    #: :data:`repro.runtime.base.SESSION_TELEMETRY_KEYS`), keyed like
+    #: :attr:`level_seconds`.  Serial runs count ``patterns_full`` and
+    #: report zero for the shard-side keys.  Purely observational, never
+    #: part of any digest.
     level_telemetry: dict[int, dict[str, float]] = field(
         default_factory=dict, compare=False
     )

@@ -4,15 +4,15 @@ A :class:`MetricsRegistry` holds three instrument families keyed by
 ``(name, labels)``:
 
 * **counters** — monotonically accumulated sums (engine search counts,
-  wire bytes, store hits...).  Merging registries adds counters key-wise,
+  wire bytes, anchor extensions...).  Merging registries adds counters key-wise,
   which makes the merge *order-independent and associative*: per-shard
   registries gathered in any order produce the same totals as one
   registry that observed everything serially.  This is the property the
   sharded runtime's piggybacked metric shipping relies on (and that
   ``tests/test_obs.py`` pins with a property test).
-* **gauges** — last-known level values (per-level wall-clock, shard
-  store sizes).  Merging keeps the *maximum*, the only simple rule that
-  stays commutative when the same gauge arrives from several shards.
+* **gauges** — last-known level values (per-level wall-clock).
+  Merging keeps the *maximum*, the only simple rule that stays
+  commutative when the same gauge arrives from several shards.
 * **histograms** — ``(count, total, min, max)`` summaries for values
   whose distribution matters more than their sum (per-message wire
   cost, per-level durations).  Element-wise merge is again commutative.

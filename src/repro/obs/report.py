@@ -8,8 +8,8 @@ the plain-text report ``repro trace summarize`` prints:
   otherwise), with a per-level imbalance ratio — the max/min across
   shards that tid placement cannot always keep near 1.0;
 * the **top-N spans** by duration, across all workers;
-* **metric highlights** — wire bytes, shipment mix and session-store
-  hits — derived from the registry counters.
+* **metric totals** from the registry counters, with the wire bytes
+  shipped called out.
 
 Everything renders from the trace alone, so the report works the same
 on a live tracer (``scenarios verify --report``) and on a JSONL file
@@ -129,11 +129,6 @@ def _top_spans_section(data: TraceData, top: int) -> list[str]:
     ]
 
 
-def _rate(hits: float, misses: float) -> str:
-    total = hits + misses
-    return f"{hits / total:.1%}" if total else "-"
-
-
 def _metrics_section(data: TraceData) -> list[str]:
     metrics = data.metrics
     names = metrics.counter_names()
@@ -145,26 +140,9 @@ def _metrics_section(data: TraceData) -> list[str]:
     wire = metrics.counter_total("wire_bytes") or metrics.counter_total(
         "wire_bytes_shipped"
     )
-    derived = []
     if wire:
-        derived.append(f"wire bytes shipped: {wire:,.0f}")
-    delta = metrics.counter_total("patterns_delta") or metrics.counter_total(
-        "patterns_shipped_delta"
-    )
-    full = metrics.counter_total("patterns_full") or metrics.counter_total(
-        "patterns_shipped_full"
-    )
-    if delta or full:
-        derived.append(
-            f"pattern shipments: {full:,.0f} full / {delta:,.0f} delta "
-            f"(delta share {_rate(delta, full)})"
-        )
-    store_hits = metrics.counter_total("store_hits")
-    if store_hits or full:
-        derived.append(f"session store hits: {store_hits:,.0f}")
-    if derived:
         lines.append("")
-        lines.extend(derived)
+        lines.append(f"wire bytes shipped: {wire:,.0f}")
     return lines
 
 

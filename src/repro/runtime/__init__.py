@@ -16,7 +16,8 @@ scales that hot path without ever changing mining output:
   support weight, each owning its transactions' indexes and embedding
   store; its :class:`~repro.runtime.shards.ShardedSession` ships each
   level through a :class:`~repro.runtime.planner.BatchSupportPlanner`
-  as one delta-encoded ``slevel`` message per shard.
+  as one ``slevel`` message per shard, every candidate as its full
+  compact wire.
 * :class:`~repro.runtime.pool.WorkerPool` — the backend abstraction:
   ``serial`` (inline, deterministic debugging) and ``process``
   (``multiprocessing`` workers speaking the CompactGraph wire format,

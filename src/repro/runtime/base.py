@@ -85,13 +85,6 @@ class LevelRequest:
     embedding store (see :class:`~repro.graphs.engine.EmbeddingTask`);
     anchors are engine-local (shard-local under a sharded runtime), so a
     request ships only these small tokens, never embeddings.
-
-    ``extension_labels`` carries the one extension edge's labels — ``(edge
-    label, new-vertex label or None)`` — which is everything a shard that
-    already holds the parent pattern needs to rebuild this candidate
-    without receiving its full wire form (the mining-session delta
-    protocol).  Requests without derivation info leave it ``None`` and
-    always ship in full.
     """
 
     pattern: LabeledGraph
@@ -99,21 +92,14 @@ class LevelRequest:
     uid: object = None
     parent_uid: object = None
     extension: tuple[int, int, bool] | None = None
-    extension_labels: tuple | None = None
 
 
 #: Counter keys every :class:`MiningSession` reports per level (see
 #: :meth:`MiningSession.take_telemetry`).  ``wire_bytes`` and
 #: ``planning_seconds`` are parent-side costs of shipping the level;
-#: ``patterns_full`` / ``patterns_delta`` split shipped candidates by
-#: protocol (a candidate sent to two shards counts twice);
-#: ``store_hits`` counts resident-parent reconstructions as *observed by
-#: the shards* and reported on level replies — it equals
-#: ``patterns_delta`` whenever the parent's residency model and the
-#: shard stores agree, so the pair is a protocol-consistency
-#: cross-check; and ``evictions`` counts per-shard pattern-store entries
-#: retired (miner-driven and shard-capacity evictions on one ruler; a
-#: stateless session, having no store, reports zero).
+#: ``patterns_full`` counts shipped candidates, each as its full compact
+#: wire (a candidate sent to two shards counts twice; the serial session
+#: counts one per request).
 #: ``shard_scan_max`` / ``shard_scan_min`` expose the level's placement
 #: skew: the largest and smallest per-shard scan workload (candidate
 #: tids assigned to the shard, summed over the level's requests; an idle
@@ -124,9 +110,6 @@ SESSION_TELEMETRY_KEYS = (
     "wire_bytes",
     "planning_seconds",
     "patterns_full",
-    "patterns_delta",
-    "store_hits",
-    "evictions",
     "shard_scan_max",
     "shard_scan_min",
     # Placement balance (see repro.runtime.planner.PlacementPolicy): the
@@ -155,10 +138,10 @@ class MiningSession(ABC):
 
     A level-wise miner opens one session per mining run and drives every
     level through it.  The session is what lets a runtime keep per-level
-    state alive between calls — resident shard-side pattern stores, delta
-    shipping of derived candidates, deferred evictions.  Sessions never
-    change mining output: every runtime's session returns exactly what
-    the serial :class:`DelegatingSession` would.
+    state alive between calls — shard-resident anchors and the deferred
+    evictions that retire them.  Sessions never change mining output:
+    every runtime's session returns exactly what the serial
+    :class:`DelegatingSession` would.
     """
 
     def __init__(self) -> None:
@@ -184,7 +167,7 @@ class MiningSession(ABC):
 
     @abstractmethod
     def evict(self, uids: Iterable[object]) -> None:
-        """Retire *uids*: stored anchors and any resident pattern state.
+        """Retire the stored anchors of *uids*.
 
         Implementations may defer the actual cleanup (e.g. piggyback it
         on the next level shipment) — retired uids are never referenced
@@ -218,7 +201,7 @@ class DelegatingSession(MiningSession):
     over the level's requests, and :meth:`evict` retires their anchors
     with :meth:`MatchEngine.drop_anchors`.  One engine is one "shard", so
     the only telemetry is one ``patterns_full`` per request; everything
-    else (wire bytes, store traffic, placement, recovery) stays zero.
+    else (wire bytes, placement, recovery) stays zero.
     """
 
     def __init__(self, engine: MatchEngine) -> None:
@@ -261,7 +244,13 @@ class MiningRuntime(ABC):
 
     @abstractmethod
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:
-        """Register *transactions*; returns their global tids."""
+        """Register *transactions*; returns their global tids.
+
+        The tids of one call are consecutive, ``base, base + 1, ...,
+        base + len(transactions) - 1``, so a miner moves a bitset between
+        its run's local tids and the runtime's with one shift
+        (:class:`~repro.mining.fsg.miner.FSGMiner` checks this).
+        """
 
     @abstractmethod
     def release_transactions(self, tids: Iterable[int]) -> None:
@@ -313,13 +302,11 @@ class SerialRuntime(MiningRuntime):
     def stats(self) -> dict[str, int]:
         snapshot = self.engine.stats_snapshot()
         snapshot["shards"] = 1
-        # Nothing ever crosses a wire here; report the session-protocol
-        # counters as explicit zeros so stat consumers see stable keys
-        # whichever runtime produced the run.
+        # Nothing ever crosses a wire here; report the shipping counters
+        # as explicit zeros so stat consumers see stable keys whichever
+        # runtime produced the run.
         snapshot["wire_bytes_shipped"] = 0
         snapshot["patterns_shipped_full"] = 0
-        snapshot["patterns_shipped_delta"] = 0
-        snapshot["session_store_evictions"] = 0
         # No workers, no supervisor: recovery counters are stable zeros.
         snapshot["worker_restarts"] = 0
         snapshot["level_replays"] = 0

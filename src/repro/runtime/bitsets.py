@@ -71,22 +71,12 @@ def popcount(bits: int) -> int:
     return bits.bit_count()
 
 
-def translate_bits(bits: int, mapping: "list[int] | dict[int, int]") -> int:
-    """Rewrite each tid of *bits* through *mapping* (index/key -> new tid).
+def shift_bits(bits: int, offset: int) -> int:
+    """Add *offset* to every tid of *bits* (*offset* may be negative).
 
     Used at the miner/runtime boundary to move a set between a run's
-    local tid space and the runtime's global one.  When the two spaces
-    differ only by an offset, prefer :func:`shift_bits` — it is a single
-    shift instead of a per-bit loop.
+    local tid space and the runtime's global one.
     """
-    out = 0
-    for tid in tids_of(bits):
-        out |= 1 << mapping[tid]
-    return out
-
-
-def shift_bits(bits: int, offset: int) -> int:
-    """Add *offset* to every tid of *bits* (*offset* may be negative)."""
     if offset >= 0:
         return bits << offset
     return bits >> -offset
@@ -96,8 +86,8 @@ def is_contiguous(tids: "list[int]") -> bool:
     """Whether *tids* is exactly ``base, base+1, ..., base+len-1``.
 
     Runtimes allocate one run's global tids consecutively, which makes
-    local<->global translation a plain shift; this is the check that
-    guards that fast path.
+    local<->global translation a plain shift; the FSG miner checks the
+    rule with this.
     """
     if not tids:
         return True
@@ -135,7 +125,6 @@ __all__ = [
     "bits_of",
     "tids_of",
     "popcount",
-    "translate_bits",
     "shift_bits",
     "is_contiguous",
     "bits_to_buffer",

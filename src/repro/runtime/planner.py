@@ -9,9 +9,8 @@ intersection of its parents' supporting sets.  The
 * a pattern is only shipped to a shard that owns at least one of its
   candidate transactions (a pattern whose parents all live elsewhere costs
   the shard nothing — not even a pickle);
-* a pattern whose parent is resident in the shard's session store ships
-  as a small delta, anything else as one :class:`~repro.graphs.compact.
-  CompactGraph` wire tuple shared by all shard tasks that need it.
+* each pattern ships as one :class:`~repro.graphs.compact.CompactGraph`
+  wire tuple, built once and shared by all shard tasks that need it.
 
 Merging is trivial because shards partition the transactions: the
 per-pattern global support set is the disjoint union of the shard-local
@@ -21,10 +20,9 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.graphs.compact import CompactGraph, LabelTable
-from repro.graphs.labeled_graph import LabeledGraph
 from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_of
 
 
@@ -72,14 +70,6 @@ class BatchSupportPlanner:
         self.n_shards = n_shards
 
     @staticmethod
-    def _wire_of(pattern: LabeledGraph | CompactGraph, table: LabelTable) -> tuple:
-        if isinstance(pattern, CompactGraph):
-            if pattern.table is not table:
-                raise ValueError("pattern compacted through a different label table")
-            return pattern.to_wire()
-        return CompactGraph.from_labeled(pattern, table).to_wire()
-
-    @staticmethod
     def merge_level(
         n_requests: int,
         batches: Sequence["ShardSessionBatch"],
@@ -110,28 +100,16 @@ class BatchSupportPlanner:
         table: LabelTable,
         locate,
         min_support: int | None = None,
-        resident: Sequence[set] | None = None,
-        hit_positions: Callable[[int, object], "dict[int, int] | None"] | None = None,
     ) -> list["ShardSessionBatch"]:
-        """Split a level across shards that keep resident pattern stores.
+        """Split a level across the shards that own its transactions.
 
         *locate* maps a global tid to its ``(shard, local tid)`` home (the
         sharded engine's placement function).  Each
         :class:`~repro.runtime.base.LevelRequest` goes to every shard that
-        owns any of its candidate transactions, and each ``(request,
-        shard)`` pair ships the cheapest payload the shard's state allows:
-
-        * **delta** ``("d", edge_label_id, new_label_id, mask_buffer)``
-          when the request's parent is resident on the shard
-          (``resident[shard]``) and its local hit positions are known —
-          the shard rebuilds the candidate from the stored parent, and
-          ``mask_buffer`` encodes the candidate's local scan set as a
-          flat little-endian bitset buffer over the *parent's* shard-local
-          hit list (a few bytes instead of a tid list, sound because a
-          candidate's scan set is contained in every parent's support);
-        * **full wire** ``("w", wire, tid_buffer)`` for roots, requests
-          with no derivation, and store misses — ``tid_buffer`` being the
-          local scan set as a flat local-tid bitset buffer.
+        owns any of its candidate transactions, as the payload
+        ``(wire, tid_buffer)``: the pattern's compact wire (built once per
+        request) and the shard's slice of the scan set as a flat local-tid
+        bitset buffer.
 
         Scan sets ship as :func:`~repro.runtime.bitsets.bits_to_buffer`
         byte strings rather than arbitrary-precision ints: the receiver
@@ -156,47 +134,12 @@ class BatchSupportPlanner:
                 by_shard.setdefault(shard, []).append(local)
             if not by_shard:
                 continue
-            wire = None
+            wire = CompactGraph.from_labeled(request.pattern, table).to_wire()
             total = len(tids)
-            deltable = (
-                resident is not None
-                and request.parent_uid is not None
-                and request.extension is not None
-                and request.extension_labels is not None
-            )
             for shard, locals_ in sorted(by_shard.items()):
-                payload = None
-                if deltable and request.parent_uid in resident[shard]:
-                    positions = (
-                        hit_positions(shard, request.parent_uid)
-                        if hit_positions is not None
-                        else None
-                    )
-                    if positions is not None:
-                        mask = 0
-                        for local in locals_:
-                            offset = positions.get(local)
-                            if offset is None:
-                                # A scan tid outside the parent's hits can
-                                # only mean stale parent state — ship full.
-                                mask = None
-                                break
-                            mask |= 1 << offset
-                        if mask is not None:
-                            edge_label, new_label = request.extension_labels
-                            payload = (
-                                "d",
-                                table.intern(edge_label),
-                                None if new_label is None else table.intern(new_label),
-                                bits_to_buffer(mask),
-                            )
-                if payload is None:
-                    if wire is None:
-                        wire = self._wire_of(request.pattern, table)
-                    payload = ("w", wire, bits_to_buffer(bits_of(locals_)))
                 batch = batches[shard]
                 batch.positions.append(position)
-                batch.payloads.append(payload)
+                batch.payloads.append((wire, bits_to_buffer(bits_of(locals_))))
                 batch.scan_tids += len(locals_)
                 batch.uids.append(request.uid)
                 batch.parent_uids.append(request.parent_uid)
@@ -219,9 +162,7 @@ class ShardSessionBatch:
 
     Parallel lists aligned with ``positions`` (indices into the level's
     request list).  ``payloads[i]`` is the pattern+scan shipment for
-    request ``positions[i]`` — a full-wire ``("w", wire, tid_buffer)`` or
-    a delta ``("d", edge_label_id, new_label_id, mask_buffer)`` tuple,
-    scan sets as flat bitset byte buffers (see
+    request ``positions[i]``, a ``(wire, tid_buffer)`` pair (see
     :meth:`BatchSupportPlanner.plan_session_level`).  Replies align with
     ``positions`` too, which is what
     :meth:`BatchSupportPlanner.merge_level` relies on.
@@ -240,9 +181,3 @@ class ShardSessionBatch:
 
     def is_empty(self) -> bool:
         return not self.positions
-
-    def count_full(self) -> int:
-        return sum(1 for payload in self.payloads if payload[0] == "w")
-
-    def count_delta(self) -> int:
-        return sum(1 for payload in self.payloads if payload[0] == "d")

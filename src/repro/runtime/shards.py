@@ -4,9 +4,9 @@ A :class:`ShardedEngine` places registered transactions across K shards
 by support weight (:class:`~repro.runtime.planner.PlacementPolicy`).
 Each shard owns the full matching state for its slice — a
 :class:`~repro.graphs.compact.LabelTable` replica, the per-transaction
-:class:`~repro.graphs.index.GraphIndex` set, and its own embedding and
-session-pattern stores — so shards never share mutable state and support
-counts merge by disjoint union.
+:class:`~repro.graphs.index.GraphIndex` set, and its own embedding store
+— so shards never share mutable state and support counts merge by
+disjoint union.
 
 Transactions and patterns travel as :class:`CompactGraph` wire tuples:
 pure-integer payloads against a label-table replica the parent keeps in
@@ -18,12 +18,12 @@ tuples of small ints.
 
 Level-wise mining runs through a **mining session**
 (:class:`ShardedSession`, opened with :meth:`ShardedEngine.open_session`):
-each shard keeps a resident pattern store keyed by candidate uid, so a
-level-(k+1) candidate — its parent plus one edge — ships as a small delta
-token and is reconstructed shard-side from the stored parent
-(:meth:`MatchEngine.extend_session_pattern`).  Full wire tuples are sent
-only for roots and store misses; shard-initiated (capacity) evictions are
-piggybacked on level replies so the parent's residency model stays exact.
+each level is one ``slevel`` message per shard, carrying every candidate
+the shard must scan as its full compact wire plus the uid / parent uid /
+extension tokens that address the shard's embedding store.  Anchors are
+the only state a shard keeps between levels; the miner's evictions of
+retired uids ride on the next level message to the shards that hold
+them.
 
 Dispatch is scatter/gather throughout: every per-level message is sent to
 every shard before any reply is received, so shard compute genuinely
@@ -46,21 +46,20 @@ clauses — replays the in-flight message for that shard only, and after
 retry exhaustion degrades the slot to in-process serial execution.
 Because shard tasks are pure functions of (table, transactions, message),
 the replay is invisible in mining output: golden digests are
-byte-identical with and without injected faults.  Session pattern stores
-start empty on the rebuilt worker; the planner's residency model is reset
-through the engine's shard-reset listeners and repopulates lazily via the
-existing store-miss full-wire resend path.
+byte-identical with and without injected faults.  The replayed message
+is the original one, resent unchanged: nothing in it refers to state
+that died with the worker.  The rebuilt worker starts without anchors,
+so its candidates fall back to full search and piggybacked evictions of
+lost anchors are no-ops.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.engine import EmbeddingTask, MatchEngine
@@ -73,7 +72,7 @@ from repro.runtime.base import (
     merge_stats,
     resolve_backend,
 )
-from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_from_buffer, tids_of
+from repro.runtime.bitsets import tids_from_buffer
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
 from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy
 from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
@@ -88,12 +87,6 @@ _OBS_REPLY = "__obs__"
 #: these with the mining level when it drains them (other worker spans —
 #: add/release/stats — are level-free and left unstamped).
 _LEVELED_WORKER_SPANS = frozenset({"shard.slevel"})
-
-#: Default bound on resident patterns per shard store.  Mining keeps at
-#: most ~two levels' candidates alive (the miner evicts each level as
-#: soon as its consumer level is done), so this is a memory backstop for
-#: adversarial levels, not a tuning knob.
-DEFAULT_STORE_CAPACITY = 1 << 16
 
 #: Environment knobs for the recovery supervisor.
 RECOVERY_RETRIES_ENV = "REPRO_RECOVERY_RETRIES"
@@ -156,13 +149,12 @@ def _resolve_recovery_backoff(backoff: float | None) -> float:
 #: on junk.
 _REPLY_SHAPES: dict[str, type] = {
     "add": list,
+    "slevel": list,
     "stats": dict,
 }
 
 
 def _reply_shape_ok(op: str, reply) -> bool:
-    if op == "slevel":
-        return isinstance(reply, tuple) and len(reply) == 3
     expected = _REPLY_SHAPES.get(op)
     if expected is None:
         return reply is None
@@ -182,29 +174,22 @@ class ShardWorker:
     ``("release", local_tids)``
         Drop transaction references; ack with ``None``.
     ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
-        One mining level against the resident pattern store: parallel
-        lists per pattern, ``bounds`` being shard-local early-abort
-        thresholds.  Anchors stay in this shard's engine — only the small
-        uid/extension tokens ever cross the pipe.  ``evictions``
-        (parent-retired uids, piggybacked here instead of costing their
-        own round trip) are applied first — pattern store and anchors
-        both.  Each ``payloads[i]`` is a full wire
-        ``("w", wire, tid_buffer)`` or a delta
-        ``("d", edge_label_id, new_label_id, mask_buffer)`` — scan sets
-        as flat bitset byte buffers — reconstructed from the stored
-        parent; every pattern is filed in the store under its
-        uid, and its resulting hit list is remembered so next level's
-        delta masks can be decoded against it.  Reply with
-        ``(hit lists, capacity-evicted uids, store hits)`` — the store
-        hits being this shard's own count of resident-parent
-        reconstructions, the reply-side half of the parent's
-        ``patterns_delta`` cross-check.
+        One mining level: parallel lists per pattern, ``bounds`` being
+        shard-local early-abort thresholds.  Each ``payloads[i]`` is
+        ``(wire, tid_buffer)``: the pattern's :class:`CompactGraph` wire
+        and its shard-local scan set as a flat bitset byte buffer.
+        Anchors stay in this shard's engine, filed under each pattern's
+        uid and extended through ``parent_uids`` / ``extensions`` — only
+        those small tokens cross the pipe, never embeddings.
+        ``evictions`` (parent-retired uids, piggybacked here instead of
+        costing their own round trip) drop their anchors first.  Reply
+        with one ascending local-tid hit list per pattern.
     ``("sevict", uids)``
-        Retire *uids* from the pattern store *and* the embedding store;
-        ack with ``None`` (the session's close-time flush).
+        Retire *uids*' anchors; ack with ``None`` (the session's
+        close-time flush).
     ``("stats",)``
         Reply with the shard engine's counter snapshot merged with this
-        worker's session-protocol counters.
+        worker's ``patterns_shipped_full`` counter.
     ``("trace", shard, wall_anchor)``
         Start this worker's tracer (see :mod:`repro.obs`): *shard* names
         the timeline (``shard0``...), *wall_anchor* aligns the worker
@@ -225,23 +210,10 @@ class ShardWorker:
         to reach a worker it is about to break.
     """
 
-    def __init__(self, store_capacity: int = DEFAULT_STORE_CAPACITY) -> None:
-        if store_capacity < 1:
-            raise ValueError(f"store_capacity must be at least 1, got {store_capacity}")
+    def __init__(self) -> None:
         self.table = LabelTable()
         self.engine = MatchEngine(self.table)
-        self.store_capacity = store_capacity
-        #: Per-uid shard-local hit lists (ascending), kept alongside the
-        #: engine's pattern store: delta masks index into the *parent's*
-        #: hit list, so it must survive until the parent is evicted.
-        self._session_hits: dict[object, list[int]] = {}
-        #: Store insertion order (oldest first) for capacity eviction.
-        self._session_order: "OrderedDict[object, None]" = OrderedDict()
-        self.counters = {
-            "patterns_shipped_full": 0,
-            "patterns_shipped_delta": 0,
-            "session_store_evictions": 0,
-        }
+        self.counters = {"patterns_shipped_full": 0}
         #: This shard's tracer, installed by a ``("trace", ...)`` message;
         #: ``None`` (the default) keeps the untraced fast path — one
         #: attribute check per message, nothing wrapped, nothing shipped.
@@ -253,82 +225,6 @@ class ShardWorker:
         #: message; ``None`` (the default) keeps the fault-free fast path
         #: — one attribute check per message and nothing else.
         self.faults = None
-
-    # ------------------------------------------------------------------
-    # Session store bookkeeping
-    # ------------------------------------------------------------------
-    def _store_drop(self, uids: Iterable[object]) -> None:
-        """Forget store entries (pattern, hits, order); anchors untouched."""
-        uid_list = list(uids)
-        self.engine.drop_session_patterns(uid_list)
-        for uid in uid_list:
-            self._session_hits.pop(uid, None)
-            self._session_order.pop(uid, None)
-
-    def _op_slevel(self, message: tuple):
-        _, evictions, payloads, uids, parent_uids, extensions, bounds = message
-        if evictions:
-            # Parent-retired uids: gone from the store *and* the anchor
-            # store.
-            self._store_drop(evictions)
-            self.engine.drop_anchors(evictions)
-        tasks: list[EmbeddingTask] = []
-        counters = self.counters
-        store_hits = 0
-        for payload, uid, parent_uid, extension, bound in zip(
-            payloads, uids, parent_uids, extensions, bounds
-        ):
-            if payload[0] == "w":
-                _, wire, tid_buffer = payload
-                compact = CompactGraph.from_wire(wire, self.table)
-                index = self.engine.register_session_pattern(uid, compact)
-                tids = tids_from_buffer(tid_buffer)
-                counters["patterns_shipped_full"] += 1
-            elif payload[0] == "d":
-                _, edge_label_id, new_label_id, mask = payload
-                index = self.engine.extend_session_pattern(
-                    uid, parent_uid, extension, edge_label_id, new_label_id
-                )
-                parent_hits = self._session_hits.get(parent_uid)
-                if parent_hits is None:
-                    raise KeyError(
-                        f"no stored hit list for parent {parent_uid!r} "
-                        f"while decoding the scan mask of {uid!r}"
-                    )
-                tids = [parent_hits[offset] for offset in tids_from_buffer(mask)]
-                counters["patterns_shipped_delta"] += 1
-                store_hits += 1
-            else:
-                raise ValueError(f"unknown session payload tag {payload[0]!r}")
-            self._session_order[uid] = None
-            tasks.append(
-                EmbeddingTask(
-                    pattern=index,
-                    tids=tids,
-                    uid=uid,
-                    parent_uid=parent_uid,
-                    extension=extension,
-                    abort_below=bound,
-                )
-            )
-        results = self.engine.support_with_embeddings(tasks)
-        for uid, hits in zip(uids, results):
-            self._session_hits[uid] = hits
-        # Capacity pressure: evict oldest entries, but never this level's
-        # (they are next level's delta parents).  Evicted uids keep their
-        # anchors — anchor lifecycle belongs to the miner — and are
-        # reported so the parent resends those patterns in full on a miss.
-        current = set(uids)
-        evicted: list[object] = []
-        while len(self._session_order) > self.store_capacity:
-            oldest = next(iter(self._session_order))
-            if oldest in current:
-                break
-            evicted.append(oldest)
-            self._store_drop([oldest])
-        if evicted:
-            counters["session_store_evictions"] += len(evicted)
-        return results, evicted, store_hits
 
     def _enable_tracing(self, shard: int, wall_anchor: float) -> None:
         """Start this shard's tracer on a parent-aligned clock.
@@ -423,8 +319,28 @@ class ShardWorker:
     def _op_release(self, message: tuple) -> None:
         self.engine.release_transactions(message[1])
 
+    def _op_slevel(self, message: tuple) -> list[list[int]]:
+        _, evictions, payloads, uids, parent_uids, extensions, bounds = message
+        if evictions:
+            self.engine.drop_anchors(evictions)
+        table = self.table
+        tasks = [
+            EmbeddingTask(
+                pattern=CompactGraph.from_wire(wire, table),
+                tids=tids_from_buffer(tid_buffer),
+                uid=uid,
+                parent_uid=parent_uid,
+                extension=extension,
+                abort_below=bound,
+            )
+            for (wire, tid_buffer), uid, parent_uid, extension, bound in zip(
+                payloads, uids, parent_uids, extensions, bounds
+            )
+        ]
+        self.counters["patterns_shipped_full"] += len(tasks)
+        return self.engine.support_with_embeddings(tasks)
+
     def _op_sevict(self, message: tuple) -> None:
-        self._store_drop(message[1])
         self.engine.drop_anchors(message[1])
 
     def _op_stats(self, message: tuple) -> dict[str, int]:
@@ -443,9 +359,6 @@ class ShardedEngine(MiningRuntime):
         ``"process"`` (default, real parallelism via ``multiprocessing``)
         or ``"serial"`` (same code path inline — determinism / debugging).
         ``None`` consults ``REPRO_BACKEND``.
-    session_store_capacity:
-        Bound on resident patterns per shard store; overflowing entries
-        are evicted oldest-first and resent in full on a later miss.
     faults:
         A :class:`~repro.runtime.faults.FaultPlan`, a spec string, or
         ``None`` to consult ``REPRO_FAULTS``.  When active, the plan is
@@ -472,7 +385,6 @@ class ShardedEngine(MiningRuntime):
         self,
         shards: int = 2,
         backend: str | None = None,
-        session_store_capacity: int = DEFAULT_STORE_CAPACITY,
         faults: "FaultPlan | str | None" = None,
         worker_timeout: float | None = None,
         recovery_retries: int | None = None,
@@ -491,10 +403,7 @@ class ShardedEngine(MiningRuntime):
         self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0
         self._pool = make_pool(
-            self.backend,
-            shards,
-            functools.partial(ShardWorker, store_capacity=session_store_capacity),
-            worker_timeout=worker_timeout,
+            self.backend, shards, ShardWorker, worker_timeout=worker_timeout
         )
         self._synced = [0] * shards
         self._local_to_global: list[list[int]] = [[] for _ in range(shards)]
@@ -519,8 +428,6 @@ class ShardedEngine(MiningRuntime):
         self._shard_released: list[set[int]] = [set() for _ in range(shards)]
         self._tombstone = None
         self._round_message: dict[int, tuple] = {}
-        self._round_replay: "Callable[[int], tuple | None] | None" = None
-        self._reset_listeners: list[Callable[[int], None]] = []
         self._degraded: set[int] = set()
         #: Observability state: the tracer worker spans and shard metric
         #: deltas merge into, and the buffer of worker spans gathered but
@@ -592,21 +499,6 @@ class ShardedEngine(MiningRuntime):
         if messages:
             self._gather(self._scatter(messages))
 
-    def add_reset_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the shard id after a rebuild.
-
-        Sessions use this to drop their residency model for the shard —
-        the rebuilt worker's pattern store is empty, so every resident
-        uid must be demoted back to ship-in-full.
-        """
-        self._reset_listeners.append(listener)
-
-    def remove_reset_listener(self, listener: Callable[[int], None]) -> None:
-        try:
-            self._reset_listeners.remove(listener)
-        except ValueError:
-            pass
-
     @property
     def recovery_counts(self) -> dict[str, int]:
         """Snapshot of the supervisor's counters (all zero when healthy)."""
@@ -647,9 +539,8 @@ class ShardedEngine(MiningRuntime):
         Determinism rests on shard state being a pure function of the
         message history: full label snapshot, the retained wires in
         registration order (identical local tids fall out), the released
-        set.  Session pattern stores are *not* rebuilt — the reset
-        listeners clear the parent's residency model instead, and the
-        store repopulates lazily through the full-wire resend path.
+        set.  Anchors are *not* rebuilt: the fresh worker's candidates
+        fall back to full search, which returns the same verdicts.
         """
         self._synced[shard] = 0
         if self._send_sync(shard):
@@ -681,16 +572,10 @@ class ShardedEngine(MiningRuntime):
 
     def _rebuild_and_replay(self, shard: int, rearm: bool):
         self._rebuild_shard(shard, rearm)
-        for listener in list(self._reset_listeners):
-            listener(shard)
         message = self._round_message.get(shard)
         if message is None:
             # Death outside any round (nothing in flight): rebuilt, done.
             return None
-        if self._round_replay is not None:
-            replacement = self._round_replay(shard)
-            if replacement is not None:
-                message = replacement
         self._post(shard, message)
         return self._receive(shard, message[0])
 
@@ -809,22 +694,14 @@ class ShardedEngine(MiningRuntime):
         self._synced[shard] = len(self.table)
         return True
 
-    def _scatter(
-        self,
-        messages: Sequence[tuple[int, tuple]],
-        replay: "Callable[[int], tuple | None] | None" = None,
-    ) -> list[tuple[int, int]]:
+    def _scatter(self, messages: Sequence[tuple[int, tuple]]) -> list[tuple[int, int]]:
         """Post every (shard, message) — label sync included — sending all
         before the caller receives anything; returns the recv plan.
 
         The round's messages are remembered so a shard that dies before
-        replying can be replayed after its rebuild.  *replay*, when
-        given, supplies a replacement message per shard (sessions use it
-        to re-encode delta payloads in full for the store-less rebuilt
-        worker); ``None`` from it means "replay verbatim".
+        replying can be replayed, unchanged, after its rebuild.
         """
         self._round_message = {}
-        self._round_replay = replay
         pending: list[tuple[int, int]] = []
         for shard, message in messages:
             synced = self._send_sync(shard)
@@ -1001,66 +878,29 @@ class ShardedEngine(MiningRuntime):
 class ShardedSession(MiningSession):
     """A stateful mining session over a :class:`ShardedEngine`.
 
-    The session keeps, per shard, the set of candidate uids whose
-    patterns are resident in that shard's store, plus each resident
-    pattern's shard-local hit list (needed to encode next level's delta
-    masks).  Residency is exact by construction: the parent adds uids
-    when it ships them and removes them on the capacity evictions each
-    reply piggybacks, so the planner can decide full-vs-delta without
-    ever asking a shard.
+    Each level ships as one ``slevel`` message per shard that owns any of
+    the level's candidate transactions, every candidate as its full
+    compact wire.  What a shard keeps between levels is anchors only,
+    filed under the candidate uids it scanned; the session tracks, per
+    shard, the uids shipped there and not yet evicted.
 
-    Miner-driven evictions (:meth:`evict`) are deferred and ride on the
-    next level message to each shard — retired uids are never referenced
-    again, so the laziness trades a broadcast round trip per level for a
-    little shard memory.  :meth:`close` flushes whatever is left.
+    Miner-driven evictions (:meth:`evict`) are queued only for the shards
+    where the uid is live, and ride on the next level message to each
+    shard — retired uids are never referenced again, so the laziness
+    trades a broadcast round trip per level for a little shard memory.
+    :meth:`close` flushes whatever is left with ``sevict``.
     """
 
     def __init__(self, runtime: ShardedEngine) -> None:
         super().__init__()
         self._runtime = runtime
-        self._resident: list[set] = [set() for _ in range(runtime.n_shards)]
-        self._hits: dict[tuple[int, object], list[int]] = {}
-        self._hit_index: dict[tuple[int, object], dict[int, int]] = {}
+        #: Per shard, the uids shipped there and not yet evicted.
+        self._live: list[set] = [set() for _ in range(runtime.n_shards)]
         self._pending_evict: list[list] = [[] for _ in range(runtime.n_shards)]
-        #: Uids a shard capacity-evicted from its *pattern* store; their
-        #: anchors are still shard-resident, so a later miner eviction
-        #: must still reach that shard.
-        self._evicted_anchors: list[set] = [set() for _ in range(runtime.n_shards)]
         #: Levels served so far; the miner primes level 1 first, so call
         #: N is mining level N — what worker spans get stamped with.
         self._level = 0
         self._closed = False
-        # A recovered shard comes back with an empty pattern store: the
-        # residency model must drop everything it believed about it, or
-        # the planner would ship deltas against parents that no longer
-        # exist shard-side.
-        runtime.add_reset_listener(self._on_shard_reset)
-
-    def _on_shard_reset(self, shard: int) -> None:
-        self._resident[shard].clear()
-        self._pending_evict[shard] = []
-        self._evicted_anchors[shard].clear()
-        for key in [key for key in self._hits if key[0] == shard]:
-            del self._hits[key]
-        for key in [key for key in self._hit_index if key[0] == shard]:
-            del self._hit_index[key]
-
-    def _hit_positions(self, shard: int, uid: object) -> dict[int, int] | None:
-        """``local tid -> position`` over *uid*'s hit list on *shard*."""
-        key = (shard, uid)
-        index = self._hit_index.get(key)
-        if index is None:
-            hits = self._hits.get(key)
-            if hits is None:
-                return None
-            index = {tid: position for position, tid in enumerate(hits)}
-            self._hit_index[key] = index
-        return index
-
-    def _forget(self, shard: int, uid: object) -> None:
-        self._resident[shard].discard(uid)
-        self._hits.pop((shard, uid), None)
-        self._hit_index.pop((shard, uid), None)
 
     def support_level(
         self,
@@ -1074,12 +914,7 @@ class ShardedSession(MiningSession):
         self._level += 1
         planning_started = time.perf_counter()
         batches = runtime.planner.plan_session_level(
-            requests,
-            runtime.table,
-            runtime.locate,
-            min_support,
-            resident=self._resident,
-            hit_positions=self._hit_positions,
+            requests, runtime.table, runtime.locate, min_support
         )
         messages: list[tuple[int, tuple]] = []
         for batch in batches:
@@ -1101,10 +936,8 @@ class ShardedSession(MiningSession):
                     ),
                 )
             )
-            self._resident[batch.shard].update(batch.uids)
-            full = batch.count_full()
-            telemetry["patterns_full"] += full
-            telemetry["patterns_delta"] += len(batch.payloads) - full
+            self._live[batch.shard].update(batch.uids)
+            telemetry["patterns_full"] += len(batch.payloads)
         # Placement skew across every shard, idle shards included: the
         # level's per-shard scan workload as the planner routed it.
         scan_units = [batch.scan_tids for batch in batches]
@@ -1114,116 +947,41 @@ class ShardedSession(MiningSession):
         telemetry["placement_weight_max"] = max(placement_loads)
         telemetry["placement_weight_min"] = min(placement_loads)
         telemetry["planning_seconds"] += time.perf_counter() - planning_started
-        batch_by_shard = {
-            batch.shard: batch for batch in batches if not batch.is_empty()
-        }
-
-        def replay(shard: int) -> tuple | None:
-            # Re-encode the dead shard's level against its rebuilt,
-            # store-less worker: identical uid order and abort bounds,
-            # but every payload in full (deltas reference stored parents
-            # the fresh store does not have) and no piggybacked
-            # evictions (the store they targeted died with the worker).
-            batch = batch_by_shard.get(shard)
-            if batch is None:
-                return None
-            payloads = []
-            for position in batch.positions:
-                request = requests[position]
-                locals_ = []
-                for tid in tids_of(request.tid_bits):
-                    owner, local = runtime.locate(tid)
-                    if owner == shard:
-                        locals_.append(local)
-                payloads.append(
-                    (
-                        "w",
-                        runtime.planner._wire_of(request.pattern, runtime.table),
-                        bits_to_buffer(bits_of(locals_)),
-                    )
-                )
-            self._resident[shard].update(batch.uids)
-            telemetry["patterns_full"] += len(payloads)
-            return (
-                "slevel",
-                [],
-                payloads,
-                batch.uids,
-                batch.parent_uids,
-                batch.extensions,
-                batch.abort_bounds,
-            )
 
         wire_before = runtime.wire_bytes_shipped
         recovery_before = dict(runtime.recovery)
-        pending = runtime._scatter(messages, replay=replay)
-        replies = runtime._gather(pending)
+        replies = runtime._gather(runtime._scatter(messages))
         telemetry["wire_bytes"] += runtime.wire_bytes_shipped - wire_before
         for key in ("worker_restarts", "level_replays"):
             telemetry[key] += runtime.recovery[key] - recovery_before[key]
-        results: list[Sequence[Sequence[int]] | None] = [None] * runtime.n_shards
-        for batch in batches:
-            if batch.is_empty():
-                continue
-            hit_lists, evicted, store_hits = replies[batch.shard]
-            results[batch.shard] = hit_lists
-            for uid, hits in zip(batch.uids, hit_lists):
-                self._hits[(batch.shard, uid)] = hits
-            for uid in evicted:
-                self._forget(batch.shard, uid)
-                self._evicted_anchors[batch.shard].add(uid)
-            telemetry["evictions"] += len(evicted)
-            # Shard-observed reconstructions: equals this batch's delta
-            # count whenever residency model and shard store agree.
-            telemetry["store_hits"] += store_hits
         runtime.drain_worker_spans(level=self._level)
         return runtime.planner.merge_level(
-            len(requests), batches, results, runtime.to_global
+            len(requests),
+            batches,
+            [replies.get(batch.shard) for batch in batches],
+            runtime.to_global,
         )
 
     def evict(self, uids: Iterable[object]) -> None:
         uid_list = list(uids)
-        if not uid_list:
-            return
-        for shard in range(self._runtime.n_shards):
-            # Queue the uid only where shard state for it actually exists
-            # — the shards that evaluated it (``_hits``) or that still
-            # hold its anchors after a capacity eviction.  Uids the
-            # planner never shipped anywhere cost zero wire.  Residency
-            # is dropped immediately, so no later delta ever references
-            # a pending-evicted parent.
-            evicted_anchors = self._evicted_anchors[shard]
-            pending = self._pending_evict[shard]
+        for live, pending in zip(self._live, self._pending_evict):
+            # Only shards that scanned a uid can hold its anchors; uids
+            # the planner never shipped anywhere cost zero wire.
             for uid in uid_list:
-                if (shard, uid) in self._hits or uid in evicted_anchors:
+                if uid in live:
+                    live.discard(uid)
                     pending.append(uid)
-                    # Same ruler as capacity evictions: one count per
-                    # (shard, store entry) actually retired — uids the
-                    # planner never shipped anywhere count zero.
-                    if (shard, uid) in self._hits:
-                        self._telemetry["evictions"] += 1
-                    evicted_anchors.discard(uid)
-                    self._forget(shard, uid)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         runtime = self._runtime
-        runtime.remove_reset_listener(self._on_shard_reset)
         messages: list[tuple[int, tuple]] = []
-        for shard in range(runtime.n_shards):
-            uids = list(self._pending_evict[shard])
-            queued = set(uids)
-            leftover = self._resident[shard] | self._evicted_anchors[shard]
-            uids.extend(sorted(uid for uid in leftover if uid not in queued))
-            self._pending_evict[shard] = []
-            self._resident[shard].clear()
-            self._evicted_anchors[shard].clear()
+        for shard, (live, pending) in enumerate(zip(self._live, self._pending_evict)):
+            uids = pending + sorted(live)
             if uids:
                 messages.append((shard, ("sevict", uids)))
-        self._hits.clear()
-        self._hit_index.clear()
         if messages and not getattr(runtime, "_closed", True):
             runtime._gather(runtime._scatter(messages))
             runtime.drain_worker_spans()

@@ -389,9 +389,8 @@ class DifferentialReport:
     runs: dict[str, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
     #: Per-run aggregated runtime counters (`MiningRuntime.stats()`):
-    #: matching/cache counters plus the session-protocol counters
-    #: (wire_bytes_shipped, patterns_shipped_full/delta,
-    #: session_store_evictions) and the recovery counters
+    #: matching/cache counters plus the shipping counters
+    #: (wire_bytes_shipped, patterns_shipped_full) and the recovery counters
     #: (worker_restarts, level_replays, worker_degradations — the chaos
     #: lane's artifact of what each faulted run survived).  Observational
     #: — shown in ``scenarios verify --report`` output, never pinned in

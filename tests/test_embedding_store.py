@@ -25,14 +25,7 @@ from repro.graphs.isomorphism import legacy_find_embeddings, legacy_has_embeddin
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import LevelRequest, SerialRuntime, ShardedEngine
-from repro.runtime.bitsets import (
-    bits_of,
-    is_contiguous,
-    popcount,
-    shift_bits,
-    tids_of,
-    translate_bits,
-)
+from repro.runtime.bitsets import bits_of, is_contiguous, popcount, shift_bits, tids_of
 
 
 def _random_corpus(seed: int, n: int = 40) -> list[LabeledGraph]:
@@ -554,7 +547,6 @@ class TestBitsets:
         bits = bits_of([2, 5])
         assert tids_of(shift_bits(bits, 10)) == [12, 15]
         assert tids_of(shift_bits(shift_bits(bits, 10), -10)) == [2, 5]
-        assert tids_of(translate_bits(bits, {2: 40, 5: 3})) == [3, 40]
         assert is_contiguous([7, 8, 9]) and not is_contiguous([7, 9])
         assert is_contiguous([])
 
@@ -812,7 +804,6 @@ class TestRuntimeLevelAPI:
                                 uid=("r", 1),
                                 parent_uid=("r", 0),
                                 extension=(1, 2, True),
-                                extension_labels=("y", "c"),
                             )
                         ]
                     )

@@ -375,7 +375,8 @@ class TestRecoveryEquivalence:
             runtime.close()
         assert mining_signature(mined) == reference
 
-    # Delta is the one session protocol; the id keeps naming it.
+    # The "delta" id is historical (levels once shipped delta tokens);
+    # it is kept so the test keeps its name.
     @pytest.mark.parametrize("protocol", ["delta"])
     def test_process_backend_sigkill_mid_level(self, baseline, protocol):
         corpus, reference = baseline

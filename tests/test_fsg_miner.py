@@ -9,6 +9,7 @@ from repro.graphs.motifs import MotifShape, chain, cycle, hub_and_spoke
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.miner import FSGMiner, mine_frequent_subgraphs, timed_mine
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
+from repro.runtime import SerialRuntime
 
 
 def _transactions_with_planted_star(n_with: int, n_without: int) -> list[LabeledGraph]:
@@ -93,6 +94,31 @@ class TestMining:
         result, elapsed = timed_mine(transactions, min_support=3, max_edges=1)
         assert isinstance(result, FSGResult)
         assert elapsed >= 0.0
+
+
+class _GappyRuntime(SerialRuntime):
+    """A runtime that breaks the contiguity rule: tids 0, 2, 4, ..."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.released: list[int] = []
+
+    def add_transactions(self, transactions):
+        return [2 * tid for tid in super().add_transactions(transactions)]
+
+    def release_transactions(self, tids):
+        self.released.extend(tids)
+
+
+class TestRuntimeContract:
+    def test_gappy_runtime_tids_are_rejected(self):
+        transactions = _transactions_with_planted_star(4, 2)
+        runtime = _GappyRuntime()
+        miner = FSGMiner(min_support=2, max_edges=2, runtime=runtime)
+        with pytest.raises(RuntimeError, match="_GappyRuntime.*non-consecutive"):
+            miner.mine(transactions)
+        # The run still hands its tids back to the runtime.
+        assert runtime.released == [0, 2, 4, 6, 8, 10]
 
 
 class TestMemoryBudget:

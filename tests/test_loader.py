@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.loader import iter_records, load_csv, save_csv
-from repro.datasets.schema import ATTRIBUTE_NAMES
+from repro.datasets.schema import ATTRIBUTE_NAMES, TransactionDataset, TransMode
 
 
 class TestCsvRoundTrip:
@@ -83,3 +90,105 @@ class TestMalformedRows:
         path = self._write(tiny_dataset, tmp_path, edit)
         with pytest.raises(ValueError, match="non-finite|latitude|longitude"):
             load_csv(path)
+
+
+# ----------------------------------------------------------------------
+# Ingest fuzzing: a mutated record is accepted or rejected with ValueError
+# ----------------------------------------------------------------------
+def _coordinate(bound: float):
+    return st.floats(-bound, bound).map(lambda value: round(value, 1))
+
+
+@st.composite
+def _valid_records(draw) -> dict[str, object]:
+    pickup = draw(st.dates(min_value=date(2000, 1, 1), max_value=date(2010, 12, 31)))
+    delivery = pickup + timedelta(days=draw(st.integers(0, 10)))
+    return {
+        "ID": draw(st.integers(0, 10**6)),
+        "REQ_PICKUP_DT": pickup.isoformat(),
+        "REQ_DELIVERY_DT": delivery.isoformat(),
+        "ORIGIN_LATITUDE": draw(_coordinate(90)),
+        "ORIGIN_LONGITUDE": draw(_coordinate(180)),
+        "DEST_LATITUDE": draw(_coordinate(90)),
+        "DEST_LONGITUDE": draw(_coordinate(180)),
+        "TOTAL_DISTANCE": draw(st.floats(0, 5_000)),
+        "GROSS_WEIGHT": draw(st.floats(0, 50_000)),
+        "MOVE_TRANSIT_HOURS": draw(st.floats(0, 300)),
+        "TRANS_MODE": draw(st.sampled_from([mode.value for mode in TransMode])),
+    }
+
+
+#: Stands for "delete the field" among the mutations.
+_DROP = object()
+
+_MUTATIONS = st.one_of(
+    st.just(_DROP),
+    st.sampled_from(
+        [
+            None,
+            "",
+            "abc",
+            "nan",
+            "-inf",
+            float("nan"),
+            float("inf"),
+            10**400,
+            "2005-02-30",
+            "05/04/2005",
+            "XL",
+            "tl",
+        ]
+    ),
+    st.text(alphabet="0123456789-.:eE+ nafiTLX", max_size=12),
+    st.integers(),
+    st.floats(),
+)
+
+
+def _mutated(record: dict[str, object], field: str, mutation: object) -> dict[str, object]:
+    record = dict(record)
+    if mutation is _DROP:
+        del record[field]
+    else:
+        record[field] = mutation
+    return record
+
+
+def _accepted_or_value_error(load) -> None:
+    # Any exception other than ValueError escapes and fails the test.
+    try:
+        load()
+    except ValueError:
+        pass
+
+
+class TestIngestFuzzing:
+    @given(
+        record=_valid_records(),
+        field=st.sampled_from(ATTRIBUTE_NAMES),
+        mutation=_MUTATIONS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_record_is_accepted_or_rejected_with_value_error(
+        self, record, field, mutation
+    ):
+        TransactionDataset.from_records([record])  # the base record is valid
+        bad = _mutated(record, field, mutation)
+        _accepted_or_value_error(lambda: TransactionDataset.from_records([bad]))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzz.csv"
+            # A dropped field drops its column; csv writes None as "".
+            header = [name for name in ATTRIBUTE_NAMES if name in bad]
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.DictWriter(handle, fieldnames=header)
+                writer.writeheader()
+                writer.writerow(bad)
+            _accepted_or_value_error(lambda: load_csv(path))
+
+    @pytest.mark.parametrize("field", ["GROSS_WEIGHT", "ID", "TOTAL_DISTANCE"])
+    def test_missing_or_none_field_is_named(self, tiny_dataset, field):
+        record = tiny_dataset.to_records()[0]
+        with pytest.raises(ValueError, match=f"no {field} field"):
+            TransactionDataset.from_records([_mutated(record, field, _DROP)])
+        with pytest.raises(ValueError, match=f"{field} is None"):
+            TransactionDataset.from_records([_mutated(record, field, None)])

@@ -152,7 +152,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 _EVENTS = st.lists(
     st.tuples(
-        st.sampled_from(["searches", "wire_bytes", "store_hits"]),
+        st.sampled_from(["searches", "wire_bytes", "patterns_full"]),
         st.integers(min_value=1, max_value=50),
         st.sampled_from(["0", "1", "2"]),
     ),
@@ -287,7 +287,7 @@ class TestShardedTracing:
         # The per-shard counter deltas shipped on replies must add up to
         # exactly what the runtime's own merged stats report (satellite
         # equivalence: merged per-shard registries == the serial total).
-        for key in ("searches", "patterns_shipped_full", "patterns_shipped_delta"):
+        for key in ("searches", "anchor_extensions", "patterns_shipped_full"):
             shipped = sum(
                 tracer.metrics.counter_value(key, shard=str(shard))
                 for shard in range(shards)

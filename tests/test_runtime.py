@@ -344,8 +344,9 @@ class TestShardedEngine:
         request = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 7]))
         batches = planner.plan_session_level([request], table, lambda tid: (1, tid))
         assert [batch.is_empty() for batch in batches] == [True, False, True]
-        ((tag, _wire, tid_buffer),) = batches[1].payloads
-        assert tag == "w" and tids_from_buffer(tid_buffer) == [4, 7]
+        ((wire, tid_buffer),) = batches[1].payloads
+        assert wire == CompactGraph.from_labeled(pattern, table).to_wire()
+        assert tids_from_buffer(tid_buffer) == [4, 7]
 
     def test_weighted_placement_levels_edge_load(self):
         # Weighted placement assigns each arrival to the lightest shard

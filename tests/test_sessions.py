@@ -2,24 +2,23 @@
 
 The load-bearing properties, in order:
 
-* **equivalence** — mining through a stateful session (delta-shipped
-  levels, shard-resident pattern stores, piggybacked evictions) produces
-  exactly the serial runtime's output, whatever the shard count, backend
-  or store capacity;
+* **equivalence** — mining through a stateful session (every candidate
+  shipped as its full compact wire, anchors resident on the shards,
+  piggybacked evictions) produces exactly the serial runtime's output,
+  whatever the shard count or backend;
 * **scatter/gather** — per-level dispatch sends to every shard before
   receiving from any, and a worker failing mid-level surfaces as a
   :class:`WorkerError` (remote traceback attached) on both backends while
   leaving the session and runtime closeable;
-* **protocol mechanics** — delta vs full-wire payload selection,
-  store-miss full-wire resends, capacity evictions reported on replies,
-  telemetry and stats counters.
+* **session mechanics** — anchor extension across levels, evictions
+  routed only to the shards that hold the anchors, the close-time flush,
+  a replayed level resent byte for byte, telemetry and stats counters.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -36,14 +35,16 @@ from repro.runtime import (
     ShardedSession,
     WorkerError,
     bits_of,
+    tids_of,
 )
+from repro.runtime.wire import BLOB_OP, decode_message
 
 
 # Under the CI chaos job REPRO_FAULTS injects worker deaths into every
 # sharded runtime these tests build.  Equivalence and teardown tests are
 # the chaos gate — recovery must keep them green.  Tests that assert
 # exact protocol mechanics (send/recv ordering, per-level wire counters,
-# hand-forged store state) are legitimately perturbed by respawn/replay
+# recorded shard messages) are legitimately perturbed by respawn/replay
 # and sit out chaos runs.
 CHAOS = bool(os.environ.get("REPRO_FAULTS", "").strip())
 chaos_exempt = pytest.mark.skipif(
@@ -110,21 +111,27 @@ def child_pattern(edge_label: str = "y", new_label: str = "C") -> LabeledGraph:
     return pattern
 
 
-class _FullWireSession(ShardedSession):
-    """A session whose requests lose their extension labels, so the
-    planner ships every candidate in full wire form — the path roots and
-    store-miss resends take."""
+class _MessageLog:
+    """Wraps a pool, recording every posted ``(worker, op, blob)``."""
 
-    def support_level(self, requests, min_support=None):
-        return super().support_level(
-            [replace(request, extension_labels=None) for request in requests],
-            min_support,
-        )
+    def __init__(self, inner):
+        self._inner = inner
+        self.posted: list[tuple[int, str, bytes]] = []
 
+    def send(self, worker, envelope):
+        assert envelope[0] == BLOB_OP
+        self.posted.append((worker, envelope[1], envelope[2]))
+        self._inner.send(worker, envelope)
 
-class _FullWireEngine(ShardedEngine):
-    def open_session(self):
-        return _FullWireSession(self)
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def messages(self, op: str, worker: int) -> list[tuple]:
+        return [
+            decode_message(blob)
+            for posted_to, posted_op, blob in self.posted
+            if posted_to == worker and posted_op == op
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -141,32 +148,13 @@ class TestSessionEquivalence:
         finally:
             runtime.close()
         assert mining_signature(mined) == mining_signature(baseline)
-        # Derived candidates really did travel as deltas: the output
-        # above held with the delta protocol in the loop.
+        # Every level really did cross the wire to the shards.
         totals = mined.session_totals()
-        assert totals["patterns_delta"] > 0
+        assert totals["patterns_full"] > 0
         assert totals["wire_bytes"] > 0
 
-    @chaos_exempt
-    def test_full_protocol_matches_but_ships_more(self):
-        corpus = random_corpus(43, size=20)
-        results = {}
-        totals = {}
-        for protocol, engine in (("delta", ShardedEngine), ("full", _FullWireEngine)):
-            runtime = engine(shards=2, backend="serial")
-            try:
-                mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
-            finally:
-                runtime.close()
-            results[protocol] = mining_signature(mined)
-            totals[protocol] = mined.session_totals()
-        assert results["delta"] == results["full"]
-        assert totals["full"]["patterns_delta"] == 0
-        assert totals["delta"]["patterns_delta"] > 0
-        assert 0 < totals["delta"]["wire_bytes"] < totals["full"]["wire_bytes"]
-
     @pytest.mark.slow
-    def test_process_backend_delta_matches_serial(self):
+    def test_process_backend_session_matches_serial(self):
         corpus = random_corpus(47, size=20)
         baseline = FSGMiner(min_support=3, max_edges=3).mine(corpus)
         runtime = ShardedEngine(shards=2, backend="process")
@@ -175,18 +163,6 @@ class TestSessionEquivalence:
         finally:
             runtime.close()
         assert mining_signature(mined) == mining_signature(baseline)
-
-    def test_tiny_store_capacity_evicts_but_never_diverges(self):
-        corpus = random_corpus(53, size=20)
-        baseline = FSGMiner(min_support=3, max_edges=3).mine(corpus)
-        runtime = ShardedEngine(shards=2, backend="serial", session_store_capacity=2)
-        try:
-            mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
-            stats = runtime.stats()
-        finally:
-            runtime.close()
-        assert mining_signature(mined) == mining_signature(baseline)
-        assert stats["session_store_evictions"] > 0
 
     def test_shared_runtime_sessions_across_runs(self):
         # The structural miner's pattern: one sharded runtime serving
@@ -218,19 +194,20 @@ class TestTelemetry:
         runtime = ShardedEngine(shards=2, backend="serial")
         try:
             mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            stats = runtime.stats()
         finally:
             runtime.close()
         assert mined.level_telemetry
         for counters in mined.level_telemetry.values():
             assert set(counters) == set(SESSION_TELEMETRY_KEYS)
-        # Level 1 (roots) always ships in full; deeper levels as deltas.
         assert mined.level_telemetry[1]["patterns_full"] > 0
-        assert mined.level_telemetry[1]["patterns_delta"] == 0
         deeper = [counters for level, counters in mined.level_telemetry.items() if level > 1]
-        assert sum(counters["patterns_delta"] for counters in deeper) > 0
+        assert sum(counters["patterns_full"] for counters in deeper) > 0
+        # The parent's shipment count is the shards' own count of the
+        # patterns they received.
         totals = mined.session_totals()
         assert totals["wire_bytes"] > 0
-        assert totals["store_hits"] == totals["patterns_delta"]
+        assert totals["patterns_full"] == stats["patterns_shipped_full"]
 
     def test_serial_mining_records_zero_wire_telemetry(self):
         corpus = random_corpus(71, size=12)
@@ -249,16 +226,12 @@ class TestTelemetry:
             runtime.close()
         assert stats["wire_bytes_shipped"] > 0
         assert stats["patterns_shipped_full"] > 0
-        assert stats["patterns_shipped_delta"] > 0
-        assert "session_store_evictions" in stats
 
     def test_serial_runtime_stats_report_zero_session_counters(self):
         runtime = SerialRuntime()
         stats = runtime.stats()
         assert stats["wire_bytes_shipped"] == 0
         assert stats["patterns_shipped_full"] == 0
-        assert stats["patterns_shipped_delta"] == 0
-        assert stats["session_store_evictions"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +246,7 @@ class TestSessionProtocol:
         tids = runtime.add_transactions(corpus)
         return corpus, runtime, tids
 
-    def test_delta_shipping_and_store_miss_resend(self):
+    def test_root_and_child_support_match_legacy(self):
         corpus, runtime, tids = self._runtime_with_corpus()
         session = runtime.open_session()
         assert isinstance(session, ShardedSession)
@@ -281,7 +254,7 @@ class TestSessionProtocol:
             root = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="root")
             (root_bits,) = session.support_level([root])
             assert root_bits == legacy_support_bits(edge_pattern(), corpus)
-            assert runtime.stats()["patterns_shipped_delta"] == 0
+            assert runtime.stats()["anchor_extensions"] == 0
 
             child = LevelRequest(
                 pattern=child_pattern(),
@@ -289,31 +262,19 @@ class TestSessionProtocol:
                 uid="child",
                 parent_uid="root",
                 extension=(1, 2, True),
-                extension_labels=("y", "C"),
             )
             (child_bits,) = session.support_level([child])
             assert child_bits == legacy_support_bits(child_pattern(), corpus)
+            # The child was answered by extending the root's shard-resident
+            # anchors, although both patterns crossed the wire in full.
             stats = runtime.stats()
-            assert stats["patterns_shipped_delta"] > 0
-            full_so_far = stats["patterns_shipped_full"]
-
-            # Simulate a shard-reported eviction of the parent: the next
-            # derived request must fall back to a full wire and still
-            # count the exact same support.
-            for shard in range(runtime.n_shards):
-                session._forget(shard, "root")
-            child2 = LevelRequest(
-                pattern=child_pattern(),
-                tid_bits=root_bits,
-                uid="child2",
-                parent_uid="root",
-                extension=(1, 2, True),
-                extension_labels=("y", "C"),
-            )
-            (child2_bits,) = session.support_level([child2])
-            assert child2_bits == child_bits
-            stats = runtime.stats()
-            assert stats["patterns_shipped_full"] > full_so_far
+            assert stats["anchor_extensions"] > 0
+            # Each pattern went once to every shard owning a tid it scans.
+            owners = [
+                {runtime.locate(tid)[0] for tid in tids_of(bits)}
+                for bits in (bits_of(tids), root_bits)
+            ]
+            assert stats["patterns_shipped_full"] == sum(map(len, owners))
         finally:
             session.close()
             runtime.close()
@@ -325,11 +286,38 @@ class TestSessionProtocol:
         session.support_level([root])
         # Serial backend: the handlers are inspectable in-process.
         workers = runtime._pool._handlers
-        assert any(worker.engine.session_pattern_count for worker in workers)
+        assert any(worker.engine.anchor_load for worker in workers)
         session.close()
-        assert all(worker.engine.session_pattern_count == 0 for worker in workers)
-        assert all(not worker._session_hits for worker in workers)
+        assert all(worker.engine.anchor_load == 0 for worker in workers)
+        assert all(not worker.engine._anchors for worker in workers)
         runtime.close()
+
+    def test_eviction_rides_only_to_shards_that_scanned_the_uid(self):
+        _, runtime, tids = self._runtime_with_corpus()
+        log = _MessageLog(runtime._pool)
+        runtime._pool = log
+        shard0 = [tid for tid in tids if runtime.locate(tid)[0] == 0]
+        session = runtime.open_session()
+        try:
+            session.support_level(
+                [
+                    LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard0), uid="solo"),
+                    LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="both"),
+                ]
+            )
+            session.evict(["solo", "both", "never-shipped"])
+            probe = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="probe")
+            session.support_level([probe])
+            # ("slevel", evictions, ...): the second level carries each
+            # shard's queued evictions, and "solo" only went to shard 0.
+            assert [m[1] for m in log.messages("slevel", 0)] == [[], ["solo", "both"]]
+            assert [m[1] for m in log.messages("slevel", 1)] == [[], ["both"]]
+            session.close()
+            assert log.messages("sevict", 0) == [("sevict", ["probe"])]
+            assert log.messages("sevict", 1) == [("sevict", ["probe"])]
+        finally:
+            session.close()
+            runtime.close()
 
     def test_closed_session_rejects_queries(self):
         _, runtime, tids = self._runtime_with_corpus()
@@ -452,7 +440,6 @@ class TestWorkerFailures:
             pool.recv(0)
         pool.close()
 
-    @chaos_exempt  # recovery's full-wire replay rescues the forged delta
     @pytest.mark.parametrize("backend", ["serial", pytest.param("process", marks=pytest.mark.slow)])
     def test_mid_level_failure_propagates_and_session_stays_closeable(self, backend):
         corpus = random_corpus(101, size=8)
@@ -460,25 +447,18 @@ class TestWorkerFailures:
         try:
             tids = runtime.add_transactions(corpus)
             session = runtime.open_session()
-            # Forge residency for a parent the shard never stored: the
-            # planner ships a delta, the worker fails to reconstruct,
-            # and the error must come back as a WorkerError carrying the
+            # Shard 0 receives a wire with an edge to a vertex that does
+            # not exist; the worker fails to rebuild the pattern, and the
+            # error must come back as a WorkerError carrying the
             # shard-side traceback.
+            _poison_next_level(runtime, shard=0)
             shard0_tids = [tid for tid in tids if runtime.locate(tid)[0] == 0]
-            for shard in range(runtime.n_shards):
-                session._resident[shard].add("ghost")
-                session._hits[(shard, "ghost")] = list(range(len(corpus)))
-            poisoned = LevelRequest(
-                pattern=child_pattern(),
-                tid_bits=bits_of(shard0_tids[:1]),
-                uid="child",
-                parent_uid="ghost",
-                extension=(1, 2, True),
-                extension_labels=("y", "C"),
+            request = LevelRequest(
+                pattern=edge_pattern(), tid_bits=bits_of(shard0_tids[:1]), uid="edge"
             )
             with pytest.raises(WorkerError) as failure:
-                session.support_level([poisoned])
-            assert "no stored session pattern" in str(failure.value)
+                session.support_level([request])
+            assert "IndexError" in str(failure.value)
             assert "Traceback" in str(failure.value)
             # No deadlocked recv: the pipes drained, so the session and
             # the runtime both shut down cleanly (and the worker is even
@@ -488,26 +468,17 @@ class TestWorkerFailures:
         finally:
             runtime.close()
 
-    @chaos_exempt  # recovery's full-wire replay rescues the forged delta
     def test_failure_in_one_shard_does_not_strand_other_replies(self):
         corpus = random_corpus(103, size=8)
         runtime = ShardedEngine(shards=2, backend="serial")
         try:
             tids = runtime.add_transactions(corpus)
             session = runtime.open_session()
-            session._resident[0].add("ghost")
-            session._hits[(0, "ghost")] = list(range(len(corpus)))
             shard0 = [tid for tid in tids if runtime.locate(tid)[0] == 0]
             shard1 = [tid for tid in tids if runtime.locate(tid)[0] == 1]
+            _poison_next_level(runtime, shard=0)
             requests = [
-                LevelRequest(
-                    pattern=child_pattern(),
-                    tid_bits=bits_of(shard0[:1]),
-                    uid="bad",
-                    parent_uid="ghost",
-                    extension=(1, 2, True),
-                    extension_labels=("y", "C"),
-                ),
+                LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard0[:1]), uid="bad"),
                 LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard1), uid="good"),
             ]
             with pytest.raises(WorkerError):
@@ -520,6 +491,52 @@ class TestWorkerFailures:
             session.close()
         finally:
             runtime.close()
+
+
+def _poison_next_level(runtime: ShardedEngine, shard: int) -> None:
+    """Make the next planned level ship *shard* a malformed first wire.
+
+    The wire's one edge points at vertex 5 of a one-vertex pattern, so
+    the shard's ``CompactGraph.from_wire`` raises ``IndexError``.  Later
+    levels plan normally.
+    """
+    planner = runtime.planner
+
+    def poisoned(*args, **kwargs):
+        del planner.plan_session_level
+        batches = planner.plan_session_level(*args, **kwargs)
+        payloads = batches[shard].payloads
+        _wire, tid_buffer = payloads[0]
+        payloads[0] = (("bad", (0,), [(0, 5, 0)], ("p0",)), tid_buffer)
+        return batches
+
+    planner.plan_session_level = poisoned
+
+
+# ----------------------------------------------------------------------
+# Recovery resends the original level message
+# ----------------------------------------------------------------------
+class TestReplay:
+    def test_replayed_level_is_resent_byte_for_byte(self):
+        corpus = random_corpus(107, size=20)
+        baseline = FSGMiner(min_support=3, max_edges=3).mine(corpus)
+        runtime = ShardedEngine(shards=2, backend="serial", faults="kill:shard=1,level=2")
+        log = _MessageLog(runtime._pool)
+        runtime._pool = log
+        try:
+            mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            stats = runtime.stats()
+        finally:
+            runtime.close()
+        assert mining_signature(mined) == mining_signature(baseline)
+        assert stats["level_replays"] == 1
+        # Shard 1 died on its second slevel message; the replay after
+        # the rebuild is that same blob, resent unchanged.
+        blobs = [
+            blob for worker, op, blob in log.posted if worker == 1 and op == "slevel"
+        ]
+        assert len(blobs) >= 3
+        assert blobs[2] == blobs[1]
 
 
 # ----------------------------------------------------------------------
