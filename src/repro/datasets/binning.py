@@ -60,14 +60,22 @@ def _format_number(value: float) -> str:
     return f"{value:g}"
 
 
-def _build_bins(edges: Sequence[float]) -> list[Bin]:
-    if len(edges) < 2:
-        raise ValueError("at least two bin edges are required")
+def _build_bins(attribute: str, edges: Sequence[float]) -> list[Bin]:
+    """Bins between consecutive *edges*.
+
+    The edges must be finite, except a last ``+inf``, and strictly
+    increasing; a NaN edge would compare false against every value.
+    """
     ordered = list(edges)
-    if ordered != sorted(ordered):
-        raise ValueError("bin edges must be sorted in increasing order")
-    if len(set(ordered)) != len(ordered):
-        raise ValueError("bin edges must be strictly increasing")
+    if len(ordered) < 2:
+        raise ValueError(f"{attribute}: at least two bin edges are required")
+    for edge in ordered[:-1]:
+        if not math.isfinite(edge):
+            raise ValueError(f"{attribute}: bin edge {edge!r} is not finite")
+    if not (math.isfinite(ordered[-1]) or ordered[-1] == math.inf):
+        raise ValueError(f"{attribute}: last bin edge {ordered[-1]!r} is neither finite nor +inf")
+    if any(lower >= upper for lower, upper in zip(ordered, ordered[1:])):
+        raise ValueError(f"{attribute}: bin edges must be strictly increasing")
     return [
         Bin(index=i, lower=ordered[i], upper=ordered[i + 1])
         for i in range(len(ordered) - 1)
@@ -89,22 +97,27 @@ class AttributeBinning:
 
         The final bin's upper edge is extended to positive infinity so any
         value at or above the nominal maximum still gets a label; the first
-        bin similarly absorbs values below the nominal minimum.
+        bin similarly absorbs values below the nominal minimum.  Both
+        bounds must be finite and *count* an integer (not a bool).
         """
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"{attribute}: bin count must be an integer, got {count!r}")
         if count < 1:
-            raise ValueError("bin count must be at least 1")
+            raise ValueError(f"{attribute}: bin count must be at least 1")
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise ValueError(f"{attribute}: bounds [{lower!r}, {upper!r}] must be finite")
         if upper <= lower:
-            raise ValueError("upper bound must exceed lower bound")
+            raise ValueError(f"{attribute}: upper bound must exceed lower bound")
         width = (upper - lower) / count
         edges = [lower + i * width for i in range(count)]
         edges.append(float("inf"))
-        bins = _build_bins(edges)
+        bins = _build_bins(attribute, edges)
         return cls(attribute=attribute, bins=bins)
 
     @classmethod
     def from_edges(cls, attribute: str, edges: Sequence[float]) -> "AttributeBinning":
         """Create bins from an explicit, sorted edge list."""
-        return cls(attribute=attribute, bins=_build_bins(edges))
+        return cls(attribute=attribute, bins=_build_bins(attribute, edges))
 
     @property
     def count(self) -> int:

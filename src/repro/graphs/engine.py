@@ -22,13 +22,15 @@ bottoms out in label-preserving subgraph isomorphism.  A
 
 Caching contract
 ----------------
-Indexes are keyed on graph identity plus the graph's mutation counter
+Indexes of query graphs (patterns, SUBDUE hosts) are keyed on graph
+identity plus the graph's mutation counter
 (:class:`~repro.graphs.labeled_graph.LabeledGraph` bumps an internal
-version on every mutation), so mutating a graph after it was indexed is
-safe: the next query rebuilds.  Stored anchors pin the same counter and
-are never extended once their transaction has mutated.  As in
-:mod:`repro.graphs.canonical`, labels are assumed to have distinct
-``str()`` forms.
+version on every mutation), so mutating such a graph after it was
+indexed is safe: the next query rebuilds.  Registered transactions are
+snapshots instead: :meth:`MatchEngine.add_transactions` compacts each
+graph once, so mutating it afterwards changes neither its support nor
+its stored anchors.  As in :mod:`repro.graphs.canonical`, labels are
+assumed to have distinct ``str()`` forms.
 """
 
 from __future__ import annotations
@@ -123,16 +125,14 @@ class EmbeddingTask:
 
 
 #: One stored anchor entry of the embedding store, a plain tuple
-#: ``(embeddings, complete, version)`` (tuples of ints only, so the
-#: cyclic collector untracks them).  ``embeddings`` are position-indexed
-#: tuples: entry ``p`` is the transaction compact vertex that pattern
-#: compact vertex ``p`` maps to.  ``complete`` records whether they are
-#: *every* embedding of the pattern in the transaction — only then can a
-#: failed extension be turned into a definitive "no embedding" verdict
-#: for a child.  ``version`` pins the transaction's mutation counter at
-#: store time: like index entries, anchors of a since-mutated
-#: transaction are dead state and must never be extended.
-AnchorEntry = tuple[tuple[tuple[int, ...], ...], bool, int]
+#: ``(embeddings, complete)`` (tuples of ints only, so the cyclic
+#: collector untracks them).  ``embeddings`` are position-indexed tuples:
+#: entry ``p`` is the transaction compact vertex that pattern compact
+#: vertex ``p`` maps to.  ``complete`` records whether they are *every*
+#: embedding of the pattern in the transaction — only then can a failed
+#: extension be turned into a definitive "no embedding" verdict for a
+#: child.
+AnchorEntry = tuple[tuple[tuple[int, ...], ...], bool]
 
 
 class MatchEngine:
@@ -158,19 +158,9 @@ class MatchEngine:
         self._entries: "weakref.WeakKeyDictionary[LabeledGraph, _Entry]" = (
             weakref.WeakKeyDictionary()
         )
-        self._transactions: list[LabeledGraph | CompactGraph | None] = []
-        # Parallel to _transactions: their index entries, bypassing the
-        # weak dictionary on the per-tid hot path of the support scan.  A
-        # None in either list marks a released tid.
-        self._transaction_entries: list[_Entry | None] = []
-        # Inverted edge-triple index over *compact* (immutable) registered
-        # transactions: triple -> tids containing it.  Lets the support
-        # scan reject whole transactions per pattern with set intersections
-        # instead of per-(pattern, tid) could_contain calls.  Mutable
-        # LabeledGraph transactions are deliberately excluded — their
-        # triple sets can change after registration.
-        self._compact_tids: set[int] = set()
-        self._triple_tids: dict[tuple[int, int, int], set[int]] = {}
+        # Registered transactions by tid: the index of each one's compact
+        # snapshot, or None once the tid is released.
+        self._transactions: list[GraphIndex | None] = []
         # The embedding store: pattern uid -> tid -> anchor entry.  Uids
         # are caller-owned opaque tokens (the miner assigns one per
         # surviving candidate); anchors are engine-local and never cross
@@ -231,24 +221,24 @@ class MatchEngine:
     # Transactions
     # ------------------------------------------------------------------
     def add_transactions(self, transactions: Iterable[LabeledGraph]) -> list[int]:
-        """Register *transactions* for TID-based queries; returns their tids."""
-        tids: list[int] = []
-        for transaction in transactions:
-            tid = len(self._transactions)
-            self._transactions.append(transaction)
-            self.index_of(transaction)
-            self._transaction_entries.append(self._entries[transaction])
-            tids.append(tid)
-        return tids
+        """Register *transactions* for TID-based queries; returns their tids.
+
+        Registration takes a snapshot: each graph is compacted through
+        this engine's label table, so mutating it afterwards does not
+        change its support.
+        """
+        table = self.table
+        return self.add_compact_transactions(
+            CompactGraph.from_labeled(transaction, table) for transaction in transactions
+        )
 
     def add_compact_transactions(self, compacts: Iterable[CompactGraph]) -> list[int]:
         """Register already-compacted transactions; returns their tids.
 
-        This is the runtime workers' registration path: the parent ships
-        :class:`CompactGraph` wire forms interned through a table replica
-        of this engine's table, so no label is ever re-interned and no
-        :class:`LabeledGraph` is reconstructed.  Compact graphs are
-        immutable, so their entries never go stale.
+        Every registration ends here.  Runtime workers call it directly:
+        the parent ships :class:`CompactGraph` wire forms interned through
+        a table replica of this engine's table, so no label is ever
+        re-interned and no :class:`LabeledGraph` is reconstructed.
         """
         tids: list[int] = []
         for compact in compacts:
@@ -256,15 +246,9 @@ class MatchEngine:
                 raise ValueError(
                     "compact transaction was interned through a different label table"
                 )
-            tid = len(self._transactions)
-            self._transactions.append(compact)
-            index = GraphIndex(compact)
-            self._transaction_entries.append(_Entry(0, index))
+            tids.append(len(self._transactions))
+            self._transactions.append(GraphIndex(compact))
             self.stats.indexes_built += 1
-            self._compact_tids.add(tid)
-            for triple in index.triples:
-                self._triple_tids.setdefault(triple, set()).add(tid)
-            tids.append(tid)
         return tids
 
     def release_transactions(self, tids: Iterable[int]) -> None:
@@ -279,16 +263,7 @@ class MatchEngine:
         if not released:
             return
         for tid in released:
-            if tid in self._compact_tids:
-                entry = self._transaction_entries[tid]
-                if entry is not None:
-                    for triple in entry.index.triples:
-                        bucket = self._triple_tids.get(triple)
-                        if bucket is not None:
-                            bucket.discard(tid)
-                self._compact_tids.discard(tid)
             self._transactions[tid] = None
-            self._transaction_entries[tid] = None
         for per_tid in self._anchors.values():
             for tid in released & per_tid.keys():
                 self._anchor_load -= len(per_tid.pop(tid)[0])
@@ -298,34 +273,16 @@ class MatchEngine:
         """Number of transaction slots (including released ones)."""
         return len(self._transactions)
 
-    def _transaction_index(self, tid: int) -> tuple[int, GraphIndex]:
-        """The ``(version, fresh index)`` of registered transaction *tid*.
+    def _transaction_index(self, tid: int) -> GraphIndex:
+        """The index of registered transaction *tid*; raises if released."""
+        index = self._transactions[tid]
+        if index is None:
+            raise _released(tid)
+        return index
 
-        The support scan's per-tid refresh step: raises for released
-        tids and rebuilds the index (updating the fast entry list) when
-        the transaction mutated since it was last indexed.
-        """
-        target = self._transactions[tid]
-        if target is None:
-            raise KeyError(f"transaction {tid} has been released from this engine")
-        version = getattr(target, "_version", 0)
-        entry = self._transaction_entries[tid]
-        if entry.version != version:
-            self.index_of(target)
-            entry = self._entries[target]
-            self._transaction_entries[tid] = entry
-        return version, entry.index
-
-    def transaction(self, tid: int) -> LabeledGraph | CompactGraph:
-        """The registered transaction with id *tid*; raises if released.
-
-        Transactions registered through :meth:`add_compact_transactions`
-        come back in compact form.
-        """
-        transaction = self._transactions[tid]
-        if transaction is None:
-            raise KeyError(f"transaction {tid} has been released from this engine")
-        return transaction
+    def transaction(self, tid: int) -> CompactGraph:
+        """The compact snapshot of registered transaction *tid*; raises if released."""
+        return self._transaction_index(tid).compact
 
     # ------------------------------------------------------------------
     # Matching API
@@ -410,24 +367,6 @@ class MatchEngine:
         # covering all edges, i.e. an isomorphism.
         return bool(self._compact_embeddings(f_index, s_index, max_count=1))
 
-    def _triple_filter(self, p_index: GraphIndex):
-        """Compact tids that contain every edge triple of the pattern.
-
-        ``None`` disables the filter (edgeless pattern).  The result only
-        speaks for compact-registered transactions; mutable ones must
-        still go through per-pair ``could_contain``.
-        """
-        triples = p_index.triples
-        if not triples:
-            return None
-        allowed = None
-        for triple in triples:
-            bucket = self._triple_tids.get(triple)
-            if not bucket:
-                return frozenset()
-            allowed = bucket if allowed is None else allowed & bucket
-        return allowed
-
     # ------------------------------------------------------------------
     # Incremental support: the embedding store
     # ------------------------------------------------------------------
@@ -464,28 +403,18 @@ class MatchEngine:
 
         The scan is pattern-major: each task resolves its strategy
         (extend, seed, or search) and the extension edge's labels once,
-        then walks its tids in ascending order; each tid's index entry is
-        resolved once per batch.  Per-task ``abort_below`` arms the
-        early-abort bound (see :class:`EmbeddingTask`).  Returns one
-        ascending tid list per task.
+        then walks its tids in ascending order.  Per-task ``abort_below``
+        arms the early-abort bound (see :class:`EmbeddingTask`).  Returns
+        one ascending tid list per task.
         """
         stats = self.stats
         stats.batch_calls += 1
         stats.batch_patterns += len(tasks)
         indexes = [self._index_of_any(task.pattern) for task in tasks]
-        compact_tids = self._compact_tids
         anchors = self._anchors
         scans: list[tuple[list[int], int, dict[int, AnchorEntry] | None] | None] = []
-        for task, p_index in zip(tasks, indexes):
+        for task in tasks:
             tids = sorted(task.tids)
-            # Whole-transaction rejection via the inverted triple index.  A
-            # rejected tid is a definitive "no", so it also shrinks the
-            # early-abort remainder.
-            allowed = self._triple_filter(p_index)
-            if allowed is not None and compact_tids:
-                kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
-                stats.early_rejects += len(tids) - len(kept)
-                tids = kept
             # The scan aborts once misses exceed the slack: from then on
             # even a hit on every remaining tid stays below abort_below.
             slack = len(tids) - (task.abort_below or 0)
@@ -495,11 +424,10 @@ class MatchEngine:
             else:
                 scans.append((tids, slack, anchors.get(task.parent_uid)))
 
-        transaction_index = self._transaction_index
+        transactions = self._transactions
         cap = self.anchor_cap
         budget = self.anchor_budget
         load = self._anchor_load
-        resolved: dict[int, tuple[int, GraphIndex]] = {}
         supports: list[list[int]] = [[] for _ in tasks]
         extensions = complete_rejects = seeds = fallbacks = stored = aborts = 0
         try:
@@ -512,8 +440,8 @@ class MatchEngine:
                 if n_vertices == 0:
                     # The empty pattern embeds in every live transaction.
                     for tid in tids:
-                        if tid not in resolved:
-                            resolved[tid] = transaction_index(tid)
+                        if transactions[tid] is None:
+                            raise _released(tid)
                         hits.append(tid)
                     continue
                 uid = task.uid
@@ -539,17 +467,14 @@ class MatchEngine:
                     )
                 misses = 0
                 for tid in tids:
-                    known = resolved.get(tid)
-                    if known is None:
-                        known = resolved[tid] = transaction_index(tid)
-                    version, t_index = known
+                    t_index = transactions[tid]
+                    if t_index is None:
+                        raise _released(tid)
                     found: tuple | None = None
                     search = not seeding
                     if extending:
                         parent = parent_entries.get(tid)
-                        # Anchors of a since-mutated transaction are stale
-                        # state, not evidence.
-                        if parent is not None and parent[2] == version:
+                        if parent is not None:
                             extensions += 1
                             target = t_index.compact
                             out: list[tuple[int, ...]] = []
@@ -627,7 +552,7 @@ class MatchEngine:
                         previous = per_tid.get(tid)
                         if previous is not None:
                             load -= len(previous[0])
-                        per_tid[tid] = (found, complete, version)
+                        per_tid[tid] = (found, complete)
                         load += len(found)
                         stored += len(found)
         finally:
@@ -832,6 +757,11 @@ def _matching_order(pattern: CompactGraph, candidates: list[list[int]]) -> list[
         in_order[nxt] = True
         remaining.remove(nxt)
     return order
+
+
+def _released(tid: int) -> KeyError:
+    """The error a query about released transaction *tid* raises."""
+    return KeyError(f"transaction {tid} has been released from this engine")
 
 
 _default_engine: MatchEngine | None = None

@@ -167,15 +167,16 @@ class SubdueMiner:
 
     @staticmethod
     def _keep_best(substructures: list[Substructure], count: int) -> list[Substructure]:
-        """The *count* highest-valued substructures, deduplicated by pattern fingerprint.
+        """The *count* highest-valued substructures, one per pattern class.
 
-        Value ties are broken by the fingerprint so the beam (and the
-        reported best list) is identical whatever order candidates were
-        discovered in — discovery order varies with the hash seed.
+        Classes are told apart by :meth:`Substructure.class_key`.  Value
+        ties are broken by that key so the beam (and the reported best
+        list) is identical whatever order candidates were discovered in —
+        discovery order varies with the hash seed.
         """
-        unique: dict[str, Substructure] = {}
+        unique: dict[tuple[str, str], Substructure] = {}
         for substructure in substructures:
-            key = substructure.invariant()
+            key = substructure.class_key()
             existing = unique.get(key)
             if existing is None or substructure.value > existing.value:
                 unique[key] = substructure

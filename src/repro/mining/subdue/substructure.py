@@ -149,9 +149,20 @@ class Substructure:
         """Vertices in the pattern graph."""
         return self.pattern.n_vertices
 
-    def invariant(self) -> str:
-        """Isomorphism-invariant fingerprint of the pattern."""
-        return graph_invariant(self.pattern)
+    def class_key(self) -> tuple[str, str]:
+        """The pattern's ``(invariant, canonical code)``.
+
+        Isomorphic patterns share a key.  The invariant alone is colour
+        refinement, which can merge distinct classes; the code separates
+        them.  A pattern too symmetric to canonicalise gets the code
+        ``""`` and is keyed by its invariant alone.
+        """
+        colours = refined_colours(self.pattern)
+        try:
+            code = canonical_code(self.pattern, colours=colours)
+        except CanonicalizationError:
+            code = ""
+        return graph_invariant(self.pattern, colours), code
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,7 +26,7 @@ scales that hot path without ever changing mining output:
   harness (``REPRO_FAULTS`` / ``--faults``) that drives the sharded
   engine's supervision layer: dead or hung workers are detected via
   deadline polling (``REPRO_WORKER_TIMEOUT``), respawned with bounded
-  retries (``REPRO_RECOVERY_RETRIES`` / ``REPRO_RECOVERY_BACKOFF``),
+  retries and exponential backoff (two retries from 0.1 s), then
   deterministically rebuilt, and the in-flight level replayed — with an
   in-process degraded mode as the last resort, so output never changes.
 

@@ -55,9 +55,6 @@ lost anchors are no-ops.
 
 from __future__ import annotations
 
-import math
-import operator
-import os
 import time
 from typing import Any, Iterable, Sequence
 
@@ -88,58 +85,10 @@ _OBS_REPLY = "__obs__"
 #: add/release/stats — are level-free and left unstamped).
 _LEVELED_WORKER_SPANS = frozenset({"shard.slevel"})
 
-#: Environment knobs for the recovery supervisor.
-RECOVERY_RETRIES_ENV = "REPRO_RECOVERY_RETRIES"
-RECOVERY_BACKOFF_ENV = "REPRO_RECOVERY_BACKOFF"
-
 #: Respawn attempts before a dead shard degrades to in-process execution.
-DEFAULT_RECOVERY_RETRIES = 2
-#: Base delay of the exponential backoff between respawn attempts.
-DEFAULT_RECOVERY_BACKOFF = 0.1
-
-
-def _resolve_recovery_retries(retries: int | None) -> int:
-    """Validate *retries*, falling back to ``REPRO_RECOVERY_RETRIES``.
-
-    Must be an integer ``>= 0``.  A bad value fails here, naming the
-    argument or variable it came from, instead of surfacing later inside
-    the recovery path.
-    """
-    knob = "recovery_retries"
-    if retries is None:
-        raw = os.environ.get(RECOVERY_RETRIES_ENV, "").strip()
-        if not raw:
-            return DEFAULT_RECOVERY_RETRIES
-        knob, retries = RECOVERY_RETRIES_ENV, raw
-    try:
-        count = int(retries) if isinstance(retries, str) else operator.index(retries)
-    except (TypeError, ValueError):
-        count = -1
-    if count < 0:
-        raise ValueError(f"{knob}={retries!r} is not an integer >= 0")
-    return count
-
-
-def _resolve_recovery_backoff(backoff: float | None) -> float:
-    """Validate *backoff*, falling back to ``REPRO_RECOVERY_BACKOFF``.
-
-    Must be a finite number of seconds ``>= 0``: a negative or NaN base
-    delay would otherwise raise from ``time.sleep`` only once a respawned
-    worker died again.
-    """
-    knob = "recovery_backoff"
-    if backoff is None:
-        raw = os.environ.get(RECOVERY_BACKOFF_ENV, "").strip()
-        if not raw:
-            return DEFAULT_RECOVERY_BACKOFF
-        knob, backoff = RECOVERY_BACKOFF_ENV, raw
-    try:
-        seconds = float(backoff)
-    except (TypeError, ValueError):
-        seconds = math.nan
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise ValueError(f"{knob}={backoff!r} is not a finite number of seconds >= 0")
-    return seconds
+RECOVERY_RETRIES = 2
+#: Base delay in seconds of the exponential backoff between respawn attempts.
+RECOVERY_BACKOFF = 0.1
 
 
 #: Expected reply type per shard op; ops not listed ack with ``None``.
@@ -369,16 +318,12 @@ class ShardedEngine(MiningRuntime):
         consults ``REPRO_WORKER_TIMEOUT``, defaulting to
         :data:`~repro.runtime.pool.DEFAULT_WORKER_TIMEOUT`; ≤0 disables).
         The serial backend detects deaths synchronously and ignores this.
-    recovery_retries:
-        Respawn attempts per failure before the shard degrades to
-        in-process execution (``None`` consults
-        ``REPRO_RECOVERY_RETRIES``, default 2); an integer ``>= 0``.
-    recovery_backoff:
-        Base seconds of the exponential backoff between respawn attempts
-        (``None`` consults ``REPRO_RECOVERY_BACKOFF``, default 0.1);
-        finite and ``>= 0``.  A bad value of either knob (or a NaN
-        *worker_timeout* on the process backend) raises ``ValueError``
-        here, before any worker starts.
+        A NaN timeout on the process backend raises ``ValueError`` here,
+        before any worker starts.
+
+    A dead worker is respawned up to :data:`RECOVERY_RETRIES` times, with
+    exponential backoff from :data:`RECOVERY_BACKOFF` seconds, before its
+    shard degrades to in-process execution.
     """
 
     def __init__(
@@ -387,17 +332,11 @@ class ShardedEngine(MiningRuntime):
         backend: str | None = None,
         faults: "FaultPlan | str | None" = None,
         worker_timeout: float | None = None,
-        recovery_retries: int | None = None,
-        recovery_backoff: float | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.n_shards = shards
         self.backend = resolve_backend(backend)
-        # Recovery knobs are checked before any worker starts, so a bad
-        # value fails the constructor instead of leaking a pool.
-        self._recovery_retries = _resolve_recovery_retries(recovery_retries)
-        self._recovery_backoff = _resolve_recovery_backoff(recovery_backoff)
         self.table = LabelTable()
         self.planner = BatchSupportPlanner(shards)
         self._placement = PlacementPolicy(shards)
@@ -596,9 +535,9 @@ class ShardedEngine(MiningRuntime):
         attempt = 0
         degraded = False
         while True:
-            if attempt < self._recovery_retries:
+            if attempt < RECOVERY_RETRIES:
                 if attempt:
-                    time.sleep(self._recovery_backoff * (2 ** (attempt - 1)))
+                    time.sleep(RECOVERY_BACKOFF * (2 ** (attempt - 1)))
                 self._pool.respawn(shard)
                 self.recovery["worker_restarts"] += 1
                 tracer.metrics.counter("worker_restarts", shard=str(shard))

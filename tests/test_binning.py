@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.binning import (
     AttributeBinning,
@@ -111,3 +115,77 @@ class TestNonFiniteRejection:
         binning = AttributeBinning.equal_width("GROSS_WEIGHT", 0.0, 70_000.0, 7)
         assert binning.index_for(-1e12) == 0           # clamps below range
         assert binning.index_for(1e12) == 6            # open-ended top bin
+
+
+#: Bounds, edges and values: any float (nan and +-inf included) or a bool.
+_numbers = st.one_of(st.floats(), st.booleans())
+#: Bin counts: small integers, floats (whole or not) and bools.
+_counts = st.one_of(st.integers(min_value=-2, max_value=30), st.floats(), st.booleans())
+
+
+def _built(attribute, build):
+    """``build()``, or ``None`` when it rejects its input with a ValueError naming *attribute*."""
+    try:
+        return build()
+    except ValueError as error:
+        assert attribute in str(error)
+        return None
+
+
+def _assert_well_formed(binning, values):
+    """Edges finite (a last +inf excepted) and strictly increasing; every
+    finite value in range lands in a bin that contains it, in order."""
+    edges = [interval.lower for interval in binning.bins] + [binning.bins[-1].upper]
+    assert all(math.isfinite(edge) for edge in edges[:-1])
+    assert math.isfinite(edges[-1]) or edges[-1] == math.inf
+    assert all(lower < upper for lower, upper in zip(edges, edges[1:]))
+    probes = list(values) + edges[:-1]
+    probes += [lower + (upper - lower) / 2 for lower, upper in zip(edges, edges[1:-1])]
+    probes = sorted(
+        value for value in probes if math.isfinite(value) and edges[0] <= value < edges[-1]
+    )
+    indexes = []
+    for value in probes:
+        interval = binning.bin_for(value)
+        assert interval.contains(value)
+        indexes.append(interval.index)
+    assert indexes == sorted(indexes)
+
+
+class TestBinningFuzzing:
+    @settings(max_examples=300, deadline=None)
+    @given(lower=_numbers, upper=_numbers, count=_counts, values=st.lists(_numbers, max_size=8))
+    def test_equal_width_builds_ordered_bins_or_raises_value_error(
+        self, lower, upper, count, values
+    ):
+        binning = _built("W", lambda: AttributeBinning.equal_width("W", lower, upper, count))
+        if binning is not None:
+            assert binning.count == count
+            _assert_well_formed(binning, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=st.lists(_numbers, max_size=6), values=st.lists(_numbers, max_size=8))
+    def test_from_edges_builds_ordered_bins_or_raises_value_error(self, edges, values):
+        binning = _built("W", lambda: AttributeBinning.from_edges("W", edges))
+        if binning is not None:
+            _assert_well_formed(binning, values)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AttributeBinning.equal_width("W", math.nan, 10.0, 3),
+            lambda: AttributeBinning.equal_width("W", -math.inf, 10.0, 3),
+            lambda: AttributeBinning.equal_width("W", 0.0, math.inf, 3),
+            lambda: AttributeBinning.equal_width("W", 0.0, 10.0, 2.5),
+            lambda: AttributeBinning.equal_width("W", 0.0, 10.0, True),
+            lambda: AttributeBinning.from_edges("W", [0.0, math.nan, 10.0]),
+            lambda: AttributeBinning.from_edges("W", [-math.inf, 0.0, 10.0]),
+        ],
+        ids=[
+            "nan-lower", "-inf-lower", "inf-upper", "float-count", "bool-count",
+            "nan-edge", "-inf-first-edge",
+        ],
+    )
+    def test_non_finite_bounds_edges_and_bad_counts_are_rejected(self, build):
+        with pytest.raises(ValueError, match="W"):
+            build()

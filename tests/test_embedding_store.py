@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.compact import CompactGraph
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.isomorphism import legacy_find_embeddings, legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
@@ -106,14 +107,8 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
     stats.batch_calls += 1
     stats.batch_patterns += len(infos)
     per_tid: dict[int, list[int]] = {}
-    compact_tids = engine._compact_tids
     for position, info in enumerate(infos):
         tids = list(info.task.tids)
-        allowed = engine._triple_filter(info.index)
-        if allowed is not None and compact_tids:
-            kept = [tid for tid in tids if tid not in compact_tids or tid in allowed]
-            stats.early_rejects += len(tids) - len(kept)
-            tids = kept
         info.remaining = len(tids)
         abort_below = info.task.abort_below
         if abort_below is not None and info.remaining < abort_below:
@@ -127,15 +122,14 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
 
     for tid in sorted(per_tid):
         t_index = None
-        version = 0
         for position in per_tid[tid]:
             info = infos[position]
             if info.dead:
                 continue
             info.remaining -= 1
             if t_index is None:
-                version, t_index = engine._transaction_index(tid)
-            if _incremental_exists(engine, info, tid, version, t_index):
+                t_index = engine._transaction_index(tid)
+            if _incremental_exists(engine, info, tid, t_index):
                 info.hits.append(tid)
             abort_below = info.task.abort_below
             if abort_below is not None and len(info.hits) + info.remaining < abort_below:
@@ -144,7 +138,7 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
     return [info.hits for info in infos]
 
 
-def _incremental_exists(engine, info: _OracleTask, tid, version, t_index) -> bool:
+def _incremental_exists(engine, info: _OracleTask, tid, t_index) -> bool:
     """One (task, tid) verdict: extend anchors, seed, or fall back."""
     task = info.task
     pattern = info.index.compact
@@ -152,19 +146,19 @@ def _incremental_exists(engine, info: _OracleTask, tid, version, t_index) -> boo
         return True
     if task.extension is not None and info.parent_entries is not None:
         parent_entry = info.parent_entries.get(tid)
-        if parent_entry is not None and parent_entry[2] == version:
+        if parent_entry is not None:
             engine.stats.anchor_extensions += 1
             found, embeddings, complete = _extend_anchors(
                 engine, pattern, task.extension, parent_entry, t_index.compact
             )
             if found:
-                _store_anchors(engine, task.uid, tid, embeddings, complete, version)
+                _store_anchors(engine, task.uid, tid, embeddings, complete)
                 return True
             if parent_entry[1]:
                 engine.stats.anchor_complete_rejects += 1
                 return False
     if pattern.n_edges == 1 and pattern.n_vertices == 2 and task.extension is None:
-        return _seed_single_edge(engine, info, tid, version, t_index)
+        return _seed_single_edge(engine, info, tid, t_index)
     engine.stats.anchor_fallbacks += 1
     results = engine._compact_embeddings(info.index, t_index, max_count=engine.anchor_cap)
     if not results:
@@ -173,9 +167,7 @@ def _incremental_exists(engine, info: _OracleTask, tid, version, t_index) -> boo
         tuple(mapping[p_vertex] for p_vertex in range(pattern.n_vertices))
         for mapping in results
     )
-    _store_anchors(
-        engine, task.uid, tid, embeddings, len(results) < engine.anchor_cap, version
-    )
+    _store_anchors(engine, task.uid, tid, embeddings, len(results) < engine.anchor_cap)
     return True
 
 
@@ -216,7 +208,7 @@ def _extend_anchors(engine, pattern, extension, parent_entry, target):
     return bool(out), tuple(out), parent_entry[1] and not capped
 
 
-def _seed_single_edge(engine, info: _OracleTask, tid, version, t_index) -> bool:
+def _seed_single_edge(engine, info: _OracleTask, tid, t_index) -> bool:
     """Anchor a one-edge pattern from the transaction's triple buckets."""
     engine.stats.anchor_seeds += 1
     pattern = info.index.compact
@@ -236,12 +228,12 @@ def _seed_single_edge(engine, info: _OracleTask, tid, version, t_index) -> bool:
         embedding_at[dst_pos] = t_dst
         embeddings.append(tuple(embedding_at))
     _store_anchors(
-        engine, info.task.uid, tid, tuple(embeddings), len(pairs) <= engine.anchor_cap, version
+        engine, info.task.uid, tid, tuple(embeddings), len(pairs) <= engine.anchor_cap
     )
     return True
 
 
-def _store_anchors(engine, uid, tid, embeddings, complete, version) -> None:
+def _store_anchors(engine, uid, tid, embeddings, complete) -> None:
     """Record *embeddings* under ``(uid, tid)`` if the budget allows."""
     if uid is None or not embeddings:
         return
@@ -251,7 +243,7 @@ def _store_anchors(engine, uid, tid, embeddings, complete, version) -> None:
     previous = per_tid.get(tid)
     if previous is not None:
         engine._anchor_load -= len(previous[0])
-    per_tid[tid] = (embeddings, complete, version)
+    per_tid[tid] = (embeddings, complete)
     engine._anchor_load += len(embeddings)
     engine.stats.anchors_stored += len(embeddings)
 
@@ -490,46 +482,6 @@ def test_binding_anchor_budget_keeps_tid_lists(corpus, seed, anchor_budget, abor
     assert fast.anchor_load <= anchor_budget
 
 
-def test_mutated_transaction_anchors_are_not_extended():
-    """Stale complete anchors must fall back to search on both scans."""
-
-    def host():
-        graph = LabeledGraph(name="mutating")
-        graph.add_vertex("a", "a")
-        graph.add_vertex("b", "b")
-        graph.add_edge("a", "b", "x")
-        return graph
-
-    hosts = [host(), host()]
-    fast, oracle = MatchEngine(), MatchEngine()
-    fast.add_transactions([hosts[0]])
-    oracle.add_transactions([hosts[1]])
-    seed = [EmbeddingTask(pattern=_edge_pattern(), tids=[0], uid="parent")]
-    assert fast.support_with_embeddings(seed) == transaction_major_supports(oracle, seed)
-    for graph in hosts:
-        # Only the new a2 -x-> b2 embedding extends by b2 -y-> c; the
-        # stored (complete) anchors predate it.
-        graph.add_vertex("a2", "a")
-        graph.add_vertex("b2", "b")
-        graph.add_vertex("c", "c")
-        graph.add_edge("a2", "b2", "x")
-        graph.add_edge("b2", "c", "y")
-    child = [
-        EmbeddingTask(
-            pattern=_extended_pattern(), tids=[0], uid="child",
-            parent_uid="parent", extension=(1, 2, True),
-        )
-    ]
-    extensions_before = fast.stats.anchor_extensions
-    assert fast.support_with_embeddings(child) == [[0]]
-    assert transaction_major_supports(oracle, child) == [[0]]
-    assert fast.stats.anchor_extensions == extensions_before
-    assert fast.stats.anchor_fallbacks == 1
-    assert fast._anchors == oracle._anchors
-    assert fast.anchor_load == oracle.anchor_load
-    assert fast.stats == oracle.stats
-
-
 class TestBitsets:
     def test_round_trip_and_popcount(self):
         tids = [0, 3, 17, 64, 130]
@@ -709,7 +661,7 @@ class TestExtensionPaths:
             [[tid]], [[tid]], [[tid]]
         ]
         assert engine._anchors["parent"][tid][1] is False
-        assert engine._anchors["child"][tid][:2] == (((0, 1, 2),), False)
+        assert engine._anchors["child"][tid] == (((0, 1, 2),), False)
 
     def test_early_abort_returns_partial_below_threshold(self):
         corpus = [self._host() for _ in range(6)]
@@ -725,12 +677,10 @@ class TestExtensionPaths:
         assert len(hits) < 4
         assert engine.stats.support_aborts >= 1
 
-    def test_mutated_transaction_invalidates_anchors(self):
-        # Regression: anchors must honour the same version discipline as
-        # the graph indexes.  Seed complete parent anchors, then mutate
-        # the registered transaction so a *new* parent embedding (absent
-        # from the stale anchors) is the only one that extends; a stale
-        # complete-set reject here would be a wrong definitive "no".
+    def test_registration_snapshots_the_transaction(self):
+        # add_transactions compacts the graph, so an edge added afterwards
+        # changes no support: not through the parent's stored anchors,
+        # not through the full search.
         host = LabeledGraph(name="mutating")
         host.add_vertex("a", "a")
         host.add_vertex("b", "b")
@@ -738,27 +688,21 @@ class TestExtensionPaths:
         engine = MatchEngine()
         (tid,) = engine.add_transactions([host])
         parent, child = _edge_pattern(), _extended_pattern()
-        engine.support_with_embeddings(
+        assert engine.support_with_embeddings(
             [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")]
-        )
-        host.add_vertex("a2", "a")
-        host.add_vertex("b2", "b")
+        ) == [[tid]]
+        assert engine.support_with_embeddings([EmbeddingTask(pattern=child, tids=[tid])]) == [[]]
         host.add_vertex("c", "c")
-        host.add_edge("a2", "b2", "x")
-        host.add_edge("b2", "c", "y")
-        result = engine.support_with_embeddings(
-            [
-                EmbeddingTask(
-                    pattern=child,
-                    tids=[tid],
-                    uid="child",
-                    parent_uid="parent",
-                    extension=(1, 2, True),
-                )
-            ]
-        )
-        assert result == [[tid]]
+        host.add_edge("b", "c", "y")
         assert legacy_has_embedding(child, host)
+        extended = EmbeddingTask(
+            pattern=child, tids=[tid], uid="child", parent_uid="parent", extension=(1, 2, True)
+        )
+        assert engine.support_with_embeddings([extended]) == [[]]
+        assert engine.support_with_embeddings([EmbeddingTask(pattern=child, tids=[tid])]) == [[]]
+        snapshot = engine.transaction(tid)
+        assert isinstance(snapshot, CompactGraph)
+        assert (snapshot.n_vertices, snapshot.n_edges) == (2, 1)
 
     def test_release_transactions_evicts_anchors(self):
         engine = MatchEngine()
@@ -819,3 +763,33 @@ class TestRuntimeLevelAPI:
             runtime.close()
         assert serial == sharded
         assert popcount(serial[1]) <= popcount(serial[0])
+
+    def test_mutation_after_registration_agrees_across_runtimes(self):
+        # Both runtimes snapshot at registration, so a pattern that only
+        # an edge added afterwards completes is supported by neither.
+        pattern = _extended_pattern()
+
+        def support_after_mutation(runtime):
+            host = LabeledGraph(name="host")
+            host.add_vertex("a", "a")
+            host.add_vertex("b", "b")
+            host.add_edge("a", "b", "x")
+            tids = runtime.add_transactions([host])
+            host.add_vertex("c", "c")
+            host.add_edge("b", "c", "y")
+            try:
+                with runtime.open_session() as session:
+                    (bits,) = session.support_level(
+                        [LevelRequest(pattern=pattern, tid_bits=bits_of(tids))]
+                    )
+            finally:
+                runtime.release_transactions(tids)
+            return tids_of(bits)
+
+        serial = support_after_mutation(SerialRuntime())
+        runtime = ShardedEngine(shards=2, backend="serial")
+        try:
+            sharded = support_after_mutation(runtime)
+        finally:
+            runtime.close()
+        assert {"serial": serial, "sharded": sharded} == {"serial": [], "sharded": []}

@@ -346,11 +346,7 @@ class TestRecoveryEquivalence:
 
     def test_sticky_exhaustion_degrades_and_still_matches(self, baseline):
         corpus, reference = baseline
-        mined, stats = mine_sharded(
-            corpus,
-            faults="kill:shard=1,op=slevel,times=99,sticky",
-            recovery_backoff=0.0,
-        )
+        mined, stats = mine_sharded(corpus, faults="kill:shard=1,op=slevel,times=99,sticky")
         assert mining_signature(mined) == reference
         assert stats["worker_degradations"] >= 1
         assert stats["worker_restarts"] >= 1

@@ -391,3 +391,23 @@ class TestSubdueMiner:
     def test_optional_caps_accept_none(self):
         miner = SubdueMiner(limit=None, max_instances=None, max_substructure_edges=2)
         assert miner.mine(_repeated_star_graph(copies=2, spokes=2)).evaluated > 0
+
+    def test_beam_keeps_distinct_classes_that_share_an_invariant(self):
+        # Two connected, non-isomorphic 6-vertex patterns that colour
+        # refinement cannot tell apart; the beam must keep both.
+        def pattern(edges):
+            graph = LabeledGraph()
+            for vertex in range(6):
+                graph.add_vertex(f"v{vertex}", "L")
+            for source, target in edges:
+                graph.add_edge(f"v{source}", f"v{target}", "e")
+            return graph
+
+        first = pattern([(0, 4), (1, 2), (1, 4), (2, 0), (3, 0), (3, 5), (4, 5), (5, 2)])
+        second = pattern([(0, 4), (1, 2), (2, 0), (3, 1), (3, 4), (4, 1), (5, 0), (5, 2)])
+        assert graph_invariant(first) == graph_invariant(second)
+        assert not are_isomorphic(first, second)
+        kept = SubdueMiner._keep_best(
+            [Substructure(pattern=first, value=2.0), Substructure(pattern=second, value=1.5)], 2
+        )
+        assert [substructure.pattern for substructure in kept] == [first, second]

@@ -5,8 +5,8 @@ agree exactly with ``legacy_has_embedding`` on randomized multigraph
 corpora, and keep doing so in the cases that are easy to get wrong: a
 capped anchor store, empty and singleton supports, tid spaces crossing
 the 64-bit word boundary, and engine state outliving
-``release_transactions`` / transaction mutation.  (The module name is
-historical; it is kept so that test ids stay stable.)
+``release_transactions``.  (The module name is historical; it is kept
+so that test ids stay stable.)
 
 What is *not* asserted here: mid-scan abort timing or anchor-store
 contents — ``tests/test_embedding_store.py`` pins those against its
@@ -194,7 +194,7 @@ def test_bitset_buffer_roundtrip(tids):
 
 
 # ----------------------------------------------------------------------
-# Invalidation: released transactions and mutated graphs
+# Invalidation: released transactions
 # ----------------------------------------------------------------------
 def test_release_transactions_invalidates_columns():
     """A released tid raises and frees its anchors; survivors still answer."""
@@ -215,24 +215,6 @@ def test_release_transactions_invalidates_columns():
         [EmbeddingTask(pattern=pattern, tids=[0, 3], uid="p3")]
     )
     assert after == [0, 3]
-
-
-def test_transaction_mutation_invalidates_columns():
-    """A version bump must refresh the transaction's index and anchors."""
-    engine = MatchEngine()
-    transaction = _chain("t0", ["port", "yard"])
-    tids = engine.add_transactions([transaction])
-    grown = _chain("p", ["port", "yard", "port"])
-    (before,) = engine.support_with_embeddings(
-        [EmbeddingTask(pattern=grown, tids=tids, uid="grown")]
-    )
-    assert before == []
-    transaction.add_vertex("v2", "port")
-    transaction.add_edge("v1", "v2", "go")
-    (after,) = engine.support_with_embeddings(
-        [EmbeddingTask(pattern=grown, tids=tids, uid="grown2")]
-    )
-    assert after == [0]
 
 
 # ----------------------------------------------------------------------
