@@ -72,7 +72,7 @@ def mine_sharded(corpus, faults=None):
     runtime = ShardedEngine(shards=WORKERS, backend="process", faults=faults)
     try:
         elapsed, count, signature = mine(corpus, runtime)
-        recovery = runtime.recovery_counts
+        recovery = dict(runtime.recovery)
     finally:
         runtime.close()
     return elapsed, count, signature, recovery

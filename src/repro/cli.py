@@ -448,7 +448,11 @@ def _run_trace_command(args, stream) -> int:
     if not args.path.exists():
         print(f"no such trace file: {args.path}", file=sys.stderr)
         return 2
-    data = read_jsonl(args.path)
+    try:
+        data = read_jsonl(args.path)
+    except ValueError as error:
+        print(f"malformed trace file: {error}", file=sys.stderr)
+        return 2
     if args.trace_command == "summarize":
         print(render_report(data, top=args.top), file=stream)
         return 0

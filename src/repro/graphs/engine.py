@@ -257,9 +257,16 @@ class MatchEngine:
         Tids are never reused (the slots stay occupied).  A shared engine
         that serves many mining rounds must release each round's
         transactions or it retains every graph ever mined.  Querying a
-        released tid raises.
+        released tid raises.  The call is validated before anything is
+        dropped: a released, repeated, unknown or negative tid raises
+        ``KeyError`` and releases nothing (the sharded runtime's contract).
         """
-        released = set(tids)
+        released: set[int] = set()
+        for tid in tids:
+            if tid in released:
+                raise _released(tid)
+            self._transaction_index(tid)
+            released.add(tid)
         if not released:
             return
         for tid in released:
@@ -274,14 +281,19 @@ class MatchEngine:
         return len(self._transactions)
 
     def _transaction_index(self, tid: int) -> GraphIndex:
-        """The index of registered transaction *tid*; raises if released."""
+        """The index of registered transaction *tid*.
+
+        Raises ``KeyError`` if *tid* is released, unknown or negative.
+        """
+        if not 0 <= tid < len(self._transactions):
+            raise KeyError(f"unknown transaction id {tid}")
         index = self._transactions[tid]
         if index is None:
             raise _released(tid)
         return index
 
     def transaction(self, tid: int) -> CompactGraph:
-        """The compact snapshot of registered transaction *tid*; raises if released."""
+        """The compact snapshot of registered transaction *tid*; raises if released or unknown."""
         return self._transaction_index(tid).compact
 
     # ------------------------------------------------------------------
@@ -415,6 +427,11 @@ class MatchEngine:
         scans: list[tuple[list[int], int, dict[int, AnchorEntry] | None] | None] = []
         for task in tasks:
             tids = sorted(task.tids)
+            if tids:
+                # Check the scan set once, at its ends: the scan itself
+                # only has to catch released tids.
+                self._transaction_index(tids[0])
+                self._transaction_index(tids[-1])
             # The scan aborts once misses exceed the slack: from then on
             # even a hit on every remaining tid stays below abort_below.
             slack = len(tids) - (task.abort_below or 0)
@@ -587,10 +604,6 @@ class MatchEngine:
             self.stats.indexes_built += 1
             return GraphIndex(pattern)
         return self.index_of(pattern)
-
-    def stats_snapshot(self) -> dict[str, int]:
-        """A plain-dict snapshot of the engine's cache/search counters."""
-        return self.stats.as_dict()
 
     # ------------------------------------------------------------------
     # Internals

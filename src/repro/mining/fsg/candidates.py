@@ -12,13 +12,13 @@ non-bridging edge (or a spanning-tree leaf edge), extending all frequent
 k-patterns enumerates every potentially frequent (k+1)-pattern; the
 Apriori principle then guarantees completeness.
 
-Candidates are deduplicated up to label-preserving isomorphism.  With a
-:class:`~repro.graphs.engine.MatchEngine` the grouping key is the exact
-:func:`~repro.graphs.canonical.canonical_code`; patterns too symmetric to
-canonicalise (:class:`~repro.graphs.canonical.CanonicalizationError`)
-fall back to the cheap :func:`~repro.graphs.canonical.graph_invariant`
-fingerprint with an exact isomorphism check inside each fingerprint
-bucket — the same scheme the engine-less path always uses.
+Candidates are deduplicated up to label-preserving isomorphism through
+the miner's :class:`~repro.graphs.engine.MatchEngine`: the grouping key is
+the exact :func:`~repro.graphs.canonical.canonical_code`; patterns too
+symmetric to canonicalise
+(:class:`~repro.graphs.canonical.CanonicalizationError`) fall back to the
+cheap :func:`~repro.graphs.canonical.graph_invariant` fingerprint with an
+exact isomorphism check inside each fingerprint bucket.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.graphs.canonical import (
     refined_colours,
 )
 from repro.graphs.engine import MatchEngine
-from repro.graphs.isomorphism import are_isomorphic
 from repro.obs.tracer import get_tracer
 from repro.graphs.labeled_graph import LabeledGraph
 
@@ -232,19 +231,19 @@ def extension_labels(
 
 def deduplicate(
     candidates: Iterable[Candidate],
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> list[Candidate]:
     """Merge isomorphic candidates, intersecting their parent scan sets.
 
     Candidates are grouped into invariant buckets in first-seen order (the
     emission order downstream consumers — and the paper examples' printed
-    representatives — depend on, so both paths preserve it).  Within a
-    bucket, equality of isomorphism classes is decided by the exact
-    canonical code when *engine* is given: one memoized code computation
-    per representative instead of a backtracking isomorphism search per
-    pair.  Candidates whose canonicalisation overflows
-    (:class:`CanonicalizationError`) fall back to the exact isomorphism
-    check; isomorphic graphs have identical colour-class sizes, so a
+    representatives — depend on).  Within a bucket, equality of
+    isomorphism classes is decided by the exact canonical code: one
+    memoized code computation per representative instead of a
+    backtracking isomorphism search per pair.  Candidates whose
+    canonicalisation overflows (:class:`CanonicalizationError`) fall back
+    to *engine*'s exact isomorphism check; isomorphic graphs have
+    identical colour-class sizes, so a
     pattern either canonicalises for its whole isomorphism class or falls
     back for all of it — the two schemes never disagree.
     """
@@ -292,21 +291,19 @@ def _canonical_of(candidate: Candidate):
     return code
 
 
-def _same_class(first: Candidate, second: Candidate, engine: MatchEngine | None) -> bool:
+def _same_class(first: Candidate, second: Candidate, engine: MatchEngine) -> bool:
     """Whether two candidates are isomorphic, via canonical codes when possible."""
-    if engine is not None:
-        code_a = _canonical_of(first)
-        code_b = _canonical_of(second)
-        if code_a is _CANON_FAILED or code_b is _CANON_FAILED:
-            return engine.are_isomorphic(first.pattern, second.pattern)
-        return code_a == code_b
-    return are_isomorphic(first.pattern, second.pattern)
+    code_a = _canonical_of(first)
+    code_b = _canonical_of(second)
+    if code_a is _CANON_FAILED or code_b is _CANON_FAILED:
+        return engine.are_isomorphic(first.pattern, second.pattern)
+    return code_a == code_b
 
 
 def generate_candidates(
     frequent_patterns: Sequence[Candidate],
     frequent_triples: Iterable[EdgeTriple],
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> list[Candidate]:
     """Generate deduplicated (k+1)-edge candidates from frequent k-edge patterns.
 
@@ -332,22 +329,21 @@ def generate_candidates(
                 )
             )
     unique = deduplicate(raw, engine=engine)
-    if engine is not None:
-        # Derive each survivor's compact form from its parent's (one new
-        # edge) and file it with the engine: the support pass then skips
-        # the full from_labeled rebuild per evaluated candidate.
-        for candidate in unique:
-            extension = candidate.extension
-            if extension is None or candidate.parent_pattern is None:
-                continue
-            source_pos, target_pos, _has_new = extension
-            edge_label, new_vertex_label = candidate.extension_labels
-            parent_compact = engine.compact_of(candidate.parent_pattern)
-            engine.adopt_compact(
+    # Derive each survivor's compact form from its parent's (one new
+    # edge) and file it with the engine: the support pass then skips
+    # the full from_labeled rebuild per evaluated candidate.
+    for candidate in unique:
+        extension = candidate.extension
+        if extension is None or candidate.parent_pattern is None:
+            continue
+        source_pos, target_pos, _has_new = extension
+        edge_label, new_vertex_label = candidate.extension_labels
+        parent_compact = engine.compact_of(candidate.parent_pattern)
+        engine.adopt_compact(
+            candidate.pattern,
+            parent_compact.extended(
+                source_pos, target_pos, edge_label, new_vertex_label,
                 candidate.pattern,
-                parent_compact.extended(
-                    source_pos, target_pos, edge_label, new_vertex_label,
-                    candidate.pattern,
-                ),
-            )
+            ),
+        )
     return unique

@@ -124,7 +124,7 @@ class FSGMiner:
         # runtime, where runtime and parent engine coincide — the whole
         # match workload; shard engines ship their own deltas piggybacked
         # on replies (see ShardWorker).
-        stats_before = engine.stats_snapshot() if tracer.enabled else None
+        stats_before = engine.stats.as_dict() if tracer.enabled else None
         mine_span = tracer.span(
             "fsg.mine", n_transactions=n_transactions, min_support=support_threshold
         )
@@ -156,7 +156,7 @@ class FSGMiner:
         finally:
             mine_span.finish()
         if stats_before is not None:
-            after = engine.stats_snapshot()
+            after = engine.stats.as_dict()
             tracer.metrics.absorb(
                 {key: after[key] - stats_before.get(key, 0) for key in after},
                 worker="main",
@@ -192,10 +192,9 @@ class FSGMiner:
         # their evictions — see :meth:`MiningRuntime.open_session`.
         session = runtime.open_session()
 
-        level_started = time.perf_counter()
         # Levels straddle control flow a ``with`` block cannot (the prime
         # call below lives inside the try), so level spans use the
-        # explicit finish() form.
+        # explicit finish() form.  A level's span is its only timing.
         level_span = tracer.span("fsg.level", level=1)
         triples_with_tids = frequent_single_edges(transactions, support_threshold)
         frequent_triples = list(triples_with_tids)
@@ -225,7 +224,6 @@ class FSGMiner:
                         [candidate for candidate, _ in level_patterns], to_global
                     )
                 )
-            result.level_seconds[1] = time.perf_counter() - level_started
             self._level_done(result, tracer, session, level=1)
             level_span.finish(survivors=len(level_patterns))
 
@@ -233,7 +231,6 @@ class FSGMiner:
             while level_patterns:
                 if self.max_edges is not None and level >= self.max_edges:
                     break
-                level_started = time.perf_counter()
                 level_span = tracer.span("fsg.level", level=level + 1)
                 parents = [
                     Candidate(
@@ -280,7 +277,6 @@ class FSGMiner:
                 live_uids = sorted(surviving_uids)
                 support_span.finish(survivors=len(level_patterns))
                 level += 1
-                result.level_seconds[level] = time.perf_counter() - level_started
                 self._level_done(result, tracer, session, level=level)
                 level_span.finish(survivors=len(level_patterns))
                 if level_patterns:
@@ -305,11 +301,7 @@ class FSGMiner:
         counters into the tracer's metrics registry labeled by level.
         """
         result.level_telemetry[level] = session.take_telemetry()
-        if tracer.enabled:
-            tracer.metrics.absorb(result.level_telemetry[level], level=str(level))
-            tracer.metrics.gauge(
-                "fsg.level_seconds", result.level_seconds[level], level=str(level)
-            )
+        tracer.metrics.absorb(result.level_telemetry[level], level=str(level))
 
     @staticmethod
     def _level_requests(

@@ -55,16 +55,13 @@ class FSGResult:
     candidates_generated: int = 0
     aborted: bool = False
     abort_reason: str = ""
-    #: Wall-clock seconds spent per level (candidate generation +
-    #: support counting for that level); keyed by the level's edge count.
-    #: Purely observational — never part of any digest or comparison.
-    level_seconds: dict[int, float] = field(default_factory=dict, compare=False)
-    #: Mining-session counters per level (wire bytes shipped, planning
-    #: seconds, pattern shipments, placement skew, recoveries — see
-    #: :data:`repro.runtime.base.SESSION_TELEMETRY_KEYS`), keyed like
-    #: :attr:`level_seconds`.  Serial runs count ``patterns_full`` and
-    #: report zero for the shard-side keys.  Purely observational, never
-    #: part of any digest.
+    #: Mining-session counters per level (wire bytes shipped and the
+    #: per-shard scan skew — see
+    #: :data:`repro.runtime.base.SESSION_TELEMETRY_KEYS`), keyed by the
+    #: level's edge count.  Serial runs report zeros.  A level's wall
+    #: clock is its ``fsg.level`` span, and recoveries are counted by
+    #: the runtime (``ShardedEngine.recovery``), not here.  Purely
+    #: observational, never part of any digest.
     level_telemetry: dict[int, dict[str, float]] = field(
         default_factory=dict, compare=False
     )

@@ -6,8 +6,8 @@ The subsystem has four pieces, each usable alone:
   injectable clock, the :data:`NULL_TRACER` zero-overhead off switch,
   and the process-global active tracer the CLI installs;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the labeled
-  counter/gauge/histogram store whose commutative merge makes per-shard
-  registries safe to combine in any order;
+  counter store whose commutative merge makes per-shard registries safe
+  to combine in any order (timings are spans, never metrics);
 * :mod:`repro.obs.export` — JSONL traces on disk and Chrome Trace Event
   Format for ``chrome://tracing`` / Perfetto;
 * :mod:`repro.obs.report` — the terminal run report behind

@@ -4,11 +4,12 @@ The native on-disk form is JSONL — one self-describing object per line::
 
     {"type": "meta", "command": "scenarios run", "cpu_count": 8, ...}
     {"type": "span", "name": "fsg.level", "worker": "shard1", ...}
-    {"type": "metrics", "snapshot": {"counters": [...], ...}}
+    {"type": "metrics", "snapshot": {"counters": [...]}}
 
-Line-oriented output appends safely, survives truncation (every complete
-line is valid on its own), and greps well.  :func:`read_jsonl` tolerates
-unknown ``type`` values so future writers stay readable by old readers.
+Line-oriented output appends safely and greps well.  :func:`read_jsonl`
+tolerates unknown ``type`` values so future writers stay readable by old
+readers, and rejects a malformed line — a trace cut short mid-write, say
+— with a ``ValueError`` naming the file and line.
 
 :func:`write_chrome_trace` converts a trace to the Chrome Trace Event
 Format (``chrome://tracing`` / Perfetto / ``about:tracing``): one ``"X"``
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, SpanRecord, Tracer
@@ -85,25 +85,47 @@ def write_jsonl(
     return path
 
 
+def _load_entry(data: TraceData, entry) -> None:
+    """File one parsed JSONL entry into *data*; raises if it is malformed."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected a JSON object, got {type(entry).__name__}")
+    kind = entry.get("type")
+    if kind == "meta":
+        data.meta.update((key, value) for key, value in entry.items() if key != "type")
+    elif kind == "span":
+        if not (
+            isinstance(entry.get("name"), str)
+            and isinstance(entry.get("worker", "main"), str)
+            # JSON numbers parse to exactly int or float (never bool).
+            and all(type(entry.get(key)) in (int, float) for key in ("start", "end"))
+        ):
+            raise ValueError("span without a string 'name' and numeric 'start' / 'end'")
+        data.spans.append(SpanRecord.from_dict(entry))
+    elif kind == "metrics":
+        if not isinstance(entry.get("snapshot"), dict):
+            raise ValueError("metrics entry without a 'snapshot' object")
+        data.metrics.merge(MetricsRegistry.from_snapshot(entry["snapshot"]))
+    # Unknown types are skipped: forward compatibility.
+
+
 def read_jsonl(path: str | Path) -> TraceData:
-    """Load a JSONL trace written by :func:`write_jsonl`."""
+    """Load a JSONL trace written by :func:`write_jsonl`.
+
+    A line that is not UTF-8 JSON, an entry that is not an object, a span
+    without a string name or numeric bounds, or a metrics entry without a
+    snapshot object raises ``ValueError`` naming the file and line.
+    """
     data = TraceData()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            kind = entry.get("type")
-            if kind == "meta":
-                meta = dict(entry)
-                meta.pop("type", None)
-                data.meta.update(meta)
-            elif kind == "span":
-                data.spans.append(SpanRecord.from_dict(entry))
-            elif kind == "metrics":
-                data.metrics.merge(MetricsRegistry.from_snapshot(entry["snapshot"]))
-            # Unknown types are skipped: forward compatibility.
+    with Path(path).open("rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    _load_entry(data, json.loads(line))
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                raise ValueError(
+                    f"{path}:{number}: malformed trace line ({type(error).__name__}: {error})"
+                ) from None
     return data
 
 
@@ -148,8 +170,3 @@ def write_chrome_trace(path: str | Path, data: TraceData) -> Path:
     }
     path.write_text(json.dumps(payload, default=str) + "\n", encoding="utf-8")
     return path
-
-
-def span_records(spans: Iterable[SpanRecord], name: str) -> list[SpanRecord]:
-    """The spans called *name*, in recorded order (a report convenience)."""
-    return [span for span in spans if span.name == name]

@@ -21,9 +21,9 @@ from __future__ import annotations
 from repro.obs.export import TraceData
 
 #: Span names whose duration counts toward a worker's per-level cell.
-#: Shard timelines are summed over their leveled message spans; the main
-#: timeline uses the miner's own level spans.
-_SHARD_LEVEL_SPANS = ("shard.slevel", "shard.level", "shard.batch")
+#: Shard timelines are summed over their leveled ``slevel`` message
+#: spans; the main timeline uses the miner's own level spans.
+_SHARD_LEVEL_SPAN = "shard.slevel"
 _MAIN_LEVEL_SPAN = "fsg.level"
 
 
@@ -43,7 +43,7 @@ def _level_worker_cells(data: TraceData) -> tuple[list[str], list[str], dict]:
         source = [
             s
             for s in data.spans
-            if s.worker != "main" and s.name in _SHARD_LEVEL_SPANS
+            if s.worker != "main" and s.name == _SHARD_LEVEL_SPAN
         ]
     else:
         workers = ["main"]
@@ -76,33 +76,26 @@ def _seconds(value: float) -> str:
     return f"{value:.4f}"
 
 
+def _imbalance(values: list[float]) -> str:
+    busy = [value for value in values if value > 0]
+    return f"{max(busy) / min(busy):.2f}" if len(busy) > 1 else "-"
+
+
 def _skew_section(data: TraceData) -> list[str]:
     levels, workers, cells = _level_worker_cells(data)
     if not levels:
         return ["(no leveled spans in this trace)"]
     multi = len(workers) > 1
     headers = ["level", *workers, "total"] + (["imbalance"] if multi else [])
+    table = [(level, [cells.get((level, worker), 0.0) for worker in workers]) for level in levels]
+    per_worker = zip(*(values for _, values in table))
+    table.append(("total", [sum(column) for column in per_worker]))
     rows: list[list[str]] = []
-    worker_totals = {worker: 0.0 for worker in workers}
-    for level in levels:
-        values = [cells.get((level, worker), 0.0) for worker in workers]
-        for worker, value in zip(workers, values):
-            worker_totals[worker] += value
-        row = [level, *(_seconds(v) for v in values), _seconds(sum(values))]
+    for label, values in table:
+        row = [label, *(_seconds(v) for v in values), _seconds(sum(values))]
         if multi:
-            busy = [v for v in values if v > 0]
-            ratio = (max(busy) / min(busy)) if len(busy) > 1 else float("nan")
-            row.append(f"{ratio:.2f}" if busy and len(busy) > 1 else "-")
+            row.append(_imbalance(values))
         rows.append(row)
-    totals_row = [
-        "total",
-        *(_seconds(worker_totals[worker]) for worker in workers),
-        _seconds(sum(worker_totals.values())),
-    ]
-    if multi:
-        busy = [v for v in worker_totals.values() if v > 0]
-        totals_row.append(f"{max(busy) / min(busy):.2f}" if len(busy) > 1 else "-")
-    rows.append(totals_row)
     title = (
         "seconds per level x shard (imbalance = max/min across shards)"
         if multi
@@ -137,9 +130,7 @@ def _metrics_section(data: TraceData) -> list[str]:
     lines = ["metric totals (summed across labels)"]
     rows = [[name, f"{metrics.counter_total(name):,.6g}"] for name in names]
     lines.extend(_format_table(["counter", "total"], rows))
-    wire = metrics.counter_total("wire_bytes") or metrics.counter_total(
-        "wire_bytes_shipped"
-    )
+    wire = metrics.counter_total("wire_bytes")
     if wire:
         lines.append("")
         lines.append(f"wire bytes shipped: {wire:,.0f}")

@@ -95,37 +95,16 @@ class LevelRequest:
 
 
 #: Counter keys every :class:`MiningSession` reports per level (see
-#: :meth:`MiningSession.take_telemetry`).  ``wire_bytes`` and
-#: ``planning_seconds`` are parent-side costs of shipping the level;
-#: ``patterns_full`` counts shipped candidates, each as its full compact
-#: wire (a candidate sent to two shards counts twice; the serial session
-#: counts one per request).
-#: ``shard_scan_max`` / ``shard_scan_min`` expose the level's placement
-#: skew: the largest and smallest per-shard scan workload (candidate
-#: tids assigned to the shard, summed over the level's requests; an idle
-#: shard counts zero).  A corpus whose heavy transactions pile onto one
-#: shard shows a wide max/min gap here — the signal the power-law stress
-#: scenario asserts on.  Serial runtimes have no shards and report zero.
-SESSION_TELEMETRY_KEYS = (
-    "wire_bytes",
-    "planning_seconds",
-    "patterns_full",
-    "shard_scan_max",
-    "shard_scan_min",
-    # Placement balance (see repro.runtime.planner.PlacementPolicy): the
-    # largest and smallest cumulative scan weight any shard has been
-    # assigned by the placement policy as of this level.  Recording the
-    # running balance per level keeps rebalancing decisions reproducible
-    # and auditable from telemetry alone.  Zero on serial runtimes.
-    "placement_weight_max",
-    "placement_weight_min",
-    # Recovery counters (see repro.runtime.shards): worker respawns the
-    # supervisor performed while serving this level and level replays it
-    # re-dispatched to rebuilt workers.  Zero on every healthy level and
-    # on runtimes without a supervisor.
-    "worker_restarts",
-    "level_replays",
-)
+#: :meth:`MiningSession.take_telemetry`): the facts no span or engine
+#: counter records.  ``wire_bytes`` is the parent-side cost of shipping
+#: the level.  ``shard_scan_max`` / ``shard_scan_min`` expose the level's
+#: placement skew: the largest and smallest per-shard scan workload
+#: (candidate tids assigned to the shard, summed over the level's
+#: requests; an idle shard counts zero).  A corpus whose heavy
+#: transactions pile onto one shard shows a wide max/min gap here — the
+#: signal the power-law stress scenario asserts on.  Serial runtimes have
+#: no wire and no shards and report zeros.
+SESSION_TELEMETRY_KEYS = ("wire_bytes", "shard_scan_max", "shard_scan_min")
 
 
 def zero_telemetry() -> dict[str, float]:
@@ -199,9 +178,9 @@ class DelegatingSession(MiningSession):
 
     :meth:`support_level` is :meth:`MatchEngine.support_with_embeddings`
     over the level's requests, and :meth:`evict` retires their anchors
-    with :meth:`MatchEngine.drop_anchors`.  One engine is one "shard", so
-    the only telemetry is one ``patterns_full`` per request; everything
-    else (wire bytes, placement, recovery) stays zero.
+    with :meth:`MatchEngine.drop_anchors`.  Nothing crosses a wire and
+    there are no shards, so its telemetry is all zeros; the engine's own
+    ``batch_patterns`` counter records what it scanned.
     """
 
     def __init__(self, engine: MatchEngine) -> None:
@@ -225,7 +204,6 @@ class DelegatingSession(MiningSession):
             for request in requests
         ]
         supports = self._engine.support_with_embeddings(tasks)
-        self._telemetry["patterns_full"] += len(requests)
         return [bits_of(tids) for tids in supports]
 
     def evict(self, uids: Iterable[object]) -> None:
@@ -254,7 +232,11 @@ class MiningRuntime(ABC):
 
     @abstractmethod
     def release_transactions(self, tids: Iterable[int]) -> None:
-        """Drop the references held for *tids* (tids are never reused)."""
+        """Drop the references held for *tids* (tids are never reused).
+
+        A released, repeated, unknown or negative tid raises ``KeyError``
+        before anything is released.
+        """
 
     @abstractmethod
     def open_session(self) -> MiningSession:
@@ -300,13 +282,12 @@ class SerialRuntime(MiningRuntime):
         return DelegatingSession(self.engine)
 
     def stats(self) -> dict[str, int]:
-        snapshot = self.engine.stats_snapshot()
+        snapshot = self.engine.stats.as_dict()
         snapshot["shards"] = 1
-        # Nothing ever crosses a wire here; report the shipping counters
-        # as explicit zeros so stat consumers see stable keys whichever
+        # Nothing ever crosses a wire here; report the shipping counter
+        # as an explicit zero so stat consumers see stable keys whichever
         # runtime produced the run.
         snapshot["wire_bytes_shipped"] = 0
-        snapshot["patterns_shipped_full"] = 0
         # No workers, no supervisor: recovery counters are stable zeros.
         snapshot["worker_restarts"] = 0
         snapshot["level_replays"] = 0

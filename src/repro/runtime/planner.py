@@ -41,7 +41,7 @@ class PlacementPolicy:
     def __init__(self, n_shards: int):
         self.n_shards = n_shards
         #: Cumulative placed weight per shard — the balance the policy
-        #: levels, exported to telemetry by the engine.
+        #: levels (read through ``ShardedEngine.placement_loads``).
         self.loads = [0] * n_shards
 
     def place(self, weight: int) -> int:

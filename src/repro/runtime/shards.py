@@ -137,8 +137,8 @@ class ShardWorker:
         Retire *uids*' anchors; ack with ``None`` (the session's
         close-time flush).
     ``("stats",)``
-        Reply with the shard engine's counter snapshot merged with this
-        worker's ``patterns_shipped_full`` counter.
+        Reply with the shard engine's counters
+        (:meth:`~repro.graphs.engine.EngineStats.as_dict`).
     ``("trace", shard, wall_anchor)``
         Start this worker's tracer (see :mod:`repro.obs`): *shard* names
         the timeline (``shard0``...), *wall_anchor* aligns the worker
@@ -162,7 +162,6 @@ class ShardWorker:
     def __init__(self) -> None:
         self.table = LabelTable()
         self.engine = MatchEngine(self.table)
-        self.counters = {"patterns_shipped_full": 0}
         #: This shard's tracer, installed by a ``("trace", ...)`` message;
         #: ``None`` (the default) keeps the untraced fast path — one
         #: attribute check per message, nothing wrapped, nothing shipped.
@@ -193,7 +192,7 @@ class ShardWorker:
         )
         # Everything counted before tracing began predates the trace;
         # baseline it away so shipped deltas cover the traced window only.
-        self._obs_shipped = {**self.engine.stats_snapshot(), **self.counters}
+        self._obs_shipped = self.engine.stats.as_dict()
 
     def _span_attrs(self, op: str, message: tuple) -> dict:
         """Cheap size attributes for the per-message worker span."""
@@ -231,7 +230,7 @@ class ShardWorker:
         # Piggyback the finished spans and the counter delta on the reply
         # the parent is already waiting for; the wrapped payload is the
         # untraced reply, byte for byte.
-        snapshot = {**self.engine.stats_snapshot(), **self.counters}
+        snapshot = self.engine.stats.as_dict()
         shipped = self._obs_shipped
         delta = {
             key: value - shipped.get(key, 0)
@@ -286,14 +285,13 @@ class ShardWorker:
                 payloads, uids, parent_uids, extensions, bounds
             )
         ]
-        self.counters["patterns_shipped_full"] += len(tasks)
         return self.engine.support_with_embeddings(tasks)
 
     def _op_sevict(self, message: tuple) -> None:
         self.engine.drop_anchors(message[1])
 
     def _op_stats(self, message: tuple) -> dict[str, int]:
-        return {**self.engine.stats_snapshot(), **self.counters}
+        return self.engine.stats.as_dict()
 
 
 class ShardedEngine(MiningRuntime):
@@ -387,8 +385,8 @@ class ShardedEngine(MiningRuntime):
 
         Each shard gets its own worker-side :class:`~repro.obs.tracer.Tracer`
         (named ``shard0``... and clock-aligned to the parent); finished
-        spans and engine/session counter deltas ship piggybacked on the
-        replies the parent already gathers.  Called automatically at
+        spans and engine counter deltas ship piggybacked on the replies
+        the parent already gathers.  Called automatically at
         construction when a process-global tracer is active.
         """
         self._tracer = tracer
@@ -437,11 +435,6 @@ class ShardedEngine(MiningRuntime):
         ]
         if messages:
             self._gather(self._scatter(messages))
-
-    @property
-    def recovery_counts(self) -> dict[str, int]:
-        """Snapshot of the supervisor's counters (all zero when healthy)."""
-        return dict(self.recovery)
 
     def _tombstone_wire(self) -> tuple:
         """The shared placeholder wire standing in for a released slot.
@@ -527,7 +520,6 @@ class ShardedEngine(MiningRuntime):
         surfaces as the usual :class:`WorkerError`.
         """
         op = self._round_message.get(shard, (None,))[0]
-        started = time.perf_counter()
         tracer = self._tracer
         span = tracer.span(
             "runtime.recovery", shard=shard, op=op or "idle", reason=death.reason
@@ -562,8 +554,6 @@ class ShardedEngine(MiningRuntime):
         if op == "slevel":
             self.recovery["level_replays"] += 1
             tracer.metrics.counter("level_replays", shard=str(shard))
-        elapsed = time.perf_counter() - started
-        tracer.metrics.histogram("recovery_seconds", elapsed, shard=str(shard))
         span.finish(attempts=attempt, degraded=degraded)
         return reply
 
@@ -601,10 +591,8 @@ class ShardedEngine(MiningRuntime):
     def placement_loads(self) -> list[int]:
         """Cumulative placed scan weight per shard (placement balance).
 
-        The running totals the weighted placement policy levels —
-        sessions surface their max/min as the ``placement_weight_max`` /
-        ``placement_weight_min`` telemetry, making every rebalancing
-        decision's outcome visible in the per-level record.
+        The running totals the weighted placement policy levels.  They
+        change only in :meth:`add_transactions`.
         """
         return list(self._placement.loads)
 
@@ -851,10 +839,10 @@ class ShardedSession(MiningSession):
         runtime = self._runtime
         telemetry = self._telemetry
         self._level += 1
-        planning_started = time.perf_counter()
-        batches = runtime.planner.plan_session_level(
-            requests, runtime.table, runtime.locate, min_support
-        )
+        with runtime._tracer.span("runtime.plan", level=self._level):
+            batches = runtime.planner.plan_session_level(
+                requests, runtime.table, runtime.locate, min_support
+            )
         messages: list[tuple[int, tuple]] = []
         for batch in batches:
             if batch.is_empty():
@@ -876,23 +864,15 @@ class ShardedSession(MiningSession):
                 )
             )
             self._live[batch.shard].update(batch.uids)
-            telemetry["patterns_full"] += len(batch.payloads)
         # Placement skew across every shard, idle shards included: the
         # level's per-shard scan workload as the planner routed it.
         scan_units = [batch.scan_tids for batch in batches]
         telemetry["shard_scan_max"] = max(scan_units)
         telemetry["shard_scan_min"] = min(scan_units)
-        placement_loads = runtime.placement_loads
-        telemetry["placement_weight_max"] = max(placement_loads)
-        telemetry["placement_weight_min"] = min(placement_loads)
-        telemetry["planning_seconds"] += time.perf_counter() - planning_started
 
         wire_before = runtime.wire_bytes_shipped
-        recovery_before = dict(runtime.recovery)
         replies = runtime._gather(runtime._scatter(messages))
         telemetry["wire_bytes"] += runtime.wire_bytes_shipped - wire_before
-        for key in ("worker_restarts", "level_replays"):
-            telemetry[key] += runtime.recovery[key] - recovery_before[key]
         runtime.drain_worker_spans(level=self._level)
         return runtime.planner.merge_level(
             len(requests),

@@ -389,8 +389,8 @@ class DifferentialReport:
     runs: dict[str, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
     #: Per-run aggregated runtime counters (`MiningRuntime.stats()`):
-    #: matching/cache counters plus the shipping counters
-    #: (wire_bytes_shipped, patterns_shipped_full) and the recovery counters
+    #: matching/cache counters (``batch_patterns`` counts the patterns the
+    #: shards scanned) plus ``wire_bytes_shipped`` and the recovery counters
     #: (worker_restarts, level_replays, worker_degradations — the chaos
     #: lane's artifact of what each faulted run survived).  Observational
     #: — shown in ``scenarios verify --report`` output, never pinned in

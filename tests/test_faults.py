@@ -13,8 +13,9 @@ Four layers, bottom up:
   injected fault placement, which is the property the paper's
   MapReduce-style re-execution argument rests on;
 * **observability** — recovery is invisible in the *output* but loud in
-  telemetry: restarts and replays are counted in level telemetry and
-  runtime stats, and are exactly zero on clean runs.
+  the trace: each recovery is one ``runtime.recovery`` span, its restarts
+  and replays are counted once in the metrics registry and in runtime
+  stats, and all of it is exactly zero on clean runs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
+from repro.obs import Tracer, activate
 from repro.runtime import (
     FaultClause,
     FaultPlan,
@@ -448,42 +450,55 @@ class TestRecoveryEquivalence:
 class TestRecoveryObservability:
     def test_recovery_counters_reach_telemetry_and_stats(self):
         corpus = random_corpus(131)
-        mined, stats = mine_sharded(corpus, faults="kill:shard=1,level=2")
+        with activate(Tracer()) as tracer:
+            _, stats = mine_sharded(corpus, faults="kill:shard=1,level=2")
         assert stats["worker_restarts"] >= 1
         assert stats["level_replays"] >= 1
-        totals = mined.session_totals()
-        assert totals["worker_restarts"] >= 1
-        assert totals["level_replays"] >= 1
-        # The replayed level is attributed to the level it happened on.
-        assert any(
-            counters["level_replays"] >= 1 for counters in mined.level_telemetry.values()
-        )
+        # The recovery is one span, and it falls inside the level it
+        # replayed: the trace attributes it to level 2.
+        [recovery] = [record for record in tracer.spans if record.name == "runtime.recovery"]
+        assert (recovery.attrs["shard"], recovery.attrs["op"]) == (1, "slevel")
+        [level] = [
+            record
+            for record in tracer.spans
+            if record.name == "fsg.level" and record.attrs["level"] == 2
+        ]
+        assert level.start <= recovery.start <= recovery.end <= level.end
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_registry_counts_each_recovery_once(self, backend):
+        corpus = random_corpus(131)
+        with activate(Tracer()) as tracer:
+            runtime = ShardedEngine(
+                shards=2, backend=backend, faults="kill:shard=1,level=2"
+            )
+            try:
+                FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+                recovery = dict(runtime.recovery)
+            finally:
+                runtime.close()
+        assert recovery["worker_restarts"] == recovery["level_replays"] == 1
+        [span] = [record for record in tracer.spans if record.name == "runtime.recovery"]
+        assert span.attrs["attempts"] == 1
+        for key in ("worker_restarts", "level_replays"):
+            assert tracer.metrics.counter_total(key) == recovery[key], key
 
     def test_clean_run_counts_zero_and_arms_nothing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         corpus = random_corpus(137, size=10)
-        runtime = ShardedEngine(shards=2, backend="serial")
-        try:
-            assert runtime.faults is None
-            # Zero-overhead null pattern: no injector object exists on any
-            # worker, so the per-message cost is a single `is None` check.
-            assert all(worker.faults is None for worker in runtime._pool._handlers)
-            mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
-            stats = runtime.stats()
-        finally:
-            runtime.close()
+        with activate(Tracer()) as tracer:
+            runtime = ShardedEngine(shards=2, backend="serial")
+            try:
+                assert runtime.faults is None
+                # Zero-overhead null pattern: no injector object exists on any
+                # worker, so the per-message cost is a single `is None` check.
+                assert all(worker.faults is None for worker in runtime._pool._handlers)
+                FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+                stats = runtime.stats()
+            finally:
+                runtime.close()
         assert stats["worker_restarts"] == 0
         assert stats["level_replays"] == 0
         assert stats["worker_degradations"] == 0
-        assert mined.session_totals()["worker_restarts"] == 0
-
-    def test_recovery_counts_snapshot(self):
-        corpus = random_corpus(139, size=10)
-        runtime = ShardedEngine(shards=2, backend="serial", faults="kill:shard=0,level=1")
-        try:
-            FSGMiner(min_support=3, max_edges=2, runtime=runtime).mine(corpus)
-            counts = runtime.recovery_counts
-            counts["worker_restarts"] = -1  # a copy, not the live dict
-            assert runtime.recovery_counts["worker_restarts"] >= 1
-        finally:
-            runtime.close()
+        assert not any(record.name == "runtime.recovery" for record in tracer.spans)
+        assert tracer.metrics.counter_total("worker_restarts") == 0

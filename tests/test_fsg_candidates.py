@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.fsg.candidates import (
@@ -88,18 +89,18 @@ class TestDeduplication:
         # Merged duplicates scan only where every parent is supported.
         first = Candidate(pattern=hub_and_spoke(2, prefix="a"), parent_bits=bits_of([1, 2]))
         second = Candidate(pattern=hub_and_spoke(2, prefix="b"), parent_bits=bits_of([2, 3]))
-        unique = deduplicate([first, second])
+        unique = deduplicate([first, second], MatchEngine())
         assert len(unique) == 1
         assert unique[0].parent_bits == bits_of([2])
 
     def test_distinct_candidates_kept(self):
         first = Candidate(pattern=hub_and_spoke(2), parent_bits=bits_of([1]))
         second = Candidate(pattern=chain(2), parent_bits=bits_of([1]))
-        assert len(deduplicate([first, second])) == 2
+        assert len(deduplicate([first, second], MatchEngine())) == 2
 
     def test_generate_candidates_unique_up_to_isomorphism(self):
         seed = Candidate(pattern=single_edge_pattern("place", 0, "place"), parent_bits=bits_of([0, 1]))
-        candidates = generate_candidates([seed], [("place", 0, "place")])
+        candidates = generate_candidates([seed], [("place", 0, "place")], MatchEngine())
         for i, first in enumerate(candidates):
             for second in candidates[i + 1:]:
                 assert not are_isomorphic(first.pattern, second.pattern)

@@ -186,6 +186,19 @@ class TestDifferentialSupport:
             if legacy_has_embedding(pattern, transaction)
         )
 
+    def test_negative_and_unknown_tids_raise(self):
+        rng = random.Random(7)
+        engine = MatchEngine()
+        graphs = [_random_graph(rng, 6, 8, prefix=f"n{i}_") for i in range(3)]
+        tids = engine.add_transactions(graphs)
+        pattern = _random_pattern(rng, graphs[0], 1)
+        # A negative tid never aliases the newest transaction.
+        for bad in (-1, len(tids)):
+            with pytest.raises(KeyError, match="unknown transaction id"):
+                engine.transaction(bad)
+            with pytest.raises(KeyError, match="unknown transaction id"):
+                _support(engine, pattern, [tids[0], bad])
+
     def test_support_early_abort_stops_short_of_threshold(self):
         rng = random.Random(13)
         engine = MatchEngine()

@@ -117,34 +117,15 @@ class TestMetricsRegistry:
         assert registry.counter_value("misses", shard="1") == 3
         assert registry.counter_total("hits") == 0
 
-    def test_gauge_merge_keeps_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("level_seconds", 0.5, level="2")
-        b.gauge("level_seconds", 0.9, level="2")
-        a.merge(b)
-        assert a.snapshot()["gauges"] == [
-            {"name": "level_seconds", "labels": {"level": "2"}, "value": 0.9}
-        ]
-
-    def test_histogram_merge_combines_summaries(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for value in (1.0, 5.0):
-            a.histogram("wire_cost", value)
-        b.histogram("wire_cost", 3.0)
-        a.merge(b)
-        entry = a.snapshot()["histograms"][0]
-        assert entry["count"] == 3
-        assert entry["total"] == 9.0
-        assert entry["min"] == 1.0
-        assert entry["max"] == 5.0
-
     def test_snapshot_roundtrip(self):
         registry = MetricsRegistry()
         registry.counter("hits", 7, shard="2")
-        registry.gauge("store_size", 12, shard="2")
-        registry.histogram("latency", 0.25)
-        rebuilt = MetricsRegistry.from_snapshot(registry.snapshot())
-        assert rebuilt.snapshot() == registry.snapshot()
+        registry.counter("wire_bytes", 12, level="1")
+        snapshot = registry.snapshot()
+        # Counters are the registry's only family.
+        assert list(snapshot) == ["counters"]
+        rebuilt = MetricsRegistry.from_snapshot(snapshot)
+        assert rebuilt.snapshot() == snapshot
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +133,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 _EVENTS = st.lists(
     st.tuples(
-        st.sampled_from(["searches", "wire_bytes", "patterns_full"]),
+        st.sampled_from(["searches", "wire_bytes", "batch_patterns"]),
         st.integers(min_value=1, max_value=50),
         st.sampled_from(["0", "1", "2"]),
     ),
@@ -243,7 +224,7 @@ class TestTracer:
         assert NULL_TRACER.metrics.is_empty()
 
     def test_wire_roundtrip(self):
-        record = SpanRecord("shard.level", 1.5, 2.5, worker="shard1", attrs={"level": 2})
+        record = SpanRecord("shard.slevel", 1.5, 2.5, worker="shard1", attrs={"level": 2})
         clone = SpanRecord.from_wire(record.to_wire())
         assert clone.to_dict() == record.to_dict()
         assert clone.duration == 1.0
@@ -276,23 +257,38 @@ class TestShardedTracing:
         assert "main" in workers
 
         # Per-message worker spans that belong to a mining level carry it.
-        leveled = [
-            record
-            for record in tracer.spans
-            if record.name in ("shard.slevel", "shard.level", "shard.batch")
-        ]
+        leveled = [record for record in tracer.spans if record.name == "shard.slevel"]
         assert leveled
         assert all("level" in record.attrs for record in leveled)
 
         # The per-shard counter deltas shipped on replies must add up to
         # exactly what the runtime's own merged stats report (satellite
         # equivalence: merged per-shard registries == the serial total).
-        for key in ("searches", "anchor_extensions", "patterns_shipped_full"):
+        for key in ("searches", "anchor_extensions", "batch_patterns"):
             shipped = sum(
                 tracer.metrics.counter_value(key, shard=str(shard))
                 for shard in range(shards)
             )
             assert shipped == stats[key], key
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["serial", "sharded"])
+    def test_one_level_span_per_level(self, sharded):
+        # The fsg.level span is a level's only timing record; a sharded
+        # session adds one runtime.plan span per level it plans.
+        corpus = random_corpus(seed=66, size=20)
+        with activate(Tracer(worker="main")) as tracer:
+            runtime = ShardedEngine(shards=2, backend="serial") if sharded else None
+            try:
+                result = FSGMiner(min_support=3, max_edges=4, runtime=runtime).mine(corpus)
+            finally:
+                if runtime is not None:
+                    runtime.close()
+        levels = [record.attrs["level"] for record in tracer.spans if record.name == "fsg.level"]
+        assert result.levels_completed >= 2
+        assert len(levels) == len(set(levels))
+        assert set(range(1, result.levels_completed + 1)) <= set(levels)
+        plans = [record.attrs["level"] for record in tracer.spans if record.name == "runtime.plan"]
+        assert sorted(plans) == (sorted(levels) if sharded else [])
 
     def test_untraced_sharded_replies_are_unwrapped(self):
         corpus = random_corpus(seed=62, size=18)
@@ -312,28 +308,32 @@ class TestShardedTracing:
 class TestNonStoreTelemetry:
     def test_full_search_path_reports_wire_and_planning(self):
         corpus = random_corpus(seed=63, size=20)
-        runtime = ShardedEngine(shards=2, backend="serial")
-        try:
-            # Serial backend: the shard handlers are in-process.  A zero
-            # anchor budget stores nothing, so every non-seed query on
-            # every shard takes the full search.
-            for worker in runtime._pool._handlers:
-                worker.engine.anchor_budget = 0
-            result = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
-            stats = runtime.stats()
-        finally:
-            runtime.close()
+        with activate(Tracer(worker="main")) as tracer:
+            runtime = ShardedEngine(shards=2, backend="serial")
+            try:
+                # Serial backend: the shard handlers are in-process.  A zero
+                # anchor budget stores nothing, so every non-seed query on
+                # every shard takes the full search.
+                for worker in runtime._pool._handlers:
+                    worker.engine.anchor_budget = 0
+                result = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+                stats = runtime.stats()
+            finally:
+                runtime.close()
         assert stats["anchors_stored"] == stats["anchor_extensions"] == 0
         assert stats["anchor_fallbacks"] > 0
+        assert stats["batch_patterns"] > 0
         assert result.level_telemetry
         for counters in result.level_telemetry.values():
             assert set(counters) == set(SESSION_TELEMETRY_KEYS)
         shipped_levels = [level for level in result.level_telemetry if level >= 2]
         assert shipped_levels
-        totals = result.session_totals()
-        assert totals["wire_bytes"] > 0
-        assert totals["patterns_full"] > 0
-        assert totals["planning_seconds"] >= 0
+        assert result.session_totals()["wire_bytes"] > 0
+        # Planning is timed by one runtime.plan span per level.
+        plan_levels = [
+            record.attrs["level"] for record in tracer.spans if record.name == "runtime.plan"
+        ]
+        assert plan_levels == sorted(result.level_telemetry)
 
     def test_serial_runtime_still_files_records(self):
         corpus = random_corpus(seed=64, size=16)
@@ -407,6 +407,70 @@ class TestExport:
         assert len(data.spans) == 1
 
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"type": "span", "start": 0, "end": 1}', "string 'name'"),
+            ('{"type": "span", "name": 3, "start": 0, "end": 1}', "string 'name'"),
+            ('{"type": "span", "name": "a", "start": "0", "end": 1}', "numeric 'start'"),
+            ('{"type": "span", "name": "a", "start": 0}', "numeric 'start'"),
+            ('{"type": "span", "name": "a", "start": true, "end": 1}', "numeric 'start'"),
+            ('{"type": "metrics"}', "'snapshot' object"),
+            ('{"type": "metrics", "snapshot": [1]}', "'snapshot' object"),
+            ('{"type": "metrics", "snapshot": {"counters": [{"value": 1}]}}', "'name'"),
+        ],
+    )
+    def test_read_jsonl_rejects_malformed_lines(self, tmp_path, line, problem):
+        path = tmp_path / "trace.jsonl"
+        meta = json.dumps({"type": "meta", "command": "x"})
+        path.write_text(meta + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=problem) as raised:
+            read_jsonl(path)
+        # The error names the file and the line.
+        assert f"{path}:2:" in str(raised.value)
+
+    @given(cut=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_trace_loads_or_raises_value_error(self, tmp_path_factory, cut):
+        path = tmp_path_factory.mktemp("trunc") / "trace.jsonl"
+        tracer = _sample_tracer()
+        tracer.record(SpanRecord("fsg.level", 0.0, 1.0, "main", {"label": "Zürich"}))
+        write_jsonl(path, TraceData.from_tracer(tracer, meta={"command": "x"}))
+        payload = path.read_bytes()
+        path.write_bytes(payload[: cut % (len(payload) + 1)])
+        try:
+            data = read_jsonl(path)
+        except ValueError:
+            return
+        assert len(data.spans) <= len(tracer.spans)
+
+    def test_older_snapshot_with_gauges_and_histograms_still_loads(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        snapshot = {
+            "counters": [{"name": "wire_bytes", "labels": {"level": "2"}, "value": 7}],
+            "gauges": [{"name": "fsg.level_seconds", "labels": {"level": "2"}, "value": 0.5}],
+            "histograms": [
+                {
+                    "name": "recovery_seconds",
+                    "labels": {"shard": "1"},
+                    "count": 1,
+                    "total": 0.2,
+                    "min": 0.2,
+                    "max": 0.2,
+                }
+            ],
+        }
+        path.write_text(
+            json.dumps({"type": "metrics", "snapshot": snapshot}) + "\n", encoding="utf-8"
+        )
+        metrics = read_jsonl(path).metrics
+        assert metrics.counter_names() == ["wire_bytes"]
+        assert metrics.counter_value("wire_bytes", level="2") == 7
+        assert list(metrics.snapshot()) == ["counters"]
+
+
 class TestReport:
     def test_report_renders_skew_table_and_metrics(self):
         report = render_report(TraceData.from_tracer(_sample_tracer(), meta={"command": "t"}))
@@ -472,3 +536,17 @@ class TestCLI:
     def test_trace_summarize_missing_file(self, tmp_path, capsys):
         assert main(["trace", "summarize", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "export"])
+    def test_trace_commands_reject_malformed_trace(self, tmp_path, capsys, command):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(path, TraceData.from_tracer(_sample_tracer(), meta={"command": "x"}))
+        # A crash mid-write leaves the last line cut short.
+        path.write_bytes(path.read_bytes()[:-15])
+        argv = ["trace", command, str(path)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "malformed trace file" in captured.err
+        assert str(path) in captured.err

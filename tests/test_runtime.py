@@ -336,6 +336,28 @@ class TestShardedEngine:
         finally:
             runtime.close()
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["serial", "sharded"])
+    @pytest.mark.parametrize(
+        "calls",
+        [[[0], [0]], [[1, 1]], [[99]], [[-1]]],
+        ids=["released", "repeated", "unknown", "negative"],
+    )
+    def test_release_contract_matches_across_runtimes(self, sharded, calls):
+        # Both runtimes reject a released, repeated, unknown or negative
+        # tid with KeyError, and a rejected call releases nothing.
+        runtime = ShardedEngine(shards=2, backend="serial") if sharded else SerialRuntime()
+        try:
+            tids = runtime.add_transactions(random_corpus(29, size=4))
+            *accepted, rejected = calls
+            for call in accepted:
+                runtime.release_transactions(call)
+            with pytest.raises(KeyError):
+                runtime.release_transactions(rejected)
+            released = {tid for call in accepted for tid in call}
+            runtime.release_transactions([tid for tid in tids if tid not in released])
+        finally:
+            runtime.close()
+
     def test_planner_skips_shards_without_tids(self):
         planner = BatchSupportPlanner(3)
         table = LabelTable()

@@ -321,7 +321,7 @@ class TestScenarioCli:
         # The report carries each sharded run's aggregated runtime
         # counters, shipping counters included...
         stats = entries["temporal-drift"]["runtime_stats"]["sharded-serial-k2"]
-        for counter in ("wire_bytes_shipped", "patterns_shipped_full"):
+        for counter in ("wire_bytes_shipped", "batch_patterns"):
             assert counter in stats
         assert stats["wire_bytes_shipped"] > 0
         # ...but the golden file itself stays free of observational noise.

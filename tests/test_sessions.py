@@ -145,13 +145,13 @@ class TestSessionEquivalence:
         runtime = ShardedEngine(shards=shards, backend="serial")
         try:
             mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            stats = runtime.stats()
         finally:
             runtime.close()
         assert mining_signature(mined) == mining_signature(baseline)
         # Every level really did cross the wire to the shards.
-        totals = mined.session_totals()
-        assert totals["patterns_full"] > 0
-        assert totals["wire_bytes"] > 0
+        assert stats["batch_patterns"] > 0
+        assert mined.session_totals()["wire_bytes"] > 0
 
     @pytest.mark.slow
     def test_process_backend_session_matches_serial(self):
@@ -200,14 +200,13 @@ class TestTelemetry:
         assert mined.level_telemetry
         for counters in mined.level_telemetry.values():
             assert set(counters) == set(SESSION_TELEMETRY_KEYS)
-        assert mined.level_telemetry[1]["patterns_full"] > 0
+            assert counters["shard_scan_max"] >= counters["shard_scan_min"]
+        assert mined.level_telemetry[1]["wire_bytes"] > 0
         deeper = [counters for level, counters in mined.level_telemetry.items() if level > 1]
-        assert sum(counters["patterns_full"] for counters in deeper) > 0
-        # The parent's shipment count is the shards' own count of the
-        # patterns they received.
-        totals = mined.session_totals()
-        assert totals["wire_bytes"] > 0
-        assert totals["patterns_full"] == stats["patterns_shipped_full"]
+        assert sum(counters["wire_bytes"] for counters in deeper) > 0
+        # The session counts only its levels' bytes; the runtime's total
+        # also holds the add and release rounds, evictions and stats.
+        assert 0 < mined.session_totals()["wire_bytes"] < stats["wire_bytes_shipped"]
 
     def test_serial_mining_records_zero_wire_telemetry(self):
         corpus = random_corpus(71, size=12)
@@ -219,19 +218,32 @@ class TestTelemetry:
     def test_session_counters_in_stats(self):
         corpus = random_corpus(73, size=20)
         runtime = ShardedEngine(shards=2, backend="serial")
+        log = _MessageLog(runtime._pool)
+        runtime._pool = log
         try:
             FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
             stats = runtime.stats()
         finally:
             runtime.close()
         assert stats["wire_bytes_shipped"] > 0
-        assert stats["patterns_shipped_full"] > 0
+        # batch_patterns is the one shipment count: the shard engines
+        # scanned exactly the patterns their slevel messages carried.
+        shipped = sum(
+            len(message[2]) for shard in range(2) for message in log.messages("slevel", shard)
+        )
+        assert shipped > 0
+        assert stats["batch_patterns"] == shipped
+        assert "patterns_shipped_full" not in stats
 
     def test_serial_runtime_stats_report_zero_session_counters(self):
         runtime = SerialRuntime()
+        FSGMiner(min_support=3, max_edges=2, runtime=runtime).mine(random_corpus(71, size=12))
         stats = runtime.stats()
         assert stats["wire_bytes_shipped"] == 0
-        assert stats["patterns_shipped_full"] == 0
+        assert stats["worker_restarts"] == stats["level_replays"] == 0
+        # The engine's own count of scanned patterns is the same key the
+        # sharded runtime reports.
+        assert stats["batch_patterns"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +286,7 @@ class TestSessionProtocol:
                 {runtime.locate(tid)[0] for tid in tids_of(bits)}
                 for bits in (bits_of(tids), root_bits)
             ]
-            assert stats["patterns_shipped_full"] == sum(map(len, owners))
+            assert stats["batch_patterns"] == sum(map(len, owners))
         finally:
             session.close()
             runtime.close()
@@ -338,10 +350,10 @@ class TestSessionProtocol:
         assert session.support_level([request]) == [
             legacy_support_bits(edge_pattern(), corpus)
         ]
-        telemetry = session.take_telemetry()
-        assert telemetry["wire_bytes"] == 0
-        assert telemetry["patterns_full"] == 1
-        assert session.take_telemetry()["patterns_full"] == 0  # reset on take
+        # No wire, no shards: the telemetry is all zeros, and the engine
+        # counts the one scanned pattern.
+        assert session.take_telemetry() == {key: 0 for key in SESSION_TELEMETRY_KEYS}
+        assert runtime.engine.stats.batch_patterns == 1
         session.close()
 
 
