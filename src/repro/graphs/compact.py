@@ -185,62 +185,6 @@ class CompactGraph:
             table=table,
         )
 
-    def extended(
-        self,
-        source_pos: int,
-        target_pos: int,
-        edge_label: Hashable,
-        new_vertex_label: Hashable | None,
-        child: LabeledGraph,
-    ) -> "CompactGraph":
-        """The compact form of *child* — this graph plus one edge — derived
-        incrementally.
-
-        *child* must be this graph's labeled form extended by exactly one
-        edge ``source_pos -> target_pos`` labeled *edge_label*; when
-        *new_vertex_label* is not ``None`` the edge's new endpoint is a
-        fresh vertex appended after the existing ones (the candidate
-        generator's convention).  The result is field-for-field identical
-        to ``from_labeled(child, table)`` — including adjacency tuple
-        order, which anchor enumeration inherits — at a fraction of the rebuild cost: candidate generation
-        compacts thousands of one-edge extensions per mining level.
-        """
-        table = self.table
-        label_id = table.intern(edge_label)
-        if new_vertex_label is not None:
-            vertex_labels = self.vertex_labels + (table.intern(new_vertex_label),)
-            out_adj = list(self.out_adj) + [()]
-            in_adj = list(self.in_adj) + [()]
-        else:
-            vertex_labels = self.vertex_labels
-            out_adj = list(self.out_adj)
-            in_adj = list(self.in_adj)
-        # from_labeled iterates sources in position order, each source's
-        # targets in insertion order: the new edge lands last in its
-        # source's out-bucket, and in its target's in-bucket just before
-        # the first pair with a larger source position.
-        out_adj[source_pos] = out_adj[source_pos] + ((target_pos, label_id),)
-        bucket = in_adj[target_pos]
-        at = 0
-        while at < len(bucket) and bucket[at][0] < source_pos:
-            at += 1
-        in_adj[target_pos] = bucket[:at] + ((source_pos, label_id),) + bucket[at:]
-        clone = object.__new__(CompactGraph)
-        clone.name = child.name
-        clone.n_vertices = len(vertex_labels)
-        clone.n_edges = self.n_edges + 1
-        clone.vertex_labels = vertex_labels
-        clone.vertex_ids = tuple(child._vertex_labels)
-        clone.table = table
-        clone.out_adj = tuple(out_adj)
-        clone.in_adj = tuple(in_adj)
-        clone.edge_label_of = {
-            (source, target): pair_label
-            for source, pairs in enumerate(clone.out_adj)
-            for target, pair_label in pairs
-        }
-        return clone
-
     def to_wire(self) -> tuple:
         """The graph's table-free integer form, ready for cheap pickling.
 

@@ -187,28 +187,6 @@ class MatchEngine:
         self.stats.indexes_built += 1
         return index
 
-    def compact_of(self, graph: LabeledGraph) -> CompactGraph:
-        """The (cached) compact form of *graph*."""
-        return self.index_of(graph).compact
-
-    def adopt_compact(self, graph: LabeledGraph, compact: CompactGraph) -> GraphIndex:
-        """Cache a pre-built compact form as *graph*'s index.
-
-        *compact* must be field-for-field what
-        :meth:`CompactGraph.from_labeled` would produce for *graph* (see
-        :meth:`CompactGraph.extended`) — candidate generation derives
-        child compacts from their parents' instead of rebuilding, and
-        files them here so the support pass finds them ready.
-        """
-        if compact.table is not self.table:
-            raise ValueError("compact form was interned through a different label table")
-        version = getattr(graph, "_version", 0)
-        index = GraphIndex(compact)
-        index._labeled_form = graph
-        self._entries[graph] = _Entry(version, index)
-        self.stats.indexes_built += 1
-        return index
-
     def graph_invariant(self, graph: LabeledGraph) -> str:
         """Memoized cheap isomorphism-invariant fingerprint of *graph*."""
         return self.index_of(graph).invariant()

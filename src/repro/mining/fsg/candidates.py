@@ -81,6 +81,13 @@ class Candidate:
     and its own anchors are filed under ``uid`` once it survives.
     Candidates built without derivation info (tests) leave them unset and
     simply take the full-search path.
+
+    A candidate holds only its labeled ``pattern``, never a compact form:
+    the mining session that counts it compacts it, once (the serial
+    runtime through :meth:`MatchEngine.index_of
+    <repro.graphs.engine.MatchEngine.index_of>`, the sharded runtime
+    through its planner against the runtime's own label table), so a
+    candidate dropped before counting is never compacted at all.
     """
 
     pattern: LabeledGraph
@@ -88,9 +95,7 @@ class Candidate:
     invariant: str = field(default="")
     parent_uid: object = None
     extension: Extension | None = None
-    extension_labels: tuple[Hashable, Hashable | None] | None = None
     uid: object = None
-    parent_pattern: LabeledGraph | None = None
     colours: dict | None = None
     code: object = None
 
@@ -209,26 +214,6 @@ def extend_pattern(
     return extensions
 
 
-def extension_labels(
-    pattern: LabeledGraph, extension: Extension
-) -> tuple[Hashable, Hashable | None]:
-    """The ``(edge label, new-vertex label or None)`` of an extension.
-
-    Positions index the pattern's vertex insertion order (the same
-    convention as :data:`Extension`).  Together with the parent's compact
-    form, these labels are all :meth:`CompactGraph.extended
-    <repro.graphs.compact.CompactGraph.extended>` needs to derive the
-    candidate's compact form without a full rebuild.
-    """
-    source_position, target_position, has_new = extension
-    vertices = list(pattern.vertices())
-    edge_label = pattern.edge_label(
-        vertices[source_position], vertices[target_position]
-    )
-    new_label = pattern.vertex_label(vertices[-1]) if has_new else None
-    return (edge_label, new_label)
-
-
 def deduplicate(
     candidates: Iterable[Candidate],
     engine: MatchEngine,
@@ -313,6 +298,10 @@ def generate_candidates(
     scratch.  A deduplicated candidate keeps its first-seen derivation
     (the one consistent with its own vertex layout) while its scan bitset
     narrows to the intersection over all merged parents.
+
+    Generation builds no engine index: *engine* serves only the
+    isomorphism fallback of :func:`deduplicate`, and each candidate is
+    compacted later, by the session that counts it.
     """
     triples = list(frequent_triples)
     raw: list[Candidate] = []
@@ -324,26 +313,6 @@ def generate_candidates(
                     parent_bits=parent.parent_bits,
                     parent_uid=parent.uid,
                     extension=extension,
-                    extension_labels=extension_labels(extended, extension),
-                    parent_pattern=parent.pattern,
                 )
             )
-    unique = deduplicate(raw, engine=engine)
-    # Derive each survivor's compact form from its parent's (one new
-    # edge) and file it with the engine: the support pass then skips
-    # the full from_labeled rebuild per evaluated candidate.
-    for candidate in unique:
-        extension = candidate.extension
-        if extension is None or candidate.parent_pattern is None:
-            continue
-        source_pos, target_pos, _has_new = extension
-        edge_label, new_vertex_label = candidate.extension_labels
-        parent_compact = engine.compact_of(candidate.parent_pattern)
-        engine.adopt_compact(
-            candidate.pattern,
-            parent_compact.extended(
-                source_pos, target_pos, edge_label, new_vertex_label,
-                candidate.pattern,
-            ),
-        )
-    return unique
+    return deduplicate(raw, engine=engine)

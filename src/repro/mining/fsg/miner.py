@@ -67,6 +67,7 @@ class FSGMiner:
         support experiments.
     max_edges:
         Largest pattern size (in edges) to mine; ``None`` means unbounded.
+        A cap below 1 raises ``ValueError``.
     memory_budget:
         Maximum number of candidate patterns allowed at a single level;
         ``None`` disables the budget.  Exceeding it raises
@@ -111,6 +112,13 @@ class FSGMiner:
     #: tracing was turned on (``--trace`` / ``REPRO_TRACE``), so the
     #: untraced path costs nothing.  See :mod:`repro.obs`.
     tracer: object | None = None
+
+    def __post_init__(self) -> None:
+        # A cap below one edge would not fail on its own: level 1 is
+        # recorded before the cap is checked, so the run would report
+        # one-edge patterns larger than the cap.
+        if self.max_edges is not None and self.max_edges < 1:
+            raise ValueError(f"max_edges must be None or at least 1, got {self.max_edges}")
 
     def mine(self, transactions: Sequence[LabeledGraph]) -> FSGResult:
         """Mine all frequent connected subgraphs from *transactions*."""

@@ -22,31 +22,23 @@ import math
 from typing import Sequence
 
 from repro.graphs.engine import MatchEngine
-from repro.graphs.isomorphism import has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.subdue.compression import compress_instances
 from repro.mining.subdue.mdl import description_length, graph_size
 from repro.mining.subdue.substructure import Substructure
 
 
-def _host_label_counts(
-    host: LabeledGraph, engine: MatchEngine | None
-) -> tuple[int, int]:
-    """(#vertex labels, #edge labels) of *host*, from the engine index if any.
+def _host_label_counts(host: LabeledGraph, engine: MatchEngine) -> tuple[int, int]:
+    """(#vertex labels, #edge labels) of *host*, read off its engine index.
 
     The host's label alphabet is fixed for a whole mining run, so reading
     it off the precomputed index avoids an O(V + E) recount per candidate
     evaluation.
     """
-    if engine is not None:
-        index = engine.index_of(host)
-        return (
-            max(1, len(index.vertex_label_hist)),
-            max(1, len(index.edge_label_hist)),
-        )
+    index = engine.index_of(host)
     return (
-        max(1, len(host.vertex_label_counts())),
-        max(1, len(host.edge_label_counts())),
+        max(1, len(index.vertex_label_hist)),
+        max(1, len(index.edge_label_hist)),
     )
 
 
@@ -95,7 +87,7 @@ class EvaluationPrinciple(str, enum.Enum):
 def mdl_value(
     host: LabeledGraph,
     substructure: Substructure,
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> float:
     """MDL compression value of *substructure* against *host*.
 
@@ -108,7 +100,8 @@ def mdl_value(
     favours small, very frequent substructures on uniformly-labeled graphs
     (the Section 5.1 observation) while the simpler Size principle — which
     ignores reconstruction overhead — rewards the largest substructure
-    that still repeats.
+    that still repeats.  The host's label alphabet sizes are read off
+    its index in *engine*.
     """
     n_vertex_labels, n_edge_labels = _host_label_counts(host, engine)
     original = description_length(host, n_vertex_labels, n_edge_labels)
@@ -151,13 +144,16 @@ def set_cover_value(
     substructure: Substructure,
     positive_examples: Sequence[LabeledGraph],
     negative_examples: Sequence[LabeledGraph],
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> float:
-    """Set-Cover value: positives containing S plus negatives not containing S, over all examples."""
+    """Set-Cover value: positives containing S plus negatives not containing S, over all examples.
+
+    Containment is decided by *engine*'s ``has_embedding``.
+    """
     total = len(positive_examples) + len(negative_examples)
     if total == 0:
         raise ValueError("set-cover evaluation needs at least one example graph")
-    occurs = engine.has_embedding if engine is not None else has_embedding
+    occurs = engine.has_embedding
     covered_positives = sum(
         1 for example in positive_examples if occurs(substructure.pattern, example)
     )
@@ -173,9 +169,14 @@ def evaluate(
     principle: EvaluationPrinciple,
     positive_examples: Sequence[LabeledGraph] | None = None,
     negative_examples: Sequence[LabeledGraph] | None = None,
-    engine: MatchEngine | None = None,
+    *,
+    engine: MatchEngine,
 ) -> float:
-    """Score *substructure* under the chosen principle."""
+    """Score *substructure* under the chosen principle.
+
+    *engine* (keyword-only) is the miner's :class:`MatchEngine`; MDL reads
+    the host's label counts from it and Set-Cover matches through it.
+    """
     if principle is EvaluationPrinciple.MDL:
         return mdl_value(host, substructure, engine=engine)
     if principle is EvaluationPrinciple.SIZE:

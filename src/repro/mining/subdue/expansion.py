@@ -19,34 +19,22 @@ from repro.mining.subdue.substructure import (
 )
 
 
-def initial_substructures(
-    host: LabeledGraph, engine: MatchEngine | None = None
-) -> list[Substructure]:
+def initial_substructures(host: LabeledGraph, engine: MatchEngine) -> list[Substructure]:
     """One single-vertex substructure per distinct vertex label.
 
     Each substructure's instances are all host vertices carrying that
-    label; these seed the beam search.  With *engine*, the seed vertex
-    groups come straight from the host index's label buckets instead of a
-    fresh scan.
+    label; these seed the beam search.  The seed vertex groups come
+    straight from the label buckets of *host*'s index in *engine*: labels
+    in first-seen vertex order, each label's vertices in host order.
     """
-    by_label: dict[object, list[Instance]] = {}
-    if engine is not None:
-        index = engine.index_of(host)
-        compact = index.compact
-        for label_id, bucket in index.by_label.items():
-            label = compact.table.label(label_id)
-            by_label[label] = [
-                Instance.from_vertex(compact.vertex_ids[vertex]) for vertex in bucket
-            ]
-    else:
-        for vertex in host.vertices():
-            by_label.setdefault(host.vertex_label(vertex), []).append(
-                Instance.from_vertex(vertex)
-            )
+    index = engine.index_of(host)
+    compact = index.compact
     substructures: list[Substructure] = []
-    for label, instances in by_label.items():
+    for label_id, bucket in index.by_label.items():
+        label = compact.table.label(label_id)
         pattern = LabeledGraph(name=f"seed-{label}")
         pattern.add_vertex("p0", label)
+        instances = [Instance.from_vertex(compact.vertex_ids[vertex]) for vertex in bucket]
         substructures.append(Substructure(pattern=pattern, instances=instances))
     return substructures
 
@@ -71,12 +59,13 @@ def expand_instance(host: LabeledGraph, instance: Instance) -> list[Instance]:
 def expand_substructure(
     host: LabeledGraph,
     substructure: Substructure,
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> list[Substructure]:
     """Expand every instance by one edge and re-group by pattern.
 
     Duplicate instances (identical edge sets reached from different parent
-    instances) are merged before grouping.
+    instances) are merged before grouping, which runs through *engine*
+    (see :func:`~repro.mining.subdue.substructure.group_instances_by_pattern`).
     """
     extended: dict[tuple[frozenset, frozenset], Instance] = {}
     for instance in substructure.instances:

@@ -9,7 +9,6 @@ instances by the pattern they form.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.graphs.canonical import (
@@ -19,7 +18,6 @@ from repro.graphs.canonical import (
     refined_colours,
 )
 from repro.graphs.engine import MatchEngine
-from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import Edge, LabeledGraph, VertexId
 from repro.obs.tracer import get_tracer
 
@@ -194,7 +192,7 @@ def _class_of(
     pattern: LabeledGraph,
     buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]],
     by_code: dict[str, list[Instance]],
-    isomorphic: Callable[[LabeledGraph, LabeledGraph], bool],
+    engine: MatchEngine,
 ) -> list[Instance]:
     """The instance list of *pattern*'s class, opening the class if it is new.
 
@@ -213,7 +211,7 @@ def _class_of(
     bucket = buckets.setdefault(graph_invariant(pattern, colours), [])
     if code is None:
         for existing, members in bucket:
-            if isomorphic(existing, pattern):
+            if engine.are_isomorphic(existing, pattern):
                 return members
     members: list[Instance] = []
     bucket.append((pattern, members))
@@ -225,7 +223,7 @@ def _class_of(
 def group_instances_by_pattern(
     host: LabeledGraph,
     instances: list[Instance],
-    engine: MatchEngine | None = None,
+    engine: MatchEngine,
 ) -> list[Substructure]:
     """Group raw instances into substructures by pattern isomorphism.
 
@@ -235,13 +233,12 @@ def group_instances_by_pattern(
     classed by exact canonical code; later instances of that layout reuse
     the class.  Patterns too symmetric to canonicalise fall back to exact
     isomorphism against the classes sharing their invariant, through
-    *engine*'s indexed kernel when given.
+    *engine*'s indexed kernel.
 
     Substructures come out in first-seen order of their invariant, then
     first-seen order within it; each keeps its instances in input order
     and the pattern of its first instance.
     """
-    isomorphic = engine.are_isomorphic if engine is not None else are_isomorphic
     buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]] = {}
     by_code: dict[str, list[Instance]] = {}
     by_layout: dict[tuple, list[Instance]] = {}
@@ -249,7 +246,7 @@ def group_instances_by_pattern(
         layout = _instance_layout(host, instance)
         grouped = by_layout.get(layout)
         if grouped is None:
-            grouped = _class_of(instance_pattern(host, instance), buckets, by_code, isomorphic)
+            grouped = _class_of(instance_pattern(host, instance), buckets, by_code, engine)
             by_layout[layout] = grouped
         grouped.append(instance)
     substructures: list[Substructure] = []

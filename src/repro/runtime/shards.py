@@ -91,23 +91,30 @@ RECOVERY_RETRIES = 2
 RECOVERY_BACKOFF = 0.1
 
 
-#: Expected reply type per shard op; ops not listed ack with ``None``.
+#: Expected reply per shard op as ``(type, position)``; ops not listed
+#: ack with ``None``.  A ``position`` names the message list the reply
+#: answers entry by entry (``add``: one local tid per wire; ``slevel``:
+#: one hit list per payload), so the reply must match its length: the
+#: parent zips the two, and a short reply would silently drop entries.
 #: The parent validates every gathered reply against this table so a
 #: corrupted (or truncated) reply becomes a typed ``WorkerCorruption``
 #: feeding the recovery path, never a downstream ``TypeError`` operating
 #: on junk.
-_REPLY_SHAPES: dict[str, type] = {
-    "add": list,
-    "slevel": list,
-    "stats": dict,
+_REPLY_SHAPES: dict[str, tuple[type, int | None]] = {
+    "add": (list, 1),
+    "slevel": (list, 2),
+    "stats": (dict, None),
 }
 
 
-def _reply_shape_ok(op: str, reply) -> bool:
-    expected = _REPLY_SHAPES.get(op)
-    if expected is None:
+def _reply_shape_ok(message: tuple, reply) -> bool:
+    shape = _REPLY_SHAPES.get(message[0])
+    if shape is None:
         return reply is None
-    return isinstance(reply, expected)
+    expected, position = shape
+    if not isinstance(reply, expected):
+        return False
+    return position is None or len(reply) == len(message[position])
 
 
 class ShardWorker:
@@ -451,19 +458,26 @@ class ShardedEngine(MiningRuntime):
             self._tombstone = ("\x00released\x00", (label_id,), [], ("t",))
         return self._tombstone
 
-    def _receive(self, shard: int, op: str):
-        """One recv + obs unwrap + shape validation for *shard*'s *op*."""
+    def _receive(self, shard: int, message: tuple):
+        """One recv + obs unwrap + shape validation of *shard*'s reply to *message*."""
         reply = self._pool.recv(shard)
         if type(reply) is tuple and len(reply) == 4 and reply[0] == _OBS_REPLY:
             _, reply, spans, delta = reply
             self._absorb_worker_obs(shard, spans, delta)
-        if not _reply_shape_ok(op, reply):
+        if not _reply_shape_ok(message, reply):
+            op = message[0]
+            size = f" of length {len(reply)}" if isinstance(reply, list) else ""
             raise WorkerCorruption(
                 shard,
-                reason=f"malformed reply {type(reply).__name__!s} for op {op!r}",
+                reason=f"malformed reply {type(reply).__name__}{size} for op {op!r}",
                 last_op=op,
             )
         return reply
+
+    def _call(self, shard: int, message: tuple):
+        """Post *message* to *shard* and receive its validated reply."""
+        self._post(shard, message)
+        return self._receive(shard, message)
 
     def _rebuild_shard(self, shard: int, rearm: bool) -> None:
         """Make a fresh worker an exact replica of the lost shard.
@@ -475,12 +489,12 @@ class ShardedEngine(MiningRuntime):
         fall back to full search, which returns the same verdicts.
         """
         self._synced[shard] = 0
-        if self._send_sync(shard):
-            self._receive(shard, "labels")
+        sync = self._send_sync(shard)
+        if sync is not None:
+            self._receive(shard, sync)
         wires = self._shard_wires[shard]
         if wires:
-            self._post(shard, ("add", wires))
-            locals_ = self._receive(shard, "add")
+            locals_ = self._call(shard, ("add", wires))
             if list(locals_) != list(range(len(wires))):
                 raise WorkerCorruption(
                     shard,
@@ -489,18 +503,15 @@ class ShardedEngine(MiningRuntime):
                 )
         released = self._shard_released[shard]
         if released:
-            self._post(shard, ("release", sorted(released)))
-            self._receive(shard, "release")
+            self._call(shard, ("release", sorted(released)))
         if self._tracer is not NULL_TRACER:
-            self._post(shard, ("trace", shard, time.time()))
-            self._receive(shard, "trace")
+            self._call(shard, ("trace", shard, time.time()))
         if rearm and self.faults is not None:
             sticky = self.faults.sticky_only()
             if sticky:
-                self._post(
+                self._call(
                     shard, ("faults", shard, sticky.to_spec(), self.backend == "serial")
                 )
-                self._receive(shard, "faults")
 
     def _rebuild_and_replay(self, shard: int, rearm: bool):
         self._rebuild_shard(shard, rearm)
@@ -508,8 +519,7 @@ class ShardedEngine(MiningRuntime):
         if message is None:
             # Death outside any round (nothing in flight): rebuilt, done.
             return None
-        self._post(shard, message)
-        return self._receive(shard, message[0])
+        return self._call(shard, message)
 
     def _recover_shard(self, shard: int, death: WorkerDeath):
         """Respawn → rebuild → replay with bounded retries, degrade last.
@@ -612,32 +622,36 @@ class ShardedEngine(MiningRuntime):
         self._wire_bytes += len(blob)
         self._pool.send(shard, (BLOB_OP, message[0], blob))
 
-    def _send_sync(self, shard: int) -> bool:
-        """Send the replica's missing label delta; True if a reply is due."""
+    def _send_sync(self, shard: int) -> tuple | None:
+        """Send the replica's missing label delta; the message if a reply is due."""
         delta = self.table.snapshot(self._synced[shard])
         if not delta:
-            return False
-        self._post(shard, ("labels", delta))
+            return None
+        message = ("labels", delta)
+        self._post(shard, message)
         self._synced[shard] = len(self.table)
-        return True
+        return message
 
-    def _scatter(self, messages: Sequence[tuple[int, tuple]]) -> list[tuple[int, int]]:
+    def _scatter(
+        self, messages: Sequence[tuple[int, tuple]]
+    ) -> list[tuple[int, list[tuple]]]:
         """Post every (shard, message) — label sync included — sending all
-        before the caller receives anything; returns the recv plan.
+        before the caller receives anything; returns the recv plan: per
+        shard, the messages whose replies are due, in send order.
 
         The round's messages are remembered so a shard that dies before
         replying can be replayed, unchanged, after its rebuild.
         """
         self._round_message = {}
-        pending: list[tuple[int, int]] = []
+        pending: list[tuple[int, list[tuple]]] = []
         for shard, message in messages:
-            synced = self._send_sync(shard)
+            sync = self._send_sync(shard)
             self._post(shard, message)
             self._round_message[shard] = message
-            pending.append((shard, 2 if synced else 1))
+            pending.append((shard, [message] if sync is None else [sync, message]))
         return pending
 
-    def _gather(self, pending: Sequence[tuple[int, int]]) -> dict[int, Any]:
+    def _gather(self, pending: Sequence[tuple[int, list[tuple]]]) -> dict[int, Any]:
         """One reply per queued send; the last reply per shard wins.
 
         Every queued reply is drained before any worker error is
@@ -653,13 +667,10 @@ class ShardedEngine(MiningRuntime):
         """
         replies: dict[int, Any] = {}
         first_error: BaseException | None = None
-        for shard, count in pending:
-            ops = [self._round_message[shard][0]]
-            if count == 2:
-                ops.insert(0, "labels")
-            for op in ops:
+        for shard, sent in pending:
+            for message in sent:
                 try:
-                    reply = self._receive(shard, op)
+                    reply = self._receive(shard, message)
                 except WorkerDeath as death:
                     try:
                         replies[shard] = self._recover_shard(shard, death)

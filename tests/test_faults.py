@@ -346,6 +346,39 @@ class TestRecoveryEquivalence:
         assert mining_signature(mined) == reference
         assert stats["worker_restarts"] >= 1
 
+    @pytest.mark.parametrize("op", ["add", "slevel"])
+    def test_short_reply_is_recovered(self, baseline, monkeypatch, op):
+        # A well-typed reply with fewer entries than its message asks for
+        # (one local tid per wire, one hit list per pattern) is corrupt:
+        # the parent zips it against what it sent, so accepting it would
+        # silently drop entries.  Shard 1 truncates one reply, once (for
+        # slevel, past the level-1 priming message); the respawned worker
+        # answers in full.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        corpus, reference = baseline
+        runtime = ShardedEngine(shards=2, backend="serial")
+        worker = runtime._pool._handlers[1]
+        handle = getattr(worker, f"_op_{op}")
+        truncate_at = 2 if op == "slevel" else 1
+        calls = 0
+
+        def truncated_once(message):
+            nonlocal calls
+            reply = handle(message)
+            calls += 1
+            return reply[: len(reply) // 2] if calls == truncate_at else reply
+
+        monkeypatch.setattr(worker, f"_op_{op}", truncated_once)
+        try:
+            mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            recovery = dict(runtime.recovery)
+        finally:
+            runtime.close()
+        assert calls >= truncate_at
+        assert mining_signature(mined) == reference
+        assert recovery["worker_restarts"] == 1
+        assert recovery["level_replays"] == (1 if op == "slevel" else 0)
+
     def test_sticky_exhaustion_degrades_and_still_matches(self, baseline):
         corpus, reference = baseline
         mined, stats = mine_sharded(corpus, faults="kill:shard=1,op=slevel,times=99,sticky")

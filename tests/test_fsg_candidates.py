@@ -106,3 +106,17 @@ class TestDeduplication:
                 assert not are_isomorphic(first.pattern, second.pattern)
         # 2-edge connected patterns over one label: out-star, in-star, path, 2-cycle.
         assert len(candidates) == 4
+
+    def test_generate_candidates_builds_no_index(self):
+        # Candidates are compacted only by the session that counts them,
+        # so generation leaves the engine's index count where it was.
+        engine = MatchEngine()
+        triples = [("place", 0, "place"), ("place", 1, "depot")]
+        parents = [
+            Candidate(pattern=single_edge_pattern(*triple), parent_bits=bits_of([0, 1]), uid=index)
+            for index, triple in enumerate(triples)
+        ]
+        before = engine.stats.indexes_built
+        candidates = generate_candidates(parents, triples, engine)
+        assert candidates
+        assert engine.stats.indexes_built == before

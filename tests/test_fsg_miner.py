@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import MotifShape, chain, cycle, hub_and_spoke
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.miner import FSGMiner, mine_frequent_subgraphs, timed_mine
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
-from repro.runtime import SerialRuntime
+from repro.runtime import SerialRuntime, ShardedEngine
 
 
 def _transactions_with_planted_star(n_with: int, n_without: int) -> list[LabeledGraph]:
@@ -119,6 +120,31 @@ class TestRuntimeContract:
             miner.mine(transactions)
         # The run still hands its tids back to the runtime.
         assert runtime.released == [0, 2, 4, 6, 8, 10]
+
+    def test_sharded_mine_builds_no_index_in_the_miner_engine(self):
+        # The shards count support against their own compacts; the
+        # miner's engine only deduplicates, and every pattern here
+        # canonicalises, so it never needs an index.
+        transactions = _transactions_with_planted_star(5, 5)
+        engine = MatchEngine()
+        runtime = ShardedEngine(shards=2, backend="serial")
+        try:
+            result = FSGMiner(
+                min_support=3, max_edges=3, engine=engine, runtime=runtime
+            ).mine(transactions)
+        finally:
+            runtime.close()
+        assert any(pattern.n_edges >= 2 for pattern in result.patterns)
+        assert engine.stats.indexes_built == 0
+
+
+class TestParameters:
+    @pytest.mark.parametrize("max_edges", [0, -1])
+    def test_max_edges_below_one_rejected(self, max_edges):
+        # Level 1 used to be recorded before the cap was checked, so a
+        # cap below one edge reported one-edge patterns.
+        with pytest.raises(ValueError, match="max_edges"):
+            FSGMiner(min_support=0.1, max_edges=max_edges)
 
 
 class TestMemoryBudget:

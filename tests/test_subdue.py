@@ -168,7 +168,7 @@ class TestSubstructure:
             Instance(vertices=frozenset({e.source, e.target}), edges=frozenset({e}))
             for e in all_edges
         ]
-        groups = group_instances_by_pattern(host, instances)
+        groups = group_instances_by_pattern(host, instances, MatchEngine())
         # Two pattern classes: the star edge (label 1) and the bridge edge (label 9).
         assert len(groups) == 2
         assert {g.n_instances for g in groups} == {4, 1}
@@ -180,7 +180,10 @@ class TestGroupingOracle:
     @settings(max_examples=60, deadline=None)
     @given(host=small_hosts(), use_engine=st.booleans())
     def test_matches_pairwise_grouping(self, host, use_engine):
-        engine = MatchEngine() if use_engine else None
+        # *use_engine* picks the oracle's matcher: the engine, or the
+        # legacy backtracking search that shares no code with it.
+        engine = MatchEngine()
+        oracle_engine = engine if use_engine else None
         level = [Instance.from_vertex(vertex) for vertex in host.vertices()]
         for _ in range(3):
             extended: dict[tuple[frozenset, frozenset], Instance] = {}
@@ -190,7 +193,7 @@ class TestGroupingOracle:
             level = list(extended.values())
             if not level:
                 break
-            expected = _grouping_view(pairwise_grouping(host, level, engine=engine))
+            expected = _grouping_view(pairwise_grouping(host, level, engine=oracle_engine))
             assert _grouping_view(group_instances_by_pattern(host, level, engine=engine)) == expected
 
     def test_invariant_collision_keeps_first_seen_class_order(self):
@@ -213,32 +216,34 @@ class TestGroupingOracle:
         assert graph_invariant(instance_pattern(host, hexagon)) == graph_invariant(
             instance_pattern(host, triangles)
         )
-        groups = group_instances_by_pattern(host, instances)
+        groups = group_instances_by_pattern(host, instances, MatchEngine())
         assert [group.instances for group in groups] == [[hexagon, other_hexagon], [triangles]]
         assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, instances))
 
+    # *use_engine* picks the oracle's matcher, as in the property above.
     @pytest.mark.parametrize("use_engine", [False, True])
     def test_too_symmetric_patterns_fall_back_to_isomorphism(self, use_engine):
         host, instances = _two_nine_leaf_stars()
-        engine = MatchEngine() if use_engine else None
+        engine = MatchEngine()
         with activate(Tracer()) as tracer:
             groups = group_instances_by_pattern(host, instances, engine=engine)
         assert tracer.metrics.counter_total("canonical_fallbacks") > 0
         assert len(groups) == 1
         assert groups[0].instances == instances
-        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, instances))
+        oracle = pairwise_grouping(host, instances, engine=engine if use_engine else None)
+        assert _grouping_view(groups) == _grouping_view(oracle)
 
 
 class TestExpansion:
     def test_initial_substructures_one_per_label(self):
         host = _repeated_star_graph()
-        seeds = initial_substructures(host)
+        seeds = initial_substructures(host, MatchEngine())
         assert len(seeds) == 1
         assert seeds[0].n_instances == host.n_vertices
 
     def test_initial_substructures_multiple_labels(self, triangle_graph):
         relabeled = triangle_graph.relabel_vertices({"a": "depot"})
-        seeds = initial_substructures(relabeled)
+        seeds = initial_substructures(relabeled, MatchEngine())
         assert len(seeds) == 2
 
     def test_expand_instance_adds_one_edge(self):
@@ -250,8 +255,9 @@ class TestExpansion:
 
     def test_expand_substructure_groups_by_pattern(self):
         host = _repeated_star_graph()
-        seeds = initial_substructures(host)
-        level1 = expand_substructure(host, seeds[0])
+        engine = MatchEngine()
+        seeds = initial_substructures(host, engine)
+        level1 = expand_substructure(host, seeds[0], engine)
         labels = sorted(
             next(iter(sub.pattern.edges())).label for sub in level1
         )
@@ -278,26 +284,28 @@ class TestMdlAndSize:
             frequent_instances.append(Instance(vertices=frozenset(vertices), edges=frozenset(edges)))
         frequent = Substructure(pattern=star, instances=frequent_instances)
         rare = Substructure(pattern=star, instances=frequent_instances[:1])
-        assert mdl_value(host, frequent) > mdl_value(host, rare)
+        engine = MatchEngine()
+        assert mdl_value(host, frequent, engine) > mdl_value(host, rare, engine)
         assert size_value(host, frequent) > size_value(host, rare)
 
     def test_set_cover_value(self):
         star = Substructure(pattern=hub_and_spoke(2, edge_labels=[1, 1]), instances=[])
         positives = [hub_and_spoke(3, edge_labels=[1, 1, 1])]
         negatives = [chain(2, edge_labels=[2, 2])]
-        assert set_cover_value(star, positives, negatives) == pytest.approx(1.0)
+        assert set_cover_value(star, positives, negatives, MatchEngine()) == pytest.approx(1.0)
 
     def test_set_cover_requires_examples(self):
         star = Substructure(pattern=hub_and_spoke(2), instances=[])
         with pytest.raises(ValueError):
-            set_cover_value(star, [], [])
+            set_cover_value(star, [], [], MatchEngine())
 
     def test_evaluate_dispatch(self):
         host = _repeated_star_graph()
-        seeds = initial_substructures(host)
-        substructure = expand_substructure(host, seeds[0])[0]
+        engine = MatchEngine()
+        seeds = initial_substructures(host, engine)
+        substructure = expand_substructure(host, seeds[0], engine)[0]
         for principle in (EvaluationPrinciple.MDL, EvaluationPrinciple.SIZE):
-            assert evaluate(host, substructure, principle) > 0
+            assert evaluate(host, substructure, principle, engine=engine) > 0
 
 
 class TestCompression:

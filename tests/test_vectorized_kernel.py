@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
@@ -215,71 +214,3 @@ def test_release_transactions_invalidates_columns():
         [EmbeddingTask(pattern=pattern, tids=[0, 3], uid="p3")]
     )
     assert after == [0, 3]
-
-
-# ----------------------------------------------------------------------
-# Incremental compact derivation
-# ----------------------------------------------------------------------
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=50, deadline=None)
-def test_compact_extended_matches_from_labeled(seed):
-    """``CompactGraph.extended`` is field-for-field ``from_labeled``.
-
-    Candidate generation derives every child compact incrementally;
-    anchor enumeration inherits the adjacency tuple order, so the
-    equality must cover ordering, not just set content.
-    """
-    rng = random.Random(seed)
-    n_vertices = rng.randint(2, 6)
-    parent = LabeledGraph(name="parent")
-    for index in range(n_vertices):
-        parent.add_vertex(f"v{index}", f"L{rng.randrange(3)}")
-    for _ in range(rng.randint(1, 8)):
-        source, target = rng.sample(range(n_vertices), 2)
-        if not parent.has_edge(f"v{source}", f"v{target}"):
-            parent.add_edge(f"v{source}", f"v{target}", rng.randrange(3))
-
-    child = parent.copy(name="child")
-    if rng.random() < 0.5:
-        # Forward extension: edge to a brand-new appended vertex.
-        new_label = f"L{rng.randrange(3)}"
-        child.add_vertex("vnew", new_label)
-        anchor = rng.randrange(n_vertices)
-        if rng.random() < 0.5:
-            child.add_edge(f"v{anchor}", "vnew", rng.randrange(3))
-            source_pos, target_pos = anchor, n_vertices
-        else:
-            child.add_edge("vnew", f"v{anchor}", rng.randrange(3))
-            source_pos, target_pos = n_vertices, anchor
-        edge_label = child.edge_label(
-            "vnew" if source_pos == n_vertices else f"v{source_pos}",
-            "vnew" if target_pos == n_vertices else f"v{target_pos}",
-        )
-    else:
-        # Backward extension: edge between two existing vertices.
-        missing = [
-            (source, target)
-            for source in range(n_vertices)
-            for target in range(n_vertices)
-            if source != target and not parent.has_edge(f"v{source}", f"v{target}")
-        ]
-        if not missing:
-            return
-        source_pos, target_pos = rng.choice(missing)
-        edge_label = rng.randrange(3)
-        child.add_edge(f"v{source_pos}", f"v{target_pos}", edge_label)
-        new_label = None
-
-    table = LabelTable()
-    parent_compact = CompactGraph.from_labeled(parent, table)
-    derived = parent_compact.extended(source_pos, target_pos, edge_label, new_label, child)
-    rebuilt = CompactGraph.from_labeled(child, table)
-    assert derived.name == rebuilt.name
-    assert derived.n_vertices == rebuilt.n_vertices
-    assert derived.n_edges == rebuilt.n_edges
-    assert derived.vertex_labels == rebuilt.vertex_labels
-    assert derived.vertex_ids == rebuilt.vertex_ids
-    assert derived.out_adj == rebuilt.out_adj
-    assert derived.in_adj == rebuilt.in_adj
-    # Dict *order* matters: downstream iteration follows insertion order.
-    assert list(derived.edge_label_of.items()) == list(rebuilt.edge_label_of.items())
