@@ -115,8 +115,8 @@ class Location:
 
     @cached_property
     def _label(self) -> str:
-        # Built once per object: SUBDUE's hash-seed-independent orderings
-        # call str() on every host vertex they sort.
+        # Built once per object: temporal partitioning labels a vertex per
+        # transaction endpoint, and SUBDUE ranks its host's vertices by it.
         return f"{self.latitude:.1f},{self.longitude:.1f}"
 
     def label(self) -> str:

@@ -16,6 +16,8 @@ straightforward scheme works:
   computed by minimising the adjacency encoding over vertex orderings
   compatible with the refined colouring.  Raises :class:`CanonicalizationError`
   when the graph is too large/symmetric to canonicalise exhaustively.
+  :func:`canonical_code_with_order` also returns the vertex order the
+  code was read in.
 """
 
 from __future__ import annotations
@@ -136,9 +138,27 @@ def canonical_code(
     :class:`CanonicalizationError` is raised — callers should fall back to
     invariant-plus-isomorphism deduplication for such graphs.
     """
+    return canonical_code_with_order(graph, max_orderings, colours)[0]
+
+
+def canonical_code_with_order(
+    graph: LabeledGraph,
+    max_orderings: int = 50_000,
+    colours: dict[VertexId, str] | None = None,
+) -> tuple[str, tuple[VertexId, ...]]:
+    """:func:`canonical_code` plus the vertex order that encodes to it.
+
+    The code lists vertex ``i`` of the order at position ``i``.  So for
+    two isomorphic graphs, the vertices at equal positions of their
+    orders correspond under an isomorphism: reading either graph in its
+    order gives the same labels and the same positional edges.  SUBDUE's
+    instance grouping records each instance's vertices in this order.
+    Raises :class:`CanonicalizationError` exactly when
+    :func:`canonical_code` does.
+    """
     vertices = list(graph.vertices())
     if not vertices:
-        return "empty"
+        return "empty", ()
     if colours is None:
         colours = refined_colours(graph)
     groups: dict[str, list[VertexId]] = {}
@@ -160,16 +180,19 @@ def canonical_code(
     if total_orderings == 1:
         # Discrete partition (the overwhelmingly common case for the tiny
         # patterns mined here): the one compatible ordering IS the code.
-        return _encode_with_order(graph, [groups[key][0] for key in group_keys])
+        order = [groups[key][0] for key in group_keys]
+        return _encode_with_order(graph, order), tuple(order)
 
     best: str | None = None
+    best_order: list[VertexId] = []
 
     def extend(prefix: list[VertexId], remaining_groups: list[str]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if not remaining_groups:
             code = _encode_with_order(graph, prefix)
             if best is None or code < best:
                 best = code
+                best_order = prefix
             return
         key = remaining_groups[0]
         for perm in permutations(groups[key]):
@@ -177,4 +200,4 @@ def canonical_code(
 
     extend([], group_keys)
     assert best is not None
-    return best
+    return best, tuple(best_order)

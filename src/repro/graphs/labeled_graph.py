@@ -20,7 +20,7 @@ and visual inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Label = Hashable
 VertexId = Hashable
@@ -204,6 +204,25 @@ class LabeledGraph:
             for target, label in targets.items():
                 pred[target][source] = label
         clone._pred = pred
+        return clone
+
+    def renamed(self, mapping: Mapping[VertexId, VertexId] | Sequence[VertexId]) -> "LabeledGraph":
+        """A copy whose vertex ids are replaced by ``mapping[id]``.
+
+        *mapping* must be one-to-one on the vertices.  Labels are kept, and
+        so is the insertion order of the vertices and of each vertex's
+        successors and predecessors, which neighbourhood walks follow.
+        """
+        clone = LabeledGraph(name=self.name)
+        clone._vertex_labels = {mapping[vertex]: label for vertex, label in self._vertex_labels.items()}
+        clone._succ = {
+            mapping[vertex]: {mapping[target]: label for target, label in targets.items()}
+            for vertex, targets in self._succ.items()
+        }
+        clone._pred = {
+            mapping[vertex]: {mapping[source]: label for source, label in sources.items()}
+            for vertex, sources in self._pred.items()
+        }
         return clone
 
     def subgraph(self, vertices: Iterable[VertexId]) -> "LabeledGraph":

@@ -36,7 +36,15 @@ def compress_instances(
     instances: list[Instance],
     replacement_label: str = "SUB",
 ) -> LabeledGraph:
-    """Collapse an explicit list of vertex-disjoint instances."""
+    """Collapse an explicit list of vertex-disjoint instances.
+
+    Instance ``i`` becomes the vertex ``f"{replacement_label}_{i}"``, or,
+    if the host already has a vertex of that name, that name with primes
+    appended until it is free: a replacement never merges with a host
+    vertex.  Edges with both ends in one instance are absorbed; every
+    other edge, a self-loop outside the instances included, is kept, and
+    edges that land on the same ordered pair merge into one.
+    """
     owner: dict[VertexId, int] = {}
     for index, instance in enumerate(instances):
         for vertex in instance.vertices:
@@ -45,13 +53,18 @@ def compress_instances(
             owner[vertex] = index
 
     compressed = LabeledGraph(name=f"{host.name}-compressed")
-    replacement_names = {index: f"{replacement_label}_{index}" for index in range(len(instances))}
+    replacement_names = []
+    for index in range(len(instances)):
+        name = f"{replacement_label}_{index}"
+        while host.has_vertex(name):
+            name += "'"
+        replacement_names.append(name)
 
     for vertex in host.vertices():
         if vertex in owner:
             continue
         compressed.add_vertex(vertex, host.vertex_label(vertex))
-    for name in replacement_names.values():
+    for name in replacement_names:
         compressed.add_vertex(name, replacement_label)
 
     def resolve(vertex: VertexId) -> VertexId:
@@ -65,11 +78,7 @@ def compress_instances(
         if source_owner is not None and source_owner == target_owner:
             # Edge internal to an instance: absorbed by the replacement vertex.
             continue
-        source = resolve(edge.source)
-        target = resolve(edge.target)
-        if source == target:
-            continue
-        compressed.add_edge(source, target, edge.label)
+        compressed.add_edge(resolve(edge.source), resolve(edge.target), edge.label)
     return compressed
 
 

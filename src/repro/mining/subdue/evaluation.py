@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.graphs.engine import MatchEngine
-from repro.graphs.labeled_graph import LabeledGraph
-from repro.mining.subdue.compression import compress_instances
-from repro.mining.subdue.mdl import description_length, graph_size
+from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.mining.subdue.mdl import description_length, description_length_of_counts, graph_size
 from repro.mining.subdue.substructure import Substructure
+from repro.obs.tracer import get_tracer
 
 
 def _host_label_counts(host: LabeledGraph, engine: MatchEngine) -> tuple[int, int]:
@@ -42,35 +42,70 @@ def _host_label_counts(host: LabeledGraph, engine: MatchEngine) -> tuple[int, in
     )
 
 
-def _compression_stats(host: LabeledGraph, substructure: Substructure) -> dict[str, object]:
-    """Compress the host and account for edges merged away by the rewrite.
+class CompressionCounts(NamedTuple):
+    """What evaluation reads of the host compressed by a substructure."""
 
-    The compressed graph is a simple graph, so boundary edges from several
-    instance vertices to the same outside vertex merge into one edge.
-    Those merged edges still have to be described in a lossless encoding,
-    so the evaluation functions add them back explicitly.
+    #: Host vertices inside the non-overlapping instances.
+    covered_vertices: int
+    #: Vertices of the compressed host.
+    vertices: int
+    #: Edges of the compressed host.
+    edges: int
+    #: Edges re-attached to a replacement vertex, plus the merged ones.
+    boundary_edges: int
+    #: Host edges the rewrite loses beyond the instances' own edges.
+    merged_edges: int
+
+
+def compression_counts(host: LabeledGraph, substructure: Substructure) -> CompressionCounts:
+    """Counts of *host* with *substructure*'s non-overlapping instances collapsed.
+
+    The compressed graph is the one
+    :func:`~repro.mining.subdue.compression.compress_instances` builds,
+    but only its counts are derived, from the instances' owner map: each
+    edge that touches an instance is visited once (the out-edges of its
+    vertices, plus in-edges from outside), which costs O(degree of the
+    covered vertices).  An edge with both ends in one instance is
+    absorbed; every other touching edge re-attaches as its resolved
+    ``(owner or vertex, owner or vertex)`` pair, and edges that resolve
+    to one pair merge into one, because the compressed graph is simple.
+
+    Edges merged away (coinciding pairs, and edges absorbed without being
+    part of their instance) still have to be described in a lossless
+    encoding, so the evaluation functions add them back explicitly.
     """
     instances = substructure.non_overlapping()
-    compressed = compress_instances(host, instances)
-    internal_edges = sum(instance.n_edges for instance in instances)
-    covered_vertices = sum(len(instance.vertices) for instance in instances)
-    merged_edges = max(0, (host.n_edges - internal_edges) - compressed.n_edges)
-    replacement_vertices = {
-        vertex for vertex in compressed.vertices() if compressed.vertex_label(vertex) == "SUB"
-    }
-    boundary_edges = sum(
-        1
-        for edge in compressed.edges()
-        if edge.source in replacement_vertices or edge.target in replacement_vertices
+    owner: dict[VertexId, object] = {}
+    internal_edges = 0
+    for instance in instances:
+        # A fresh object stands for the instance's replacement vertex: it
+        # equals no vertex id, whatever the host's ids are.
+        replacement = object()
+        for vertex in instance.vertices:
+            owner[vertex] = replacement
+        internal_edges += len(instance.edges)
+    touching = 0
+    pairs: set[tuple] = set()
+    for vertex, replacement in owner.items():
+        for target in host.successors(vertex):
+            touching += 1
+            resolved = owner.get(target, target)
+            if resolved is not replacement:
+                pairs.add((replacement, resolved))
+        for source in host.predecessors(vertex):
+            if source not in owner:
+                touching += 1
+                pairs.add((source, replacement))
+    n_edges = host.n_edges
+    compressed_edges = n_edges - touching + len(pairs)
+    merged_edges = max(0, (n_edges - internal_edges) - compressed_edges)
+    return CompressionCounts(
+        covered_vertices=len(owner),
+        vertices=host.n_vertices - len(owner) + len(instances),
+        edges=compressed_edges,
+        boundary_edges=len(pairs) + merged_edges,
+        merged_edges=merged_edges,
     )
-    return {
-        "compressed": compressed,
-        "n_instances": len(instances),
-        "internal_edges": internal_edges,
-        "covered_vertices": covered_vertices,
-        "merged_edges": merged_edges,
-        "boundary_edges": boundary_edges + merged_edges,
-    }
 
 
 class EvaluationPrinciple(str, enum.Enum):
@@ -102,21 +137,26 @@ def mdl_value(
     ignores reconstruction overhead — rewards the largest substructure
     that still repeats.  The host's label alphabet sizes are read off
     its index in *engine*.
+
+    The compressed host is priced from :func:`compression_counts` alone,
+    so no compressed graph is built; ``tests/test_subdue.py`` holds the
+    value against one computed on the materialised graph.
     """
     n_vertex_labels, n_edge_labels = _host_label_counts(host, engine)
     original = description_length(host, n_vertex_labels, n_edge_labels)
     sub_dl = description_length(substructure.pattern, n_vertex_labels, n_edge_labels)
-    stats = _compression_stats(host, substructure)
-    compressed = stats["compressed"]
-    compressed_dl = description_length(compressed, n_vertex_labels + 1, n_edge_labels)
+    counts = compression_counts(host, substructure)
+    compressed_dl = description_length_of_counts(
+        counts.vertices, counts.edges, n_vertex_labels + 1, n_edge_labels
+    )
 
     # Edges merged away by the simple-graph rewrite still need describing.
-    per_edge_bits = 2.0 * math.log2(max(2, compressed.n_vertices)) + math.log2(max(2, n_edge_labels))
-    merged_bits = stats["merged_edges"] * per_edge_bits
+    per_edge_bits = 2.0 * math.log2(max(2, counts.vertices)) + math.log2(max(2, n_edge_labels))
+    merged_bits = counts.merged_edges * per_edge_bits
     # Boundary edges must record which internal vertex they attached to.
-    attachment_bits = stats["boundary_edges"] * math.log2(max(2, substructure.pattern.n_vertices))
+    attachment_bits = counts.boundary_edges * math.log2(max(2, substructure.pattern.n_vertices))
     # Instance locations must be recorded to reconstruct the original graph.
-    location_bits = stats["covered_vertices"] * math.log2(max(2, host.n_vertices))
+    location_bits = counts.covered_vertices * math.log2(max(2, host.n_vertices))
 
     denominator = sub_dl + compressed_dl + merged_bits + attachment_bits + location_bits
     if denominator <= 0:
@@ -132,8 +172,8 @@ def size_value(host: LabeledGraph, substructure: Substructure) -> float:
     fabricate compression.
     """
     original = graph_size(host)
-    stats = _compression_stats(host, substructure)
-    compressed_size = graph_size(stats["compressed"]) + stats["merged_edges"]
+    counts = compression_counts(host, substructure)
+    compressed_size = counts.vertices + counts.edges + counts.merged_edges
     denominator = graph_size(substructure.pattern) + compressed_size
     if denominator <= 0:
         return 0.0
@@ -176,13 +216,15 @@ def evaluate(
 
     *engine* (keyword-only) is the miner's :class:`MatchEngine`; MDL reads
     the host's label counts from it and Set-Cover matches through it.
+    Each call is one ``subdue.evaluate`` span.
     """
-    if principle is EvaluationPrinciple.MDL:
-        return mdl_value(host, substructure, engine=engine)
-    if principle is EvaluationPrinciple.SIZE:
-        return size_value(host, substructure)
-    if principle is EvaluationPrinciple.SET_COVER:
-        return set_cover_value(
-            substructure, positive_examples or [], negative_examples or [], engine=engine
-        )
-    raise ValueError(f"unknown evaluation principle: {principle}")
+    with get_tracer().span("subdue.evaluate"):
+        if principle is EvaluationPrinciple.MDL:
+            return mdl_value(host, substructure, engine=engine)
+        if principle is EvaluationPrinciple.SIZE:
+            return size_value(host, substructure)
+        if principle is EvaluationPrinciple.SET_COVER:
+            return set_cover_value(
+                substructure, positive_examples or [], negative_examples or [], engine=engine
+            )
+        raise ValueError(f"unknown evaluation principle: {principle}")

@@ -5,7 +5,10 @@ edge incident on the instance, then re-groups the extended instances by
 the pattern they form.  Working at the instance level (rather than
 re-running subgraph isomorphism against the whole host graph) keeps each
 expansion step proportional to the number of instances times the local
-edge density.
+edge density.  Instance vertices are walked in value order, so a host
+handed to these helpers directly needs mutually orderable vertex ids
+(:meth:`~repro.mining.subdue.miner.SubdueMiner.mine` ranks any host's
+ids first).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.mining.subdue.substructure import (
     Substructure,
     group_instances_by_pattern,
 )
+from repro.obs.tracer import get_tracer
 
 
 def initial_substructures(host: LabeledGraph, engine: MatchEngine) -> list[Substructure]:
@@ -40,10 +44,14 @@ def initial_substructures(host: LabeledGraph, engine: MatchEngine) -> list[Subst
 
 
 def expand_instance(host: LabeledGraph, instance: Instance) -> list[Instance]:
-    """All one-edge extensions of *instance* using edges incident on it."""
+    """All one-edge extensions of *instance* using edges incident on it.
+
+    Each extension carries *instance*'s recorded order plus the vertex it
+    adds (see :meth:`Instance.extended_with`).
+    """
     extensions: list[Instance] = []
     seen: set[frozenset] = set()
-    for vertex in sorted(instance.vertices, key=str):
+    for vertex in sorted(instance.vertices):
         for edge in host.incident_edges(vertex):
             if edge in instance.edges:
                 continue
@@ -66,11 +74,13 @@ def expand_substructure(
     Duplicate instances (identical edge sets reached from different parent
     instances) are merged before grouping, which runs through *engine*
     (see :func:`~repro.mining.subdue.substructure.group_instances_by_pattern`).
+    Each call is one ``subdue.expand`` span, its grouping included.
     """
-    extended: dict[tuple[frozenset, frozenset], Instance] = {}
-    for instance in substructure.instances:
-        for new_instance in expand_instance(host, instance):
-            extended[(new_instance.vertices, new_instance.edges)] = new_instance
-    if not extended:
-        return []
-    return group_instances_by_pattern(host, list(extended.values()), engine=engine)
+    with get_tracer().span("subdue.expand"):
+        extended: dict[tuple[frozenset, frozenset], Instance] = {}
+        for instance in substructure.instances:
+            for new_instance in expand_instance(host, instance):
+                extended[(new_instance.vertices, new_instance.edges)] = new_instance
+        if not extended:
+            return []
+        return group_instances_by_pattern(host, list(extended.values()), engine=engine)

@@ -44,14 +44,28 @@ def description_length(
     compressed-graph encodings comparable.
     """
     n_vertices = graph.n_vertices
-    n_edges = graph.n_edges
     if n_vertices == 0:
         return 0.0
     vertex_alphabet = n_vertex_labels if n_vertex_labels is not None else len(graph.vertex_label_counts())
     edge_alphabet = n_edge_labels if n_edge_labels is not None else len(graph.edge_label_counts())
+    return description_length_of_counts(n_vertices, graph.n_edges, vertex_alphabet, edge_alphabet)
 
-    vertex_bits = _safe_log2(n_vertices) + n_vertices * _safe_log2(vertex_alphabet)
-    per_edge_bits = 2.0 * _safe_log2(n_vertices) + _safe_log2(edge_alphabet)
+
+def description_length_of_counts(
+    n_vertices: int,
+    n_edges: int,
+    n_vertex_labels: int,
+    n_edge_labels: int,
+) -> float:
+    """:func:`description_length` of any graph with these counts.
+
+    The encoding reads nothing else of a graph, so SUBDUE's evaluation
+    prices a compressed host from its counts without building it.
+    """
+    if n_vertices == 0:
+        return 0.0
+    vertex_bits = _safe_log2(n_vertices) + n_vertices * _safe_log2(n_vertex_labels)
+    per_edge_bits = 2.0 * _safe_log2(n_vertices) + _safe_log2(n_edge_labels)
     edge_bits = _safe_log2(n_edges + 1) + n_edges * per_edge_bits
     return vertex_bits + edge_bits
 

@@ -29,6 +29,7 @@ from repro.mining.subdue.compression import compress_graph
 from repro.mining.subdue.evaluation import EvaluationPrinciple, evaluate
 from repro.mining.subdue.expansion import expand_substructure, initial_substructures
 from repro.mining.subdue.substructure import Substructure
+from repro.obs.tracer import get_tracer
 
 
 @dataclass
@@ -92,14 +93,40 @@ class SubdueMiner:
     def mine(self, host: LabeledGraph) -> SubdueResult:
         """Discover the best substructures of *host*.
 
-        The host is indexed once through the match engine (the miner's, or
-        a private one) and every beam step — seeding, instance grouping,
-        candidate evaluation — reuses that index instead of re-deriving
-        label buckets and histograms per candidate.
+        The search runs on a copy of *host* whose vertex ids are ranks:
+        the caller's ids sorted by ``str``, ties kept in host order.  The
+        copy keeps the labels and the insertion order of the vertices and
+        of each vertex's neighbours, which expansion walks, so every
+        ordered choice of the search (instance keys, pattern vertex order,
+        expansion order) compares ints and comes out as the caller's
+        ``str`` order would.  Edges then hash ints, and any vertex ids
+        work, orderable or not.  The reported best substructures carry
+        the caller's ids again: their patterns, instances and
+        non-overlapping selections are mapped back through the rank
+        table, the selections unchanged.
+
+        The copy is indexed once through the match engine (the miner's,
+        or a private one) and every beam step — seeding, instance
+        grouping, candidate evaluation — reuses that index instead of
+        re-deriving label buckets and histograms per candidate.  The run
+        is one ``subdue.mine`` span.
         """
-        start = time.perf_counter()
+        with get_tracer().span("subdue.mine", vertices=host.n_vertices, edges=host.n_edges) as span:
+            start = time.perf_counter()
+            ids = sorted(host.vertices(), key=str)
+            best, evaluated = self._search(host.renamed({vertex: rank for rank, vertex in enumerate(ids)}))
+            span.set(evaluated=evaluated)
+            return SubdueResult(
+                best=[substructure.renamed(ids) for substructure in best],
+                evaluated=evaluated,
+                elapsed_seconds=time.perf_counter() - start,
+                principle=self.principle,
+            )
+
+    def _search(self, host: LabeledGraph) -> tuple[list[Substructure], int]:
+        """The beam search over *host*: the best substructures, and how many
+        candidates were evaluated."""
         engine = self.engine if self.engine is not None else MatchEngine()
-        result = SubdueResult(principle=self.principle)
         frontier = initial_substructures(host, engine=engine)
         best: list[Substructure] = []
         evaluated = 0
@@ -136,10 +163,7 @@ class SubdueMiner:
                 break
             frontier = self._keep_best(scored, self.beam_width)
 
-        result.best = self._keep_best(best, self.max_best)
-        result.evaluated = evaluated
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
+        return self._keep_best(best, self.max_best), evaluated
 
     def mine_hierarchical(self, host: LabeledGraph, passes: int = 3) -> list[SubdueResult]:
         """Iteratively discover and compress, producing a hierarchy of substructures.

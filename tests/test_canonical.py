@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.canonical import CanonicalizationError, canonical_code, graph_invariant
+from repro.graphs.canonical import (
+    CanonicalizationError,
+    canonical_code,
+    canonical_code_with_order,
+    graph_invariant,
+)
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import chain, cycle, hub_and_spoke
 
@@ -67,3 +72,44 @@ class TestCanonicalCode:
         small_star = hub_and_spoke(3)
         code = canonical_code(small_star, max_orderings=1_000)
         assert code == canonical_code(_relabelled_copy(small_star, "_z"), max_orderings=1_000)
+
+
+class TestCanonicalCodeWithOrder:
+    @staticmethod
+    def _read(graph: LabeledGraph, order: tuple) -> tuple:
+        """*graph*'s labels and positional edges, read in *order*."""
+        position = {vertex: index for index, vertex in enumerate(order)}
+        return (
+            [graph.vertex_label(vertex) for vertex in order],
+            sorted((position[edge.source], position[edge.target], edge.label) for edge in graph.edges()),
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            hub_and_spoke(4, edge_labels=[0, 0, 1, 1]),
+            hub_and_spoke(3),
+            chain(3, edge_labels=[1, 2, 1]),
+            cycle(4),
+        ],
+    )
+    def test_orders_of_isomorphic_graphs_read_alike(self, graph):
+        code, order = canonical_code_with_order(graph)
+        assert code == canonical_code(graph)
+        assert sorted(order, key=str) == sorted(graph.vertices(), key=str)
+        # Renamed, and built in reverse order, so no order is inherited.
+        copy = LabeledGraph()
+        for vertex in reversed(list(graph.vertices())):
+            copy.add_vertex(f"{vertex}_w", graph.vertex_label(vertex))
+        for edge in reversed(list(graph.edges())):
+            copy.add_edge(f"{edge.source}_w", f"{edge.target}_w", edge.label)
+        copy_code, copy_order = canonical_code_with_order(copy)
+        assert copy_code == code
+        assert self._read(copy, copy_order) == self._read(graph, order)
+
+    def test_empty_graph(self):
+        assert canonical_code_with_order(LabeledGraph()) == ("empty", ())
+
+    def test_too_symmetric_graph_raises(self):
+        with pytest.raises(CanonicalizationError):
+            canonical_code_with_order(hub_and_spoke(12), max_orderings=10)

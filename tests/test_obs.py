@@ -515,6 +515,21 @@ class TestCLI:
         assert traced == untraced
         assert path.exists()
 
+    def test_traced_f1_records_subdue_spans(self, tmp_path, capsys):
+        assert main(["run", "F1", "--scale", "0.01"]) == 0
+        untraced = capsys.readouterr().out
+        path = tmp_path / "f1.jsonl"
+        assert main(["run", "F1", "--scale", "0.01", "--trace", str(path)]) == 0
+        assert capsys.readouterr().out == untraced
+        spans = read_jsonl(path).spans
+        (mine,) = [span for span in spans if span.name == "subdue.mine"]
+        assert mine.attrs == {"vertices": 60, "edges": 167, "evaluated": 313}
+        for name in ("subdue.expand", "subdue.group", "subdue.evaluate"):
+            inner = [span for span in spans if span.name == name]
+            assert inner, name
+            assert all(mine.start <= span.start and span.end <= mine.end for span in inner)
+        assert len([span for span in spans if span.name == "subdue.evaluate"]) == 313
+
     def test_trace_summarize(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         write_jsonl(path, TraceData.from_tracer(_sample_tracer(), meta={"command": "x"}))

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.canonical import graph_invariant
+from repro.core.config import ExperimentConfig
+from repro.datasets.schema import Location
+from repro.graphs.builders import build_od_graph
+from repro.graphs.canonical import CanonicalizationError, canonical_code, graph_invariant
+from repro.graphs.components import truncate_to_vertices
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import LabeledGraph
@@ -14,6 +20,7 @@ from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.subdue.compression import compress_graph, compress_instances, compression_ratio
 from repro.mining.subdue.evaluation import (
     EvaluationPrinciple,
+    compression_counts,
     evaluate,
     mdl_value,
     set_cover_value,
@@ -25,11 +32,13 @@ from repro.mining.subdue.miner import SubdueMiner
 from repro.mining.subdue.substructure import (
     Instance,
     Substructure,
+    _instance_layout,
     group_instances_by_pattern,
     instance_pattern,
     select_non_overlapping,
 )
 from repro.obs import Tracer, activate
+from repro.scenarios.harness import pattern_code
 
 
 def _repeated_star_graph(copies: int = 4, spokes: int = 3) -> LabeledGraph:
@@ -128,6 +137,133 @@ def _two_nine_leaf_stars() -> tuple[LabeledGraph, list[Instance]]:
             host.add_edge(hub, leaf, "w")
         instances.append(_whole_instance(host, {hub} | leaves))
     return host, instances
+
+
+def materialised_stats(host: LabeledGraph, substructure: Substructure) -> dict:
+    """Reference for :func:`compression_counts`: build the compressed graph.
+
+    Compresses *host* with :func:`compress_instances` and counts on the
+    result.  Replacement vertices are the compressed vertices that are
+    not host vertices, since their names are fresh.
+    """
+    instances = substructure.non_overlapping()
+    compressed = compress_instances(host, instances)
+    internal_edges = sum(instance.n_edges for instance in instances)
+    merged_edges = max(0, (host.n_edges - internal_edges) - compressed.n_edges)
+    replacements = {vertex for vertex in compressed.vertices() if not host.has_vertex(vertex)}
+    boundary_edges = sum(
+        1
+        for edge in compressed.edges()
+        if edge.source in replacements or edge.target in replacements
+    )
+    return {
+        "compressed": compressed,
+        "covered_vertices": sum(len(instance.vertices) for instance in instances),
+        "merged_edges": merged_edges,
+        "boundary_edges": boundary_edges + merged_edges,
+    }
+
+
+def materialised_mdl_value(host: LabeledGraph, substructure: Substructure) -> float:
+    """Reference for :func:`mdl_value`, priced on the materialised graph."""
+    n_vertex_labels = max(1, len(host.vertex_label_counts()))
+    n_edge_labels = max(1, len(host.edge_label_counts()))
+    original = description_length(host, n_vertex_labels, n_edge_labels)
+    sub_dl = description_length(substructure.pattern, n_vertex_labels, n_edge_labels)
+    stats = materialised_stats(host, substructure)
+    compressed = stats["compressed"]
+    compressed_dl = description_length(compressed, n_vertex_labels + 1, n_edge_labels)
+    per_edge_bits = 2.0 * math.log2(max(2, compressed.n_vertices)) + math.log2(max(2, n_edge_labels))
+    merged_bits = stats["merged_edges"] * per_edge_bits
+    attachment_bits = stats["boundary_edges"] * math.log2(max(2, substructure.pattern.n_vertices))
+    location_bits = stats["covered_vertices"] * math.log2(max(2, host.n_vertices))
+    denominator = sub_dl + compressed_dl + merged_bits + attachment_bits + location_bits
+    if denominator <= 0:
+        return 0.0
+    return original / denominator
+
+
+def materialised_size_value(host: LabeledGraph, substructure: Substructure) -> float:
+    """Reference for :func:`size_value`, priced on the materialised graph."""
+    stats = materialised_stats(host, substructure)
+    compressed_size = graph_size(stats["compressed"]) + stats["merged_edges"]
+    denominator = graph_size(substructure.pattern) + compressed_size
+    if denominator <= 0:
+        return 0.0
+    return graph_size(host) / denominator
+
+
+@st.composite
+def compression_cases(draw) -> tuple[LabeledGraph, list[Instance]]:
+    """A random host plus random vertex-disjoint instances on it.
+
+    4-12 vertices over 1-3 vertex labels and 1-3 edge labels, with
+    self-loops.  Vertex ``v1`` is labelled ``SUB`` and vertex ``SUB_0``
+    carries the first replacement's name, so the host meets the rewrite's
+    label and names.  Each vertex joins one of up to four instances or
+    none; each instance takes a random subset of the host edges inside it.
+    """
+    n_vertices = draw(st.integers(min_value=4, max_value=12))
+    vertex_labels = ["SUB", "place", "depot"][: draw(st.integers(min_value=1, max_value=3))]
+    edge_labels = [1, 2, 3][: draw(st.integers(min_value=1, max_value=3))]
+    names = ["SUB_0"] + [f"v{index}" for index in range(1, n_vertices)]
+    host = LabeledGraph(name="random-host")
+    for name in names:
+        host.add_vertex(name, "SUB" if name == "v1" else draw(st.sampled_from(vertex_labels)))
+    vertex = st.sampled_from(names)
+    for source, target, label in draw(
+        st.lists(st.tuples(vertex, vertex, st.sampled_from(edge_labels)), max_size=3 * n_vertices)
+    ):
+        host.add_edge(source, target, label)
+    owners = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n_vertices, max_size=n_vertices))
+    groups: dict[int, set[str]] = {}
+    for name, owner in zip(names, owners):
+        if owner >= 0:
+            groups.setdefault(owner, set()).add(name)
+    instances = []
+    for owner in sorted(groups):
+        members = groups[owner]
+        inside = [edge for edge in host.edges() if edge.source in members and edge.target in members]
+        edges = draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+        instances.append(Instance(vertices=frozenset(members), edges=frozenset(edges)))
+    return host, instances
+
+
+def _assert_recorded_orders(host: LabeledGraph, groups: list[Substructure]) -> None:
+    """Every instance of a canonicalised class records a permutation of its
+    vertices, and all of the class's instances read one layout in it; a
+    class too symmetric to canonicalise records no order."""
+    for group in groups:
+        try:
+            canonical_code(group.pattern)
+        except CanonicalizationError:
+            assert all(instance.order is None for instance in group.instances)
+            continue
+        layouts = set()
+        for instance in group.instances:
+            assert instance.order is not None
+            assert len(instance.order) == len(instance.vertices)
+            assert set(instance.order) == instance.vertices
+            layouts.add(_instance_layout(host, instance)[1])
+        assert len(layouts) == 1
+
+
+def _extended_instances(host: LabeledGraph, parent: Substructure) -> list[Instance]:
+    """The deduplicated one-edge extensions :func:`expand_substructure` groups."""
+    extended: dict[tuple[frozenset, frozenset], Instance] = {}
+    for instance in parent.instances:
+        for new_instance in expand_instance(host, instance):
+            extended[(new_instance.vertices, new_instance.edges)] = new_instance
+    return list(extended.values())
+
+
+def _f1_host(n_vertices: int = 60) -> LabeledGraph:
+    """Figure 1's host at scale 0.01: the OD_GW graph over Location ids."""
+    config = ExperimentConfig(scale=0.01, seed=20050405)
+    graph = build_od_graph(
+        config.dataset(), edge_attribute="OD_GW", binning=config.binning(), vertex_labeling="uniform"
+    )
+    return truncate_to_vertices(graph, n_vertices)
 
 
 class TestSubstructure:
@@ -234,6 +370,44 @@ class TestGroupingOracle:
         assert _grouping_view(groups) == _grouping_view(oracle)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(host=small_hosts(), use_engine=st.booleans())
+    def test_expansion_with_recorded_orders_matches_pairwise_grouping(self, host, use_engine):
+        # Two levels through expand_substructure: level-1 instances read
+        # their layout in seed order plus the new vertex, level-2 ones in
+        # their parent class's canonical order plus the new vertex.
+        engine = MatchEngine()
+        oracle_engine = engine if use_engine else None
+        frontier = initial_substructures(host, engine)
+        for _ in range(2):
+            children: list[Substructure] = []
+            for parent in frontier:
+                expected = pairwise_grouping(host, _extended_instances(host, parent), engine=oracle_engine)
+                groups = expand_substructure(host, parent, engine)
+                assert _grouping_view(groups) == _grouping_view(expected)
+                _assert_recorded_orders(host, groups)
+                children.extend(groups)
+            frontier = children
+
+    def test_children_of_a_too_symmetric_parent_take_the_sorted_order_key(self):
+        # The nine-leaf star class records no order, so its children read
+        # their layouts in sorted order.  A leaf edge leaves eight equal
+        # leaves (8! orderings: canonicalisable); a hub edge keeps nine.
+        host, stars = _two_nine_leaf_stars()
+        for copy, hub in enumerate(("a-hub", "z-hub")):
+            host.add_edge(f"m{copy}_0", f"x{copy}", "w")
+            host.add_edge(hub, f"y{copy}", "v")
+        engine = MatchEngine()
+        (parent,) = group_instances_by_pattern(host, stars, engine)
+        assert all(instance.order is None for instance in parent.instances)
+        extended = _extended_instances(host, parent)
+        assert all(instance.order is None for instance in extended)
+        groups = expand_substructure(host, parent, engine)
+        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, extended, engine=engine))
+        _assert_recorded_orders(host, groups)
+        assert any(instance.order is not None for group in groups for instance in group.instances)
+
+
 class TestExpansion:
     def test_initial_substructures_one_per_label(self):
         host = _repeated_star_graph()
@@ -338,6 +512,81 @@ class TestCompression:
         assert ratio > 1.0
 
 
+    def test_replacement_never_merges_with_a_host_vertex_of_its_name(self):
+        host = LabeledGraph(name="named-sub")
+        for name in ("a", "b", "c", "d", "SUB_0"):
+            host.add_vertex(name, "place")
+        host.add_edge("a", "b", "w")
+        host.add_edge("c", "d", "w")
+        host.add_edge("SUB_0", "a", "w")
+        instances = [_whole_instance(host, {"a", "b"}), _whole_instance(host, {"c", "d"})]
+        compressed = compress_instances(host, instances)
+        assert compressed.n_vertices == 3
+        assert compressed.n_edges == 1
+        assert compressed.vertex_label("SUB_0") == "place"
+        replacements = [vertex for vertex in compressed.vertices() if not host.has_vertex(vertex)]
+        assert replacements == ["SUB_0'", "SUB_1"]
+        assert compressed.has_edge("SUB_0", "SUB_0'")
+
+    def test_self_loop_outside_every_instance_is_kept(self):
+        host = LabeledGraph(name="looped")
+        for name in ("a", "b", "e"):
+            host.add_vertex(name, "place")
+        host.add_edge("a", "b", "w")
+        host.add_edge("e", "e", "w")
+        substructure = Substructure(pattern=chain(1), instances=[_whole_instance(host, {"a", "b"})])
+        compressed = compress_instances(host, substructure.non_overlapping())
+        assert compressed.n_edges == 1
+        assert compressed.has_edge("e", "e")
+        counts = compression_counts(host, substructure)
+        assert (counts.edges, counts.merged_edges) == (1, 0)
+
+    def test_untouched_vertex_labelled_sub_adds_no_boundary_edges(self):
+        # Only replacement vertices own boundary edges: a host vertex that
+        # happens to carry the replacement label prices like any other.
+        def host_with(label: str) -> LabeledGraph:
+            host = LabeledGraph(name=f"label-{label}")
+            for name in ("a", "b", "c", "d", "f"):
+                host.add_vertex(name, "place")
+            host.add_vertex("e", label)
+            for source, target in (("a", "b"), ("c", "d"), ("e", "f")):
+                host.add_edge(source, target, "w")
+            return host
+
+        values = []
+        for label in ("SUB", "depot"):
+            host = host_with(label)
+            instances = [_whole_instance(host, {"a", "b"}), _whole_instance(host, {"c", "d"})]
+            substructure = Substructure(pattern=instance_pattern(host, instances[0]), instances=instances)
+            assert compression_counts(host, substructure).boundary_edges == 0
+            values.append(mdl_value(host, substructure, MatchEngine()))
+        assert values[0] == values[1]
+
+
+class TestCountOnlyEvaluation:
+    """Count-only evaluation equals pricing the materialised compressed graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=compression_cases())
+    def test_matches_materialised_graph(self, case):
+        host, instances = case
+        if instances:
+            pattern = instance_pattern(host, instances[0])
+        else:
+            pattern = LabeledGraph(name="single")
+            pattern.add_vertex("p0", "place")
+        substructure = Substructure(pattern=pattern, instances=instances)
+        stats = materialised_stats(host, substructure)
+        counts = compression_counts(host, substructure)
+        assert counts.vertices == stats["compressed"].n_vertices
+        assert counts.edges == stats["compressed"].n_edges
+        assert counts.covered_vertices == stats["covered_vertices"]
+        assert counts.merged_edges == stats["merged_edges"]
+        assert counts.boundary_edges == stats["boundary_edges"]
+        assert mdl_value(host, substructure, MatchEngine()) == materialised_mdl_value(host, substructure)
+        assert size_value(host, substructure) == materialised_size_value(host, substructure)
+
+
 class TestSubdueMiner:
     def test_finds_repeated_star(self):
         host = _repeated_star_graph(copies=4, spokes=3)
@@ -419,3 +668,94 @@ class TestSubdueMiner:
             [Substructure(pattern=first, value=2.0), Substructure(pattern=second, value=1.5)], 2
         )
         assert [substructure.pattern for substructure in kept] == [first, second]
+
+
+class TestHostIds:
+    """The miner searches a rank-id copy of its host and reports the caller's ids."""
+
+    @staticmethod
+    def _hosts() -> dict[str, LabeledGraph]:
+        located = _f1_host(24)
+        ranked = sorted(located.vertices(), key=str)
+        return {
+            "location": located,
+            "str": located.renamed({vertex: str(vertex) for vertex in ranked}),
+            # Four-digit ints: value order and str order agree.
+            "int": located.renamed({vertex: 1000 + rank for rank, vertex in enumerate(ranked)}),
+        }
+
+    @staticmethod
+    def _mine(host: LabeledGraph, principle: EvaluationPrinciple):
+        miner = SubdueMiner(beam_width=4, max_best=4, max_substructure_edges=3, principle=principle, limit=80)
+        return miner.mine(host)
+
+    @pytest.mark.parametrize("principle", [EvaluationPrinciple.MDL, EvaluationPrinciple.SIZE])
+    def test_rows_do_not_depend_on_the_vertex_id_type(self, principle):
+        engine = MatchEngine()
+        rows = {}
+        for name, host in self._hosts().items():
+            result = self._mine(host, principle)
+            rows[name] = [
+                (pattern_code(engine, sub.pattern), sub.value, sub.n_non_overlapping)
+                for sub in result.best
+            ]
+        assert rows["location"]
+        assert rows["location"] == rows["str"] == rows["int"]
+
+    def test_best_carries_the_callers_ids_and_valued_selection(self):
+        selections = {}
+        for name, host in self._hosts().items():
+            result = self._mine(host, EvaluationPrinciple.MDL)
+            for sub in result.best:
+                # The class pattern is its first instance's pattern.
+                assert set(sub.pattern.vertices()) == sub.instances[0].vertices
+                for instance in sub.instances:
+                    assert all(host.has_vertex(vertex) for vertex in instance.vertices)
+                    for edge in instance.edges:
+                        assert host.edge_label(edge.source, edge.target) == edge.label
+                        assert {edge.source, edge.target} <= instance.vertices
+                selection = sub.non_overlapping()
+                assert all(any(chosen is instance for instance in sub.instances) for chosen in selection)
+                # The carried selection is the one the value came from.
+                assert evaluate(host, sub, EvaluationPrinciple.MDL, engine=MatchEngine()) == sub.value
+                if name == "str":
+                    assert selection == select_non_overlapping(sub.instances)
+            if name == "location":
+                assert all(
+                    isinstance(vertex, Location) for sub in result.best for vertex in sub.pattern.vertices()
+                )
+            selections[name] = [
+                [sorted(str(vertex) for vertex in chosen.vertices) for chosen in sub.non_overlapping()]
+                for sub in result.best
+            ]
+        assert selections["location"] == selections["str"]
+
+    def test_hierarchical_passes_on_the_f1_host(self):
+        # Pinned from the materialising, Location-keyed implementation.
+        miner = SubdueMiner(
+            beam_width=4, max_best=3, max_substructure_edges=3, principle=EvaluationPrinciple.MDL, limit=100
+        )
+        passes = miner.mine_hierarchical(_f1_host(), passes=3)
+        engine = MatchEngine()
+        rows = [
+            [(pattern_code(engine, sub.pattern), round(sub.value, 9), sub.n_non_overlapping) for sub in result.best]
+            for result in passes
+        ]
+        assert [result.evaluated for result in passes] == [100, 100, 98]
+        assert rows == [
+            [
+                ("place,place|0-1:0", 1.033221883, 23),
+                ("place,place,place|0-1:0,0-2:0", 1.026142513, 11),
+                ("place,place,place,place|0-3:0,1-2:0,1-3:0", 1.009537957, 7),
+            ],
+            [
+                ("SUB0,place|0-1:0", 1.011415371, 8),
+                ("SUB0,place,place|0-2:0,1-0:0", 0.997619798, 3),
+                ("SUB0,SUB0,place|0-1:2,0-2:0", 0.996986995, 5),
+            ],
+            [
+                ("SUB0,SUB0,place|0-1:0,0-2:3", 1.000112245, 2),
+                ("SUB0,SUB0,SUB0,place|0-2:0,0-3:3,2-1:0", 0.996706775, 2),
+                ("SUB0,place|1-0:1", 0.996491214, 2),
+            ],
+        ]
