@@ -1,7 +1,7 @@
 """Benchmark: tracing overhead of the repro.obs subsystem.
 
 Mines the same corpus as ``bench_parallel_support`` (>= 400 transactions
-at the default size) twice on the serial runtime —
+at the default size) on the serial runtime, two ways —
 
 * ``tracer-off`` — the default :data:`~repro.obs.tracer.NULL_TRACER` is
   active, so every instrumentation site takes the disabled fast path
@@ -10,8 +10,10 @@ at the default size) twice on the serial runtime —
   with :func:`~repro.obs.tracer.set_tracer`, so every span is recorded
   and every counter absorbed.
 
-Both runs take the best of ``repeats`` attempts so a single scheduler
-hiccup cannot fail the gate.  The disabled-path cost is additionally
+The two kinds of run are interleaved: ``repeats`` pairs of one
+tracer-off and one tracer-on mine, alternating which of the pair goes
+first, and the gate compares their medians.  Host drift then hits both
+sides alike, and one scheduler hiccup cannot fail it.  The disabled-path cost is additionally
 measured directly: the benchmark times as many no-op span enter/exits as
 the enabled run actually recorded, which is the exact extra work an
 untraced mining run performs, free of run-to-run mining noise.
@@ -32,6 +34,7 @@ Results land in ``BENCH_obs.json``.  Run with::
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -45,7 +48,7 @@ from repro.mining.fsg.miner import FSGMiner  # noqa: E402
 from repro.obs.tracer import NULL_TRACER, Tracer, set_tracer  # noqa: E402
 
 DEFAULT_TRANSACTIONS = 400
-DEFAULT_REPEATS = 3
+DEFAULT_REPEATS = 5
 DISABLED_BUDGET = 0.01
 ENABLED_BUDGET = 0.10
 
@@ -59,20 +62,30 @@ def mine(corpus):
     return elapsed, len(result.patterns), fsg_digest(result), result
 
 
-def best_of(repeats: int, corpus, tracer=None):
-    """Best wall-clock of *repeats* mining runs (and the last run's outputs)."""
-    best = None
-    for _ in range(repeats):
-        if tracer is not None:
-            previous = set_tracer(tracer)
-        try:
-            elapsed, count, signature, result = mine(corpus)
-        finally:
-            if tracer is not None:
-                set_tracer(previous)
-        if best is None or elapsed < best[0]:
-            best = (elapsed, count, signature, result)
-    return best
+def traced_mine(corpus, tracer):
+    """:func:`mine` with *tracer* installed for the run."""
+    previous = set_tracer(tracer)
+    try:
+        return mine(corpus)
+    finally:
+        set_tracer(previous)
+
+
+def interleaved_pairs(repeats: int, corpus, tracer):
+    """*repeats* tracer-off / tracer-on pairs, alternating which runs first.
+
+    Returns the tracer-off runs and the tracer-on runs, each a list of
+    :func:`mine` outputs.
+    """
+    off_runs, on_runs = [], []
+    for pair in range(repeats):
+        if pair % 2:
+            on_runs.append(traced_mine(corpus, tracer))
+            off_runs.append(mine(corpus))
+        else:
+            off_runs.append(mine(corpus))
+            on_runs.append(traced_mine(corpus, tracer))
+    return off_runs, on_runs
 
 
 def null_span_seconds(n_spans: int) -> float:
@@ -95,15 +108,19 @@ def main() -> None:
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else DEFAULT_REPEATS
     corpus = build_corpus(n_transactions)
     n_edges = sum(graph.n_edges for graph in corpus)
-    print(f"corpus: {n_transactions} transactions, {n_edges} edges; repeats={repeats}")
-
-    off_elapsed, off_count, off_signature, _ = best_of(repeats, corpus)
-    print(f"{'tracer-off':12s} {off_elapsed:8.3f}s   {off_count} patterns")
+    print(f"corpus: {n_transactions} transactions, {n_edges} edges; pairs={repeats}")
 
     tracer = Tracer(worker="main")
-    on_elapsed, on_count, on_signature, _ = best_of(repeats, corpus, tracer=tracer)
+    off_runs, on_runs = interleaved_pairs(repeats, corpus, tracer)
+    off_elapsed = statistics.median(run[0] for run in off_runs)
+    on_elapsed = statistics.median(run[0] for run in on_runs)
+    off_count = off_runs[-1][1]
+    on_count = on_runs[-1][1]
     n_spans = len(tracer.spans)
-    print(f"{'tracer-on':12s} {on_elapsed:8.3f}s   {on_count} patterns   {n_spans} spans")
+    print(f"{'tracer-off':12s} {off_elapsed:8.3f}s median   {off_count} patterns")
+    print(
+        f"{'tracer-on':12s} {on_elapsed:8.3f}s median   {on_count} patterns   {n_spans} spans"
+    )
 
     # The enabled tracer accumulated spans across all repeats; one run
     # records n_spans / repeats of them.
@@ -112,7 +129,7 @@ def main() -> None:
     disabled_overhead = disabled_seconds / off_elapsed if off_elapsed else 0.0
     enabled_overhead = max(0.0, (on_elapsed - off_elapsed) / off_elapsed) if off_elapsed else 0.0
 
-    identical = off_signature == on_signature
+    identical = len({run[2] for run in off_runs + on_runs}) == 1
     print(
         f"disabled-path cost: {disabled_seconds * 1e3:.3f}ms for {spans_per_run} spans "
         f"({disabled_overhead:.4%} of untraced run)"

@@ -8,7 +8,8 @@ representation: vertices are dense integers ``0..n-1``, every vertex and
 edge label is interned to a small integer through a shared
 :class:`LabelTable`, and adjacency is stored as per-vertex tuples of
 ``(neighbour, edge-label-id)`` pairs in both directions, plus a flat
-``(source, target) -> label-id`` map for O(1) edge checks.
+edge map keyed by the int ``source * n_vertices + target`` for O(1) edge
+checks.
 
 A :class:`CompactGraph` is immutable once built.  Conversion is lossless:
 :func:`CompactGraph.from_labeled` remembers the original vertex
@@ -114,7 +115,10 @@ class CompactGraph:
         ``out_adj[v]`` is a tuple of ``(successor, edge_label_id)`` pairs;
         ``in_adj[v]`` the mirrored ``(predecessor, edge_label_id)`` pairs.
     edge_label_of:
-        ``(source, target) -> edge_label_id`` for O(1) edge lookups.
+        ``source * n_vertices + target -> edge_label_id`` for O(1) edge
+        lookups.  The key is one int, not a ``(source, target)`` tuple:
+        an int-to-int dict is never tracked by the cyclic collector, and a
+        probe builds no tuple.  :meth:`edge_triples` decodes it.
     vertex_ids:
         The original :class:`LabeledGraph` vertex identifiers, position
         ``v`` holding the identifier compact vertex ``v`` came from.
@@ -148,13 +152,14 @@ class CompactGraph:
         self.vertex_labels = tuple(vertex_labels)
         self.vertex_ids = tuple(vertex_ids)
         self.table = table
-        out_lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        in_lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        edge_label_of: dict[tuple[int, int], int] = {}
+        n_vertices = self.n_vertices
+        out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
+        in_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
+        edge_label_of: dict[int, int] = {}
         for source, target, label_id in edges:
             out_lists[source].append((target, label_id))
             in_lists[target].append((source, label_id))
-            edge_label_of[(source, target)] = label_id
+            edge_label_of[source * n_vertices + target] = label_id
         self.out_adj = tuple(tuple(pairs) for pairs in out_lists)
         self.in_adj = tuple(tuple(pairs) for pairs in in_lists)
         self.edge_label_of = edge_label_of
@@ -196,11 +201,7 @@ class CompactGraph:
         :meth:`LabelTable.snapshot` / :meth:`LabelTable.extend`) to
         :meth:`from_wire`; labels are never re-interned.
         """
-        edges = [
-            (source, target, label_id)
-            for (source, target), label_id in self.edge_label_of.items()
-        ]
-        return (self.name, self.vertex_labels, edges, self.vertex_ids)
+        return (self.name, self.vertex_labels, self.edge_triples(), self.vertex_ids)
 
     @classmethod
     def from_wire(cls, wire: tuple, table: LabelTable) -> "CompactGraph":
@@ -225,7 +226,7 @@ class CompactGraph:
         graph = LabeledGraph(name=self.name)
         for vertex, label_id in enumerate(self.vertex_labels):
             graph.add_vertex(self.vertex_ids[vertex], self.table.label(label_id))
-        for (source, target), label_id in self.edge_label_of.items():
+        for source, target, label_id in self.edge_triples():
             graph.add_edge(
                 self.vertex_ids[source],
                 self.vertex_ids[target],
@@ -244,13 +245,21 @@ class CompactGraph:
         """Number of incoming edges of compact vertex *vertex*."""
         return len(self.in_adj[vertex])
 
+    def edge_triples(self) -> list[tuple[int, int, int]]:
+        """Every edge as ``(source, target, edge_label_id)``, in insertion order."""
+        n_vertices = self.n_vertices
+        return [
+            (*divmod(key, n_vertices), label_id)
+            for key, label_id in self.edge_label_of.items()
+        ]
+
     def has_edge(self, source: int, target: int) -> bool:
         """Whether the edge ``source -> target`` exists."""
-        return (source, target) in self.edge_label_of
+        return source * self.n_vertices + target in self.edge_label_of
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in original-identifier terms."""
-        for (source, target), label_id in self.edge_label_of.items():
+        for source, target, label_id in self.edge_triples():
             yield Edge(
                 self.vertex_ids[source],
                 self.vertex_ids[target],

@@ -8,9 +8,11 @@ bottoms out in label-preserving subgraph isomorphism.  A
 * graphs are compacted to integer form (:mod:`repro.graphs.compact`)
   through a corpus-wide :class:`~repro.graphs.compact.LabelTable`, so
   label comparisons are integer comparisons;
-* each graph gets a :class:`~repro.graphs.index.GraphIndex` built once
-  and reused for every query against it (candidate buckets, label
-  histograms, memoized invariants / canonical codes);
+* each query graph gets a :class:`~repro.graphs.index.GraphIndex` built
+  once and reused for every query against it (candidate buckets, label
+  histograms, memoized invariants / canonical codes); a registered
+  transaction is held as its :class:`~repro.graphs.compact.CompactGraph`
+  alone, and gets an index only when a full search first runs against it;
 * queries start with invariant-based early rejection (sizes, label
   histograms, edge-triple containment) before any search;
 * level-wise miners count support through the *embedding store*
@@ -29,8 +31,10 @@ version on every mutation), so mutating such a graph after it was
 indexed is safe: the next query rebuilds.  Registered transactions are
 snapshots instead: :meth:`MatchEngine.add_transactions` compacts each
 graph once, so mutating it afterwards changes neither its support nor
-its stored anchors.  As in :mod:`repro.graphs.canonical`, labels are
-assumed to have distinct ``str()`` forms.
+its stored anchors.  A transaction's index is built the first time a
+full search needs it, cached under its tid and dropped on release.  As
+in :mod:`repro.graphs.canonical`, labels are assumed to have distinct
+``str()`` forms.
 """
 
 from __future__ import annotations
@@ -124,15 +128,14 @@ class EmbeddingTask:
     abort_below: int | None = None
 
 
-#: One stored anchor entry of the embedding store, a plain tuple
-#: ``(embeddings, complete)`` (tuples of ints only, so the cyclic
-#: collector untracks them).  ``embeddings`` are position-indexed tuples:
+#: One stored anchor entry of the embedding store: the embeddings tuple
+#: itself, with no wrapper.  Each embedding is a position-indexed tuple:
 #: entry ``p`` is the transaction compact vertex that pattern compact
-#: vertex ``p`` maps to.  ``complete`` records whether they are *every*
-#: embedding of the pattern in the transaction — only then can a failed
-#: extension be turned into a definitive "no embedding" verdict for a
-#: child.
-AnchorEntry = tuple[tuple[tuple[int, ...], ...], bool]
+#: vertex ``p`` maps to.  Whether an entry holds *every* embedding of the
+#: pattern in the transaction (only then can a failed extension be turned
+#: into a definitive "no embedding" verdict for a child) is recorded
+#: apart, as the tid's absence from the uid's set of capped tids.
+Embeddings = tuple[tuple[int, ...], ...]
 
 
 class MatchEngine:
@@ -158,14 +161,20 @@ class MatchEngine:
         self._entries: "weakref.WeakKeyDictionary[LabeledGraph, _Entry]" = (
             weakref.WeakKeyDictionary()
         )
-        # Registered transactions by tid: the index of each one's compact
-        # snapshot, or None once the tid is released.
-        self._transactions: list[GraphIndex | None] = []
-        # The embedding store: pattern uid -> tid -> anchor entry.  Uids
+        # Registered transactions by tid: each one's compact snapshot, or
+        # None once the tid is released.  A transaction's GraphIndex is
+        # built by the first full search against it (_transaction_index)
+        # and dropped on release; registration builds none.
+        self._transactions: list[CompactGraph | None] = []
+        self._transaction_indexes: dict[int, GraphIndex] = {}
+        # The embedding store: pattern uid -> tid -> embeddings.  Uids
         # are caller-owned opaque tokens (the miner assigns one per
         # surviving candidate); anchors are engine-local and never cross
         # a process boundary.
-        self._anchors: dict[object, dict[int, AnchorEntry]] = {}
+        self._anchors: dict[object, dict[int, Embeddings]] = {}
+        # Pattern uid -> the tids whose stored embeddings were capped
+        # (incomplete); created with the uid's first capped entry.
+        self._capped: dict[object, set[int]] = {}
         self._anchor_load = 0
 
     # ------------------------------------------------------------------
@@ -216,17 +225,18 @@ class MatchEngine:
         Every registration ends here.  Runtime workers call it directly:
         the parent ships :class:`CompactGraph` wire forms interned through
         a table replica of this engine's table, so no label is ever
-        re-interned and no :class:`LabeledGraph` is reconstructed.
+        re-interned and no :class:`LabeledGraph` is reconstructed.  Only
+        the compact snapshot is kept: no index is built here.
         """
+        transactions = self._transactions
         tids: list[int] = []
         for compact in compacts:
             if compact.table is not self.table:
                 raise ValueError(
                     "compact transaction was interned through a different label table"
                 )
-            tids.append(len(self._transactions))
-            self._transactions.append(GraphIndex(compact))
-            self.stats.indexes_built += 1
+            tids.append(len(transactions))
+            transactions.append(compact)
         return tids
 
     def release_transactions(self, tids: Iterable[int]) -> None:
@@ -243,36 +253,45 @@ class MatchEngine:
         for tid in tids:
             if tid in released:
                 raise _released(tid)
-            self._transaction_index(tid)
+            self.transaction(tid)
             released.add(tid)
         if not released:
             return
         for tid in released:
             self._transactions[tid] = None
+            self._transaction_indexes.pop(tid, None)
         for per_tid in self._anchors.values():
             for tid in released & per_tid.keys():
-                self._anchor_load -= len(per_tid.pop(tid)[0])
+                self._anchor_load -= len(per_tid.pop(tid))
+        for capped in self._capped.values():
+            capped -= released
 
     @property
     def n_transactions(self) -> int:
         """Number of transaction slots (including released ones)."""
         return len(self._transactions)
 
-    def _transaction_index(self, tid: int) -> GraphIndex:
-        """The index of registered transaction *tid*.
+    def transaction(self, tid: int) -> CompactGraph:
+        """The compact snapshot of registered transaction *tid*.
 
         Raises ``KeyError`` if *tid* is released, unknown or negative.
+        Builds no index, so it is also the tid check.
         """
         if not 0 <= tid < len(self._transactions):
             raise KeyError(f"unknown transaction id {tid}")
-        index = self._transactions[tid]
-        if index is None:
+        compact = self._transactions[tid]
+        if compact is None:
             raise _released(tid)
-        return index
+        return compact
 
-    def transaction(self, tid: int) -> CompactGraph:
-        """The compact snapshot of registered transaction *tid*; raises if released or unknown."""
-        return self._transaction_index(tid).compact
+    def _transaction_index(self, tid: int, compact: CompactGraph) -> GraphIndex:
+        """The index of live transaction *tid* (snapshot *compact*), built
+        on first use and kept until the tid is released."""
+        index = self._transaction_indexes.get(tid)
+        if index is None:
+            index = self._transaction_indexes[tid] = GraphIndex(compact)
+            self.stats.indexes_built += 1
+        return index
 
     # ------------------------------------------------------------------
     # Matching API
@@ -388,8 +407,8 @@ class MatchEngine:
         Successful queries harvest the child's own anchors (from the
         extension hits or the fallback's embeddings) under ``task.uid``
         for the next level.  Single-edge patterns with no parent are
-        seeded straight from the transaction's triple-edge buckets —
-        every embedding of a one-edge pattern is literally an edge.
+        seeded straight from the transaction snapshot's adjacency — every
+        embedding of a one-edge pattern is literally an edge.
 
         The scan is pattern-major: each task resolves its strategy
         (extend, seed, or search) and the extension edge's labels once,
@@ -402,14 +421,14 @@ class MatchEngine:
         stats.batch_patterns += len(tasks)
         indexes = [self._index_of_any(task.pattern) for task in tasks]
         anchors = self._anchors
-        scans: list[tuple[list[int], int, dict[int, AnchorEntry] | None] | None] = []
+        scans: list[tuple[list[int], int, dict[int, Embeddings] | None] | None] = []
         for task in tasks:
             tids = sorted(task.tids)
             if tids:
                 # Check the scan set once, at its ends: the scan itself
                 # only has to catch released tids.
-                self._transaction_index(tids[0])
-                self._transaction_index(tids[-1])
+                self.transaction(tids[0])
+                self.transaction(tids[-1])
             # The scan aborts once misses exceed the slack: from then on
             # even a hit on every remaining tid stays below abort_below.
             slack = len(tids) - (task.abort_below or 0)
@@ -420,6 +439,7 @@ class MatchEngine:
                 scans.append((tids, slack, anchors.get(task.parent_uid)))
 
         transactions = self._transactions
+        capped_of = self._capped
         cap = self.anchor_cap
         budget = self.anchor_budget
         load = self._anchor_load
@@ -440,7 +460,8 @@ class MatchEngine:
                         hits.append(tid)
                     continue
                 uid = task.uid
-                per_tid: dict[int, AnchorEntry] | None = None
+                per_tid: dict[int, Embeddings] | None = None
+                capped_tids: set[int] | None = None
                 extension = task.extension
                 extending = extension is not None and parent_entries is not None
                 seeding = (
@@ -448,22 +469,22 @@ class MatchEngine:
                 )
                 if extending:
                     src_pos, dst_pos, has_new = extension
-                    edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
+                    edge_label = pattern.edge_label_of[src_pos * n_vertices + dst_pos]
+                    # A parent entry is complete unless its tid is capped.
+                    parent_capped = capped_of.get(task.parent_uid, ())
                     if has_new:
                         new_label = pattern.vertex_labels[n_vertices - 1]
                         outward = dst_pos == n_vertices - 1
                         anchor_pos = src_pos if outward else dst_pos
                 elif seeding:
-                    (((src_pos, dst_pos), edge_label),) = pattern.edge_label_of.items()
-                    triple = (
-                        pattern.vertex_labels[src_pos],
-                        edge_label,
-                        pattern.vertex_labels[dst_pos],
-                    )
+                    ((edge_key, edge_label),) = pattern.edge_label_of.items()
+                    src_pos, dst_pos = divmod(edge_key, n_vertices)
+                    src_label = pattern.vertex_labels[src_pos]
+                    dst_label = pattern.vertex_labels[dst_pos]
                 misses = 0
                 for tid in tids:
-                    t_index = transactions[tid]
-                    if t_index is None:
+                    target = transactions[tid]
+                    if target is None:
                         raise _released(tid)
                     found: tuple | None = None
                     search = not seeding
@@ -471,14 +492,14 @@ class MatchEngine:
                         parent = parent_entries.get(tid)
                         if parent is not None:
                             extensions += 1
-                            target = t_index.compact
                             out: list[tuple[int, ...]] = []
                             capped = False
                             if not has_new:
                                 edge_label_of = target.edge_label_of
-                                for anchor in parent[0]:
+                                width = target.n_vertices
+                                for anchor in parent:
                                     if edge_label_of.get(
-                                        (anchor[src_pos], anchor[dst_pos])
+                                        anchor[src_pos] * width + anchor[dst_pos]
                                     ) == edge_label:
                                         out.append(anchor)
                                         if len(out) >= cap:
@@ -487,7 +508,7 @@ class MatchEngine:
                             else:
                                 t_labels = target.vertex_labels
                                 adjacency = target.out_adj if outward else target.in_adj
-                                for anchor in parent[0]:
+                                for anchor in parent:
                                     for neighbour, label in adjacency[anchor[anchor_pos]]:
                                         if (
                                             label == edge_label
@@ -504,27 +525,40 @@ class MatchEngine:
                                 # Distinct anchors yield distinct children
                                 # (they differ on the parent positions).
                                 found = tuple(out)
-                                complete = parent[1] and not capped
+                                complete = not capped and tid not in parent_capped
                                 search = False
-                            elif parent[1]:
+                            elif tid not in parent_capped:
                                 complete_rejects += 1
                                 search = False
                     elif seeding:
+                        # Every embedding of a one-edge pattern is an edge
+                        # with its labels, read straight off the snapshot's
+                        # adjacency; a self-loop cannot host two vertices.
                         seeds += 1
-                        pairs = [
-                            pair
-                            for pair in t_index.triple_edges(triple)
-                            if pair[0] != pair[1]
-                        ]
+                        t_labels = target.vertex_labels
+                        pairs: list[tuple[int, int]] = []
+                        for source, label in enumerate(t_labels):
+                            if label != src_label:
+                                continue
+                            for neighbour, edge in target.out_adj[source]:
+                                if (
+                                    edge == edge_label
+                                    and t_labels[neighbour] == dst_label
+                                    and neighbour != source
+                                ):
+                                    pairs.append(
+                                        (source, neighbour)
+                                        if src_pos == 0
+                                        else (neighbour, source)
+                                    )
                         if pairs:
-                            found = tuple(
-                                pair if src_pos == 0 else (pair[1], pair[0])
-                                for pair in pairs[:cap]
-                            )
+                            found = tuple(pairs[:cap])
                             complete = len(pairs) <= cap
                     if search:
                         fallbacks += 1
-                        results = self._compact_embeddings(p_index, t_index, max_count=cap)
+                        results = self._compact_embeddings(
+                            p_index, self._transaction_index(tid, target), max_count=cap
+                        )
                         if results:
                             found = tuple(
                                 tuple(mapping[p_vertex] for p_vertex in range(n_vertices))
@@ -544,10 +578,17 @@ class MatchEngine:
                     if uid is not None and load + len(found) <= budget:
                         if per_tid is None:
                             per_tid = anchors.setdefault(uid, {})
+                            capped_tids = capped_of.get(uid)
                         previous = per_tid.get(tid)
                         if previous is not None:
-                            load -= len(previous[0])
-                        per_tid[tid] = (found, complete)
+                            load -= len(previous)
+                        per_tid[tid] = found
+                        if not complete:
+                            if capped_tids is None:
+                                capped_tids = capped_of.setdefault(uid, set())
+                            capped_tids.add(tid)
+                        elif capped_tids is not None:
+                            capped_tids.discard(tid)
                         load += len(found)
                         stored += len(found)
         finally:
@@ -564,8 +605,9 @@ class MatchEngine:
         """Forget the stored embeddings of *uids* (retired pattern levels)."""
         for uid in uids:
             per_tid = self._anchors.pop(uid, None)
+            self._capped.pop(uid, None)
             if per_tid:
-                self._anchor_load -= sum(len(entry[0]) for entry in per_tid.values())
+                self._anchor_load -= sum(map(len, per_tid.values()))
 
     @property
     def anchor_load(self) -> int:
@@ -659,6 +701,7 @@ def _search(
     t_out = target.out_adj
     t_in = target.in_adj
     t_edge_label = target.edge_label_of
+    width = target.n_vertices
     mapping: dict[int, int] = {}
     used = bytearray(target.n_vertices)
     results: list[dict[int, int]] = []
@@ -698,12 +741,12 @@ def _search(
                 continue
             ok = True
             for dst, lbl in out_req:
-                if t_edge_label.get((t_vertex, mapping[dst])) != lbl:
+                if t_edge_label.get(t_vertex * width + mapping[dst]) != lbl:
                     ok = False
                     break
             if ok:
                 for src, lbl in in_req:
-                    if t_edge_label.get((mapping[src], t_vertex)) != lbl:
+                    if t_edge_label.get(mapping[src] * width + t_vertex) != lbl:
                         ok = False
                         break
             if not ok:

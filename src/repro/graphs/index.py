@@ -35,7 +35,6 @@ class GraphIndex:
         "vertex_label_hist",
         "edge_label_hist",
         "triples",
-        "_triple_edges",
         "_labeled_form",
         "_colours",
         "_invariant",
@@ -62,7 +61,6 @@ class GraphIndex:
         self.vertex_label_hist = vertex_label_hist
         self.edge_label_hist = edge_label_hist
         self.triples = triples
-        self._triple_edges: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] | None = None
         self._labeled_form: LabeledGraph | None = None
         self._colours = None
         self._invariant = _UNSET
@@ -84,30 +82,6 @@ class GraphIndex:
             if len(compact.out_adj[vertex]) >= min_out
             and len(compact.in_adj[vertex]) >= min_in
         ]
-
-    def triple_edges(self, triple: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
-        """The ``(source, target)`` edges realising *triple* in this graph.
-
-        This is the anchor-seeding lookup of the embedding store: every
-        embedding of a single-edge pattern is exactly one of these pairs
-        (minus self-loops, which a two-vertex pattern cannot map onto —
-        the caller filters those).  The bucket map is built lazily on
-        first use and covers every edge, so repeated seeding of different
-        level-1 patterns against the same transaction costs one dict
-        lookup each.
-        """
-        buckets = self._triple_edges
-        if buckets is None:
-            grouped: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-            labels = self.compact.vertex_labels
-            for source, pairs in enumerate(self.compact.out_adj):
-                source_label = labels[source]
-                for target, edge_label in pairs:
-                    key = (source_label, edge_label, labels[target])
-                    grouped.setdefault(key, []).append((source, target))
-            buckets = {key: tuple(pairs) for key, pairs in grouped.items()}
-            self._triple_edges = buckets
-        return buckets.get(triple, ())
 
     # ------------------------------------------------------------------
     # Early-rejection invariants

@@ -17,8 +17,11 @@ vertex labels; see :class:`~repro.mining.fsg.exceptions.MemoryBudgetExceeded`.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,6 +44,48 @@ from repro.runtime.bitsets import bits_of, is_contiguous, popcount, shift_bits, 
 #: ``(run token, counter)``, so anchors from different runs can never
 #: collide even if a run forgets to retire them.
 _RUN_TOKENS = itertools.count()
+
+#: Factor on the cyclic collector's third (gen-2) threshold while an
+#: :meth:`FSGMiner.mine` runs; see :func:`_rare_full_collections`.
+FULL_COLLECTION_FACTOR = 10
+
+#: Guard of the process-wide thresholds: overlapping mines (threads or
+#: nesting) count their depth, and the first one's saved thresholds come
+#: back when the last one exits.
+_collector_lock = threading.Lock()
+_collector_depth = 0
+_collector_saved: tuple[int, ...] = ()
+
+
+@contextmanager
+def _rare_full_collections():
+    """Multiply the gen-2 threshold by :data:`FULL_COLLECTION_FACTOR` for
+    the block, then restore the caller's thresholds.
+
+    A full collection walks the whole heap, the caller's corpus included,
+    and a mine keeps growing that heap: at the default thresholds a
+    3000-transaction mine still pays for 3 full collections (6, and 29%
+    of the job on a 2-CPU host, before registration and the anchor store
+    were slimmed down).  Young collections keep their thresholds, so
+    cyclic garbage stays bounded.  Thresholds are process-wide: every thread sees the
+    raised value while any mine runs, and a process forked meanwhile (a
+    shard worker's recovery respawn) keeps it.  A collector the caller
+    disabled stays disabled; only thresholds change.
+    """
+    global _collector_depth, _collector_saved
+    with _collector_lock:
+        if _collector_depth == 0:
+            _collector_saved = gc.get_threshold()
+            young, middle, full = _collector_saved
+            gc.set_threshold(young, middle, full * FULL_COLLECTION_FACTOR)
+        _collector_depth += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_depth -= 1
+            if _collector_depth == 0:
+                gc.set_threshold(*_collector_saved)
 
 
 def _resolve_min_support(min_support: float | int, n_transactions: int) -> int:
@@ -121,7 +166,16 @@ class FSGMiner:
             raise ValueError(f"max_edges must be None or at least 1, got {self.max_edges}")
 
     def mine(self, transactions: Sequence[LabeledGraph]) -> FSGResult:
-        """Mine all frequent connected subgraphs from *transactions*."""
+        """Mine all frequent connected subgraphs from *transactions*.
+
+        For the length of the run, registration included, the cyclic
+        collector's gen-2 threshold is raised (a process-wide setting;
+        see :func:`_rare_full_collections`) and restored on exit.
+        """
+        with _rare_full_collections():
+            return self._mine(transactions)
+
+    def _mine(self, transactions: Sequence[LabeledGraph]) -> FSGResult:
         n_transactions = len(transactions)
         support_threshold = _resolve_min_support(self.min_support, n_transactions)
         engine = self.engine if self.engine is not None else MatchEngine()
@@ -133,6 +187,7 @@ class FSGMiner:
         # match workload; shard engines ship their own deltas piggybacked
         # on replies (see ShardWorker).
         stats_before = engine.stats.as_dict() if tracer.enabled else None
+        gc_before = gc.get_stats() if tracer.enabled else None
         mine_span = tracer.span(
             "fsg.mine", n_transactions=n_transactions, min_support=support_threshold
         )
@@ -162,6 +217,17 @@ class FSGMiner:
                 runtime.release_transactions(runtime_tids)
             mine_span.set(levels=result.levels_completed, patterns=len(result.patterns))
         finally:
+            if gc_before is not None:
+                # This process's collections across the run: all of them,
+                # and the full (gen-2) ones apart.
+                gc_after = gc.get_stats()
+                mine_span.set(
+                    gc_collections=sum(
+                        after["collections"] - before["collections"]
+                        for before, after in zip(gc_before, gc_after)
+                    ),
+                    gc_full=gc_after[-1]["collections"] - gc_before[-1]["collections"],
+                )
             mine_span.finish()
         if stats_before is not None:
             after = engine.stats.as_dict()

@@ -17,6 +17,7 @@ import random
 from collections import deque
 
 from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.obs.tracer import get_tracer
 
 
 def multilevel_partition(
@@ -33,41 +34,42 @@ def multilevel_partition(
     """
     if k < 1:
         raise ValueError("the number of partitions k must be at least 1")
-    rng = random.Random(seed)
-    vertices = list(graph.vertices())
-    if not vertices:
-        return []
-    target_size = max(1, len(vertices) // k)
+    with get_tracer().span("partition.split"):
+        rng = random.Random(seed)
+        vertices = list(graph.vertices())
+        if not vertices:
+            return []
+        target_size = max(1, len(vertices) // k)
 
-    assignment: dict[VertexId, int] = {}
-    unassigned = set(vertices)
-    region = 0
-    while unassigned:
-        seed_vertex = rng.choice(sorted(unassigned, key=str))
-        frontier: deque[VertexId] = deque([seed_vertex])
-        region_size = 0
-        while frontier and region_size < target_size and unassigned:
-            vertex = frontier.popleft()
-            if vertex not in unassigned:
+        assignment: dict[VertexId, int] = {}
+        unassigned = set(vertices)
+        region = 0
+        while unassigned:
+            seed_vertex = rng.choice(sorted(unassigned, key=str))
+            frontier: deque[VertexId] = deque([seed_vertex])
+            region_size = 0
+            while frontier and region_size < target_size and unassigned:
+                vertex = frontier.popleft()
+                if vertex not in unassigned:
+                    continue
+                assignment[vertex] = region
+                unassigned.discard(vertex)
+                region_size += 1
+                for neighbour in sorted(graph.neighbours(vertex), key=str):
+                    if neighbour in unassigned:
+                        frontier.append(neighbour)
+            region = min(region + 1, k - 1) if region < k - 1 else k - 1
+
+        partitions: list[LabeledGraph] = []
+        for region_index in range(k):
+            members = [vertex for vertex, assigned in assignment.items() if assigned == region_index]
+            if not members:
                 continue
-            assignment[vertex] = region
-            unassigned.discard(vertex)
-            region_size += 1
-            for neighbour in sorted(graph.neighbours(vertex), key=str):
-                if neighbour in unassigned:
-                    frontier.append(neighbour)
-        region = min(region + 1, k - 1) if region < k - 1 else k - 1
-
-    partitions: list[LabeledGraph] = []
-    for region_index in range(k):
-        members = [vertex for vertex, assigned in assignment.items() if assigned == region_index]
-        if not members:
-            continue
-        subgraph = graph.subgraph(members)
-        subgraph.name = f"{graph.name}-region{region_index}"
-        if subgraph.n_edges > 0:
-            partitions.append(subgraph)
-    return partitions
+            subgraph = graph.subgraph(members)
+            subgraph.name = f"{graph.name}-region{region_index}"
+            if subgraph.n_edges > 0:
+                partitions.append(subgraph)
+        return partitions
 
 
 def cut_edges(graph: LabeledGraph, partitions: list[LabeledGraph]) -> int:

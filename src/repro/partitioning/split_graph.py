@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.graphs.components import remove_orphan_vertices
 from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.obs.tracer import get_tracer
 
 
 class PartitionStrategy(str, enum.Enum):
@@ -117,24 +118,25 @@ def split_graph(
         strategy = PartitionStrategy(strategy)
     generator = rng if rng is not None else random.Random(seed)
 
-    working = graph.copy()
-    total_edges = working.n_edges
-    partitions: list[LabeledGraph] = []
-    index = 0
-    while working.n_edges > 0:
-        remaining_partitions = max(1, k - len(partitions))
-        quota = max(1, working.n_edges // remaining_partitions)
-        name = f"{graph.name}-part{index}"
-        subgraph = _pull_subgraph(working, quota, strategy, generator, name)
-        remove_orphan_vertices(working)
-        if subgraph.n_edges > 0:
-            partitions.append(subgraph)
-        index += 1
-        if index > total_edges + k:
-            # Safety net: cannot happen for well-formed graphs, but protects
-            # against infinite loops on pathological inputs.
-            break
-    return partitions
+    with get_tracer().span("partition.split"):
+        working = graph.copy()
+        total_edges = working.n_edges
+        partitions: list[LabeledGraph] = []
+        index = 0
+        while working.n_edges > 0:
+            remaining_partitions = max(1, k - len(partitions))
+            quota = max(1, working.n_edges // remaining_partitions)
+            name = f"{graph.name}-part{index}"
+            subgraph = _pull_subgraph(working, quota, strategy, generator, name)
+            remove_orphan_vertices(working)
+            if subgraph.n_edges > 0:
+                partitions.append(subgraph)
+            index += 1
+            if index > total_edges + k:
+                # Safety net: cannot happen for well-formed graphs, but protects
+                # against infinite loops on pathological inputs.
+                break
+        return partitions
 
 
 def partition_edge_counts(partitions: Iterable[LabeledGraph]) -> list[int]:

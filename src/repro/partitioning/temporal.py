@@ -33,6 +33,7 @@ from repro.datasets.binning import BinningScheme, default_binning_scheme
 from repro.datasets.schema import TransactionDataset
 from repro.graphs.components import connected_components
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
+from repro.obs.tracer import get_tracer
 
 
 @dataclass
@@ -106,23 +107,24 @@ def partition_by_date(
     (several active loads on the same lane on the same day) are collapsed,
     keeping the most common label, because FSG operates on simple graphs.
     """
-    scheme = binning or default_binning_scheme()
-    per_date: dict[date, LabeledMultiGraph] = {}
-    for transaction in dataset:
-        if use_interval_labels:
-            edge_label = scheme.edge_interval(transaction, edge_attribute)
-        else:
-            edge_label = scheme.edge_label(transaction, edge_attribute)
-        for active in transaction.active_dates():
-            graph = per_date.setdefault(active, LabeledMultiGraph(name=f"day-{active.isoformat()}"))
-            graph.add_vertex(transaction.origin, transaction.origin.label())
-            graph.add_vertex(transaction.destination, transaction.destination.label())
-            graph.add_edge(transaction.origin, transaction.destination, edge_label)
-    transactions = [
-        TemporalTransaction(active_date=day, graph=multigraph.simplify())
-        for day, multigraph in sorted(per_date.items())
-    ]
-    return transactions
+    with get_tracer().span("partition.temporal"):
+        scheme = binning or default_binning_scheme()
+        per_date: dict[date, LabeledMultiGraph] = {}
+        for transaction in dataset:
+            if use_interval_labels:
+                edge_label = scheme.edge_interval(transaction, edge_attribute)
+            else:
+                edge_label = scheme.edge_label(transaction, edge_attribute)
+            for active in transaction.active_dates():
+                graph = per_date.setdefault(active, LabeledMultiGraph(name=f"day-{active.isoformat()}"))
+                graph.add_vertex(transaction.origin, transaction.origin.label())
+                graph.add_vertex(transaction.destination, transaction.destination.label())
+                graph.add_edge(transaction.origin, transaction.destination, edge_label)
+        transactions = [
+            TemporalTransaction(active_date=day, graph=multigraph.simplify())
+            for day, multigraph in sorted(per_date.items())
+        ]
+        return transactions
 
 
 def prepare_temporal_transactions(
@@ -138,29 +140,30 @@ def prepare_temporal_transactions(
     distinct vertex labels.  The filter applies to the per-day graph
     before component splitting, as in the paper.
     """
-    prepared: list[TemporalTransaction] = []
-    for transaction in transactions:
-        if max_vertex_labels is not None:
-            n_labels = len(set(
-                transaction.graph.vertex_label(v) for v in transaction.graph.vertices()
-            ))
-            if n_labels >= max_vertex_labels:
-                continue
-        if split_components:
-            components = connected_components(transaction.graph)
-        else:
-            components = [transaction.graph]
-        for index, component in enumerate(components):
-            if drop_single_edge and component.n_edges <= 1:
-                continue
-            prepared.append(
-                TemporalTransaction(
-                    active_date=transaction.active_date,
-                    graph=component,
-                    component_index=index,
+    with get_tracer().span("partition.temporal"):
+        prepared: list[TemporalTransaction] = []
+        for transaction in transactions:
+            if max_vertex_labels is not None:
+                n_labels = len(set(
+                    transaction.graph.vertex_label(v) for v in transaction.graph.vertices()
+                ))
+                if n_labels >= max_vertex_labels:
+                    continue
+            if split_components:
+                components = connected_components(transaction.graph)
+            else:
+                components = [transaction.graph]
+            for index, component in enumerate(components):
+                if drop_single_edge and component.n_edges <= 1:
+                    continue
+                prepared.append(
+                    TemporalTransaction(
+                        active_date=transaction.active_date,
+                        graph=component,
+                        component_index=index,
+                    )
                 )
-            )
-    return prepared
+        return prepared
 
 
 def summarize_transactions(transactions: Sequence[TemporalTransaction]) -> TemporalPartitionSummary:

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.obs.tracer import get_tracer
 from repro.runtime.bitsets import bits_of, tids_of
 
 #: Environment variable supplying the default worker count.
@@ -273,7 +274,8 @@ class SerialRuntime(MiningRuntime):
         self.engine = engine if engine is not None else MatchEngine()
 
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:
-        return self.engine.add_transactions(transactions)
+        with get_tracer().span("runtime.add", transactions=len(transactions)):
+            return self.engine.add_transactions(transactions)
 
     def release_transactions(self, tids: Iterable[int]) -> None:
         self.engine.release_transactions(tids)

@@ -694,51 +694,52 @@ class ShardedEngine(MiningRuntime):
     # MiningRuntime API
     # ------------------------------------------------------------------
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:
-        wires: list[list[tuple]] = [[] for _ in range(self.n_shards)]
-        globals_: list[list[int]] = [[] for _ in range(self.n_shards)]
-        tids: list[int] = []
-        for transaction in transactions:
-            compact = CompactGraph.from_labeled(transaction, self.table)
-            tid = self._next_global
-            self._next_global += 1
-            # Deterministic support-weighted placement: the edge count is
-            # the level-1 scan cost a shard pays for hosting the
-            # transaction, so levelling it attacks the shard_scan skew
-            # that size-skewed corpora showed under static round-robin.
-            shard = self._placement.place(compact.n_edges)
-            wires[shard].append(compact.to_wire())
-            globals_[shard].append(tid)
-            tids.append(tid)
-        # Send everything first so process workers index concurrently.
-        pending = self._scatter(
-            [
-                (shard, ("add", wires[shard]))
-                for shard in range(self.n_shards)
-                if wires[shard]
-            ]
-        )
-        locals_by_shard = self._gather(pending)
-        for shard, locals_ in locals_by_shard.items():
-            for local, tid in zip(locals_, globals_[shard]):
-                mapping = self._local_to_global[shard]
-                if local != len(mapping):
-                    # Guards cross-process data, so a real error, not an
-                    # assert: a wrong correspondence here would silently
-                    # map support sets to the wrong transactions.
-                    raise RuntimeError(
-                        f"shard {shard} assigned local tid {local}, "
-                        f"expected {len(mapping)}"
-                    )
-                self._home[tid] = (shard, local)
-                mapping.append(tid)
-        # Retain the acknowledged wires for deterministic rebuild — only
-        # after the gather, so a recovery *during* this round rebuilds
-        # from the pre-round log and the replayed "add" lands exactly
-        # once on the fresh worker.
-        for shard in range(self.n_shards):
-            if wires[shard]:
-                self._shard_wires[shard].extend(wires[shard])
-        return tids
+        with self._tracer.span("runtime.add", transactions=len(transactions)):
+            wires: list[list[tuple]] = [[] for _ in range(self.n_shards)]
+            globals_: list[list[int]] = [[] for _ in range(self.n_shards)]
+            tids: list[int] = []
+            for transaction in transactions:
+                compact = CompactGraph.from_labeled(transaction, self.table)
+                tid = self._next_global
+                self._next_global += 1
+                # Deterministic support-weighted placement: the edge count is
+                # the level-1 scan cost a shard pays for hosting the
+                # transaction, so levelling it attacks the shard_scan skew
+                # that size-skewed corpora showed under static round-robin.
+                shard = self._placement.place(compact.n_edges)
+                wires[shard].append(compact.to_wire())
+                globals_[shard].append(tid)
+                tids.append(tid)
+            # Send everything first so process workers decode concurrently.
+            pending = self._scatter(
+                [
+                    (shard, ("add", wires[shard]))
+                    for shard in range(self.n_shards)
+                    if wires[shard]
+                ]
+            )
+            locals_by_shard = self._gather(pending)
+            for shard, locals_ in locals_by_shard.items():
+                for local, tid in zip(locals_, globals_[shard]):
+                    mapping = self._local_to_global[shard]
+                    if local != len(mapping):
+                        # Guards cross-process data, so a real error, not an
+                        # assert: a wrong correspondence here would silently
+                        # map support sets to the wrong transactions.
+                        raise RuntimeError(
+                            f"shard {shard} assigned local tid {local}, "
+                            f"expected {len(mapping)}"
+                        )
+                    self._home[tid] = (shard, local)
+                    mapping.append(tid)
+            # Retain the acknowledged wires for deterministic rebuild — only
+            # after the gather, so a recovery *during* this round rebuilds
+            # from the pre-round log and the replayed "add" lands exactly
+            # once on the fresh worker.
+            for shard in range(self.n_shards):
+                if wires[shard]:
+                    self._shard_wires[shard].extend(wires[shard])
+            return tids
 
     def release_transactions(self, tids: Iterable[int]) -> None:
         by_shard: dict[int, list[int]] = {}

@@ -8,8 +8,8 @@ budget / lifecycle plumbing that keeps the store bounded.
 :func:`transaction_major_supports` is the oracle for the engine's
 pattern-major scan: the same anchor extension, seeding and fallback
 logic, walked transaction by transaction through per-pair helper calls.
-The two must agree on tid lists, stored anchors, store load and every
-engine counter.
+The two must agree on tid lists, stored anchors, their completeness,
+store load and every engine counter.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class _OracleTask:
         self.remaining = 0
         self.dead = False
         self.parent_entries = None
+        self.parent_capped = frozenset()
 
 
 def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
@@ -99,8 +100,8 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
     Every live task is visited per tid in ascending tid order, and each
     ``(task, tid)`` pair goes through :func:`_incremental_exists`.  Reads
     and writes the same engine state as the production scan — anchors,
-    store load, counters — so both can be run on twin engines and
-    compared field by field.
+    capped tids, store load, lazily built transaction indexes, counters —
+    so both can be run on twin engines and compared field by field.
     """
     infos = [_OracleTask(engine._index_of_any(task.pattern), task) for task in tasks]
     stats = engine.stats
@@ -117,19 +118,20 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
             continue
         if info.task.parent_uid is not None:
             info.parent_entries = engine._anchors.get(info.task.parent_uid)
+            info.parent_capped = engine._capped.get(info.task.parent_uid, frozenset())
         for tid in tids:
             per_tid.setdefault(tid, []).append(position)
 
     for tid in sorted(per_tid):
-        t_index = None
+        target = None
         for position in per_tid[tid]:
             info = infos[position]
             if info.dead:
                 continue
             info.remaining -= 1
-            if t_index is None:
-                t_index = engine._transaction_index(tid)
-            if _incremental_exists(engine, info, tid, t_index):
+            if target is None:
+                target = engine.transaction(tid)
+            if _incremental_exists(engine, info, tid, target):
                 info.hits.append(tid)
             abort_below = info.task.abort_below
             if abort_below is not None and len(info.hits) + info.remaining < abort_below:
@@ -138,7 +140,7 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
     return [info.hits for info in infos]
 
 
-def _incremental_exists(engine, info: _OracleTask, tid, t_index) -> bool:
+def _incremental_exists(engine, info: _OracleTask, tid, target) -> bool:
     """One (task, tid) verdict: extend anchors, seed, or fall back."""
     task = info.task
     pattern = info.index.compact
@@ -148,18 +150,20 @@ def _incremental_exists(engine, info: _OracleTask, tid, t_index) -> bool:
         parent_entry = info.parent_entries.get(tid)
         if parent_entry is not None:
             engine.stats.anchor_extensions += 1
+            parent_complete = tid not in info.parent_capped
             found, embeddings, complete = _extend_anchors(
-                engine, pattern, task.extension, parent_entry, t_index.compact
+                engine, pattern, task.extension, parent_entry, parent_complete, target
             )
             if found:
                 _store_anchors(engine, task.uid, tid, embeddings, complete)
                 return True
-            if parent_entry[1]:
+            if parent_complete:
                 engine.stats.anchor_complete_rejects += 1
                 return False
     if pattern.n_edges == 1 and pattern.n_vertices == 2 and task.extension is None:
-        return _seed_single_edge(engine, info, tid, t_index)
+        return _seed_single_edge(engine, info, tid, target)
     engine.stats.anchor_fallbacks += 1
+    t_index = engine._transaction_index(tid, target)
     results = engine._compact_embeddings(info.index, t_index, max_count=engine.anchor_cap)
     if not results:
         return False
@@ -171,16 +175,24 @@ def _incremental_exists(engine, info: _OracleTask, tid, t_index) -> bool:
     return True
 
 
-def _extend_anchors(engine, pattern, extension, parent_entry, target):
+def _edge_label(graph: CompactGraph, source: int, target: int):
+    """The label id of the edge ``source -> target``, or ``None``."""
+    for edge_source, edge_target, label_id in graph.edge_triples():
+        if (edge_source, edge_target) == (source, target):
+            return label_id
+    return None
+
+
+def _extend_anchors(engine, pattern, extension, parent_entry, parent_complete, target):
     """All (capped) one-edge extensions of the parent's anchors."""
     src_pos, dst_pos, has_new = extension
-    edge_label = pattern.edge_label_of[(src_pos, dst_pos)]
+    edge_label = _edge_label(pattern, src_pos, dst_pos)
     cap = engine.anchor_cap
     out: list[tuple[int, ...]] = []
     capped = False
     if not has_new:
-        for anchor in parent_entry[0]:
-            if target.edge_label_of.get((anchor[src_pos], anchor[dst_pos])) == edge_label:
+        for anchor in parent_entry:
+            if _edge_label(target, anchor[src_pos], anchor[dst_pos]) == edge_label:
                 out.append(anchor)
                 if len(out) >= cap:
                     capped = True
@@ -192,7 +204,7 @@ def _extend_anchors(engine, pattern, extension, parent_entry, target):
             adjacency, anchor_pos = target.out_adj, src_pos
         else:
             adjacency, anchor_pos = target.in_adj, dst_pos
-        for anchor in parent_entry[0]:
+        for anchor in parent_entry:
             for neighbour, label in adjacency[anchor[anchor_pos]]:
                 if (
                     label == edge_label
@@ -205,20 +217,27 @@ def _extend_anchors(engine, pattern, extension, parent_entry, target):
                         break
             if capped:
                 break
-    return bool(out), tuple(out), parent_entry[1] and not capped
+    return bool(out), tuple(out), parent_complete and not capped
 
 
-def _seed_single_edge(engine, info: _OracleTask, tid, t_index) -> bool:
-    """Anchor a one-edge pattern from the transaction's triple buckets."""
+def _seed_single_edge(engine, info: _OracleTask, tid, target) -> bool:
+    """Anchor a one-edge pattern from the transaction's labelled edges.
+
+    The edges are taken in adjacency order: by source vertex, and in
+    insertion order from each source (a stable sort of the edge list).
+    """
     engine.stats.anchor_seeds += 1
     pattern = info.index.compact
-    ((src_pos, dst_pos),) = pattern.edge_label_of
-    triple = (
-        pattern.vertex_labels[src_pos],
-        pattern.edge_label_of[(src_pos, dst_pos)],
-        pattern.vertex_labels[dst_pos],
-    )
-    pairs = [pair for pair in t_index.triple_edges(triple) if pair[0] != pair[1]]
+    ((src_pos, dst_pos, edge_label),) = pattern.edge_triples()
+    labels = target.vertex_labels
+    pairs = [
+        (source, dest)
+        for source, dest, label in sorted(target.edge_triples(), key=lambda edge: edge[0])
+        if label == edge_label
+        and labels[source] == pattern.vertex_labels[src_pos]
+        and labels[dest] == pattern.vertex_labels[dst_pos]
+        and source != dest
+    ]
     if not pairs:
         return False
     embedding_at = [0, 0]
@@ -242,8 +261,12 @@ def _store_anchors(engine, uid, tid, embeddings, complete) -> None:
     per_tid = engine._anchors.setdefault(uid, {})
     previous = per_tid.get(tid)
     if previous is not None:
-        engine._anchor_load -= len(previous[0])
-    per_tid[tid] = (embeddings, complete)
+        engine._anchor_load -= len(previous)
+    per_tid[tid] = embeddings
+    if complete:
+        engine._capped.get(uid, set()).discard(tid)
+    else:
+        engine._capped.setdefault(uid, set()).add(tid)
     engine._anchor_load += len(embeddings)
     engine.stats.anchors_stored += len(embeddings)
 
@@ -441,6 +464,8 @@ def _run_chain(corpus, rng, fast, oracle, n_levels, abort, check_state=True):
         assert got == want
         if check_state:
             assert fast._anchors == oracle._anchors
+            assert fast._capped == oracle._capped
+            assert fast._transaction_indexes.keys() == oracle._transaction_indexes.keys()
             assert fast.anchor_load == oracle.anchor_load
             assert fast.stats == oracle.stats
         if not abort:
@@ -660,8 +685,8 @@ class TestExtensionPaths:
         assert [engine.support_with_embeddings(level) for level in tasks] == [
             [[tid]], [[tid]], [[tid]]
         ]
-        assert engine._anchors["parent"][tid][1] is False
-        assert engine._anchors["child"][tid] == (((0, 1, 2),), False)
+        assert engine._capped == {"parent": {tid}, "child": {tid}}
+        assert engine._anchors["child"][tid] == ((0, 1, 2),)
 
     def test_early_abort_returns_partial_below_threshold(self):
         corpus = [self._host() for _ in range(6)]

@@ -9,6 +9,8 @@ legacy implementations are kept in :mod:`repro.graphs.isomorphism` as the
 
 from __future__ import annotations
 
+import gc
+import pickle
 import random
 
 import pytest
@@ -243,12 +245,118 @@ class TestCompactRoundTrip:
         }
         assert set(rebuilt.edges()) == set(graph.edges())
 
+    def test_int_edge_keys_self_loops_and_wire(self):
+        graph = LabeledGraph(name="loops")
+        for vertex, label in [("a", "A"), ("b", "B"), ("c", "A")]:
+            graph.add_vertex(vertex, label)
+        graph.add_edge("a", "b", "x")
+        graph.add_edge("a", "a", "z")
+        graph.add_edge("b", "a", "y")
+        graph.add_edge("c", "b", "x")
+        graph.add_edge("c", "c", "y")
+        table = LabelTable()
+        compact = CompactGraph.from_labeled(graph, table)
+        n = compact.n_vertices
+        position = {"a": 0, "b": 1, "c": 2}
+        expected = [
+            (position[edge.source], position[edge.target], table.lookup(edge.label))
+            for edge in graph.edges()
+        ]
+        # One int key per edge, source * n_vertices + target, so the map
+        # is never tracked by the collector.
+        assert compact.edge_label_of == {
+            source * n + target: label for source, target, label in expected
+        }
+        assert not gc.is_tracked(compact.edge_label_of)
+        assert compact.edge_triples() == expected
+        assert compact.has_edge(0, 0) and compact.has_edge(2, 2)
+        assert not compact.has_edge(1, 1) and not compact.has_edge(1, 2)
+        # The wire is the (source, target, label) list it always was.
+        wire = compact.to_wire()
+        assert wire == ("loops", compact.vertex_labels, expected, ("a", "b", "c"))
+        assert pickle.dumps(wire, 4) == pickle.dumps(
+            ("loops", compact.vertex_labels, expected, ("a", "b", "c")), 4
+        )
+        rebuilt = CompactGraph.from_wire(wire, table)
+        assert rebuilt.edge_label_of == compact.edge_label_of
+        assert rebuilt.to_wire() == wire
+        assert pickle.loads(pickle.dumps(compact)).to_wire() == wire
+        assert set(compact.to_labeled().edges()) == set(graph.edges())
+        assert set(compact.edges()) == set(graph.edges())
+
     def test_shared_table_interning(self):
         table = LabelTable()
         first = table.intern("A")
         assert table.intern("A") == first
         assert table.lookup("missing") is None
         assert table.label(first) == "A"
+
+
+def _benchmark_shaped_corpus(n_transactions: int, seed: int) -> list[LabeledGraph]:
+    """Transactions of the FSG benchmark's shape: 8 to 14 vertices over
+    three labels, a few more edges than vertices over four labels."""
+    rng = random.Random(seed)
+    corpus = []
+    for index in range(n_transactions):
+        n_vertices = rng.randint(8, 14)
+        graph = LabeledGraph(name=f"t{index}")
+        for v in range(n_vertices):
+            graph.add_vertex(f"v{v}", rng.choice(["depot", "hub", "stop"]))
+        n_edges = rng.randint(n_vertices, n_vertices + 6)
+        while graph.n_edges < n_edges:
+            a, b = rng.sample(range(n_vertices), 2)
+            if not graph.has_edge(f"v{a}", f"v{b}"):
+                graph.add_edge(f"v{a}", f"v{b}", f"w{rng.randrange(4)}")
+        corpus.append(graph)
+    return corpus
+
+
+class TestTransactionLayout:
+    def test_registration_barely_grows_the_tracked_heap(self):
+        # A registered transaction is its CompactGraph: tuples of ints,
+        # which the collector untracks, and an int-keyed edge map it
+        # never tracks.  Full collections walk every tracked object, so
+        # this is what a mine's registration costs each one.
+        corpus = _benchmark_shaped_corpus(500, seed=3)
+        engine = MatchEngine()
+        gc.collect()
+        before = len(gc.get_objects())
+        engine.add_transactions(corpus)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert grown <= 2 * len(corpus)
+
+    def test_transaction_index_is_built_by_a_full_search_only(self):
+        corpus = _benchmark_shaped_corpus(4, seed=5)
+        engine = MatchEngine()
+        tids = engine.add_transactions(corpus)
+        assert engine.stats.indexes_built == 0
+        # Seeding a single edge reads the snapshots, and checking tids
+        # (the scan's ends, transaction(), release) builds nothing.
+        edge = next(iter(corpus[0].edges()))
+        seed = LabeledGraph(name="edge")
+        seed.add_vertex("p0", corpus[0].vertex_label(edge.source))
+        seed.add_vertex("p1", corpus[0].vertex_label(edge.target))
+        seed.add_edge("p0", "p1", edge.label)
+        (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern=seed, tids=tids)])
+        assert tids[0] in hits
+        engine.transaction(tids[1])
+        engine.release_transactions([tids[3]])
+        assert engine._transaction_indexes == {}
+        assert engine.stats.indexes_built == 1  # the pattern's
+        # A two-edge pattern with no parent is searched in full: the
+        # searched transaction gets an index, reused by the next search.
+        path = _random_pattern(random.Random(1), corpus[1], 2)
+        assert _support(engine, path, [tids[1]]) == {tids[1]}
+        index = engine._transaction_indexes[tids[1]]
+        assert index.compact is engine.transaction(tids[1])
+        assert engine.stats.indexes_built == 3
+        assert _support(engine, path, [tids[1]]) == {tids[1]}
+        assert engine._transaction_indexes == {tids[1]: index}
+        assert engine.stats.indexes_built == 3
+        # Releasing the tid drops its index.
+        engine.release_transactions([tids[1]])
+        assert engine._transaction_indexes == {}
 
 
 class TestIndexMemoization:

@@ -308,15 +308,27 @@ class TestShardedEngine:
             pattern.add_edge("a", "b", "x")
             with runtime.open_session() as session:
                 session.support_level([LevelRequest(pattern=pattern, tid_bits=bits_of(tids))])
-            stats = runtime.stats()
+            seeded = runtime.stats()
+            # A two-edge pattern with no parent is searched in full on
+            # every tid.
+            path = pattern.copy(name="path")
+            path.add_vertex("c", "A")
+            path.add_edge("b", "c", "y")
+            with runtime.open_session() as session:
+                session.support_level([LevelRequest(pattern=path, tid_bits=bits_of(tids))])
+            searched = runtime.stats()
         finally:
             runtime.close()
-        assert stats["shards"] == 2
-        # Every transaction indexed once across the shards, plus one
-        # pattern index per shard that received the level; the one-edge
-        # pattern is seeded on each shard.
-        assert stats["indexes_built"] >= len(corpus)
-        assert stats["anchor_seeds"] > 0
+        assert seeded["shards"] == 2
+        # Registration builds no index, and seeding reads the snapshots:
+        # the only indexes are the pattern's, one on each shard.
+        assert seeded["anchor_seeds"] == len(corpus)
+        assert seeded["anchor_fallbacks"] == 0
+        assert seeded["indexes_built"] == 2
+        # A shard indexes a transaction when it first searches it, plus
+        # the new pattern once per shard.
+        assert searched["anchor_fallbacks"] == len(corpus)
+        assert searched["indexes_built"] == 2 + 2 + len(corpus)
 
     def test_merge_stats_sums_keywise(self):
         merged = merge_stats([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
