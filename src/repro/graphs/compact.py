@@ -170,25 +170,7 @@ class CompactGraph:
     @classmethod
     def from_labeled(cls, graph: LabeledGraph, table: LabelTable) -> "CompactGraph":
         """Compact *graph*, interning its labels into *table* (lossless)."""
-        vertex_ids = list(graph.vertices())
-        position = {vertex: index for index, vertex in enumerate(vertex_ids)}
-        intern = table.intern
-        vertex_labels = [intern(graph.vertex_label(vertex)) for vertex in vertex_ids]
-        # Read the adjacency dicts directly: this runs once per indexed
-        # graph and is the hottest part of index construction, so avoid
-        # materialising an Edge record per edge.
-        edges = [
-            (position[source], position[target], intern(label))
-            for source, targets in graph._succ.items()
-            for target, label in targets.items()
-        ]
-        return cls(
-            name=graph.name,
-            vertex_labels=vertex_labels,
-            edges=edges,
-            vertex_ids=vertex_ids,
-            table=table,
-        )
+        return cls.from_wire(labeled_to_wire(graph, table), table)
 
     def to_wire(self) -> tuple:
         """The graph's table-free integer form, ready for cheap pickling.
@@ -271,3 +253,26 @@ class CompactGraph:
             f"CompactGraph(name={self.name!r}, vertices={self.n_vertices}, "
             f"edges={self.n_edges})"
         )
+
+
+def labeled_to_wire(graph: LabeledGraph, table: LabelTable) -> tuple:
+    """*graph*'s :meth:`CompactGraph.to_wire` tuple, built without the graph.
+
+    The one labeled-to-integer conversion: labels are interned into
+    *table*, vertices numbered in insertion order and edges listed
+    source-major, exactly as :meth:`CompactGraph.from_labeled` (which
+    builds through this) would lay them out.  It reads the adjacency
+    dicts directly and builds no adjacency tuples or edge map, so a
+    sender that only ships the wire pays for neither.
+    """
+    labels = graph._vertex_labels
+    position = {vertex: index for index, vertex in enumerate(labels)}
+    intern = table.intern
+    # Vertex labels first: the interning order fixes every label id.
+    vertex_labels = tuple([intern(label) for label in labels.values()])
+    edges = [
+        (position[source], position[target], intern(label))
+        for source, targets in graph._succ.items()
+        for target, label in targets.items()
+    ]
+    return (graph.name, vertex_labels, edges, tuple(labels))

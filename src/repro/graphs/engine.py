@@ -164,8 +164,12 @@ class MatchEngine:
         # Registered transactions by tid: each one's compact snapshot, or
         # None once the tid is released.  A transaction's GraphIndex is
         # built by the first full search against it (_transaction_index)
-        # and dropped on release; registration builds none.
-        self._transactions: list[CompactGraph | None] = []
+        # and dropped on release; registration builds none.  A shard
+        # engine files its slice of the corpus under the runtime's global
+        # tids, so the tids held here need not be contiguous; they only
+        # rise (_next_tid is the lowest tid not yet handed out).
+        self._transactions: dict[int, CompactGraph | None] = {}
+        self._next_tid = 0
         self._transaction_indexes: dict[int, GraphIndex] = {}
         # The embedding store: pattern uid -> tid -> embeddings.  Uids
         # are caller-owned opaque tokens (the miner assigns one per
@@ -219,7 +223,11 @@ class MatchEngine:
             CompactGraph.from_labeled(transaction, table) for transaction in transactions
         )
 
-    def add_compact_transactions(self, compacts: Iterable[CompactGraph]) -> list[int]:
+    def add_compact_transactions(
+        self,
+        compacts: Iterable[CompactGraph],
+        tids: Sequence[int] | None = None,
+    ) -> list[int]:
         """Register already-compacted transactions; returns their tids.
 
         Every registration ends here.  Runtime workers call it directly:
@@ -227,17 +235,34 @@ class MatchEngine:
         a table replica of this engine's table, so no label is ever
         re-interned and no :class:`LabeledGraph` is reconstructed.  Only
         the compact snapshot is kept: no index is built here.
+
+        *tids* files each transaction under a caller-chosen tid (a shard
+        worker passes the runtime's global tids); they must rise past
+        every tid this engine has handed out, so none is ever reused.
+        ``None`` hands out the next consecutive tids.  The call is
+        validated before anything is registered.
         """
-        transactions = self._transactions
-        tids: list[int] = []
+        compacts = list(compacts)
+        first = self._next_tid
+        if tids is None:
+            tids = range(first, first + len(compacts))
+        elif len(tids) != len(compacts):
+            raise ValueError(f"{len(tids)} tids for {len(compacts)} transactions")
         for compact in compacts:
             if compact.table is not self.table:
                 raise ValueError(
                     "compact transaction was interned through a different label table"
                 )
-            tids.append(len(transactions))
-            transactions.append(compact)
-        return tids
+        floor = first
+        for tid in tids:
+            if tid < floor:
+                raise ValueError(
+                    f"transaction id {tid} is not above {floor - 1}; tids only rise"
+                )
+            floor = tid + 1
+        self._transactions.update(zip(tids, compacts))
+        self._next_tid = floor
+        return list(tids)
 
     def release_transactions(self, tids: Iterable[int]) -> None:
         """Drop all state held for *tids*: references and anchors.
@@ -268,7 +293,7 @@ class MatchEngine:
 
     @property
     def n_transactions(self) -> int:
-        """Number of transaction slots (including released ones)."""
+        """Number of transactions registered here (including released ones)."""
         return len(self._transactions)
 
     def transaction(self, tid: int) -> CompactGraph:
@@ -277,12 +302,16 @@ class MatchEngine:
         Raises ``KeyError`` if *tid* is released, unknown or negative.
         Builds no index, so it is also the tid check.
         """
-        if not 0 <= tid < len(self._transactions):
-            raise KeyError(f"unknown transaction id {tid}")
-        compact = self._transactions[tid]
+        compact = self._transactions.get(tid)
         if compact is None:
-            raise _released(tid)
+            raise self._absent(tid)
         return compact
+
+    def _absent(self, tid: int) -> KeyError:
+        """The error a query about a tid with no live transaction raises."""
+        if tid in self._transactions:
+            return _released(tid)
+        return KeyError(f"unknown transaction id {tid}")
 
     def _transaction_index(self, tid: int, compact: CompactGraph) -> GraphIndex:
         """The index of live transaction *tid* (snapshot *compact*), built
@@ -425,8 +454,8 @@ class MatchEngine:
         for task in tasks:
             tids = sorted(task.tids)
             if tids:
-                # Check the scan set once, at its ends: the scan itself
-                # only has to catch released tids.
+                # Check the scan set's ends up front, so a bad tid fails
+                # the batch before any scan; the scan checks the rest.
                 self.transaction(tids[0])
                 self.transaction(tids[-1])
             # The scan aborts once misses exceed the slack: from then on
@@ -455,8 +484,8 @@ class MatchEngine:
                 if n_vertices == 0:
                     # The empty pattern embeds in every live transaction.
                     for tid in tids:
-                        if transactions[tid] is None:
-                            raise _released(tid)
+                        if transactions.get(tid) is None:
+                            raise self._absent(tid)
                         hits.append(tid)
                     continue
                 uid = task.uid
@@ -464,9 +493,14 @@ class MatchEngine:
                 capped_tids: set[int] | None = None
                 extension = task.extension
                 extending = extension is not None and parent_entries is not None
-                seeding = (
-                    extension is None and pattern.n_edges == 1 and n_vertices == 2
-                )
+                seeding = False
+                if extension is None and pattern.n_edges == 1 and n_vertices == 2:
+                    ((edge_key, edge_label),) = pattern.edge_label_of.items()
+                    src_pos, dst_pos = divmod(edge_key, n_vertices)
+                    # Seeding pairs two distinct transaction vertices; a
+                    # self-loop beside an isolated vertex is left to the
+                    # full search.
+                    seeding = src_pos != dst_pos
                 if extending:
                     src_pos, dst_pos, has_new = extension
                     edge_label = pattern.edge_label_of[src_pos * n_vertices + dst_pos]
@@ -477,15 +511,13 @@ class MatchEngine:
                         outward = dst_pos == n_vertices - 1
                         anchor_pos = src_pos if outward else dst_pos
                 elif seeding:
-                    ((edge_key, edge_label),) = pattern.edge_label_of.items()
-                    src_pos, dst_pos = divmod(edge_key, n_vertices)
                     src_label = pattern.vertex_labels[src_pos]
                     dst_label = pattern.vertex_labels[dst_pos]
                 misses = 0
                 for tid in tids:
-                    target = transactions[tid]
+                    target = transactions.get(tid)
                     if target is None:
-                        raise _released(tid)
+                        raise self._absent(tid)
                     found: tuple | None = None
                     search = not seeding
                     if extending:

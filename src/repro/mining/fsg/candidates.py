@@ -52,11 +52,6 @@ def _triple_sort_key(triple: EdgeTriple) -> tuple[str, str, str]:
     return (str(source_label), str(edge_label), str(target_label))
 
 
-def sorted_triples(triples: Iterable[EdgeTriple]) -> list[EdgeTriple]:
-    """*triples* in the deterministic :func:`_triple_sort_key` order."""
-    return sorted(triples, key=_triple_sort_key)
-
-
 #: A one-edge extension descriptor in compact vertex positions:
 #: ``(source_position, target_position, has_new_vertex)``.  Positions are
 #: indices into the candidate pattern's vertex insertion order — which
@@ -138,19 +133,35 @@ def frequent_single_edges(
     Returns a mapping from triple to the supporting transaction ids
     (indices into *transactions*).  The mapping's order — which downstream
     consumers inherit for single-edge patterns and candidate extensions —
-    is fixed by sorting each transaction's triple set, so discovery order
-    no longer varies with ``PYTHONHASHSEED`` and cannot differ between
-    runtime shards.
+    is by the triple's first supporting tid, ties broken by
+    :func:`_triple_sort_key`, so it does not vary with
+    ``PYTHONHASHSEED`` and cannot differ between runtime shards.  The
+    triples are ordered once, over the frequent ones only.
     """
-    occurrences: dict[EdgeTriple, set[int]] = {}
+    occurrences: dict[EdgeTriple, list[int]] = {}
     for tid, transaction in enumerate(transactions):
-        for triple in sorted_triples(edge_triples(transaction)):
-            occurrences.setdefault(triple, set()).add(tid)
-    return {
-        triple: frozenset(tids)
+        # Read the label dicts directly (as CompactGraph.from_labeled
+        # does): no Edge record per edge, and each distinct triple of the
+        # transaction appends its tid once.
+        labels = transaction._vertex_labels
+        distinct = {
+            (labels[source], label, labels[target])
+            for source, targets in transaction._succ.items()
+            for target, label in targets.items()
+        }
+        for triple in distinct:
+            tids = occurrences.get(triple)
+            if tids is None:
+                occurrences[triple] = [tid]
+            else:
+                tids.append(tid)
+    frequent = [
+        (tids[0], _triple_sort_key(triple), triple)
         for triple, tids in occurrences.items()
         if len(tids) >= min_support
-    }
+    ]
+    frequent.sort(key=lambda entry: entry[:2])
+    return {triple: frozenset(occurrences[triple]) for _, _, triple in frequent}
 
 
 def _fresh_vertex_name(pattern: LabeledGraph) -> str:

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,54 +36,13 @@ from repro.mining.fsg.results import FSGResult, FrequentSubgraph
 from repro.obs.tracer import get_tracer
 from repro.runtime.base import LevelRequest, MiningRuntime, MiningSession, SerialRuntime
 from repro.runtime.bitsets import bits_of, is_contiguous, popcount, shift_bits, tids_of
+from repro.runtime.collector import rare_full_collections
 
 #: Distinguishes embedding-store uids across mining runs sharing one
 #: runtime (e.g. the repeated-partitioning structural miner): a uid is
 #: ``(run token, counter)``, so anchors from different runs can never
 #: collide even if a run forgets to retire them.
 _RUN_TOKENS = itertools.count()
-
-#: Factor on the cyclic collector's third (gen-2) threshold while an
-#: :meth:`FSGMiner.mine` runs; see :func:`_rare_full_collections`.
-FULL_COLLECTION_FACTOR = 10
-
-#: Guard of the process-wide thresholds: overlapping mines (threads or
-#: nesting) count their depth, and the first one's saved thresholds come
-#: back when the last one exits.
-_collector_lock = threading.Lock()
-_collector_depth = 0
-_collector_saved: tuple[int, ...] = ()
-
-
-@contextmanager
-def _rare_full_collections():
-    """Multiply the gen-2 threshold by :data:`FULL_COLLECTION_FACTOR` for
-    the block, then restore the caller's thresholds.
-
-    A full collection walks the whole heap, the caller's corpus included,
-    and a mine keeps growing that heap: at the default thresholds a
-    3000-transaction mine still pays for 3 full collections (6, and 29%
-    of the job on a 2-CPU host, before registration and the anchor store
-    were slimmed down).  Young collections keep their thresholds, so
-    cyclic garbage stays bounded.  Thresholds are process-wide: every thread sees the
-    raised value while any mine runs, and a process forked meanwhile (a
-    shard worker's recovery respawn) keeps it.  A collector the caller
-    disabled stays disabled; only thresholds change.
-    """
-    global _collector_depth, _collector_saved
-    with _collector_lock:
-        if _collector_depth == 0:
-            _collector_saved = gc.get_threshold()
-            young, middle, full = _collector_saved
-            gc.set_threshold(young, middle, full * FULL_COLLECTION_FACTOR)
-        _collector_depth += 1
-    try:
-        yield
-    finally:
-        with _collector_lock:
-            _collector_depth -= 1
-            if _collector_depth == 0:
-                gc.set_threshold(*_collector_saved)
 
 
 def _resolve_min_support(min_support: float | int, n_transactions: int) -> int:
@@ -169,10 +126,13 @@ class FSGMiner:
         """Mine all frequent connected subgraphs from *transactions*.
 
         For the length of the run, registration included, the cyclic
-        collector's gen-2 threshold is raised (a process-wide setting;
-        see :func:`_rare_full_collections`) and restored on exit.
+        collector's gen-2 threshold is raised by
+        :data:`~repro.runtime.collector.FULL_COLLECTION_FACTOR` (a
+        process-wide setting; see
+        :func:`~repro.runtime.collector.rare_full_collections`) and
+        restored on exit.
         """
-        with _rare_full_collections():
+        with rare_full_collections():
             return self._mine(transactions)
 
     def _mine(self, transactions: Sequence[LabeledGraph]) -> FSGResult:

@@ -107,18 +107,38 @@ def bits_to_buffer(bits: int) -> bytes:
     return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
 
-def tids_from_buffer(buffer: bytes) -> list[int]:
+def tids_from_buffer(buffer: bytes, offset: int = 0) -> list[int]:
     """The ascending tids encoded by a :func:`bits_to_buffer` buffer.
 
+    *offset* is a count of leading zero bytes left out of *buffer* (see
+    :func:`bits_to_span`): every tid is raised by ``8 * offset``.
     Decodes straight from the buffer — one vectorized unpack when numpy
     is available, never materialising the intermediate int on that path.
     """
+    base = 8 * offset
     if _np is not None and len(buffer) >= _NUMPY_BITS_THRESHOLD // 8:
         unpacked = _np.unpackbits(
             _np.frombuffer(buffer, dtype=_np.uint8), bitorder="little"
         )
-        return _np.flatnonzero(unpacked).tolist()
-    return tids_of(int.from_bytes(buffer, "little"))
+        tids = _np.flatnonzero(unpacked)
+        if base:
+            tids += base
+        return tids.tolist()
+    tids = tids_of(int.from_bytes(buffer, "little"))
+    return [tid + base for tid in tids] if base else tids
+
+
+def bits_to_span(bits: int) -> tuple[int, bytes]:
+    """*bits* as ``(offset, buffer)``: its buffer without leading zero bytes.
+
+    ``offset`` counts the whole zero bytes below the lowest set bit, so
+    the buffer's size follows the span of the set, not the size of its
+    largest tid.  ``tids_from_buffer(buffer, offset)`` decodes it.
+    """
+    if not bits:
+        return 0, b""
+    offset = ((bits & -bits).bit_length() - 1) // 8
+    return offset, bits_to_buffer(bits >> (8 * offset))
 
 
 __all__ = [
@@ -128,5 +148,6 @@ __all__ = [
     "shift_bits",
     "is_contiguous",
     "bits_to_buffer",
+    "bits_to_span",
     "tids_from_buffer",
 ]

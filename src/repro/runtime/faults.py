@@ -29,12 +29,17 @@ and filter keys
 ``op=NAME``
     Only fire on messages whose op is ``NAME``, one of
     :data:`~repro.runtime.wire.SHARD_OPS` (``labels``, ``add``,
-    ``release``, ``slevel``, ``sevict``, ``stats``; default: any op).
-    Any other name is rejected when the plan is parsed.
+    ``release``, ``slevel``, ``sresolve``, ``sevict``, ``stats``;
+    default: any op).  Any other name is rejected when the plan is
+    parsed.  ``sresolve`` is a level's resolve round: the rescan of
+    candidates whose split-bound first round left them undecided.
 ``level=N``
-    Only fire on the worker's ``N``-th ``slevel`` message, counted from
-    arming.  The miner primes level 1 first, so on a freshly armed worker
-    this is the mining level for shards that receive every level.
+    Only fire while the worker is on its ``N``-th ``slevel`` message,
+    counted from arming: on that message and on whatever follows it
+    before the next ``slevel`` (the level's ``sresolve``, if any).  Only
+    ``slevel`` advances the count, so a resolve round never shifts it.
+    The miner primes level 1 first, so on a freshly armed worker this is
+    the mining level for shards that receive every level.
 ``nth=N``
     Only fire on the ``N``-th message matching the clause's other
     filters (1-based; default: the first match).
@@ -70,7 +75,9 @@ FAULTS_ENV = "REPRO_FAULTS"
 FAULT_KINDS = ("kill", "hang", "corrupt-reply")
 
 #: Message ops that advance the injector's level counter (the worker-side
-#: mirror of "one mining level = one ``slevel`` message per shard").
+#: mirror of "one mining level = one ``slevel`` message per shard").  A
+#: level's ``sresolve`` message is not one: ``level=N`` names the mining
+#: level whether or not an earlier level ran a resolve round.
 _LEVEL_OPS = frozenset({"slevel"})
 
 #: What a corrupted reply is replaced with: a value no shard op ever

@@ -1,20 +1,24 @@
 """Per-level support planning across shards.
 
 At each FSG level the miner has a batch of surviving candidate patterns,
-each with the (global) transaction ids it could possibly occur in — the
-intersection of its parents' supporting sets.  The
-:class:`BatchSupportPlanner` turns that batch into one task per shard:
+each with the global transaction ids it could possibly occur in — the
+intersection of its parents' supporting sets.  Shards file their
+transactions under those global tids, and the parent keeps one ownership
+bitset per shard, so the :class:`BatchSupportPlanner` turns the batch
+into one task per shard with bitset algebra alone:
 
-* global tids are translated to each shard's local tid space;
-* a pattern is only shipped to a shard that owns at least one of its
-  candidate transactions (a pattern whose parents all live elsewhere costs
-  the shard nothing — not even a pickle);
+* a request's scan set on shard ``s`` is ``tid_bits & owned[s]``, and a
+  pattern is only shipped to a shard whose slice is non-empty (a pattern
+  whose parents all live elsewhere costs the shard nothing — not even a
+  pickle);
 * each pattern ships as one :class:`~repro.graphs.compact.CompactGraph`
-  wire tuple, built once and shared by all shard tasks that need it.
+  wire tuple, built once and shared by all shard tasks that need it;
+* each shard gets its share of the support threshold as its early-abort
+  bound, and :meth:`BatchSupportPlanner.plan_resolve` plans the one extra
+  round that settles what those shares leave undecided.
 
-Merging is trivial because shards partition the transactions: the
-per-pattern global support set is the disjoint union of the shard-local
-results.
+Merging is an OR because shards partition the transactions: the
+per-pattern support set is the disjoint union of the shards' results.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.graphs.compact import CompactGraph, LabelTable
-from repro.runtime.bitsets import bits_of, bits_to_buffer, tids_of
+from repro.graphs.compact import LabelTable, labeled_to_wire
+from repro.runtime.bitsets import bits_of, bits_to_span
 
 
 class PlacementPolicy:
@@ -74,82 +78,131 @@ class BatchSupportPlanner:
         n_requests: int,
         batches: Sequence["ShardSessionBatch"],
         shard_results: Sequence[Sequence[Sequence[int]] | None],
-        to_global,
     ) -> list[int]:
-        """OR shard-local supports back into per-request global bitsets.
+        """OR shard results back into per-request global bitsets.
 
-        Shards own disjoint transactions, so each request's global support
-        is just the bitwise union of its shards' translated results —
+        Shards own disjoint transactions and reply in global tids, so each
+        request's support is the bitwise union of its shards' hit lists —
         order-independent by construction.
         """
         merged = [0] * n_requests
         for batch, result in zip(batches, shard_results):
             if result is None:
                 continue
-            shard = batch.shard
-            for position, locals_ in zip(batch.positions, result):
-                if locals_:
-                    merged[position] |= bits_of(
-                        [to_global(shard, local) for local in locals_]
-                    )
+            for position, hits in zip(batch.positions, result):
+                if hits:
+                    merged[position] |= bits_of(hits)
         return merged
 
     def plan_session_level(
         self,
         requests: Sequence,
         table: LabelTable,
-        locate,
+        owned: Sequence[int],
         min_support: int | None = None,
     ) -> list["ShardSessionBatch"]:
         """Split a level across the shards that own its transactions.
 
-        *locate* maps a global tid to its ``(shard, local tid)`` home (the
-        sharded engine's placement function).  Each
-        :class:`~repro.runtime.base.LevelRequest` goes to every shard that
-        owns any of its candidate transactions, as the payload
-        ``(wire, tid_buffer)``: the pattern's compact wire (built once per
-        request) and the shard's slice of the scan set as a flat local-tid
-        bitset buffer.
+        *owned* holds one bitset per shard: the live global tids it holds.
+        Each :class:`~repro.runtime.base.LevelRequest` goes to every shard
+        whose slice ``tid_bits & owned[s]`` is non-empty, as the payload
+        ``(wire, scan)``: the pattern's compact wire (built once per
+        request) and the slice as a :func:`~repro.runtime.bitsets.bits_to_span`
+        ``(offset, buffer)`` pair, which pickles as raw bytes and which the
+        shard decodes with one vectorized unpack.  A request holding a tid
+        outside every mask (released or never registered) raises
+        ``KeyError``.
 
-        Scan sets ship as :func:`~repro.runtime.bitsets.bits_to_buffer`
-        byte strings rather than arbitrary-precision ints: the receiver
-        decodes them with one vectorized
-        :func:`~repro.runtime.bitsets.tids_from_buffer` unpack, and the
-        buffer pickles as raw bytes with no bignum re-encoding.
-
-        The early-abort threshold is translated into each shard's frame
-        of reference: a shard holding ``m`` of a request's ``n`` candidate
-        tids may abort once even sweeping its remaining slice cannot push
-        the *global* count to *min_support* — i.e. its local bound is
-        ``min_support - (n - m)``.  That bound is sound whatever the other
-        shards find, so aborts can never make runtimes disagree on which
-        candidates survive.
+        Each shard's early-abort bound is its share of the threshold: a
+        shard holding ``m`` of a request's ``n`` scan tids gets ``b =
+        ceil(min_support * m / n)``.  A pattern with support ``>=
+        min_support`` reaches its share on at least one shard, and an
+        aborted scan always returns fewer than ``b`` hits, so a short
+        reply caps the shard's support at ``b - 1``; :meth:`plan_resolve`
+        turns the caps into the level's second round.  ``min_support=None``
+        (level 1) arms no bound.
         """
+        live = 0
+        for mask in owned:
+            live |= mask
         batches = [ShardSessionBatch(shard=shard) for shard in range(self.n_shards)]
         for position, request in enumerate(requests):
-            tids = tids_of(request.tid_bits)
-            by_shard: dict[int, list[int]] = {}
-            for tid in tids:
-                shard, local = locate(tid)
-                by_shard.setdefault(shard, []).append(local)
-            if not by_shard:
+            bits = request.tid_bits
+            stray = bits & ~live
+            if stray:
+                tid = (stray & -stray).bit_length() - 1
+                raise KeyError(f"transaction {tid} is not live on any shard")
+            if not bits:
                 continue
-            wire = CompactGraph.from_labeled(request.pattern, table).to_wire()
-            total = len(tids)
-            for shard, locals_ in sorted(by_shard.items()):
-                batch = batches[shard]
-                batch.positions.append(position)
-                batch.payloads.append((wire, bits_to_buffer(bits_of(locals_))))
-                batch.scan_tids += len(locals_)
-                batch.uids.append(request.uid)
-                batch.parent_uids.append(request.parent_uid)
-                batch.extensions.append(request.extension)
-                if min_support is None:
-                    batch.abort_bounds.append(None)
-                else:
-                    bound = min_support - (total - len(locals_))
-                    batch.abort_bounds.append(bound if bound > 0 else None)
+            wire = labeled_to_wire(request.pattern, table)
+            total = bits.bit_count()
+            for batch, mask in zip(batches, owned):
+                part = bits & mask
+                if not part:
+                    continue
+                count = part.bit_count()
+                bound = None if min_support is None else -(-min_support * count // total)
+                batch.add(
+                    position,
+                    (wire, bits_to_span(part)),
+                    request.uid,
+                    request.parent_uid,
+                    request.extension,
+                    bound,
+                )
+                batch.scan_tids += count
         return batches
+
+    def plan_resolve(
+        self,
+        batches: Sequence["ShardSessionBatch"],
+        shard_results: Sequence[Sequence[Sequence[int]] | None],
+        min_support: int,
+    ) -> list["ShardSessionBatch"]:
+        """The second round of a split-bound level: one batch per shard.
+
+        A reply with at least its bound ``b`` hits is exact; a shorter one
+        caps its shard's support at ``b - 1``.  The caps of one request
+        sum to at most ``min_support - 1`` (each is below ``min_support *
+        m / n``), so a request whose exact hits plus its short shards'
+        caps stay below *min_support* is infrequent and needs no second
+        message.  Every other request is rescanned on its short shards
+        only, each bounded by what it must still contribute: *min_support*
+        minus the exact hits minus the other short shards' caps.  A rescan
+        is then either exact or proves the request infrequent, so one
+        extra round always settles the level.  The rescan reuses the
+        round-1 payload and uid, so it overwrites that uid's anchors.
+        """
+        exact: dict[int, int] = {}
+        short: dict[int, list[tuple["ShardSessionBatch", int, int]]] = {}
+        for batch, result in zip(batches, shard_results):
+            if result is None:
+                continue
+            for index, (position, bound, hits) in enumerate(
+                zip(batch.positions, batch.abort_bounds, result)
+            ):
+                if bound is None or len(hits) >= bound:
+                    exact[position] = exact.get(position, 0) + len(hits)
+                else:
+                    short.setdefault(position, []).append((batch, index, bound - 1))
+        rounds = [ShardSessionBatch(shard=shard) for shard in range(self.n_shards)]
+        for position in sorted(short):
+            entries = short[position]
+            known = exact.get(position, 0)
+            caps = sum(cap for _, _, cap in entries)
+            if known + caps < min_support:
+                continue
+            for batch, index, cap in entries:
+                bound = min_support - known - (caps - cap)
+                rounds[batch.shard].add(
+                    position,
+                    batch.payloads[index],
+                    batch.uids[index],
+                    batch.parent_uids[index],
+                    batch.extensions[index],
+                    bound if bound > 0 else None,
+                )
+        return rounds
 
     # Only perfbench/layers.py reads these two names (it times them as
     # ``runtime.plan``); every call goes through plan_session_level.
@@ -162,7 +215,7 @@ class ShardSessionBatch:
 
     Parallel lists aligned with ``positions`` (indices into the level's
     request list).  ``payloads[i]`` is the pattern+scan shipment for
-    request ``positions[i]``, a ``(wire, tid_buffer)`` pair (see
+    request ``positions[i]``, a ``(wire, (offset, buffer))`` pair (see
     :meth:`BatchSupportPlanner.plan_session_level`).  Replies align with
     ``positions`` too, which is what
     :meth:`BatchSupportPlanner.merge_level` relies on.
@@ -178,6 +231,23 @@ class ShardSessionBatch:
     #: Scan workload routed to this shard: candidate tids summed over the
     #: level's requests (the shard-skew telemetry's unit of account).
     scan_tids: int = 0
+
+    def add(
+        self,
+        position: int,
+        payload: tuple,
+        uid: object,
+        parent_uid: object,
+        extension: tuple | None,
+        bound: int | None,
+    ) -> None:
+        """Append one request's entry to every parallel list."""
+        self.positions.append(position)
+        self.payloads.append(payload)
+        self.uids.append(uid)
+        self.parent_uids.append(parent_uid)
+        self.extensions.append(extension)
+        self.abort_bounds.append(bound)
 
     def is_empty(self) -> bool:
         return not self.positions

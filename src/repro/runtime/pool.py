@@ -50,6 +50,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Callable
 
+from .collector import raise_worker_threshold
 from .faults import SimulatedWorkerDeath
 from .wire import BLOB_OP
 
@@ -271,7 +272,15 @@ class SerialBackend(WorkerPool):
 
 
 def _worker_main(connection, handler_factory) -> None:
-    """Entry point of a process worker: build the handler, serve the pipe."""
+    """Entry point of a process worker: build the handler, serve the pipe.
+
+    A worker's heap grows with its shard's anchors much as a mine's does,
+    so it keeps full collections rare for its whole life
+    (:func:`~repro.runtime.collector.raise_worker_threshold`).  Only
+    process workers run this: inline and degraded slots leave the
+    parent's thresholds alone.
+    """
+    raise_worker_threshold()
     handler = handler_factory()
     while True:
         try:

@@ -16,14 +16,20 @@ label and never rebuild string keys.  Every message is pickled once, in
 envelope (see :mod:`repro.runtime.wire`), so the pickles are mostly
 tuples of small ints.
 
+Shards file their transactions under the runtime's global tids, and the
+parent keeps one ownership bitset per shard, so planning a level and
+merging its replies are bitset ANDs and ORs with no per-tid translation.
+
 Level-wise mining runs through a **mining session**
 (:class:`ShardedSession`, opened with :meth:`ShardedEngine.open_session`):
 each level is one ``slevel`` message per shard, carrying every candidate
 the shard must scan as its full compact wire plus the uid / parent uid /
-extension tokens that address the shard's embedding store.  Anchors are
-the only state a shard keeps between levels; the miner's evictions of
-retired uids ride on the next level message to the shards that hold
-them.
+extension tokens that address the shard's embedding store.  Each shard
+aborts a scan against its share of the support threshold; the rare
+candidate those shares leave undecided is settled by at most one
+``sresolve`` message per shard.  Anchors are the only state a shard
+keeps between levels; the miner's evictions of retired uids ride on the
+next level message to the shards that hold them.
 
 Dispatch is scatter/gather throughout: every per-level message is sent to
 every shard before any reply is received, so shard compute genuinely
@@ -40,10 +46,11 @@ Worker failure is survivable: when a gather hits a
 :class:`~repro.runtime.pool.WorkerDeath` (process gone, reply deadline
 missed, or a malformed reply), the engine's supervisor respawns the
 worker with bounded retries and exponential backoff, deterministically
-rebuilds the shard — full label-table snapshot, the retained transaction
-wires in original order, the released set, then tracing and sticky fault
-clauses — replays the in-flight message for that shard only, and after
-retry exhaustion degrades the slot to in-process serial execution.
+rebuilds the shard — full label-table snapshot, the live transactions'
+wires under their global tids in registration order, then tracing and
+sticky fault clauses — replays the in-flight message for that shard
+only, and after retry exhaustion degrades the slot to in-process serial
+execution.
 Because shard tasks are pure functions of (table, transactions, message),
 the replay is invisible in mining output: golden digests are
 byte-identical with and without injected faults.  The replayed message
@@ -58,7 +65,7 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, Sequence
 
-from repro.graphs.compact import CompactGraph, LabelTable
+from repro.graphs.compact import CompactGraph, LabelTable, labeled_to_wire
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer, get_tracer
@@ -69,7 +76,7 @@ from repro.runtime.base import (
     merge_stats,
     resolve_backend,
 )
-from repro.runtime.bitsets import tids_from_buffer
+from repro.runtime.bitsets import bits_of, tids_from_buffer, tids_of
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
 from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy
 from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
@@ -80,10 +87,15 @@ from repro.runtime.wire import BLOB_OP, SHARD_OPS, decode_message, encode_messag
 #: trips, and the payload inside is byte-identical to the untraced reply.
 _OBS_REPLY = "__obs__"
 
+#: The per-level scan ops: a level's ``slevel`` message and the
+#: ``sresolve`` message of its resolve round.  A death during either is
+#: replayed and counted as a level replay.
+_LEVEL_SCAN_OPS = ("slevel", "sresolve")
+
 #: Worker span names that time per-level messages; the parent stamps
 #: these with the mining level when it drains them (other worker spans —
 #: add/release/stats — are level-free and left unstamped).
-_LEVELED_WORKER_SPANS = frozenset({"shard.slevel"})
+_LEVELED_WORKER_SPANS = frozenset(f"shard.{op}" for op in _LEVEL_SCAN_OPS)
 
 #: Respawn attempts before a dead shard degrades to in-process execution.
 RECOVERY_RETRIES = 2
@@ -93,9 +105,10 @@ RECOVERY_BACKOFF = 0.1
 
 #: Expected reply per shard op as ``(type, position)``; ops not listed
 #: ack with ``None``.  A ``position`` names the message list the reply
-#: answers entry by entry (``add``: one local tid per wire; ``slevel``:
-#: one hit list per payload), so the reply must match its length: the
-#: parent zips the two, and a short reply would silently drop entries.
+#: answers entry by entry (``add``: one registered tid per tid sent;
+#: ``slevel`` / ``sresolve``: one hit list per payload), so the reply
+#: must match its length: the parent zips the two, and a short reply
+#: would silently drop entries.
 #: The parent validates every gathered reply against this table so a
 #: corrupted (or truncated) reply becomes a typed ``WorkerCorruption``
 #: feeding the recovery path, never a downstream ``TypeError`` operating
@@ -103,6 +116,7 @@ RECOVERY_BACKOFF = 0.1
 _REPLY_SHAPES: dict[str, tuple[type, int | None]] = {
     "add": (list, 1),
     "slevel": (list, 2),
+    "sresolve": (list, 2),
     "stats": (dict, None),
 }
 
@@ -125,21 +139,28 @@ class ShardWorker:
 
     ``("labels", labels)``
         Append the parent table's delta to the replica; ack with ``None``.
-    ``("add", wires)``
-        Register transactions from wire tuples; reply with local tids.
-    ``("release", local_tids)``
+    ``("add", tids, wires)``
+        Register transactions from wire tuples under their global
+        *tids*; reply with the tids registered.
+    ``("release", tids)``
         Drop transaction references; ack with ``None``.
     ``("slevel", evictions, payloads, uids, parent_uids, extensions, bounds)``
         One mining level: parallel lists per pattern, ``bounds`` being
-        shard-local early-abort thresholds.  Each ``payloads[i]`` is
-        ``(wire, tid_buffer)``: the pattern's :class:`CompactGraph` wire
-        and its shard-local scan set as a flat bitset byte buffer.
-        Anchors stay in this shard's engine, filed under each pattern's
-        uid and extended through ``parent_uids`` / ``extensions`` — only
-        those small tokens cross the pipe, never embeddings.
-        ``evictions`` (parent-retired uids, piggybacked here instead of
-        costing their own round trip) drop their anchors first.  Reply
-        with one ascending local-tid hit list per pattern.
+        this shard's early-abort thresholds.  Each ``payloads[i]`` is
+        ``(wire, (offset, buffer))``: the pattern's :class:`CompactGraph`
+        wire and its scan set on this shard as a global-tid bitset
+        buffer with ``offset`` leading zero bytes left out.  Anchors stay
+        in this shard's engine, filed under each pattern's uid and
+        extended through ``parent_uids`` / ``extensions`` — only those
+        small tokens cross the pipe, never embeddings.  ``evictions``
+        (parent-retired uids, piggybacked here instead of costing their
+        own round trip) drop their anchors first.  Reply with one
+        ascending global-tid hit list per pattern.
+    ``("sresolve", evictions, payloads, uids, parent_uids, extensions, bounds)``
+        A level's resolve round: the same shape and the same handler as
+        ``slevel``, rescanning patterns whose first-round reply was
+        short.  A separate op only so that the fault harness's
+        ``level=`` counter keeps naming the mining level.
     ``("sevict", uids)``
         Retire *uids*' anchors; ack with ``None`` (the session's
         close-time flush).
@@ -203,7 +224,7 @@ class ShardWorker:
 
     def _span_attrs(self, op: str, message: tuple) -> dict:
         """Cheap size attributes for the per-message worker span."""
-        if op == "slevel":
+        if op in _LEVEL_SCAN_OPS:
             return {"patterns": len(message[2]), "evictions": len(message[1])}
         if op == "add":
             return {"patterns": len(message[1])}
@@ -268,8 +289,10 @@ class ShardWorker:
         self.table.extend(message[1])
 
     def _op_add(self, message: tuple) -> list[int]:
-        compacts = [CompactGraph.from_wire(wire, self.table) for wire in message[1]]
-        return self.engine.add_compact_transactions(compacts)
+        _, tids, wires = message
+        table = self.table
+        compacts = [CompactGraph.from_wire(wire, table) for wire in wires]
+        return self.engine.add_compact_transactions(compacts, tids)
 
     def _op_release(self, message: tuple) -> None:
         self.engine.release_transactions(message[1])
@@ -282,17 +305,19 @@ class ShardWorker:
         tasks = [
             EmbeddingTask(
                 pattern=CompactGraph.from_wire(wire, table),
-                tids=tids_from_buffer(tid_buffer),
+                tids=tids_from_buffer(buffer, offset),
                 uid=uid,
                 parent_uid=parent_uid,
                 extension=extension,
                 abort_below=bound,
             )
-            for (wire, tid_buffer), uid, parent_uid, extension, bound in zip(
+            for (wire, (offset, buffer)), uid, parent_uid, extension, bound in zip(
                 payloads, uids, parent_uids, extensions, bounds
             )
         ]
         return self.engine.support_with_embeddings(tasks)
+
+    _op_sresolve = _op_slevel
 
     def _op_sevict(self, message: tuple) -> None:
         self.engine.drop_anchors(message[1])
@@ -350,27 +375,22 @@ class ShardedEngine(MiningRuntime):
             self.backend, shards, ShardWorker, worker_timeout=worker_timeout
         )
         self._synced = [0] * shards
-        self._local_to_global: list[list[int]] = [[] for _ in range(shards)]
-        self._home: dict[int, tuple[int, int]] = {}
-        self._released: set[int] = set()
+        #: Per shard, the bitset of the live global tids it holds.
+        self._owned = [0] * shards
         self._next_global = 0
         self._closed = False
         #: Recovery state.  ``_shard_wires`` retains each shard's
-        #: acknowledged transaction wires in registration order (released
-        #: slots collapse to a shared tombstone wire that preserves
-        #: local-tid numbering while freeing the graph payload), and
-        #: ``_shard_released`` the acknowledged released local tids —
-        #: together they are exactly the state a fresh worker needs to
-        #: become an indistinguishable replica.
+        #: acknowledged live transactions as ``{global tid: wire}`` in
+        #: registration order; a release deletes its entries.  That is
+        #: exactly the state a fresh worker needs to become an
+        #: indistinguishable replica.
         self.faults = resolve_faults(faults)
         self.recovery = {
             "worker_restarts": 0,
             "level_replays": 0,
             "worker_degradations": 0,
         }
-        self._shard_wires: list[list[tuple]] = [[] for _ in range(shards)]
-        self._shard_released: list[set[int]] = [set() for _ in range(shards)]
-        self._tombstone = None
+        self._shard_wires: list[dict[int, tuple]] = [{} for _ in range(shards)]
         self._round_message: dict[int, tuple] = {}
         self._degraded: set[int] = set()
         #: Observability state: the tracer worker spans and shard metric
@@ -443,21 +463,6 @@ class ShardedEngine(MiningRuntime):
         if messages:
             self._gather(self._scatter(messages))
 
-    def _tombstone_wire(self) -> tuple:
-        """The shared placeholder wire standing in for a released slot.
-
-        Released transactions must keep their local-tid slot (rebuild
-        re-adds wires in order, so slot i must stay slot i) but their
-        graph payload can be dropped — important for streaming runs,
-        where the released prefix dwarfs the live window.  A one-vertex
-        graph over a dedicated tombstone label is the smallest wire that
-        round-trips; rebuild releases the slots right after re-adding.
-        """
-        if self._tombstone is None:
-            label_id = self.table.intern("\x00repro:released\x00")
-            self._tombstone = ("\x00released\x00", (label_id,), [], ("t",))
-        return self._tombstone
-
     def _receive(self, shard: int, message: tuple):
         """One recv + obs unwrap + shape validation of *shard*'s reply to *message*."""
         reply = self._pool.recv(shard)
@@ -483,27 +488,19 @@ class ShardedEngine(MiningRuntime):
         """Make a fresh worker an exact replica of the lost shard.
 
         Determinism rests on shard state being a pure function of the
-        message history: full label snapshot, the retained wires in
-        registration order (identical local tids fall out), the released
-        set.  Anchors are *not* rebuilt: the fresh worker's candidates
-        fall back to full search, which returns the same verdicts.
+        message history: full label snapshot, then the live transactions
+        re-added in one ``add`` under their global tids, in registration
+        order.  Released transactions are simply not re-added.  Anchors
+        are *not* rebuilt: the fresh worker's candidates fall back to
+        full search, which returns the same verdicts.
         """
         self._synced[shard] = 0
         sync = self._send_sync(shard)
         if sync is not None:
             self._receive(shard, sync)
-        wires = self._shard_wires[shard]
-        if wires:
-            locals_ = self._call(shard, ("add", wires))
-            if list(locals_) != list(range(len(wires))):
-                raise WorkerCorruption(
-                    shard,
-                    reason="rebuild assigned unexpected local tids",
-                    last_op="add",
-                )
-        released = self._shard_released[shard]
-        if released:
-            self._call(shard, ("release", sorted(released)))
+        log = self._shard_wires[shard]
+        if log:
+            self._call(shard, ("add", list(log), list(log.values())))
         if self._tracer is not NULL_TRACER:
             self._call(shard, ("trace", shard, time.time()))
         if rearm and self.faults is not None:
@@ -561,7 +558,7 @@ class ShardedEngine(MiningRuntime):
                     raise next_death
                 continue
             break
-        if op == "slevel":
+        if op in _LEVEL_SCAN_OPS:
             self.recovery["level_replays"] += 1
             tracer.metrics.counter("level_replays", shard=str(shard))
         span.finish(attempts=attempt, degraded=degraded)
@@ -570,18 +567,13 @@ class ShardedEngine(MiningRuntime):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def locate(self, tid: int) -> tuple[int, int]:
-        """The ``(shard, local tid)`` home of global tid *tid*."""
-        if tid in self._released:
-            raise KeyError(f"transaction {tid} has been released from this runtime")
-        try:
-            return self._home[tid]
-        except KeyError:
-            raise KeyError(f"unknown transaction id {tid}") from None
+    @property
+    def owned(self) -> tuple[int, ...]:
+        """Per shard, the bitset of the live global tids it holds.
 
-    def to_global(self, shard: int, local: int) -> int:
-        """The global tid of *local* on *shard*."""
-        return self._local_to_global[shard][local]
+        The masks are disjoint; a released tid is in none of them.
+        """
+        return tuple(self._owned)
 
     @property
     def n_transactions(self) -> int:
@@ -695,82 +687,83 @@ class ShardedEngine(MiningRuntime):
     # ------------------------------------------------------------------
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:
         with self._tracer.span("runtime.add", transactions=len(transactions)):
+            table = self.table
+            place = self._placement.place
             wires: list[list[tuple]] = [[] for _ in range(self.n_shards)]
-            globals_: list[list[int]] = [[] for _ in range(self.n_shards)]
-            tids: list[int] = []
-            for transaction in transactions:
-                compact = CompactGraph.from_labeled(transaction, self.table)
-                tid = self._next_global
-                self._next_global += 1
+            placed: list[list[int]] = [[] for _ in range(self.n_shards)]
+            first = self._next_global
+            for tid, transaction in enumerate(transactions, start=first):
+                wire = labeled_to_wire(transaction, table)
                 # Deterministic support-weighted placement: the edge count is
                 # the level-1 scan cost a shard pays for hosting the
                 # transaction, so levelling it attacks the shard_scan skew
                 # that size-skewed corpora showed under static round-robin.
-                shard = self._placement.place(compact.n_edges)
-                wires[shard].append(compact.to_wire())
-                globals_[shard].append(tid)
-                tids.append(tid)
+                shard = place(len(wire[2]))
+                wires[shard].append(wire)
+                placed[shard].append(tid)
+            self._next_global = first + len(transactions)
             # Send everything first so process workers decode concurrently.
             pending = self._scatter(
                 [
-                    (shard, ("add", wires[shard]))
+                    (shard, ("add", placed[shard], wires[shard]))
                     for shard in range(self.n_shards)
                     if wires[shard]
                 ]
             )
-            locals_by_shard = self._gather(pending)
-            for shard, locals_ in locals_by_shard.items():
-                for local, tid in zip(locals_, globals_[shard]):
-                    mapping = self._local_to_global[shard]
-                    if local != len(mapping):
-                        # Guards cross-process data, so a real error, not an
-                        # assert: a wrong correspondence here would silently
-                        # map support sets to the wrong transactions.
-                        raise RuntimeError(
-                            f"shard {shard} assigned local tid {local}, "
-                            f"expected {len(mapping)}"
-                        )
-                    self._home[tid] = (shard, local)
-                    mapping.append(tid)
-            # Retain the acknowledged wires for deterministic rebuild — only
-            # after the gather, so a recovery *during* this round rebuilds
-            # from the pre-round log and the replayed "add" lands exactly
-            # once on the fresh worker.
+            for shard, registered in self._gather(pending).items():
+                if registered != placed[shard]:
+                    # Guards cross-process data, so a real error, not an
+                    # assert: a wrong correspondence here would silently
+                    # map support sets to the wrong transactions.
+                    raise RuntimeError(
+                        f"shard {shard} registered tids {registered[:8]}..., "
+                        f"expected {placed[shard][:8]}..."
+                    )
+            # Commit ownership and the rebuild log only after the gather,
+            # so a recovery *during* this round rebuilds from the
+            # pre-round log and the replayed "add" lands exactly once on
+            # the fresh worker.
             for shard in range(self.n_shards):
                 if wires[shard]:
-                    self._shard_wires[shard].extend(wires[shard])
-            return tids
+                    self._owned[shard] |= bits_of(placed[shard])
+                    self._shard_wires[shard].update(zip(placed[shard], wires[shard]))
+            return list(range(first, self._next_global))
 
     def release_transactions(self, tids: Iterable[int]) -> None:
-        by_shard: dict[int, list[int]] = {}
-        released: list[int] = []
+        # Validate the whole call before anything is released.
         seen: set[int] = set()
         for tid in tids:
+            if not 0 <= tid < self._next_global:
+                raise KeyError(f"unknown transaction id {tid}")
             if tid in seen:
                 # Same contract as a second release_transactions call.
-                raise KeyError(f"transaction {tid} has been released from this runtime")
+                raise _released(tid)
             seen.add(tid)
-            shard, local = self.locate(tid)
-            by_shard.setdefault(shard, []).append(local)
-            released.append(tid)
+        chosen = bits_of(list(seen))
+        live = 0
+        for mask in self._owned:
+            live |= mask
+        stale = chosen & ~live
+        if stale:
+            raise _released((stale & -stale).bit_length() - 1)
+        parts = [chosen & mask for mask in self._owned]
         pending = self._scatter(
             [
-                (shard, ("release", sorted(locals_)))
-                for shard, locals_ in sorted(by_shard.items())
+                (shard, ("release", tids_of(part)))
+                for shard, part in enumerate(parts)
+                if part
             ]
         )
         self._gather(pending)
         # Commit only after the gather (same reason as add_transactions:
         # a mid-round recovery must rebuild the pre-round state, then
-        # replay the release).  Released slots keep their position in the
-        # rebuild log but swap the graph payload for a shared tombstone.
-        for tid in released:
-            self._released.add(tid)
-        for shard, locals_ in by_shard.items():
-            self._shard_released[shard].update(locals_)
-            wires = self._shard_wires[shard]
-            for local in locals_:
-                wires[local] = self._tombstone_wire()
+        # replay the release).
+        for shard, part in enumerate(parts):
+            if part:
+                self._owned[shard] &= ~part
+                log = self._shard_wires[shard]
+                for tid in tids_of(part):
+                    del log[tid]
 
     def open_session(self) -> MiningSession:
         return ShardedSession(self)
@@ -814,14 +807,21 @@ class ShardedEngine(MiningRuntime):
             pass
 
 
+def _released(tid: int) -> KeyError:
+    """The error a release or query of released transaction *tid* raises."""
+    return KeyError(f"transaction {tid} has been released from this runtime")
+
+
 class ShardedSession(MiningSession):
     """A stateful mining session over a :class:`ShardedEngine`.
 
     Each level ships as one ``slevel`` message per shard that owns any of
     the level's candidate transactions, every candidate as its full
-    compact wire.  What a shard keeps between levels is anchors only,
-    filed under the candidate uids it scanned; the session tracks, per
-    shard, the uids shipped there and not yet evicted.
+    compact wire, plus at most one ``sresolve`` message per shard when
+    split abort bounds leave a candidate undecided.  What a shard keeps
+    between levels is anchors only, filed under the candidate uids it
+    scanned; the session tracks, per shard, the uids shipped there and
+    not yet evicted.
 
     Miner-driven evictions (:meth:`evict`) are queued only for the shards
     where the uid is live, and ride on the next level message to each
@@ -846,15 +846,59 @@ class ShardedSession(MiningSession):
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
+        """One mining level in at most two scatter/gather rounds.
+
+        Round 1 is one ``slevel`` message per shard, each scan bounded by
+        the shard's share of *min_support* (see
+        :meth:`~repro.runtime.planner.BatchSupportPlanner.plan_session_level`).
+        Requests those shares leave undecided are rescanned on their
+        short shards in one ``sresolve`` message per shard (see
+        :meth:`~repro.runtime.planner.BatchSupportPlanner.plan_resolve`),
+        so every request whose merged support reaches *min_support* is
+        exact.  Resolved requests are counted once, as the
+        ``resolve_requests`` counter.
+        """
         if self._closed:
             raise RuntimeError("mining session is closed")
         runtime = self._runtime
+        planner = runtime.planner
         telemetry = self._telemetry
         self._level += 1
         with runtime._tracer.span("runtime.plan", level=self._level):
-            batches = runtime.planner.plan_session_level(
-                requests, runtime.table, runtime.locate, min_support
+            batches = planner.plan_session_level(
+                requests, runtime.table, runtime._owned, min_support
             )
+        # Placement skew across every shard, idle shards included: the
+        # level's per-shard scan workload as the planner routed it.
+        scan_units = [batch.scan_tids for batch in batches]
+        telemetry["shard_scan_max"] = max(scan_units)
+        telemetry["shard_scan_min"] = min(scan_units)
+
+        wire_before = runtime.wire_bytes_shipped
+        results = self._scan("slevel", batches)
+        merged = planner.merge_level(len(requests), batches, results)
+        if min_support is not None:
+            rounds = planner.plan_resolve(batches, results, min_support)
+            resolved = {position for batch in rounds for position in batch.positions}
+            if resolved:
+                runtime._tracer.metrics.counter(
+                    "resolve_requests", len(resolved), level=str(self._level)
+                )
+                second = planner.merge_level(
+                    len(requests), rounds, self._scan("sresolve", rounds)
+                )
+                merged = [first | extra for first, extra in zip(merged, second)]
+        telemetry["wire_bytes"] += runtime.wire_bytes_shipped - wire_before
+        runtime.drain_worker_spans(level=self._level)
+        return merged
+
+    def _scan(self, op: str, batches) -> list[list[list[int]] | None]:
+        """One scatter/gather round of *op* over the non-empty *batches*.
+
+        Returns each batch's reply (``None`` for an empty batch).  Each
+        message carries its shard's queued evictions.
+        """
+        runtime = self._runtime
         messages: list[tuple[int, tuple]] = []
         for batch in batches:
             if batch.is_empty():
@@ -865,7 +909,7 @@ class ShardedSession(MiningSession):
                 (
                     batch.shard,
                     (
-                        "slevel",
+                        op,
                         evictions,
                         batch.payloads,
                         batch.uids,
@@ -876,22 +920,8 @@ class ShardedSession(MiningSession):
                 )
             )
             self._live[batch.shard].update(batch.uids)
-        # Placement skew across every shard, idle shards included: the
-        # level's per-shard scan workload as the planner routed it.
-        scan_units = [batch.scan_tids for batch in batches]
-        telemetry["shard_scan_max"] = max(scan_units)
-        telemetry["shard_scan_min"] = min(scan_units)
-
-        wire_before = runtime.wire_bytes_shipped
         replies = runtime._gather(runtime._scatter(messages))
-        telemetry["wire_bytes"] += runtime.wire_bytes_shipped - wire_before
-        runtime.drain_worker_spans(level=self._level)
-        return runtime.planner.merge_level(
-            len(requests),
-            batches,
-            [replies.get(batch.shard) for batch in batches],
-            runtime.to_global,
-        )
+        return [replies.get(batch.shard) for batch in batches]
 
     def evict(self, uids: Iterable[object]) -> None:
         uid_list = list(uids)

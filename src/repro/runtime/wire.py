@@ -35,7 +35,7 @@ BLOB_OP = "__blob__"
 #: clause's ``op=`` filter must name one of these ops.  The control
 #: messages ``trace`` and ``faults`` are not listed: the worker handles
 #: them before any hook runs.
-SHARD_OPS = ("labels", "add", "release", "slevel", "sevict", "stats")
+SHARD_OPS = ("labels", "add", "release", "slevel", "sresolve", "sevict", "stats")
 
 #: Pinned pickle protocol.  Pinning (rather than ``HIGHEST_PROTOCOL``)
 #: keeps shipped byte counts stable across interpreter upgrades, so

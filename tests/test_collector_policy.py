@@ -1,11 +1,13 @@
 """Tests for the cyclic-collector policy around :meth:`FSGMiner.mine`.
 
 A mine multiplies the collector's gen-2 threshold by
-:data:`~repro.mining.fsg.miner.FULL_COLLECTION_FACTOR` for the length of
+:data:`~repro.runtime.collector.FULL_COLLECTION_FACTOR` for the length of
 the run, registration included, and gives the caller's thresholds back
 however the run ends.  Thresholds are process-wide, so overlapping mines
 (nested, or on several threads) must restore exactly what the first one
-saved, and no mine may run while they are unraised.
+saved, and no mine may run while they are unraised.  Process shard
+workers raise the same threshold once, for their whole life, from the
+thresholds the parent has outside any mine.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import pytest
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
-from repro.mining.fsg.miner import FULL_COLLECTION_FACTOR, FSGMiner
+from repro.mining.fsg.miner import FSGMiner
 from repro.obs.tracer import Tracer, activate
 from repro.runtime import SerialRuntime
+from repro.runtime.collector import FULL_COLLECTION_FACTOR, rare_full_collections
+from repro.runtime.pool import ProcessBackend, SerialBackend
 
 #: Thresholds no default interpreter has, so a restore to the defaults
 #: cannot pass for a restore to the caller's values.
@@ -181,4 +185,41 @@ def test_overlapping_mines_on_threads_restore_the_caller_thresholds(caller_thres
     assert not errors
     assert len(seen) >= 4
     assert set(seen) == {RAISED}
+    assert gc.get_threshold() == CALLER
+
+
+class _ThresholdProbe:
+    """A pool handler that answers every message with its process's
+    collector thresholds."""
+
+    def __call__(self, message):
+        return gc.get_threshold()
+
+
+def test_process_workers_raise_the_full_threshold_once(caller_thresholds):
+    # Spawned outside a mine, a worker raises from the caller's values;
+    # spawned (or respawned) inside one, it inherits raised thresholds
+    # and still lands on the same value, not on a double raise.
+    pool = ProcessBackend(1, _ThresholdProbe)
+    try:
+        assert pool.call(0, ("probe",)) == RAISED
+        with rare_full_collections():
+            pool.respawn(0)
+            assert pool.call(0, ("probe",)) == RAISED
+            inner = ProcessBackend(1, _ThresholdProbe)
+            try:
+                assert inner.call(0, ("probe",)) == RAISED
+            finally:
+                inner.close()
+    finally:
+        pool.close()
+    assert gc.get_threshold() == CALLER
+
+
+def test_inline_workers_leave_the_caller_thresholds_alone(caller_thresholds):
+    pool = SerialBackend(1, _ThresholdProbe)
+    try:
+        assert pool.call(0, ("probe",)) == CALLER
+    finally:
+        pool.close()
     assert gc.get_threshold() == CALLER

@@ -160,7 +160,14 @@ def _incremental_exists(engine, info: _OracleTask, tid, target) -> bool:
             if parent_complete:
                 engine.stats.anchor_complete_rejects += 1
                 return False
-    if pattern.n_edges == 1 and pattern.n_vertices == 2 and task.extension is None:
+    if (
+        pattern.n_edges == 1
+        and pattern.n_vertices == 2
+        and task.extension is None
+        and pattern.edge_triples()[0][0] != pattern.edge_triples()[0][1]
+    ):
+        # A one-edge pattern is seeded only when its edge joins its two
+        # vertices; a self-loop beside an isolated vertex is searched.
         return _seed_single_edge(engine, info, tid, target)
     engine.stats.anchor_fallbacks += 1
     t_index = engine._transaction_index(tid, target)

@@ -207,6 +207,13 @@ class TestFaultInjector:
         with pytest.raises(SimulatedWorkerDeath):
             injector.on_message("slevel")  # level 2
 
+    def test_resolve_round_does_not_advance_the_level(self):
+        injector = FaultInjector(FaultPlan.parse("kill:level=3"), shard=0, inline=True)
+        for op in ("slevel", "slevel", "sresolve"):  # levels 1 and 2
+            injector.on_message(op)
+        with pytest.raises(SimulatedWorkerDeath):
+            injector.on_message("slevel")  # level 3
+
     def test_times_budget_is_exhausted(self):
         injector = FaultInjector(
             FaultPlan.parse("corrupt-reply:op=stats,times=2"), shard=0, inline=True
@@ -497,6 +504,40 @@ class TestRecoveryObservability:
             if record.name == "fsg.level" and record.attrs["level"] == 2
         ]
         assert level.start <= recovery.start <= recovery.end <= level.end
+
+    def test_level_clause_lands_on_the_level_not_on_a_resolve_round(self):
+        # Level 2 of this corpus sends shard 1 a resolve round; a kill
+        # aimed at level 3 still lands on level 3's slevel message.
+        corpus = random_corpus(73, size=20)
+        reference = mining_signature(FSGMiner(min_support=3, max_edges=3).mine(corpus))
+        with activate(Tracer()) as tracer:
+            mined, stats = mine_sharded(corpus, faults="kill:shard=1,level=3")
+        assert mining_signature(mined) == reference
+        assert stats["level_replays"] == 1
+        assert any(
+            record.name == "shard.sresolve"
+            and record.worker == "shard1"
+            and record.attrs["level"] == 2
+            for record in tracer.spans
+        )
+        [recovery] = [record for record in tracer.spans if record.name == "runtime.recovery"]
+        assert (recovery.attrs["shard"], recovery.attrs["op"]) == (1, "slevel")
+        [level] = [
+            record
+            for record in tracer.spans
+            if record.name == "fsg.level" and record.attrs["level"] == 3
+        ]
+        assert level.start <= recovery.start <= recovery.end <= level.end
+
+    def test_death_during_a_resolve_round_is_replayed_as_a_level(self):
+        corpus = random_corpus(73, size=20)
+        reference = mining_signature(FSGMiner(min_support=3, max_edges=3).mine(corpus))
+        with activate(Tracer()) as tracer:
+            mined, stats = mine_sharded(corpus, faults="kill:shard=1,op=sresolve")
+        assert mining_signature(mined) == reference
+        assert stats["worker_restarts"] == stats["level_replays"] == 1
+        [recovery] = [record for record in tracer.spans if record.name == "runtime.recovery"]
+        assert (recovery.attrs["shard"], recovery.attrs["op"]) == (1, "sresolve")
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_registry_counts_each_recovery_once(self, backend):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
+from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.fsg.candidates import (
     Candidate,
@@ -14,7 +18,41 @@ from repro.mining.fsg.candidates import (
     generate_candidates,
     single_edge_pattern,
 )
+from repro.mining.fsg.candidates import _triple_sort_key
 from repro.runtime.bitsets import bits_of
+
+
+def per_transaction_sort_oracle(transactions, min_support):
+    """The reference level-1 count: each transaction's triple set sorted
+    by :func:`_triple_sort_key`, first sight fixing the mapping order."""
+    occurrences: dict = {}
+    for tid, transaction in enumerate(transactions):
+        for triple in sorted(edge_triples(transaction), key=_triple_sort_key):
+            occurrences.setdefault(triple, set()).add(tid)
+    return {
+        triple: frozenset(tids)
+        for triple, tids in occurrences.items()
+        if len(tids) >= min_support
+    }
+
+
+@st.composite
+def labeled_corpora(draw):
+    """Small random transactions over mixed-type labels (ints and strs)."""
+    vertex_labels = ["hub", "stop", 3, "depot"]
+    edge_labels = ["am", "pm", 0, 1]
+    corpus = []
+    for index in range(draw(st.integers(min_value=0, max_value=8))):
+        graph = LabeledGraph(name=f"t{index}")
+        n_vertices = draw(st.integers(min_value=1, max_value=6))
+        for v in range(n_vertices):
+            graph.add_vertex(f"v{v}", draw(st.sampled_from(vertex_labels)))
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            source = draw(st.integers(min_value=0, max_value=n_vertices - 1))
+            target = draw(st.integers(min_value=0, max_value=n_vertices - 1))
+            graph.add_edge(f"v{source}", f"v{target}", draw(st.sampled_from(edge_labels)))
+        corpus.append(graph)
+    return corpus
 
 
 class TestSingleEdges:
@@ -37,6 +75,16 @@ class TestSingleEdges:
         frequent_low = frequent_single_edges(transactions, min_support=1)
         assert ("place", 0, "place") in frequent_low
         assert frequent_low[("place", 0, "place")] == frozenset({1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=labeled_corpora(), min_support=st.integers(min_value=1, max_value=4))
+    def test_frequent_single_edges_matches_per_transaction_sort(self, corpus, min_support):
+        # Same triples, same tid sets and the same mapping order as the
+        # per-transaction sort it replaced.
+        expected = per_transaction_sort_oracle(corpus, min_support)
+        assert list(frequent_single_edges(corpus, min_support).items()) == list(
+            expected.items()
+        )
 
 
 class TestExtension:

@@ -14,9 +14,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.canonical import CanonicalizationError, canonical_code
-from repro.graphs.compact import CompactGraph, LabelTable
+from repro.graphs.compact import CompactGraph, LabelTable, labeled_to_wire
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.index import GraphIndex
 from repro.graphs.isomorphism import (
@@ -201,6 +203,61 @@ class TestDifferentialSupport:
             with pytest.raises(KeyError, match="unknown transaction id"):
                 _support(engine, pattern, [tids[0], bad])
 
+    def test_caller_tids_are_kept_and_must_rise(self):
+        # A shard engine files transactions under the runtime's global
+        # tids: gaps are allowed, reuse is not.
+        rng = random.Random(17)
+        engine = MatchEngine()
+        graphs = [_random_graph(rng, 5, 6, prefix=f"g{i}_") for i in range(4)]
+        compacts = [CompactGraph.from_labeled(graph, engine.table) for graph in graphs]
+        assert engine.add_compact_transactions(compacts[:2], [4, 9]) == [4, 9]
+        assert engine.transaction(9) is compacts[1]
+        with pytest.raises(ValueError, match="tids only rise"):
+            engine.add_compact_transactions(compacts[2:3], [9])
+        with pytest.raises(ValueError, match="tids only rise"):
+            engine.add_compact_transactions(compacts[2:4], [12, 11])
+        assert engine.n_transactions == 2  # a rejected call registers nothing
+        assert engine.add_compact_transactions(compacts[2:3]) == [10]
+        engine.release_transactions([4])
+        with pytest.raises(KeyError, match="released"):
+            engine.transaction(4)
+        for hole in (5, -1, 11):
+            with pytest.raises(KeyError, match="unknown transaction id"):
+                engine.transaction(hole)
+        pattern = _random_pattern(rng, graphs[1], 1)
+        with pytest.raises(KeyError, match="unknown transaction id 5"):
+            _support(engine, pattern, [5, 9])
+        assert _support(engine, pattern, [9, 10]) == frozenset(
+            tid
+            for tid, graph in ((9, graphs[1]), (10, graphs[2]))
+            if legacy_has_embedding(pattern, graph)
+        )
+
+    def test_self_loop_beside_an_isolated_vertex_is_searched_not_seeded(self):
+        # A parentless two-vertex, one-edge pattern whose edge is a
+        # self-loop: seeding pairs distinct vertices only, so the full
+        # search must answer it.
+        pattern = LabeledGraph(name="loop")
+        pattern.add_vertex("a", "A")
+        pattern.add_vertex("b", "A")
+        pattern.add_edge("a", "a", "e")
+        plain = LabeledGraph(name="plain")
+        plain.add_vertex("u", "A")
+        plain.add_vertex("v", "A")
+        plain.add_edge("u", "v", "e")
+        looped = LabeledGraph(name="looped")
+        looped.add_vertex("u", "A")
+        looped.add_vertex("w", "A")
+        looped.add_edge("u", "u", "e")
+        engine = MatchEngine()
+        tids = engine.add_transactions([plain, looped])
+        (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern, tids, uid="loop")])
+        assert hits == [tids[1]]
+        for tid, graph in zip(tids, (plain, looped)):
+            assert (tid in hits) == engine.has_embedding(pattern, graph)
+            assert (tid in hits) == legacy_has_embedding(pattern, graph)
+        assert engine.stats.anchor_seeds == 0
+
     def test_support_early_abort_stops_short_of_threshold(self):
         rng = random.Random(13)
         engine = MatchEngine()
@@ -283,6 +340,42 @@ class TestCompactRoundTrip:
         assert pickle.loads(pickle.dumps(compact)).to_wire() == wire
         assert set(compact.to_labeled().edges()) == set(graph.edges())
         assert set(compact.edges()) == set(graph.edges())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_vertices=st.integers(min_value=0, max_value=9),
+        n_edges=st.integers(min_value=0, max_value=14),
+        self_loops=st.integers(min_value=0, max_value=3),
+    )
+    def test_labeled_to_wire_matches_the_compacted_wire(
+        self, seed, n_vertices, n_edges, self_loops
+    ):
+        rng = random.Random(seed)
+        graph = _random_graph(rng, n_vertices, n_edges)
+        vertices = list(graph.vertices())
+        for _ in range(self_loops if vertices else 0):
+            vertex = rng.choice(vertices)
+            graph.add_edge(vertex, vertex, rng.choice(["x", 7]))
+        built, compacted, reference = LabelTable(), LabelTable(), LabelTable()
+        wire = labeled_to_wire(graph, built)
+        # Reference: intern vertex labels, then edge labels in edges()
+        # order, and let CompactGraph lay the wire out.
+        position = {vertex: index for index, vertex in enumerate(vertices)}
+        expected = CompactGraph(
+            graph.name,
+            [reference.intern(graph.vertex_label(vertex)) for vertex in vertices],
+            [
+                (position[edge.source], position[edge.target], reference.intern(edge.label))
+                for edge in graph.edges()
+            ],
+            vertices,
+            reference,
+        ).to_wire()
+        assert wire == expected
+        assert wire == CompactGraph.from_labeled(graph, compacted).to_wire()
+        assert pickle.dumps(wire, 4) == pickle.dumps(expected, 4)
+        assert built.snapshot() == compacted.snapshot() == reference.snapshot()
 
     def test_shared_table_interning(self):
         table = LabelTable()

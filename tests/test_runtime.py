@@ -10,7 +10,9 @@ runtime rides on.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import pickle
 import random
 
@@ -19,6 +21,7 @@ import pytest
 from repro.core.config import ExperimentConfig
 from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
@@ -30,10 +33,12 @@ from repro.runtime import (
     bits_of,
     create_runtime,
     merge_stats,
+    popcount,
     resolve_backend,
     resolve_placement,
     resolve_workers,
     tids_from_buffer,
+    tids_of,
 )
 from repro.runtime.planner import PlacementPolicy
 from repro.runtime.pool import ProcessBackend, SerialBackend
@@ -62,6 +67,20 @@ def random_transaction(rng: random.Random, name: str) -> LabeledGraph:
 def random_corpus(seed: int, size: int = 30) -> list[LabeledGraph]:
     rng = random.Random(seed)
     return [random_transaction(rng, f"t{i}") for i in range(size)]
+
+
+def edge_pattern() -> LabeledGraph:
+    pattern = LabeledGraph(name="edge-pattern")
+    pattern.add_vertex("p0", "A")
+    pattern.add_vertex("p1", "B")
+    pattern.add_edge("p0", "p1", "x")
+    return pattern
+
+
+def shard_of(runtime: ShardedEngine, tid: int) -> int:
+    """The shard whose ownership mask holds live tid *tid*."""
+    (shard,) = [shard for shard, mask in enumerate(runtime.owned) if mask >> tid & 1]
+    return shard
 
 
 def mining_signature(result):
@@ -370,18 +389,93 @@ class TestShardedEngine:
         finally:
             runtime.close()
 
+    def test_shards_file_transactions_under_global_tids(self):
+        runtime = ShardedEngine(shards=3, backend="serial")
+        try:
+            first = runtime.add_transactions(random_corpus(31, size=7))
+            second = runtime.add_transactions(random_corpus(37, size=5))
+            assert first == list(range(7)) and second == list(range(7, 12))
+            owned = runtime.owned
+            # The masks partition the live tids, and each shard engine
+            # holds exactly its mask's tids, filed under those global ids.
+            assert sum(map(popcount, owned)) == 12
+            assert functools.reduce(operator.or_, owned) == bits_of(first + second)
+            for shard, worker in enumerate(runtime._pool._handlers):
+                assert list(worker.engine._transactions) == tids_of(owned[shard])
+        finally:
+            runtime.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_rejected_release_releases_nothing(self, backend):
+        corpus = random_corpus(41, size=8)
+        runtime = ShardedEngine(shards=2, backend=backend)
+        try:
+            tids = runtime.add_transactions(corpus)
+            runtime.release_transactions(tids[:2])
+            owned = runtime.owned
+            for call in ([tids[0]], [tids[3], tids[3]], [tids[4], 99], [tids[5], -1], [tids[6], tids[1]]):
+                with pytest.raises(KeyError):
+                    runtime.release_transactions(call)
+                assert runtime.owned == owned
+            # Every live tid is still registered on its shard: a level over
+            # all of them answers as the serial oracle does.
+            pattern = edge_pattern()
+            request = LevelRequest(pattern=pattern, tid_bits=bits_of(tids[2:]), uid="edge")
+            with runtime.open_session() as session:
+                (bits,) = session.support_level([request])
+            assert bits == bits_of(
+                tid
+                for tid, graph in zip(tids[2:], corpus[2:])
+                if legacy_has_embedding(pattern, graph)
+            )
+        finally:
+            runtime.close()
+
+    def test_rebuild_after_release_re_adds_only_live_tids(self):
+        corpus = random_corpus(43, size=10)
+        runtime = ShardedEngine(shards=2, backend="serial", faults="kill:shard=1,op=slevel")
+        log = _RecordingSendPool(runtime._pool)
+        runtime._pool = log
+        try:
+            tids = runtime.add_transactions(corpus)
+            released = [tid for tid in tids if tid % 3 == 0]
+            runtime.release_transactions(released)
+            live = [tid for tid in tids if tid not in released]
+            log.sent.clear()
+            request = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(live), uid="edge")
+            with runtime.open_session() as session:
+                (bits,) = session.support_level([request])
+            assert runtime.recovery["worker_restarts"] == 1
+            # The rebuild re-added shard 1's live tids in one add, and
+            # released nothing: released tids are simply not in the log.
+            rebuild = [decode_message(blob) for _, op, blob in log.sent if op in ("add", "release")]
+            ((op, added, wires),) = rebuild
+            assert op == "add" and added == tids_of(runtime.owned[1])
+            assert not set(added) & set(released)
+            assert list(runtime._pool._handlers[1].engine._transactions) == added
+            assert bits == bits_of(
+                tid for tid in live if legacy_has_embedding(edge_pattern(), corpus[tid])
+            )
+        finally:
+            runtime.close()
+
     def test_planner_skips_shards_without_tids(self):
         planner = BatchSupportPlanner(3)
         table = LabelTable()
         pattern = LabeledGraph(name="p")
         pattern.add_vertex("a", "A")
         # Both tids live on shard 1; shards 0 and 2 get empty batches.
+        owned = [bits_of([0, 1]), bits_of([4, 7, 40]), bits_of([2])]
         request = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 7]))
-        batches = planner.plan_session_level([request], table, lambda tid: (1, tid))
+        batches = planner.plan_session_level([request], table, owned)
         assert [batch.is_empty() for batch in batches] == [True, False, True]
-        ((wire, tid_buffer),) = batches[1].payloads
+        ((wire, (offset, buffer)),) = batches[1].payloads
         assert wire == CompactGraph.from_labeled(pattern, table).to_wire()
-        assert tids_from_buffer(tid_buffer) == [4, 7]
+        assert tids_from_buffer(buffer, offset) == [4, 7]
+        # A tid outside every mask fails the plan, as a released tid does.
+        stray = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 9]))
+        with pytest.raises(KeyError, match="transaction 9"):
+            planner.plan_session_level([stray], table, owned)
 
     def test_weighted_placement_levels_edge_load(self):
         # Weighted placement assigns each arrival to the lightest shard
@@ -393,7 +487,7 @@ class TestShardedEngine:
             runtime = ShardedEngine(shards=3, backend="serial")
             try:
                 tids = runtime.add_transactions(corpus)
-                layouts.append([runtime.locate(tid)[0] for tid in tids])
+                layouts.append([shard_of(runtime, tid) for tid in tids])
                 loads = runtime.placement_loads
             finally:
                 runtime.close()

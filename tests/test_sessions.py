@@ -17,14 +17,19 @@ The load-bearing properties, in order:
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.mining.fsg.candidates import single_edge_pattern
 from repro.mining.fsg.miner import FSGMiner
+from repro.obs import Tracer, activate
 from repro.runtime import (
     SESSION_TELEMETRY_KEYS,
     DelegatingSession,
@@ -35,6 +40,7 @@ from repro.runtime import (
     ShardedSession,
     WorkerError,
     bits_of,
+    popcount,
     tids_of,
 )
 from repro.runtime.wire import BLOB_OP, decode_message
@@ -75,6 +81,12 @@ def random_transaction(rng: random.Random, name: str) -> LabeledGraph:
 def random_corpus(seed: int, size: int = 30) -> list[LabeledGraph]:
     rng = random.Random(seed)
     return [random_transaction(rng, f"t{i}") for i in range(size)]
+
+
+def shard_of(runtime: ShardedEngine, tid: int) -> int:
+    """The shard whose ownership mask holds live tid *tid*."""
+    (shard,) = [shard for shard, mask in enumerate(runtime.owned) if mask >> tid & 1]
+    return shard
 
 
 def mining_signature(result):
@@ -227,9 +239,13 @@ class TestTelemetry:
             runtime.close()
         assert stats["wire_bytes_shipped"] > 0
         # batch_patterns is the one shipment count: the shard engines
-        # scanned exactly the patterns their slevel messages carried.
+        # scanned exactly the patterns their slevel and sresolve messages
+        # carried.
         shipped = sum(
-            len(message[2]) for shard in range(2) for message in log.messages("slevel", shard)
+            len(message[2])
+            for shard in range(2)
+            for op in ("slevel", "sresolve")
+            for message in log.messages(op, shard)
         )
         assert shipped > 0
         assert stats["batch_patterns"] == shipped
@@ -283,7 +299,7 @@ class TestSessionProtocol:
             assert stats["anchor_extensions"] > 0
             # Each pattern went once to every shard owning a tid it scans.
             owners = [
-                {runtime.locate(tid)[0] for tid in tids_of(bits)}
+                {shard_of(runtime, tid) for tid in tids_of(bits)}
                 for bits in (bits_of(tids), root_bits)
             ]
             assert stats["batch_patterns"] == sum(map(len, owners))
@@ -308,7 +324,7 @@ class TestSessionProtocol:
         _, runtime, tids = self._runtime_with_corpus()
         log = _MessageLog(runtime._pool)
         runtime._pool = log
-        shard0 = [tid for tid in tids if runtime.locate(tid)[0] == 0]
+        shard0 = [tid for tid in tids if shard_of(runtime, tid) == 0]
         session = runtime.open_session()
         try:
             session.support_level(
@@ -377,6 +393,156 @@ class _RecordingPool:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+# ----------------------------------------------------------------------
+# Split abort bounds and the resolve round
+# ----------------------------------------------------------------------
+def _agree_where_frequent(sharded: list[int], serial: list[int], min_support: int) -> None:
+    """Every bitset that reaches *min_support* on either side is exact."""
+    assert len(sharded) == len(serial)
+    for got, expected in zip(sharded, serial):
+        if popcount(got) >= min_support or popcount(expected) >= min_support:
+            assert got == expected
+
+
+def _edge_corpus(edge_labels: list[str]) -> list[LabeledGraph]:
+    """One-edge transactions ``a(A) -label-> b(B)``: equal weights, so the
+    weighted placement deals them round-robin (even tids on shard 0)."""
+    corpus = []
+    for index, label in enumerate(edge_labels):
+        graph = LabeledGraph(name=f"t{index}")
+        graph.add_vertex("a", "A")
+        graph.add_vertex("b", "B")
+        graph.add_edge("a", "b", label)
+        corpus.append(graph)
+    return corpus
+
+
+class TestSplitBounds:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        shards=st.integers(min_value=1, max_value=3),
+        min_support=st.integers(min_value=2, max_value=6),
+    )
+    def test_split_bounds_keep_frequent_bitsets_exact(self, seed, shards, min_support):
+        # A level of every one-edge pattern over random scan sets, then
+        # one child level extending the survivors' anchors: wherever
+        # either runtime reaches the threshold, both return the same
+        # bitset.  Whole mines agree too.
+        corpus = random_corpus(seed, size=14)
+        rng = random.Random(seed)
+        serial = SerialRuntime()
+        runtime = ShardedEngine(shards=shards, backend="serial")
+        try:
+            tids = serial.add_transactions(corpus)
+            assert runtime.add_transactions(corpus) == tids
+            roots = [
+                LevelRequest(
+                    pattern=single_edge_pattern(*triple),
+                    tid_bits=bits_of(tid for tid in tids if rng.random() < 0.8),
+                    uid=("root", index),
+                )
+                for index, triple in enumerate(
+                    itertools.product("ABC", "xy", "ABC")
+                )
+            ]
+            with serial.open_session() as expected_session, runtime.open_session() as session:
+                expected = expected_session.support_level(roots, min_support)
+                got = session.support_level(roots, min_support)
+                _agree_where_frequent(got, expected, min_support)
+                children = [
+                    LevelRequest(
+                        pattern=_child_of(root.pattern, label),
+                        tid_bits=bits,
+                        uid=("child", index, label),
+                        parent_uid=root.uid,
+                        extension=(1, 2, True),
+                    )
+                    for index, (root, bits) in enumerate(zip(roots, expected))
+                    if popcount(bits) >= min_support
+                    for label in "xy"
+                ]
+                _agree_where_frequent(
+                    session.support_level(children, min_support),
+                    expected_session.support_level(children, min_support),
+                    min_support,
+                )
+            mined = FSGMiner(min_support=min_support, max_edges=3, runtime=runtime).mine(corpus)
+        finally:
+            runtime.close()
+        reference = FSGMiner(min_support=min_support, max_edges=3).mine(corpus)
+        assert mining_signature(mined) == mining_signature(reference)
+
+    def test_fixed_corpus_runs_resolve_rounds(self):
+        corpus = random_corpus(73, size=20)
+        reference = FSGMiner(min_support=3, max_edges=3).mine(corpus)
+        with activate(Tracer()) as tracer:
+            runtime = ShardedEngine(shards=2, backend="serial")
+            try:
+                mined = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(corpus)
+            finally:
+                runtime.close()
+        assert mining_signature(mined) == mining_signature(reference)
+        assert tracer.metrics.counter_total("resolve_requests") > 0
+        resolves = [record for record in tracer.spans if record.name == "shard.sresolve"]
+        assert resolves and all(record.attrs["level"] >= 2 for record in resolves)
+
+    @chaos_exempt
+    def test_all_short_shards_send_no_resolve(self):
+        # x-edges in tids 0 and 1 only: one hit per shard against a
+        # share of 2 (threshold 4 over 5 + 5 tids), so both replies are
+        # short and their caps (1 + 1) cannot reach 4.
+        corpus = _edge_corpus(["x", "x"] + ["y"] * 8)
+        runtime = ShardedEngine(shards=2, backend="serial")
+        log = _MessageLog(runtime._pool)
+        runtime._pool = log
+        try:
+            tids = runtime.add_transactions(corpus)
+            assert runtime.owned == (bits_of(tids[0::2]), bits_of(tids[1::2]))
+            request = LevelRequest(pattern=single_edge_pattern("A", "x", "B"), tid_bits=bits_of(tids))
+            with runtime.open_session() as session:
+                (bits,) = session.support_level([request], min_support=4)
+            assert popcount(bits) < 4
+            assert [bounds for shard in range(2) for (*_, bounds) in log.messages("slevel", shard)] == [[2], [2]]
+            assert not any(op == "sresolve" for _, op, _ in log.posted)
+        finally:
+            runtime.close()
+
+    @chaos_exempt
+    def test_short_shard_that_could_still_reach_is_resolved(self):
+        # x-edges in tids 0, 2, 4 (shard 0: 3 hits, exact against its
+        # share of 2) and 1 (shard 1: aborted below 2, capped at 1).
+        # 3 + 1 reaches the threshold 4, so shard 1 alone rescans with
+        # bound 4 - 3 = 1 and the support comes back exact.
+        corpus = _edge_corpus(["x", "x", "x", "y", "x"] + ["y"] * 5)
+        with activate(Tracer()) as tracer:
+            runtime = ShardedEngine(shards=2, backend="serial")
+        log = _MessageLog(runtime._pool)
+        runtime._pool = log
+        try:
+            tids = runtime.add_transactions(corpus)
+            request = LevelRequest(
+                pattern=single_edge_pattern("A", "x", "B"), tid_bits=bits_of(tids), uid="x"
+            )
+            with runtime.open_session() as session:
+                (bits,) = session.support_level([request], min_support=4)
+            assert bits == bits_of([0, 1, 2, 4])
+            assert log.messages("sresolve", 0) == []
+            ((*_, bounds),) = log.messages("sresolve", 1)
+            assert bounds == [1]
+            assert tracer.metrics.counter_total("resolve_requests") == 1
+        finally:
+            runtime.close()
+
+
+def _child_of(pattern: LabeledGraph, edge_label: str) -> LabeledGraph:
+    """*pattern* plus a new ``C`` vertex hung off its second vertex."""
+    child = pattern.copy()
+    child.add_vertex("p2", "C")
+    child.add_edge("p1", "p2", edge_label)
+    return child
 
 
 @chaos_exempt
@@ -464,7 +630,7 @@ class TestWorkerFailures:
             # error must come back as a WorkerError carrying the
             # shard-side traceback.
             _poison_next_level(runtime, shard=0)
-            shard0_tids = [tid for tid in tids if runtime.locate(tid)[0] == 0]
+            shard0_tids = [tid for tid in tids if shard_of(runtime, tid) == 0]
             request = LevelRequest(
                 pattern=edge_pattern(), tid_bits=bits_of(shard0_tids[:1]), uid="edge"
             )
@@ -486,8 +652,8 @@ class TestWorkerFailures:
         try:
             tids = runtime.add_transactions(corpus)
             session = runtime.open_session()
-            shard0 = [tid for tid in tids if runtime.locate(tid)[0] == 0]
-            shard1 = [tid for tid in tids if runtime.locate(tid)[0] == 1]
+            shard0 = [tid for tid in tids if shard_of(runtime, tid) == 0]
+            shard1 = [tid for tid in tids if shard_of(runtime, tid) == 1]
             _poison_next_level(runtime, shard=0)
             requests = [
                 LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard0[:1]), uid="bad"),

@@ -26,6 +26,7 @@ from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import bits_of, bits_to_buffer, tids_from_buffer, tids_of
+from repro.runtime.bitsets import bits_to_span
 
 
 # ----------------------------------------------------------------------
@@ -181,15 +182,22 @@ def test_supports_crossing_word_boundaries():
     assert hits == oracle
 
 
-@given(tids=st.sets(st.integers(min_value=0, max_value=300), max_size=40))
+@given(
+    tids=st.sets(st.integers(min_value=0, max_value=300), max_size=40),
+    shift=st.sampled_from([0, 5, 64, 2048]),
+)
 @settings(max_examples=40, deadline=None)
-def test_bitset_buffer_roundtrip(tids):
-    """Flat little-endian buffers round-trip tid sets across word edges."""
-    ordered = sorted(tids)
+def test_bitset_buffer_roundtrip(tids, shift):
+    """Flat little-endian buffers round-trip tid sets across word edges,
+    whole or with their leading zero bytes left out."""
+    ordered = sorted(tid + shift for tid in tids)
     bits = bits_of(ordered)
     buffer = bits_to_buffer(bits)
     assert tids_from_buffer(buffer) == ordered
     assert tids_of(bits) == ordered
+    offset, trimmed = bits_to_span(bits)
+    assert tids_from_buffer(trimmed, offset) == ordered
+    assert bits_to_buffer(bits) == bytes(offset) + trimmed
 
 
 # ----------------------------------------------------------------------
