@@ -19,6 +19,7 @@ the same relative shape at any scale.
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 from repro.core.config import ExperimentConfig
 from repro.core.pipeline import (
@@ -39,7 +40,13 @@ from repro.mining.subdue.miner import SubdueMiner, SubdueResult
 from repro.mining.transactional import COORDINATE_ATTRIBUTES
 from repro.partitioning.split_graph import PartitionStrategy, split_graph
 from repro.partitioning.structural import StructuralMiningConfig, mine_single_graph
-from repro.partitioning.temporal import graphs_of, partition_by_date, prepare_temporal_transactions, summarize_transactions
+from repro.partitioning.temporal import (
+    TemporalTransaction,
+    graphs_of,
+    partition_by_date,
+    prepare_temporal_transactions,
+    summarize_transactions,
+)
 from repro.patterns.matching import patterns_with_shape, summarize_shapes
 from repro.patterns.planted import PlantedGraphSpec, build_planted_graph
 from repro.patterns.recall import measure_recall
@@ -386,17 +393,18 @@ def experiment_table2_temporal(config: ExperimentConfig | None = None) -> Experi
 # ----------------------------------------------------------------------
 # Table 3 / Figure 4 / Section 6.1 — temporal FSG on filtered transactions
 # ----------------------------------------------------------------------
-def _scaled_vertex_label_filter(config: ExperimentConfig, keep_fraction: float = 0.40) -> int:
+def _scaled_vertex_label_filter(
+    transactions: Sequence[TemporalTransaction], keep_fraction: float = 0.40
+) -> int:
     """Scale the paper's '< 200 distinct vertex labels' filter to the dataset.
 
     The paper chose 200 so that the smallest ~36% of days (53 of 146) were
     small enough for FSG to handle.  At reduced dataset scale the per-day
     graphs shrink differently from the location count, so the equivalent
     threshold is taken as the ``keep_fraction`` percentile of the per-day
-    distinct-vertex-label counts.
+    distinct-vertex-label counts of *transactions* (the dataset's
+    :func:`partition_by_date` output).
     """
-    dataset = config.dataset()
-    transactions = partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", binning=config.binning())
     label_counts = sorted(
         len({t.graph.vertex_label(v) for v in t.graph.vertices()}) for t in transactions
     )
@@ -413,7 +421,9 @@ def experiment_table3_fig4_temporal_fsg(
     """Table 3 + Figure 4: FSG at 5% support on the filtered temporal transactions."""
     config = _default_config(config)
     dataset = config.dataset()
-    vertex_label_filter = _scaled_vertex_label_filter(config)
+    vertex_label_filter = _scaled_vertex_label_filter(
+        partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", binning=config.binning())
+    )
     pipeline = TemporalMiningPipeline(
         edge_attribute="GROSS_WEIGHT",
         binning=config.binning(),
@@ -481,7 +491,7 @@ def experiment_sec61_fsg_memory(
     raw = partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", binning=binning)
     unfiltered = prepare_temporal_transactions(raw, max_vertex_labels=None)
     filtered = prepare_temporal_transactions(
-        raw, max_vertex_labels=_scaled_vertex_label_filter(config)
+        raw, max_vertex_labels=_scaled_vertex_label_filter(raw)
     )
 
     unfiltered_failed = False

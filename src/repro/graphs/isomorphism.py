@@ -158,13 +158,6 @@ def legacy_has_embedding(pattern: LabeledGraph, target: LabeledGraph) -> bool:
     return bool(legacy_find_embeddings(pattern, target, max_count=1))
 
 
-def legacy_count_embeddings(
-    pattern: LabeledGraph, target: LabeledGraph, limit: int | None = None
-) -> int:
-    """Legacy embedding count (differential oracle for the engine)."""
-    return len(legacy_find_embeddings(pattern, target, max_count=limit))
-
-
 def legacy_are_isomorphic(first: LabeledGraph, second: LabeledGraph) -> bool:
     """Legacy exact isomorphism check (differential oracle for the engine)."""
     if first.n_vertices != second.n_vertices or first.n_edges != second.n_edges:
@@ -177,25 +170,6 @@ def legacy_are_isomorphic(first: LabeledGraph, second: LabeledGraph) -> bool:
     # ``first`` into ``second`` is necessarily a bijection covering all
     # edges, i.e. an isomorphism.
     return legacy_has_embedding(first, second)
-
-
-def legacy_non_overlapping_embeddings(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    max_count: int | None = None,
-) -> list[dict[VertexId, VertexId]]:
-    """Legacy greedy vertex-disjoint embedding selection."""
-    taken: set[VertexId] = set()
-    selected: list[dict[VertexId, VertexId]] = []
-    for mapping in legacy_find_embeddings(pattern, target):
-        image = set(mapping.values())
-        if image & taken:
-            continue
-        selected.append(mapping)
-        taken |= image
-        if max_count is not None and len(selected) >= max_count:
-            break
-    return selected
 
 
 def find_embeddings(

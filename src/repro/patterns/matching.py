@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.graphs.engine import MatchEngine, default_engine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import MotifShape, classify_shape
 from repro.mining.fsg.results import FrequentSubgraph
@@ -84,28 +83,3 @@ def patterns_with_shape(
         for pattern in patterns
         if pattern.n_edges >= min_edges and classify_shape(pattern.pattern) is shape
     ]
-
-
-def distinct_patterns(
-    patterns: Sequence[FrequentSubgraph | LabeledGraph],
-    engine: MatchEngine | None = None,
-) -> list[FrequentSubgraph | LabeledGraph]:
-    """Drop isomorphic duplicates, keeping the first representative of each class.
-
-    Pattern sets assembled from several mining runs (repetitions, shards)
-    routinely contain the same pattern under different vertex namings;
-    summarising shapes over the raw union double-counts them.  Grouping
-    uses the engine's memoized invariants with exact isomorphism
-    confirmation inside each bucket.
-    """
-    matcher = engine if engine is not None else default_engine()
-    kept: list[FrequentSubgraph | LabeledGraph] = []
-    buckets: dict[str, list[LabeledGraph]] = {}
-    for pattern in patterns:
-        graph = pattern.pattern if isinstance(pattern, FrequentSubgraph) else pattern
-        bucket = buckets.setdefault(matcher.graph_invariant(graph), [])
-        if any(matcher.are_isomorphic(existing, graph) for existing in bucket):
-            continue
-        bucket.append(graph)
-        kept.append(pattern)
-    return kept

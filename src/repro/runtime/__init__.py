@@ -45,7 +45,6 @@ from repro.runtime.base import (
     MiningRuntime,
     MiningSession,
     SerialRuntime,
-    merge_stats,
     resolve_backend,
     resolve_workers,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "bits_to_buffer",
     "create_runtime",
     "make_pool",
-    "merge_stats",
     "popcount",
     "resolve_backend",
     "resolve_faults",

@@ -67,15 +67,6 @@ def resolve_backend(backend: str | None = None) -> str:
     return backend
 
 
-def merge_stats(snapshots: Iterable[dict[str, int]]) -> dict[str, int]:
-    """Key-wise sum of engine stat snapshots (the shard aggregation rule)."""
-    merged: dict[str, int] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 @dataclass
 class LevelRequest:
     """One candidate of an incremental per-level support batch.

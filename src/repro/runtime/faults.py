@@ -19,8 +19,9 @@ Each clause is ``<kind>[:key=value,...]`` with kinds
     treated like ``kill`` inline (a real sleep would hang the calling
     thread, which *is* the parent).
 ``corrupt-reply``
-    The reply is replaced with junk; the parent's reply-shape validation
-    flags it as :class:`~repro.runtime.pool.WorkerCorruption`.
+    The whole reply frame (reply, spans and counter delta) is replaced
+    with junk; the parent's frame validation flags it as
+    :class:`~repro.runtime.pool.WorkerCorruption`.
 
 and filter keys
 
@@ -29,10 +30,10 @@ and filter keys
 ``op=NAME``
     Only fire on messages whose op is ``NAME``, one of
     :data:`~repro.runtime.wire.SHARD_OPS` (``labels``, ``add``,
-    ``release``, ``slevel``, ``sresolve``, ``sevict``, ``stats``;
-    default: any op).  Any other name is rejected when the plan is
-    parsed.  ``sresolve`` is a level's resolve round: the rescan of
-    candidates whose split-bound first round left them undecided.
+    ``release``, ``slevel``, ``sresolve``, ``sevict``; default: any
+    op).  Any other name is rejected when the plan is parsed.
+    ``sresolve`` is a level's resolve round: the rescan of candidates
+    whose split-bound first round left them undecided.
 ``level=N``
     Only fire while the worker is on its ``N``-th ``slevel`` message,
     counted from arming: on that message and on whatever follows it
@@ -80,8 +81,9 @@ FAULT_KINDS = ("kill", "hang", "corrupt-reply")
 #: level whether or not an earlier level ran a resolve round.
 _LEVEL_OPS = frozenset({"slevel"})
 
-#: What a corrupted reply is replaced with: a value no shard op ever
-#: legitimately returns, so the parent's shape validation always flags it.
+#: What a corrupted reply frame is replaced with: a value no shard worker
+#: ever legitimately returns, so the parent's frame validation always
+#: flags it.
 CORRUPTED_REPLY = "\x00repro:corrupted-reply\x00"
 
 #: How long a process-backend ``hang`` sleeps.  Far beyond any sane
@@ -250,10 +252,9 @@ class FaultInjector:
     One injector per worker, built when the parent arms the plan (see the
     ``("faults", ...)`` shard message).  :meth:`on_message` runs before a
     message is handled and may kill or hang the worker;
-    :meth:`on_reply` runs after the reply (observability wrapping
-    included) is built and may corrupt it.  Control messages (``faults``,
-    ``trace``) are never intercepted — the caller simply does not route
-    them through the hooks.
+    :meth:`on_reply` runs after the reply frame is built and may corrupt
+    it.  Control messages (``faults``, ``trace``) are never intercepted —
+    the caller simply does not route them through the hooks.
     """
 
     def __init__(self, plan: FaultPlan, shard: int, inline: bool) -> None:

@@ -37,6 +37,13 @@ overlaps under the process backend, and replies are always fully drained
 before a worker error is re-raised — a failing shard can never leave the
 pipes desynchronised.
 
+Every reply, control replies included, is one frame ``(reply, spans,
+delta)``: the op's answer, the worker's finished spans (empty unless the
+worker is traced) and its engine's counter change since its previous
+reply.  The parent adds each delta to totals it keeps, so
+:meth:`ShardedEngine.stats` costs no round trip, keeps the counts a dead
+worker already shipped, and still answers after ``close()``.
+
 The shard side is :class:`ShardWorker`, a picklable message handler that
 runs identically under both worker-pool backends (inline for ``serial``,
 in a daemon process for ``process``) — the backend choice can change
@@ -66,26 +73,15 @@ import time
 from typing import Any, Iterable, Sequence
 
 from repro.graphs.compact import CompactGraph, LabelTable, labeled_to_wire
-from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.engine import EmbeddingTask, EngineStats, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer, get_tracer
-from repro.runtime.base import (
-    LevelRequest,
-    MiningRuntime,
-    MiningSession,
-    merge_stats,
-    resolve_backend,
-)
+from repro.obs.tracer import NULL_TRACER, NullTracer, SpanRecord, Tracer, get_tracer
+from repro.runtime.base import LevelRequest, MiningRuntime, MiningSession, resolve_backend
 from repro.runtime.bitsets import bits_of, tids_from_buffer, tids_of
 from repro.runtime.faults import FaultPlan, compile_injector, resolve_faults
 from repro.runtime.planner import BatchSupportPlanner, PlacementPolicy
 from repro.runtime.pool import WorkerCorruption, WorkerDeath, WorkerError, make_pool
 from repro.runtime.wire import BLOB_OP, SHARD_OPS, decode_message, encode_message
-
-#: Reply-wrapper tag a tracing :class:`ShardWorker` uses to piggyback its
-#: finished span and metric buffers on the normal reply — no extra round
-#: trips, and the payload inside is byte-identical to the untraced reply.
-_OBS_REPLY = "__obs__"
 
 #: The per-level scan ops: a level's ``slevel`` message and the
 #: ``sresolve`` message of its resolve round.  A death during either is
@@ -94,7 +90,7 @@ _LEVEL_SCAN_OPS = ("slevel", "sresolve")
 
 #: Worker span names that time per-level messages; the parent stamps
 #: these with the mining level when it drains them (other worker spans —
-#: add/release/stats — are level-free and left unstamped).
+#: add/release/sevict — are level-free and left unstamped).
 _LEVELED_WORKER_SPANS = frozenset(f"shard.{op}" for op in _LEVEL_SCAN_OPS)
 
 #: Respawn attempts before a dead shard degrades to in-process execution.
@@ -103,32 +99,23 @@ RECOVERY_RETRIES = 2
 RECOVERY_BACKOFF = 0.1
 
 
-#: Expected reply per shard op as ``(type, position)``; ops not listed
-#: ack with ``None``.  A ``position`` names the message list the reply
-#: answers entry by entry (``add``: one registered tid per tid sent;
-#: ``slevel`` / ``sresolve``: one hit list per payload), so the reply
-#: must match its length: the parent zips the two, and a short reply
-#: would silently drop entries.
+#: Per listing op, the position of the message list its reply answers
+#: entry by entry (``add``: one registered tid per tid sent; ``slevel`` /
+#: ``sresolve``: one hit list per payload); the reply must be a list of
+#: the same length, because the parent zips the two and a short reply
+#: would silently drop entries.  Ops not listed ack with ``None``.
 #: The parent validates every gathered reply against this table so a
 #: corrupted (or truncated) reply becomes a typed ``WorkerCorruption``
 #: feeding the recovery path, never a downstream ``TypeError`` operating
 #: on junk.
-_REPLY_SHAPES: dict[str, tuple[type, int | None]] = {
-    "add": (list, 1),
-    "slevel": (list, 2),
-    "sresolve": (list, 2),
-    "stats": (dict, None),
-}
+_REPLY_SHAPES: dict[str, int] = {"add": 1, "slevel": 2, "sresolve": 2}
 
 
 def _reply_shape_ok(message: tuple, reply) -> bool:
-    shape = _REPLY_SHAPES.get(message[0])
-    if shape is None:
+    position = _REPLY_SHAPES.get(message[0])
+    if position is None:
         return reply is None
-    expected, position = shape
-    if not isinstance(reply, expected):
-        return False
-    return position is None or len(reply) == len(message[position])
+    return isinstance(reply, list) and len(reply) == len(message[position])
 
 
 class ShardWorker:
@@ -164,39 +151,40 @@ class ShardWorker:
     ``("sevict", uids)``
         Retire *uids*' anchors; ack with ``None`` (the session's
         close-time flush).
-    ``("stats",)``
-        Reply with the shard engine's counters
-        (:meth:`~repro.graphs.engine.EngineStats.as_dict`).
     ``("trace", shard, wall_anchor)``
         Start this worker's tracer (see :mod:`repro.obs`): *shard* names
         the timeline (``shard0``...), *wall_anchor* aligns the worker
         clock to the parent's.  Ack with ``None``.  From then on every
-        message is timed by a span and every reply is wrapped as
-        ``("__obs__", reply, spans, counter_delta)`` — the parent
-        unwraps in ``_gather``, so tracing changes reply framing, never
-        reply content.
+        message is timed by a span.
     ``("faults", shard, spec, inline)``
         Arm (or, with a falsy *spec*, disarm) this worker's fault
         injector (see :mod:`repro.runtime.faults`); ack with ``None``.
         From then on every non-control message runs through the
         injector's hooks: ``kill`` / ``hang`` clauses fire before the
-        handler, ``corrupt-reply`` clauses replace the outgoing reply
-        (observability wrapping included, so corruption also exercises
-        the parent's unwrap validation).  Control messages (``trace``,
-        ``faults`` itself) are exempt — the harness must always be able
-        to reach a worker it is about to break.
+        handler, ``corrupt-reply`` clauses replace the outgoing frame.
+        Control messages (``trace``, ``faults`` itself) are exempt — the
+        harness must always be able to reach a worker it is about to
+        break.
+
+    Every reply, control replies included, travels as one frame
+    ``(reply, spans, delta)``: *reply* is the op's answer above,
+    *spans* the worker's finished spans in wire form (empty unless the
+    worker is traced) and *delta* the engine's counter change since the
+    previous frame, zero entries left out.  The parent validates the
+    frame and sums the deltas, so the shard counters reach it one way
+    whether or not anything is traced.
     """
 
     def __init__(self) -> None:
         self.table = LabelTable()
         self.engine = MatchEngine(self.table)
         #: This shard's tracer, installed by a ``("trace", ...)`` message;
-        #: ``None`` (the default) keeps the untraced fast path — one
-        #: attribute check per message, nothing wrapped, nothing shipped.
-        self.tracer: Tracer | None = None
-        #: Counter snapshot already shipped to the parent; the next obs
-        #: reply ships only the delta past this point.
-        self._obs_shipped: dict[str, int] = {}
+        #: the disabled tracer until then, whose spans cost nothing and
+        #: ship as an empty list.
+        self.tracer: Tracer | NullTracer = NULL_TRACER
+        #: The engine's counters as of the previous frame; each frame
+        #: ships the change past this point.
+        self._shipped = self.engine.stats.as_dict()
         #: This shard's fault injector, installed by a ``("faults", ...)``
         #: message; ``None`` (the default) keeps the fault-free fast path
         #: — one attribute check per message and nothing else.
@@ -218,9 +206,6 @@ class ShardWorker:
             worker=f"shard{shard}",
             clock=lambda: time.perf_counter() + offset,
         )
-        # Everything counted before tracing began predates the trace;
-        # baseline it away so shipped deltas cover the traced window only.
-        self._obs_shipped = self.engine.stats.as_dict()
 
     def _span_attrs(self, op: str, message: tuple) -> dict:
         """Cheap size attributes for the per-message worker span."""
@@ -230,53 +215,42 @@ class ShardWorker:
             return {"patterns": len(message[1])}
         return {}
 
-    def __call__(self, envelope: tuple):
+    def __call__(self, envelope: tuple) -> tuple:
         # Every message arrives as a (BLOB_OP, op, blob) envelope (see
         # ShardedEngine._post); rehydrate it before any hook runs, so
         # fault op/level filters, span names and reply shapes all see
         # the logical message.
         message = decode_message(envelope[2])
-        tracer = self.tracer
         op = message[0]
+        reply = faults = None
         if op == "trace":
             self._enable_tracing(message[1], message[2])
-            return None
-        if op == "faults":
+        elif op == "faults":
             _, shard, spec, inline = message
             self.faults = compile_injector(spec, shard, inline)
-            return None
-        faults = self.faults
-        if faults is not None:
-            faults.on_message(op)
-        if tracer is None:
-            reply = self._handle(message, op)
+        else:
+            faults = self.faults
             if faults is not None:
-                reply = faults.on_reply(op, reply)
-            return reply
-        with tracer.span(f"shard.{op}", **self._span_attrs(op, message)):
-            reply = self._handle(message, op)
-        # Piggyback the finished spans and the counter delta on the reply
-        # the parent is already waiting for; the wrapped payload is the
-        # untraced reply, byte for byte.
+                faults.on_message(op)
+            with self.tracer.span(f"shard.{op}", **self._span_attrs(op, message)):
+                reply = self._handle(message, op)
         snapshot = self.engine.stats.as_dict()
-        shipped = self._obs_shipped
-        delta = {
-            key: value - shipped.get(key, 0)
-            for key, value in snapshot.items()
-            if value != shipped.get(key, 0)
-        }
-        self._obs_shipped = snapshot
-        reply = (
-            _OBS_REPLY,
+        shipped = self._shipped
+        self._shipped = snapshot
+        frame = (
             reply,
-            [record.to_wire() for record in tracer.take_spans()],
-            delta,
+            [record.to_wire() for record in self.tracer.take_spans()],
+            {
+                key: value - shipped[key]
+                for key, value in snapshot.items()
+                if value != shipped[key]
+            },
         )
         # Corruption applies to what actually crosses the pipe — the
-        # wrapped frame — so the parent's unwrap sees the junk too.
+        # whole frame — so the parent's frame validation sees the junk.
         if faults is not None:
-            reply = faults.on_reply(op, reply)
-        return reply
+            frame = faults.on_reply(op, frame)
+        return frame
 
     def _handle(self, message: tuple, op: str):
         if op not in SHARD_OPS:
@@ -321,9 +295,6 @@ class ShardWorker:
 
     def _op_sevict(self, message: tuple) -> None:
         self.engine.drop_anchors(message[1])
-
-    def _op_stats(self, message: tuple) -> dict[str, int]:
-        return self.engine.stats.as_dict()
 
 
 class ShardedEngine(MiningRuntime):
@@ -393,7 +364,11 @@ class ShardedEngine(MiningRuntime):
         self._shard_wires: list[dict[int, tuple]] = [{} for _ in range(shards)]
         self._round_message: dict[int, tuple] = {}
         self._degraded: set[int] = set()
-        #: Observability state: the tracer worker spans and shard metric
+        #: The shard engines' counters summed over every reply frame
+        #: received, whatever became of the worker that sent it (see
+        #: :meth:`stats`).
+        self._counters = EngineStats().as_dict()
+        #: Observability state: the tracer worker spans and shard counter
         #: deltas merge into, and the buffer of worker spans gathered but
         #: not yet level-stamped (see :meth:`drain_worker_spans`).
         self._tracer = NULL_TRACER
@@ -411,10 +386,12 @@ class ShardedEngine(MiningRuntime):
         """Start per-shard tracing, merging worker output into *tracer*.
 
         Each shard gets its own worker-side :class:`~repro.obs.tracer.Tracer`
-        (named ``shard0``... and clock-aligned to the parent); finished
-        spans and engine counter deltas ship piggybacked on the replies
-        the parent already gathers.  Called automatically at
-        construction when a process-global tracer is active.
+        (named ``shard0``... and clock-aligned to the parent); its
+        finished spans ship in the reply frames the parent already
+        gathers, and from then on every frame's counter delta is also
+        absorbed into *tracer*'s metrics under ``shard=i``.  Called
+        automatically at construction when a process-global tracer is
+        active.
         """
         self._tracer = tracer
         anchor = time.time()
@@ -423,18 +400,13 @@ class ShardedEngine(MiningRuntime):
         )
         self._gather(pending)
 
-    def _absorb_worker_obs(self, shard: int, spans, delta) -> None:
-        self._worker_spans.extend(SpanRecord.from_wire(wire) for wire in spans)
-        if delta:
-            self._tracer.metrics.absorb(delta, shard=str(shard))
-
     def drain_worker_spans(self, level: int | None = None) -> None:
         """Forward gathered worker spans to the tracer, stamping *level*.
 
         Workers cannot know which mining level a message served, but the
         caller that just gathered a level does — the session calls this
         right after each level so per-level shard timings line up in the
-        merged trace.  Leveled span names only; add/stats/release spans
+        merged trace.  Leveled span names only; add/release/sevict spans
         pass through unstamped.
         """
         spans = self._worker_spans
@@ -464,19 +436,38 @@ class ShardedEngine(MiningRuntime):
             self._gather(self._scatter(messages))
 
     def _receive(self, shard: int, message: tuple):
-        """One recv + obs unwrap + shape validation of *shard*'s reply to *message*."""
-        reply = self._pool.recv(shard)
-        if type(reply) is tuple and len(reply) == 4 and reply[0] == _OBS_REPLY:
-            _, reply, spans, delta = reply
-            self._absorb_worker_obs(shard, spans, delta)
-        if not _reply_shape_ok(message, reply):
+        """One recv of *shard*'s frame for *message*; returns the op's reply.
+
+        Anything but a ``(reply, spans, delta)`` frame whose reply has
+        the op's shape is a :class:`WorkerCorruption`, and nothing of it
+        is kept.  A valid frame's delta joins the runtime's counters
+        (and, while tracing, the tracer's under ``shard=i``) and its
+        spans wait for :meth:`drain_worker_spans`.
+        """
+        frame = self._pool.recv(shard)
+        framed = type(frame) is tuple and len(frame) == 3
+        if not (
+            framed
+            and type(frame[1]) is list
+            and type(frame[2]) is dict
+            and _reply_shape_ok(message, frame[0])
+        ):
             op = message[0]
-            size = f" of length {len(reply)}" if isinstance(reply, list) else ""
+            shown = frame[0] if framed else frame
+            size = f" of length {len(shown)}" if isinstance(shown, list) else ""
             raise WorkerCorruption(
                 shard,
-                reason=f"malformed reply {type(reply).__name__}{size} for op {op!r}",
+                reason=f"malformed reply {type(shown).__name__}{size} for op {op!r}",
                 last_op=op,
             )
+        reply, spans, delta = frame
+        if spans:
+            self._worker_spans.extend(SpanRecord.from_wire(wire) for wire in spans)
+        if delta:
+            counters = self._counters
+            for key, value in delta.items():
+                counters[key] += value
+            self._tracer.metrics.absorb(delta, shard=str(shard))
         return reply
 
     def _call(self, shard: int, message: tuple):
@@ -769,19 +760,21 @@ class ShardedEngine(MiningRuntime):
         return ShardedSession(self)
 
     def stats(self) -> dict[str, int]:
-        pending = self._scatter(
-            [(shard, ("stats",)) for shard in range(self.n_shards)]
-        )
-        replies = self._gather(pending)
-        merged = merge_stats(replies[shard] for shard in range(self.n_shards))
-        merged["shards"] = self.n_shards
-        # Wire bytes are counted parent-side (once per posted message),
-        # so they are added after the per-shard merge, never summed K times.
-        merged["wire_bytes_shipped"] = self._wire_bytes
-        # Supervisor counters are parent-side too: zero on a healthy run,
-        # and the run report's record of every recovery that happened.
-        merged.update(self.recovery)
-        return merged
+        """The shard engines' summed counters, plus runtime info.
+
+        Read from the totals every reply frame adds to, so it sends no
+        message, keeps what a respawned or degraded worker shipped before
+        it was lost, and still answers after :meth:`close`.
+        """
+        return {
+            **self._counters,
+            "shards": self.n_shards,
+            # Counted parent-side, once per posted message.
+            "wire_bytes_shipped": self._wire_bytes,
+            # Supervisor counters: zero on a healthy run, and the run
+            # report's record of every recovery that happened.
+            **self.recovery,
+        }
 
     def close(self) -> None:
         # Defensive attribute access throughout: this also runs from
@@ -791,7 +784,7 @@ class ShardedEngine(MiningRuntime):
             return
         self._closed = True
         # Flush any worker spans gathered after the last level drain
-        # (close-time evictions, stats calls) before the pool goes away.
+        # (close-time evictions) before the pool goes away.
         try:
             self.drain_worker_spans()
         except Exception:  # pragma: no cover - teardown best-effort

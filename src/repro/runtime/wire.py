@@ -34,8 +34,9 @@ BLOB_OP = "__blob__"
 #: lists their shapes).  The worker dispatches on this tuple, and a fault
 #: clause's ``op=`` filter must name one of these ops.  The control
 #: messages ``trace`` and ``faults`` are not listed: the worker handles
-#: them before any hook runs.
-SHARD_OPS = ("labels", "add", "release", "slevel", "sresolve", "sevict", "stats")
+#: them before any hook runs.  No op reads counters: every reply frame
+#: carries the worker's counter delta, so the parent never asks.
+SHARD_OPS = ("labels", "add", "release", "slevel", "sresolve", "sevict")
 
 #: Pinned pickle protocol.  Pinning (rather than ``HIGHEST_PROTOCOL``)
 #: keeps shipped byte counts stable across interpreter upgrades, so

@@ -1,6 +1,6 @@
 """Tests for deterministic fault injection and worker recovery.
 
-Four layers, bottom up:
+Five layers, bottom up:
 
 * **plan grammar** — ``REPRO_FAULTS`` specs parse, roundtrip, and reject
   garbage eagerly (the CLI refuses a bad ``--faults`` before any work);
@@ -15,7 +15,10 @@ Four layers, bottom up:
 * **observability** — recovery is invisible in the *output* but loud in
   the trace: each recovery is one ``runtime.recovery`` span, its restarts
   and replays are counted once in the metrics registry and in runtime
-  stats, and all of it is exactly zero on clean runs.
+  stats, and all of it is exactly zero on clean runs;
+* **counters across recovery** — ``runtime.stats()`` sums the counter
+  deltas every reply frame carries, so it equals the traced per-shard
+  counters, traced or not, whichever worker died, and after ``close()``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.graphs.engine import EngineStats
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.obs import Tracer, activate
@@ -81,6 +85,28 @@ def mining_signature(result):
         )
         for entry in result.patterns
     )
+
+
+def bench_corpus(n_transactions: int = 400, seed: int = 20050405) -> list[LabeledGraph]:
+    """The corpus of ``benchmarks/bench_parallel_support.py``: same
+    generator, same seed."""
+    rng = random.Random(seed)
+    corpus: list[LabeledGraph] = []
+    for index in range(n_transactions):
+        n_vertices = rng.randint(8, 14)
+        graph = LabeledGraph(name=f"t{index}")
+        for v in range(n_vertices):
+            graph.add_vertex(f"v{v}", rng.choice(["depot", "hub", "stop"]))
+        n_edges = rng.randint(n_vertices, n_vertices + 6)
+        added = 0
+        while added < n_edges:
+            a, b = rng.sample(range(n_vertices), 2)
+            if graph.has_edge(f"v{a}", f"v{b}"):
+                continue
+            graph.add_edge(f"v{a}", f"v{b}", rng.choice([f"w{i}" for i in range(4)]))
+            added += 1
+        corpus.append(graph)
+    return corpus
 
 
 def mine_sharded(corpus, *, faults=None, backend="serial", **engine_kwargs):
@@ -141,7 +167,7 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
 
-    @pytest.mark.parametrize("op", ["nope", "level", "batch", "trace"])
+    @pytest.mark.parametrize("op", ["nope", "level", "batch", "trace", "stats"])
     def test_op_naming_no_shard_message_rejected(self, op):
         # A clause whose op no shard message carries would never fire, so
         # a chaos lane with a typo would pass without injecting anything.
@@ -216,12 +242,13 @@ class TestFaultInjector:
 
     def test_times_budget_is_exhausted(self):
         injector = FaultInjector(
-            FaultPlan.parse("corrupt-reply:op=stats,times=2"), shard=0, inline=True
+            FaultPlan.parse("corrupt-reply:op=sevict,times=2"), shard=0, inline=True
         )
-        assert injector.on_reply("stats", {"n": 1}) == CORRUPTED_REPLY
-        assert injector.on_reply("stats", {"n": 1}) == CORRUPTED_REPLY
-        assert injector.on_reply("stats", {"n": 1}) == {"n": 1}
-        assert injector.on_reply("add", [0]) == [0]  # op filter still holds
+        frame = (None, [], {"n": 1})
+        assert injector.on_reply("sevict", frame) == CORRUPTED_REPLY
+        assert injector.on_reply("sevict", frame) == CORRUPTED_REPLY
+        assert injector.on_reply("sevict", frame) == frame
+        assert injector.on_reply("add", ([0], [], {})) == ([0], [], {})  # op filter still holds
 
 
 # ----------------------------------------------------------------------
@@ -576,3 +603,73 @@ class TestRecoveryObservability:
         assert stats["worker_degradations"] == 0
         assert not any(record.name == "runtime.recovery" for record in tracer.spans)
         assert tracer.metrics.counter_total("worker_restarts") == 0
+
+
+# ----------------------------------------------------------------------
+# Runtime counters across recovery
+# ----------------------------------------------------------------------
+#: The plans of CI's four ``chaos`` lanes.
+CHAOS_PLANS = (
+    "kill:shard=1,level=2",
+    "hang:shard=0,op=slevel",
+    "corrupt-reply:shard=1,nth=3",
+    "kill:shard=1,op=sresolve",
+)
+
+
+class TestStatsSurviveRecovery:
+    """``runtime.stats()`` under each chaos-lane plan, on the benchmark
+    corpus: at K=2 its level 2 sends 115 requests to a resolve round, so
+    every plan lands and the killed shards have counted work first.
+    Every frequent pattern of this corpus has at most two edges (69 of
+    them, as at the benchmark's ``max_edges`` of 4), so the mines stop
+    there."""
+
+    MIN_SUPPORT = 0.05
+    MAX_EDGES = 2
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        corpus = bench_corpus()
+        miner = FSGMiner(min_support=self.MIN_SUPPORT, max_edges=self.MAX_EDGES)
+        return corpus, mining_signature(miner.mine(corpus))
+
+    def _mine(self, corpus, spec, backend):
+        """Mine under *spec*; the signature, ``stats()`` before and after
+        ``close()``."""
+        runtime = ShardedEngine(shards=2, backend=backend, faults=spec)
+        try:
+            mined = FSGMiner(
+                min_support=self.MIN_SUPPORT, max_edges=self.MAX_EDGES, runtime=runtime
+            ).mine(corpus)
+            stats = runtime.stats()
+        finally:
+            runtime.close()
+        return mining_signature(mined), stats, runtime.stats()
+
+    @pytest.mark.parametrize(
+        "backend, spec",
+        [("serial", spec) for spec in CHAOS_PLANS]
+        + [("process", CHAOS_PLANS[0]), ("process", CHAOS_PLANS[2])],
+    )
+    def test_stats_equal_the_traced_deltas_traced_or_not(self, baseline, backend, spec):
+        corpus, reference = baseline
+        with activate(Tracer()) as tracer:
+            mined, stats, closed = self._mine(corpus, spec, backend)
+        untraced_mined, untraced, _ = self._mine(corpus, spec, backend)
+        assert mined == untraced_mined == reference
+        assert stats["worker_restarts"] >= 1
+        assert tracer.metrics.counter_total("resolve_requests") > 0
+        shipped = {
+            key: sum(
+                tracer.metrics.counter_value(key, shard=str(shard)) for shard in range(2)
+            )
+            for key in EngineStats().as_dict()
+        }
+        assert {key: stats[key] for key in shipped} == shipped
+        # Tracing posts ``trace`` messages of its own, so the wire count
+        # is the one key an untraced run reads lower.
+        assert untraced["wire_bytes_shipped"] < stats["wire_bytes_shipped"]
+        untraced["wire_bytes_shipped"] = stats["wire_bytes_shipped"]
+        assert untraced == stats
+        assert closed == stats

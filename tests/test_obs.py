@@ -290,7 +290,7 @@ class TestShardedTracing:
         plans = [record.attrs["level"] for record in tracer.spans if record.name == "runtime.plan"]
         assert sorted(plans) == (sorted(levels) if sharded else [])
 
-    def test_untraced_sharded_replies_are_unwrapped(self):
+    def test_untraced_sharded_run_matches_serial(self):
         corpus = random_corpus(seed=62, size=18)
         reference = mining_signature(FSGMiner(min_support=3, max_edges=3).mine(corpus))
         runtime = ShardedEngine(shards=2, backend="serial")

@@ -32,7 +32,6 @@ from repro.runtime import (
     WorkerError,
     bits_of,
     create_runtime,
-    merge_stats,
     popcount,
     resolve_backend,
     resolve_placement,
@@ -348,10 +347,6 @@ class TestShardedEngine:
         # the new pattern once per shard.
         assert searched["anchor_fallbacks"] == len(corpus)
         assert searched["indexes_built"] == 2 + 2 + len(corpus)
-
-    def test_merge_stats_sums_keywise(self):
-        merged = merge_stats([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
-        assert merged == {"a": 4, "b": 2, "c": 4}
 
     def test_release_then_query_raises(self):
         corpus = random_corpus(19, size=4)
