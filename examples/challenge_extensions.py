@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import generate_dataset
-from repro.mining.fsg.miner import FSGMiner
+from repro import FSGMiner, MatchEngine, create_runtime, generate_dataset
 from repro.partitioning.temporal import graphs_of, partition_by_date, prepare_temporal_transactions
 from repro.partitioning.windows import partition_by_window, window_graphs
 from repro.patterns.graph_interestingness import maximal_patterns, score_patterns
@@ -50,20 +49,23 @@ def main(scale: float = 0.02) -> None:
     # ------------------------------------------------------------------
     # 2. Patterns over a time window vs a single date
     # ------------------------------------------------------------------
-    miner = FSGMiner(min_support=0.3, max_edges=2)
-    daily = prepare_temporal_transactions(partition_by_date(dataset))
-    weekly = partition_by_window(dataset, window_days=7)
-    daily_count = len(miner.mine(graphs_of(daily))) if daily else 0
-    weekly_count = len(miner.mine(window_graphs(weekly))) if weekly else 0
-    print(f"frequent patterns at 30% support, per-date transactions:  {daily_count}")
-    print(f"frequent patterns at 30% support, 7-day window view:      {weekly_count}")
-    print(f"patterns only visible over a window: {max(0, weekly_count - daily_count)}\n")
+    # REPRO_WORKERS / REPRO_BACKEND choose the runtime (serial by default).
+    engine = MatchEngine()
+    with create_runtime(engine=engine) as runtime:
+        miner = FSGMiner(min_support=0.3, max_edges=2, engine=engine, runtime=runtime)
+        daily = prepare_temporal_transactions(partition_by_date(dataset))
+        weekly = partition_by_window(dataset, window_days=7)
+        daily_count = len(miner.mine(graphs_of(daily))) if daily else 0
+        weekly_count = len(miner.mine(window_graphs(weekly))) if weekly else 0
+        print(f"frequent patterns at 30% support, per-date transactions:  {daily_count}")
+        print(f"frequent patterns at 30% support, 7-day window view:      {weekly_count}")
+        print(f"patterns only visible over a window: {max(0, weekly_count - daily_count)}\n")
 
-    # ------------------------------------------------------------------
-    # 3. Interestingness and maximality of mined patterns
-    # ------------------------------------------------------------------
-    transactions = window_graphs(weekly)
-    result = miner.mine(transactions) if transactions else None
+        # --------------------------------------------------------------
+        # 3. Interestingness and maximality of mined patterns
+        # --------------------------------------------------------------
+        transactions = window_graphs(weekly)
+        result = miner.mine(transactions) if transactions else None
     if result is not None and len(result) > 0:
         maximal = maximal_patterns(result.patterns)
         scored = score_patterns(maximal, transactions)

@@ -113,9 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated filter applied to the selection; "
                                    "unknown names exit non-zero")
     scenario_run.add_argument("--workers", type=int, default=None,
-                              help="worker shards for support counting (default: serial)")
+                              help="worker shards for support counting "
+                                   "(default: $REPRO_WORKERS or serial)")
     scenario_run.add_argument("--backend", choices=list(BACKENDS), default=None,
-                              help="sharded-runtime backend when --workers >= 2")
+                              help="sharded-runtime backend when --workers >= 2 "
+                                   "(default: $REPRO_BACKEND or 'process')")
 
     scenario_verify = scenario_commands.add_parser(
         "verify",

@@ -34,10 +34,13 @@ class ExperimentConfig:
         Edge-label binning granularity (paper: 7 weight bins, 10 hour bins).
     workers:
         Worker count for the parallel mining runtime used by the
-        graph-mining experiments.  ``0`` / ``1`` mean the serial backend;
-        ``>= 2`` shards support counting across that many workers.
-        ``None`` defers to the ``REPRO_WORKERS`` environment variable
-        (default serial).  Parallelism never changes mining output.
+        graph-mining experiments; each of them builds one runtime from
+        ``workers`` and ``backend`` (:func:`~repro.runtime.create_runtime`)
+        for its run and closes it afterwards.  ``0`` / ``1`` mean the
+        serial backend; ``>= 2`` shards support counting across that many
+        workers.  ``None`` defers to the ``REPRO_WORKERS`` environment
+        variable (default serial); an explicit value, ``0`` included,
+        beats it.  Parallelism never changes mining output.
     backend:
         Sharded-runtime backend (``"process"`` or ``"serial"``); ``None``
         defers to ``REPRO_BACKEND`` (default ``"process"``).

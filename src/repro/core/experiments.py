@@ -31,6 +31,7 @@ from repro.core.results import ExperimentReport
 from repro.datasets.statistics import PAPER_REPORTED_STATISTICS, compute_statistics
 from repro.graphs.builders import build_od_graph
 from repro.graphs.components import truncate_to_vertices
+from repro.graphs.engine import MatchEngine
 from repro.graphs.motifs import MotifShape, chain, classify_shape, cycle, hub_and_spoke
 from repro.mining.em_clustering import ClusterSummary
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
@@ -50,6 +51,7 @@ from repro.partitioning.temporal import (
 from repro.patterns.matching import patterns_with_shape, summarize_shapes
 from repro.patterns.planted import PlantedGraphSpec, build_planted_graph
 from repro.patterns.recall import measure_recall
+from repro.runtime import create_runtime
 
 
 def _default_config(config: ExperimentConfig | None) -> ExperimentConfig:
@@ -242,31 +244,31 @@ def experiment_fig2_fig3_fsg_partitioning(
     hub_spoke_found = False
     chain_found = False
 
-    for paper_k in paper_partition_counts:
-        for strategy, support_fraction in (
-            (PartitionStrategy.BREADTH_FIRST, support_fraction_bf),
-            (PartitionStrategy.DEPTH_FIRST, support_fraction_df),
-        ):
-            k = _scaled_partition_count(graph.n_edges, paper_k)
-            support = max(2, int(round(support_fraction * k)))
-            mining_config = StructuralMiningConfig(
-                k=k,
-                repetitions=1,
-                min_support=support,
-                strategy=strategy,
-                max_pattern_edges=max_pattern_edges,
-                seed=config.seed + paper_k,
-                workers=config.workers,
-                backend=config.backend,
-            )
-            result = mine_single_graph(graph, mining_config)
-            pattern_counts[strategy.value][paper_k] = result.average_patterns_per_repetition
-            if strategy is PartitionStrategy.BREADTH_FIRST:
-                if patterns_with_shape(result.patterns, MotifShape.HUB_AND_SPOKE):
-                    hub_spoke_found = True
-            else:
-                if patterns_with_shape(result.patterns, MotifShape.CHAIN):
-                    chain_found = True
+    engine = MatchEngine()
+    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+        for paper_k in paper_partition_counts:
+            for strategy, support_fraction in (
+                (PartitionStrategy.BREADTH_FIRST, support_fraction_bf),
+                (PartitionStrategy.DEPTH_FIRST, support_fraction_df),
+            ):
+                k = _scaled_partition_count(graph.n_edges, paper_k)
+                support = max(2, int(round(support_fraction * k)))
+                mining_config = StructuralMiningConfig(
+                    k=k,
+                    repetitions=1,
+                    min_support=support,
+                    strategy=strategy,
+                    max_pattern_edges=max_pattern_edges,
+                    seed=config.seed + paper_k,
+                )
+                result = mine_single_graph(graph, mining_config, engine=engine, runtime=runtime)
+                pattern_counts[strategy.value][paper_k] = result.average_patterns_per_repetition
+                if strategy is PartitionStrategy.BREADTH_FIRST:
+                    if patterns_with_shape(result.patterns, MotifShape.HUB_AND_SPOKE):
+                        hub_spoke_found = True
+                else:
+                    if patterns_with_shape(result.patterns, MotifShape.CHAIN):
+                        chain_found = True
 
     bf_average = sum(pattern_counts["breadth_first"].values()) / len(paper_partition_counts)
     df_average = sum(pattern_counts["depth_first"].values()) / len(paper_partition_counts)
@@ -321,21 +323,21 @@ def experiment_footnote2_recall(
     planted = build_planted_graph(_planted_specification(copies, seed=config.seed))
     recalls: dict[str, float] = {}
     partial_recalls: dict[str, float] = {}
-    for strategy in (PartitionStrategy.BREADTH_FIRST, PartitionStrategy.DEPTH_FIRST):
-        mining_config = StructuralMiningConfig(
-            k=partitions,
-            repetitions=3,
-            min_support=max(2, copies // 3),
-            strategy=strategy,
-            max_pattern_edges=3,
-            seed=config.seed,
-            workers=config.workers,
-            backend=config.backend,
-        )
-        result = mine_single_graph(planted.graph, mining_config)
-        recall_report = measure_recall(planted.ground_truth, result.patterns)
-        recalls[strategy.value] = recall_report.recall
-        partial_recalls[strategy.value] = recall_report.partial_recall
+    engine = MatchEngine()
+    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+        for strategy in (PartitionStrategy.BREADTH_FIRST, PartitionStrategy.DEPTH_FIRST):
+            mining_config = StructuralMiningConfig(
+                k=partitions,
+                repetitions=3,
+                min_support=max(2, copies // 3),
+                strategy=strategy,
+                max_pattern_edges=3,
+                seed=config.seed,
+            )
+            result = mine_single_graph(planted.graph, mining_config, engine=engine, runtime=runtime)
+            recall_report = measure_recall(planted.ground_truth, result.patterns)
+            recalls[strategy.value] = recall_report.recall
+            partial_recalls[strategy.value] = recall_report.partial_recall
 
     report = ExperimentReport(
         experiment_id="FN2",
@@ -424,17 +426,18 @@ def experiment_table3_fig4_temporal_fsg(
     vertex_label_filter = _scaled_vertex_label_filter(
         partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", binning=config.binning())
     )
-    pipeline = TemporalMiningPipeline(
-        edge_attribute="GROSS_WEIGHT",
-        binning=config.binning(),
-        min_support=min_support,
-        max_vertex_labels=vertex_label_filter,
-        max_pattern_edges=4,
-        use_interval_labels=True,
-        workers=config.workers,
-        backend=config.backend,
-    )
-    outcome = pipeline.run(dataset)
+    engine = MatchEngine()
+    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+        outcome = TemporalMiningPipeline(
+            edge_attribute="GROSS_WEIGHT",
+            binning=config.binning(),
+            min_support=min_support,
+            max_vertex_labels=vertex_label_filter,
+            max_pattern_edges=4,
+            use_interval_labels=True,
+            engine=engine,
+            runtime=runtime,
+        ).run(dataset)
     largest = outcome.mining.largest()
     largest_edges = largest.n_edges if largest is not None else 0
     largest_shape = classify_shape(largest.pattern).value if largest is not None else "none"
@@ -496,23 +499,36 @@ def experiment_sec61_fsg_memory(
 
     unfiltered_failed = False
     failure_level = None
-    try:
-        miner = FSGMiner(min_support=0.01, max_edges=4, memory_budget=memory_budget)
-        miner.mine(graphs_of(unfiltered))
-    except MemoryBudgetExceeded as error:
-        unfiltered_failed = True
-        failure_level = error.level
-
     filtered_completed = False
     filtered_patterns = 0
-    if filtered:
+    engine = MatchEngine()
+    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
         try:
-            miner = FSGMiner(min_support=0.05, max_edges=4, memory_budget=memory_budget)
-            filtered_result = miner.mine(graphs_of(filtered))
-            filtered_patterns = len(filtered_result)
-            filtered_completed = True
-        except MemoryBudgetExceeded:
-            filtered_completed = False
+            miner = FSGMiner(
+                min_support=0.01,
+                max_edges=4,
+                memory_budget=memory_budget,
+                engine=engine,
+                runtime=runtime,
+            )
+            miner.mine(graphs_of(unfiltered))
+        except MemoryBudgetExceeded as error:
+            unfiltered_failed = True
+            failure_level = error.level
+
+        if filtered:
+            try:
+                miner = FSGMiner(
+                    min_support=0.05,
+                    max_edges=4,
+                    memory_budget=memory_budget,
+                    engine=engine,
+                    runtime=runtime,
+                )
+                filtered_patterns = len(miner.mine(graphs_of(filtered)))
+                filtered_completed = True
+            except MemoryBudgetExceeded:
+                filtered_completed = False
 
     report = ExperimentReport(
         experiment_id="S6.1",
@@ -733,24 +749,25 @@ def experiment_ablation_partitioning(
 
     recalls: dict[str, float] = {}
     shape_mixes: dict[str, dict[str, int]] = {}
-    miner = FSGMiner(min_support=support, max_edges=3)
+    engine = MatchEngine()
+    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+        miner = FSGMiner(min_support=support, max_edges=3, engine=engine, runtime=runtime)
+        for name, partition_fn in (
+            ("breadth_first", lambda g: split_graph(g, partitions, PartitionStrategy.BREADTH_FIRST, seed=config.seed)),
+            ("depth_first", lambda g: split_graph(g, partitions, PartitionStrategy.DEPTH_FIRST, seed=config.seed)),
+            ("multilevel", None),
+        ):
+            if partition_fn is None:
+                from repro.partitioning.multilevel import multilevel_partition
 
-    for name, partition_fn in (
-        ("breadth_first", lambda g: split_graph(g, partitions, PartitionStrategy.BREADTH_FIRST, seed=config.seed)),
-        ("depth_first", lambda g: split_graph(g, partitions, PartitionStrategy.DEPTH_FIRST, seed=config.seed)),
-        ("multilevel", None),
-    ):
-        if partition_fn is None:
-            from repro.partitioning.multilevel import multilevel_partition
-
-            parts = multilevel_partition(planted.graph, partitions, seed=config.seed)
-        else:
-            parts = partition_fn(planted.graph)
-        result = miner.mine(parts)
-        recall_report = measure_recall(planted.ground_truth, result.patterns)
-        recalls[name] = recall_report.recall
-        shapes = summarize_shapes(result.patterns)
-        shape_mixes[name] = {shape.value: count for shape, count in shapes.counts.items()}
+                parts = multilevel_partition(planted.graph, partitions, seed=config.seed)
+            else:
+                parts = partition_fn(planted.graph)
+            result = miner.mine(parts)
+            recall_report = measure_recall(planted.ground_truth, result.patterns)
+            recalls[name] = recall_report.recall
+            shapes = summarize_shapes(result.patterns)
+            shape_mixes[name] = {shape.value: count for shape, count in shapes.counts.items()}
 
     report = ExperimentReport(
         experiment_id="ABL",

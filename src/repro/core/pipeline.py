@@ -37,7 +37,7 @@ from repro.mining.transactional import (
 )
 from repro.obs.tracer import get_tracer
 from repro.partitioning.split_graph import PartitionStrategy
-from repro.runtime import MiningRuntime, SerialRuntime, create_runtime, resolve_workers
+from repro.runtime import MiningRuntime, create_runtime
 from repro.partitioning.structural import (
     StructuralMiningConfig,
     StructuralMiningResult,
@@ -54,26 +54,6 @@ from repro.partitioning.temporal import (
 from repro.patterns.matching import ShapeSummary, summarize_shapes
 
 
-def _resolve_runtime(
-    runtime: MiningRuntime | None,
-    workers: int | None,
-    backend: str | None,
-    engine: MatchEngine,
-) -> tuple[MiningRuntime, bool]:
-    """The runtime a pipeline run should mine through.
-
-    Returns ``(runtime, created)``; a runtime built here (from the
-    ``workers`` knob, or the serial default over *engine*) is flagged so
-    the pipeline closes it when the run is done, while a caller-supplied
-    runtime is left alone.
-    """
-    if runtime is not None:
-        return runtime, False
-    if resolve_workers(workers) > 1:
-        return create_runtime(workers=workers, backend=backend), True
-    return SerialRuntime(engine=engine), True
-
-
 # ----------------------------------------------------------------------
 # Structural mining (Section 5)
 # ----------------------------------------------------------------------
@@ -84,9 +64,10 @@ class StructuralMiningPipeline:
     The pipeline owns one :class:`~repro.graphs.engine.MatchEngine` (or
     accepts a caller-supplied one) and threads it through partition mining
     so every repetition shares the same label table and graph indexes.
-    ``workers`` (or a caller-supplied ``runtime``) spreads support
-    counting across shard workers; the mined patterns are identical
-    whatever the worker count, and the outcome's ``engine_stats``
+    Support is counted through ``runtime`` when given, which the run
+    leaves open; otherwise through ``create_runtime(engine=engine)``,
+    built for the run and closed after it.  The mined patterns are
+    identical whatever the runtime, and the outcome's ``engine_stats``
     aggregates the matching counters across every shard.
     """
 
@@ -99,8 +80,6 @@ class StructuralMiningPipeline:
     max_pattern_edges: int | None = 5
     seed: int = 17
     engine: MatchEngine | None = None
-    workers: int | None = None
-    backend: str | None = None
     runtime: MiningRuntime | None = None
 
     def run(self, dataset: TransactionDataset) -> "StructuralMiningOutcome":
@@ -120,7 +99,7 @@ class StructuralMiningPipeline:
             max_pattern_edges=self.max_pattern_edges,
             seed=self.seed,
         )
-        runtime, created = _resolve_runtime(self.runtime, self.workers, self.backend, engine)
+        runtime = self.runtime if self.runtime is not None else create_runtime(engine=engine)
         try:
             with get_tracer().span(
                 "pipeline.structural", k=self.k, repetitions=self.repetitions
@@ -128,7 +107,7 @@ class StructuralMiningPipeline:
                 mining = mine_single_graph(graph, config, engine=engine, runtime=runtime)
             engine_stats = runtime.stats()
         finally:
-            if created:
+            if runtime is not self.runtime:
                 runtime.close()
         shapes = summarize_shapes(mining.patterns)
         return StructuralMiningOutcome(
@@ -156,7 +135,10 @@ class StructuralMiningOutcome:
 # ----------------------------------------------------------------------
 @dataclass
 class TemporalMiningPipeline:
-    """Section 6 pipeline: per-day transactions -> filtering -> FSG."""
+    """Section 6 pipeline: per-day transactions -> filtering -> FSG.
+
+    ``engine`` and ``runtime`` work as in :class:`StructuralMiningPipeline`.
+    """
 
     edge_attribute: str = "GROSS_WEIGHT"
     binning: BinningScheme | None = None
@@ -166,8 +148,6 @@ class TemporalMiningPipeline:
     memory_budget: int | None = None
     use_interval_labels: bool = False
     engine: MatchEngine | None = None
-    workers: int | None = None
-    backend: str | None = None
     runtime: MiningRuntime | None = None
 
     def run(self, dataset: TransactionDataset) -> "TemporalMiningOutcome":
@@ -187,7 +167,7 @@ class TemporalMiningPipeline:
             max_vertex_labels=self.max_vertex_labels,
         )
         prepared_summary = summarize_transactions(prepared) if prepared else None
-        runtime, created = _resolve_runtime(self.runtime, self.workers, self.backend, engine)
+        runtime = self.runtime if self.runtime is not None else create_runtime(engine=engine)
         try:
             miner = FSGMiner(
                 min_support=self.min_support,
@@ -202,7 +182,7 @@ class TemporalMiningPipeline:
                 mining = miner.mine(graphs_of(prepared)) if prepared else FSGResult()
             engine_stats = runtime.stats()
         finally:
-            if created:
+            if runtime is not self.runtime:
                 runtime.close()
         shapes = summarize_shapes(mining.patterns)
         return TemporalMiningOutcome(

@@ -195,7 +195,10 @@ class MatchEngine:
         # can serve as the index's labeled view — fingerprints skip the
         # to_labeled reconstruction.  Mutations bump the graph's version
         # and land in a fresh index, so the view cannot go stale here.
-        index._labeled_form = graph
+        # The view is weak: the entry is the value of a weak-keyed cache,
+        # and a strong view would keep its own key, and so every graph
+        # this engine ever indexed, alive as long as the engine.
+        index._labeled_form = weakref.ref(graph)
         self._entries[graph] = _Entry(version, index)
         self.stats.indexes_built += 1
         return index

@@ -18,6 +18,8 @@ ask for them.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.graphs.canonical import canonical_code, graph_invariant, refined_colours
 from repro.graphs.compact import CompactGraph
 from repro.graphs.labeled_graph import LabeledGraph
@@ -61,7 +63,7 @@ class GraphIndex:
         self.vertex_label_hist = vertex_label_hist
         self.edge_label_hist = edge_label_hist
         self.triples = triples
-        self._labeled_form: LabeledGraph | None = None
+        self._labeled_form: "LabeledGraph | weakref.ref[LabeledGraph] | None" = None
         self._colours = None
         self._invariant = _UNSET
         self._canonical_code = _UNSET
@@ -136,9 +138,15 @@ class GraphIndex:
         return self._canonical_code
 
     def _labeled(self) -> LabeledGraph:
-        if self._labeled_form is None:
-            self._labeled_form = self.compact.to_labeled()
-        return self._labeled_form
+        # ``_labeled_form`` is a weak reference to the caller's graph when
+        # the index was built by :meth:`MatchEngine.index_of`, else the
+        # graph rebuilt from ``compact`` on first need.
+        form = self._labeled_form
+        if isinstance(form, weakref.ref):
+            form = form()
+        if form is None:
+            form = self._labeled_form = self.compact.to_labeled()
+        return form
 
     def _refined(self):
         # One colour refinement serves both fingerprints (the strings are

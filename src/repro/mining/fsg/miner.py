@@ -7,8 +7,8 @@
 2. repeatedly extend frequent k-edge patterns by one edge, deduplicate the
    candidates up to isomorphism, count support using TID lists, and keep
    the frequent ones;
-3. stop when no new frequent pattern appears, the maximum pattern size is
-   reached, or the candidate memory budget is exceeded.
+3. stop when no new frequent pattern appears or the maximum pattern size
+   is reached, and raise when the candidate memory budget is exceeded.
 
 The memory budget reproduces the paper's Section 6.1 observation that FSG
 runs out of memory on large temporal graph transactions with many distinct
@@ -73,11 +73,7 @@ class FSGMiner:
     memory_budget:
         Maximum number of candidate patterns allowed at a single level;
         ``None`` disables the budget.  Exceeding it raises
-        :class:`MemoryBudgetExceeded` unless ``abort_on_budget`` is false,
-        in which case mining stops early and the result is flagged.
-    abort_on_budget:
-        Whether exceeding the memory budget raises (default) or merely
-        truncates the result.
+        :class:`MemoryBudgetExceeded`.
     min_pattern_edges:
         Smallest pattern size to report.  The paper reports single-edge
         patterns too, so the default is 1.
@@ -100,20 +96,18 @@ class FSGMiner:
         pass a :class:`~repro.runtime.shards.ShardedEngine` to spread
         support counting across worker shards.  The miner never closes a
         caller-supplied runtime.
+
+    Each run records its spans and metrics on the active tracer
+    (:func:`~repro.obs.tracer.get_tracer`), which costs nothing unless
+    tracing is on.
     """
 
     min_support: float | int = 0.05
     max_edges: int | None = None
     memory_budget: int | None = None
-    abort_on_budget: bool = True
     min_pattern_edges: int = 1
     engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
-    #: Tracer receiving this run's spans and metrics; ``None`` (default)
-    #: uses the process-global active tracer — the no-op singleton unless
-    #: tracing was turned on (``--trace`` / ``REPRO_TRACE``), so the
-    #: untraced path costs nothing.  See :mod:`repro.obs`.
-    tracer: object | None = None
 
     def __post_init__(self) -> None:
         # A cap below one edge would not fail on its own: level 1 is
@@ -140,7 +134,7 @@ class FSGMiner:
         support_threshold = _resolve_min_support(self.min_support, n_transactions)
         engine = self.engine if self.engine is not None else MatchEngine()
         runtime = self.runtime if self.runtime is not None else SerialRuntime(engine=engine)
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+        tracer = get_tracer()
         # The parent engine's counter delta across this run covers
         # canonicalisation/dedup work always, and — under the serial
         # runtime, where runtime and parent engine coincide — the whole
@@ -280,16 +274,8 @@ class FSGMiner:
                 candidates_span.finish(candidates=len(candidates))
                 result.candidates_generated += len(candidates)
                 if self.memory_budget is not None and len(candidates) > self.memory_budget:
-                    if self.abort_on_budget:
-                        level_span.finish(aborted=True)
-                        raise MemoryBudgetExceeded(level + 1, len(candidates), self.memory_budget)
-                    result.aborted = True
-                    result.abort_reason = (
-                        f"candidate set at level {level + 1} ({len(candidates)} patterns) "
-                        f"exceeded the memory budget of {self.memory_budget}"
-                    )
                     level_span.finish(aborted=True)
-                    break
+                    raise MemoryBudgetExceeded(level + 1, len(candidates), self.memory_budget)
                 support_span = tracer.span(
                     "fsg.support", level=level + 1, candidates=len(candidates)
                 )

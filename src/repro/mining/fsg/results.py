@@ -53,8 +53,6 @@ class FSGResult:
     min_support: int = 0
     levels_completed: int = 0
     candidates_generated: int = 0
-    aborted: bool = False
-    abort_reason: str = ""
     #: Mining-session counters per level (wire bytes shipped and the
     #: per-shard scan skew — see
     #: :data:`repro.runtime.base.SESSION_TELEMETRY_KEYS`), keyed by the

@@ -5,9 +5,9 @@ transportation graph.  SUBDUE discovers interesting, repetitive subgraphs
 in a single labeled graph by beam search: starting from single-vertex
 substructures, it repeatedly extends instances by one edge and evaluates
 each candidate substructure with the Minimum Description Length (MDL)
-principle, the Size principle, or the Set-Cover principle.  Replacing the
-discovered substructure with a single vertex and repeating yields a
-hierarchical description of the graph's regularities.
+principle or the Size principle.  Replacing the discovered substructure
+with a single vertex and repeating yields a hierarchical description of
+the graph's regularities.
 
 This package reimplements that algorithm so the paper's observations can
 be reproduced: MDL rewards many small (often single-edge) patterns when

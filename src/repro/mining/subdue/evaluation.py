@@ -1,25 +1,25 @@
-"""Evaluation principles for candidate substructures (MDL, Size, Set-Cover).
+"""Evaluation principles for candidate substructures (MDL, Size).
 
-SUBDUE 5.1 offers three ways to score a candidate substructure S against a
-host graph G:
+SUBDUE 5.1 scores a candidate substructure S against a host graph G in
+one of these ways:
 
 * **MDL** — ``DL(G) / (DL(S) + DL(G | S))`` where ``DL`` is the
   description length and ``G | S`` is G with S's instances collapsed;
   larger is better (more compression).
 * **Size** — the same ratio computed with the simpler ``vertices + edges``
   size measure.
-* **Set-Cover** — for supervised settings with positive and negative
-  example graphs: the fraction of positive examples containing S plus
-  negative examples not containing S.  The paper notes this principle does
-  not apply to the transportation data (there are no negative examples);
-  it is implemented for completeness and tested on toy data.
+
+SUBDUE's third principle, Set-Cover, scores S against positive and
+negative example graphs.  The paper rules it out for this data, which
+has no negative examples, and the miner searches one host graph with no
+examples, so it is not offered.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph, VertexId
@@ -113,7 +113,6 @@ class EvaluationPrinciple(str, enum.Enum):
 
     MDL = "mdl"
     SIZE = "size"
-    SET_COVER = "set_cover"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -180,51 +179,22 @@ def size_value(host: LabeledGraph, substructure: Substructure) -> float:
     return original / denominator
 
 
-def set_cover_value(
-    substructure: Substructure,
-    positive_examples: Sequence[LabeledGraph],
-    negative_examples: Sequence[LabeledGraph],
-    engine: MatchEngine,
-) -> float:
-    """Set-Cover value: positives containing S plus negatives not containing S, over all examples.
-
-    Containment is decided by *engine*'s ``has_embedding``.
-    """
-    total = len(positive_examples) + len(negative_examples)
-    if total == 0:
-        raise ValueError("set-cover evaluation needs at least one example graph")
-    occurs = engine.has_embedding
-    covered_positives = sum(
-        1 for example in positive_examples if occurs(substructure.pattern, example)
-    )
-    excluded_negatives = sum(
-        1 for example in negative_examples if not occurs(substructure.pattern, example)
-    )
-    return (covered_positives + excluded_negatives) / total
-
-
 def evaluate(
     host: LabeledGraph,
     substructure: Substructure,
     principle: EvaluationPrinciple,
-    positive_examples: Sequence[LabeledGraph] | None = None,
-    negative_examples: Sequence[LabeledGraph] | None = None,
     *,
     engine: MatchEngine,
 ) -> float:
     """Score *substructure* under the chosen principle.
 
     *engine* (keyword-only) is the miner's :class:`MatchEngine`; MDL reads
-    the host's label counts from it and Set-Cover matches through it.
-    Each call is one ``subdue.evaluate`` span.
+    the host's label counts from it.  Each call is one
+    ``subdue.evaluate`` span.
     """
     with get_tracer().span("subdue.evaluate"):
         if principle is EvaluationPrinciple.MDL:
             return mdl_value(host, substructure, engine=engine)
         if principle is EvaluationPrinciple.SIZE:
             return size_value(host, substructure)
-        if principle is EvaluationPrinciple.SET_COVER:
-            return set_cover_value(
-                substructure, positive_examples or [], negative_examples or [], engine=engine
-            )
         raise ValueError(f"unknown evaluation principle: {principle}")

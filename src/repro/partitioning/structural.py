@@ -19,7 +19,7 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
 from repro.partitioning.split_graph import PartitionStrategy, split_graph
-from repro.runtime import MiningRuntime, create_runtime, resolve_workers
+from repro.runtime import MiningRuntime, create_runtime
 
 
 @dataclass
@@ -29,10 +29,8 @@ class StructuralMiningConfig:
     Mirrors the knobs of Algorithm 1: ``k`` partitions, ``m`` repetitions,
     support threshold ``s`` (absolute count, as in the paper's 120 / 240
     settings), plus the partitioning strategy and the FSG size/budget
-    limits.  ``workers`` selects the parallel mining runtime for support
-    counting (``None`` consults ``REPRO_WORKERS``; ``0``/``1`` = serial,
-    ``>= 2`` = that many shards on *backend*); parallelism never changes
-    the mined patterns, only wall-clock.
+    limits.  The runtime that counts support is an argument of
+    :func:`mine_single_graph`, not a setting here.
     """
 
     k: int = 400
@@ -43,8 +41,6 @@ class StructuralMiningConfig:
     min_pattern_edges: int = 1
     memory_budget: int | None = None
     seed: int = 17
-    workers: int | None = None
-    backend: str | None = None
 
 
 @dataclass
@@ -111,30 +107,28 @@ def mine_single_graph(
     serves every repetition: the label table, per-pattern canonical codes,
     and cross-repetition pattern merging all share its caches.  Support
     counting goes through *runtime* when given (a shared
-    :class:`~repro.runtime.shards.ShardedEngine`, say); otherwise a
-    runtime is built from ``config.workers`` — and closed again on exit —
-    with the serial default feeding everything through *engine* as before.
+    :class:`~repro.runtime.shards.ShardedEngine`, say), which is left
+    open; otherwise through ``create_runtime(engine=engine)``, built for
+    this call and closed on exit.
     """
     settings = config or StructuralMiningConfig()
     if settings.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     shared_engine = engine if engine is not None else MatchEngine()
-    created_runtime: MiningRuntime | None = None
-    if runtime is None and resolve_workers(settings.workers) > 1:
-        runtime = created_runtime = create_runtime(
-            workers=settings.workers, backend=settings.backend
-        )
     rng = random.Random(settings.seed)
-    miner = FSGMiner(
-        min_support=settings.min_support,
-        max_edges=settings.max_pattern_edges,
-        memory_budget=settings.memory_budget,
-        min_pattern_edges=settings.min_pattern_edges,
-        engine=shared_engine,
-        runtime=runtime,
-    )
     result = StructuralMiningResult()
+    owned = runtime is None
+    if owned:
+        runtime = create_runtime(engine=shared_engine)
     try:
+        miner = FSGMiner(
+            min_support=settings.min_support,
+            max_edges=settings.max_pattern_edges,
+            memory_budget=settings.memory_budget,
+            min_pattern_edges=settings.min_pattern_edges,
+            engine=shared_engine,
+            runtime=runtime,
+        )
         for _ in range(settings.repetitions):
             partitions = split_graph(graph, settings.k, strategy=settings.strategy, rng=rng)
             mined = miner.mine(partitions)
@@ -142,6 +136,6 @@ def mine_single_graph(
             result.per_repetition_counts.append(len(mined.patterns))
             _merge_patterns(result.patterns, mined.patterns, shared_engine)
     finally:
-        if created_runtime is not None:
-            created_runtime.close()
+        if owned:
+            runtime.close()
     return result

@@ -319,14 +319,13 @@ class ProcessBackend(WorkerPool):
         self,
         n_workers: int,
         handler_factory: Callable[[], Callable[[tuple], Any]],
-        start_method: str | None = None,
         timeout: float | None = None,
     ) -> None:
         super().__init__(n_workers)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._context = multiprocessing.get_context(start_method)
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform: the default context
+            self._context = multiprocessing.get_context()
         self._factory = handler_factory
         self._timeout = resolve_worker_timeout(timeout)
         self._connections: list[Any] = [None] * n_workers

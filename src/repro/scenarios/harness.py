@@ -39,7 +39,7 @@ from repro.mining.subdue.evaluation import EvaluationPrinciple
 from repro.mining.subdue.miner import SubdueMiner
 from repro.partitioning.structural import StructuralMiningConfig, mine_single_graph
 from repro.patterns.recall import measure_recall
-from repro.runtime import MiningRuntime, ShardedEngine, resolve_faults
+from repro.runtime import MiningRuntime, SerialRuntime, ShardedEngine, resolve_faults
 from repro.scenarios.base import Scenario, ScenarioData
 
 #: Shard counts exercised by the full differential check.
@@ -156,7 +156,7 @@ def _mine_runtime_sections(
     scenario: Scenario,
     built: ScenarioData,
     engine: MatchEngine,
-    runtime: MiningRuntime | None,
+    runtime: MiningRuntime,
 ):
     """The two mining stages whose support counting routes through a runtime."""
     params = scenario.params
@@ -174,9 +174,6 @@ def _mine_runtime_sections(
             min_support=params.structural_min_support,
             max_pattern_edges=params.structural_max_edges,
             seed=scenario.seed,
-            # Pin the no-runtime case to serial: the reference run of a
-            # differential check must not silently pick up REPRO_WORKERS.
-            workers=0,
         ),
         engine=engine,
         runtime=runtime,
@@ -191,8 +188,10 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Run *scenario* through every engine and return the canonical outcome.
 
-    *runtime* routes FSG and structural-partitioning support counting
-    (``None`` = the serial default); SUBDUE and recall are engine-level
+    *runtime* routes FSG and structural-partitioning support counting.
+    ``None`` means a :class:`SerialRuntime` over the run's engine, never
+    a runtime built from ``REPRO_WORKERS``, so the reference run of a
+    differential check stays serial.  SUBDUE and recall are engine-level
     and runtime-independent by construction.  The caller owns a supplied
     runtime's lifecycle.
     """
@@ -200,6 +199,8 @@ def run_scenario(
     built = data if data is not None else scenario.build()
     engine = MatchEngine()
     tracer = get_tracer()
+    if runtime is None:
+        runtime = SerialRuntime(engine=engine)
 
     with tracer.span("scenario.mine", scenario=scenario.name):
         fsg, structural = _mine_runtime_sections(scenario, built, engine, runtime)

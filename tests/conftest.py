@@ -111,3 +111,39 @@ def star_graph() -> LabeledGraph:
         graph.add_vertex(spoke, "place")
         graph.add_edge("hub", spoke, 0)
     return graph
+
+
+@pytest.fixture()
+def sharded_engines(monkeypatch):
+    """Record every :class:`ShardedEngine` built while the test runs.
+
+    Returns ``(built, closed)``: the engines in the order they were
+    built, and those of them ``close()`` was called on, in the order of
+    their first ``close()``.  An engine of an earlier test that the
+    collector finalises now is in neither list.
+    """
+    from repro.runtime.shards import ShardedEngine
+
+    built: list[ShardedEngine] = []
+    closed: list[ShardedEngine] = []
+    init, close = ShardedEngine.__init__, ShardedEngine.close
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def recording_close(self):
+        if self in built and self not in closed:
+            closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(ShardedEngine, "__init__", recording_init)
+    monkeypatch.setattr(ShardedEngine, "close", recording_close)
+    return built, closed
+
+
+@pytest.fixture()
+def two_serial_shards_env(monkeypatch):
+    """``REPRO_WORKERS=2`` and ``REPRO_BACKEND=serial`` for the test."""
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setenv("REPRO_BACKEND", "serial")

@@ -75,6 +75,26 @@ class TestFastExperiments:
         assert "T1" in experiments.ALL_EXPERIMENTS
 
 
+#: The graph-mining experiments: each builds one mining runtime per run.
+GRAPH_MINING_EXPERIMENTS = ("F2/F3", "FN2", "T3/F4", "S6.1", "ABL")
+
+
+@pytest.mark.parametrize("experiment_id", GRAPH_MINING_EXPERIMENTS)
+def test_graph_mining_experiments_mine_through_the_configured_runtime(
+    experiment_id, two_serial_shards_env, sharded_engines
+):
+    """``workers=2`` mines each run on one sharded runtime, closed after
+    the run; an explicit ``workers=0`` beats ``REPRO_WORKERS=2``."""
+    built, closed = sharded_engines
+    driver = experiments.ALL_EXPERIMENTS[experiment_id]
+    sharded = driver(ExperimentConfig(scale=0.01, workers=2, backend="serial"))
+    assert len(built) == 1 and closed == built
+    assert built[0].stats()["batch_calls"] > 0
+    serial = driver(ExperimentConfig(scale=0.01, workers=0))
+    assert len(built) == 1
+    assert sharded.measured == serial.measured
+
+
 @pytest.mark.slow
 class TestSlowExperiments:
     def test_figure1_subdue(self, tiny_config):

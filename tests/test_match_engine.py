@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -471,6 +472,21 @@ class TestIndexMemoization:
             index.canonical()
         with pytest.raises(CanonicalizationError):
             index.canonical()  # second probe reuses the memoized failure
+
+    def test_engine_cache_does_not_keep_indexed_graphs_alive(self):
+        # A long-lived engine (one per experiment run, say) must not keep
+        # every pattern it ever indexed alive.
+        engine = MatchEngine()
+        graph = _random_graph(random.Random(3), 5, 6)
+        code = engine.canonical_code(graph)
+        index = engine.index_of(graph)
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+        # An index the caller still holds rebuilds its labeled view.
+        assert index.canonical() == code
+        assert index.invariant()
 
 
 class TestSymmetricDeduplication:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -11,6 +13,7 @@ from repro.core.pipeline import (
     TransactionalMiningPipeline,
 )
 from repro.partitioning.split_graph import PartitionStrategy
+from repro.runtime import ShardedEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,43 @@ class TestTemporalPipeline:
         unfiltered = TemporalMiningPipeline(max_vertex_labels=None, max_pattern_edges=1).run(pipeline_dataset)
         filtered = TemporalMiningPipeline(max_vertex_labels=8, max_pattern_edges=1).run(pipeline_dataset)
         assert len(filtered.prepared_transactions) <= len(unfiltered.prepared_transactions)
+
+
+#: One small run of each graph-mining pipeline.
+GRAPH_PIPELINES = {
+    "structural": StructuralMiningPipeline(k=12, repetitions=1, min_support=3, max_pattern_edges=2, seed=3),
+    "temporal": TemporalMiningPipeline(max_vertex_labels=None, max_pattern_edges=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_PIPELINES))
+class TestPipelineRuntime:
+    """Without a runtime, a pipeline run mines through
+    ``create_runtime(engine=engine)`` (so ``REPRO_WORKERS`` shards it) and
+    closes it; a caller's runtime is used and left open."""
+
+    def test_without_runtime_shards_under_env_and_closes(
+        self, name, pipeline_dataset, two_serial_shards_env, sharded_engines
+    ):
+        built, closed = sharded_engines
+        outcome = GRAPH_PIPELINES[name].run(pipeline_dataset)
+        assert outcome.engine_stats["shards"] == 2
+        assert outcome.engine_stats["batch_calls"] > 0
+        assert len(built) == 1 and closed == built
+
+    def test_caller_runtime_is_used_and_left_open(
+        self, name, pipeline_dataset, two_serial_shards_env, sharded_engines
+    ):
+        built, closed = sharded_engines
+        runtime = ShardedEngine(shards=3, backend="serial")
+        try:
+            pipeline = dataclasses.replace(GRAPH_PIPELINES[name], runtime=runtime)
+            outcome = pipeline.run(pipeline_dataset)
+            assert outcome.engine_stats["shards"] == 3
+            assert outcome.engine_stats["batch_calls"] > 0
+            assert built == [runtime] and closed == []
+        finally:
+            runtime.close()
 
 
 class TestTransactionalPipeline:

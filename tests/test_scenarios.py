@@ -136,6 +136,17 @@ class TestHarness:
         )
         assert report.ok, report.failures
 
+    def test_reference_run_stays_serial_under_env(self, two_serial_shards_env, sharded_engines):
+        # The differential check builds its one K=2 runtime itself; the
+        # serial reference must build none from REPRO_WORKERS.
+        built, closed = sharded_engines
+        report = differential_check(
+            get_scenario("sparse-chains"), shard_counts=(2,), check_oracle=False
+        )
+        assert report.ok, report.failures
+        assert len(built) == 1 and closed == built
+        assert list(report.runtime_stats) == ["sharded-serial-k2"]
+
     def test_recall_ground_truth_fully_recovered(self, scenario_runs):
         _, _, outcome = scenario_runs("planted-patterns")
         recall = outcome.payload["recall"]

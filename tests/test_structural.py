@@ -11,6 +11,7 @@ from repro.partitioning.structural import (
     mine_single_graph,
 )
 from repro.patterns.planted import PlantedGraphSpec, build_planted_graph
+from repro.runtime import ShardedEngine
 
 
 def _planted_host(copies: int = 8):
@@ -83,3 +84,36 @@ class TestStructuralMining:
             StructuralMiningConfig(k=6, repetitions=1, min_support=3, max_pattern_edges=1, seed=5),
         )
         assert len(list(result)) == len(result)
+
+
+class TestRuntimeRule:
+    """Without a runtime, ``mine_single_graph`` mines through
+    ``create_runtime(engine=engine)`` (so ``REPRO_WORKERS`` shards it),
+    built and closed by the call; a caller's runtime is used and left
+    open."""
+
+    CONFIG = StructuralMiningConfig(k=6, repetitions=2, min_support=3, max_pattern_edges=2, seed=5)
+
+    def test_without_runtime_shards_under_env_and_closes(
+        self, monkeypatch, two_serial_shards_env, sharded_engines
+    ):
+        built, closed = sharded_engines
+        planted = _planted_host()
+        sharded = mine_single_graph(planted.graph, self.CONFIG)
+        assert len(built) == 1 and closed == built
+        assert built[0].stats()["batch_calls"] > 0
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        serial = mine_single_graph(planted.graph, self.CONFIG)
+        assert len(built) == 1
+        assert sharded.per_repetition_counts == serial.per_repetition_counts
+        assert [p.support for p in sharded.patterns] == [p.support for p in serial.patterns]
+
+    def test_caller_runtime_is_used_and_left_open(self, two_serial_shards_env, sharded_engines):
+        built, closed = sharded_engines
+        runtime = ShardedEngine(shards=3, backend="serial")
+        try:
+            mine_single_graph(_planted_host().graph, self.CONFIG, runtime=runtime)
+            assert built == [runtime] and closed == []
+            assert runtime.stats()["batch_calls"] > 0
+        finally:
+            runtime.close()

@@ -23,7 +23,6 @@ from repro.mining.subdue.evaluation import (
     compression_counts,
     evaluate,
     mdl_value,
-    set_cover_value,
     size_value,
 )
 from repro.mining.subdue.expansion import expand_instance, expand_substructure, initial_substructures
@@ -462,17 +461,6 @@ class TestMdlAndSize:
         assert mdl_value(host, frequent, engine) > mdl_value(host, rare, engine)
         assert size_value(host, frequent) > size_value(host, rare)
 
-    def test_set_cover_value(self):
-        star = Substructure(pattern=hub_and_spoke(2, edge_labels=[1, 1]), instances=[])
-        positives = [hub_and_spoke(3, edge_labels=[1, 1, 1])]
-        negatives = [chain(2, edge_labels=[2, 2])]
-        assert set_cover_value(star, positives, negatives, MatchEngine()) == pytest.approx(1.0)
-
-    def test_set_cover_requires_examples(self):
-        star = Substructure(pattern=hub_and_spoke(2), instances=[])
-        with pytest.raises(ValueError):
-            set_cover_value(star, [], [], MatchEngine())
-
     def test_evaluate_dispatch(self):
         host = _repeated_star_graph()
         engine = MatchEngine()
@@ -480,6 +468,13 @@ class TestMdlAndSize:
         substructure = expand_substructure(host, seeds[0], engine)[0]
         for principle in (EvaluationPrinciple.MDL, EvaluationPrinciple.SIZE):
             assert evaluate(host, substructure, principle, engine=engine) > 0
+
+    def test_every_principle_runs_from_the_miner(self):
+        # Every offered principle must score a candidate with what the
+        # miner passes: the host alone, no example graphs.
+        host = chain(5, edge_labels=[1, 1, 1, 1, 1])
+        for principle in EvaluationPrinciple:
+            assert SubdueMiner(principle=principle).mine(host).evaluated > 0
 
 
 class TestCompression:
