@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import FSGMiner, MatchEngine, create_runtime, generate_dataset
+from repro import FSGMiner, create_runtime, generate_dataset
 from repro.partitioning.temporal import graphs_of, partition_by_date, prepare_temporal_transactions
 from repro.partitioning.windows import partition_by_window, window_graphs
 from repro.patterns.graph_interestingness import maximal_patterns, score_patterns
@@ -50,9 +50,8 @@ def main(scale: float = 0.02) -> None:
     # 2. Patterns over a time window vs a single date
     # ------------------------------------------------------------------
     # REPRO_WORKERS / REPRO_BACKEND choose the runtime (serial by default).
-    engine = MatchEngine()
-    with create_runtime(engine=engine) as runtime:
-        miner = FSGMiner(min_support=0.3, max_edges=2, engine=engine, runtime=runtime)
+    with create_runtime() as runtime:
+        miner = FSGMiner(min_support=0.3, max_edges=2, runtime=runtime)
         daily = prepare_temporal_transactions(partition_by_date(dataset))
         weekly = partition_by_window(dataset, window_days=7)
         daily_count = len(miner.mine(graphs_of(daily))) if daily else 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 
 from repro import TemporalMiningPipeline, generate_dataset
+from repro.partitioning.temporal import partition_by_date
 from repro.reporting.figures import render_pattern
 from repro.reporting.tables import render_temporal_summary
 
@@ -27,14 +28,13 @@ def main(scale: float = 0.02) -> None:
     print(f"dataset: {len(dataset)} transactions over "
           f"{(dataset.date_range()[1] - dataset.date_range()[0]).days + 1} days\n")
 
+    days = partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", use_interval_labels=True)
     pipeline = TemporalMiningPipeline(
-        edge_attribute="GROSS_WEIGHT",
         min_support=0.05,
         max_vertex_labels=None,       # first look at everything (Table 2)
         max_pattern_edges=3,
-        use_interval_labels=True,
     )
-    outcome = pipeline.run(dataset)
+    outcome = pipeline.run(days)
 
     print(render_temporal_summary(outcome.raw_summary, title="Table 2 equivalent: per-day graph transactions"))
     print()

@@ -31,7 +31,6 @@ from repro.core.results import ExperimentReport
 from repro.datasets.statistics import PAPER_REPORTED_STATISTICS, compute_statistics
 from repro.graphs.builders import build_od_graph
 from repro.graphs.components import truncate_to_vertices
-from repro.graphs.engine import MatchEngine
 from repro.graphs.motifs import MotifShape, chain, classify_shape, cycle, hub_and_spoke
 from repro.mining.em_clustering import ClusterSummary
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
@@ -244,8 +243,7 @@ def experiment_fig2_fig3_fsg_partitioning(
     hub_spoke_found = False
     chain_found = False
 
-    engine = MatchEngine()
-    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+    with create_runtime(config.workers, config.backend) as runtime:
         for paper_k in paper_partition_counts:
             for strategy, support_fraction in (
                 (PartitionStrategy.BREADTH_FIRST, support_fraction_bf),
@@ -261,7 +259,7 @@ def experiment_fig2_fig3_fsg_partitioning(
                     max_pattern_edges=max_pattern_edges,
                     seed=config.seed + paper_k,
                 )
-                result = mine_single_graph(graph, mining_config, engine=engine, runtime=runtime)
+                result = mine_single_graph(graph, mining_config, runtime=runtime)
                 pattern_counts[strategy.value][paper_k] = result.average_patterns_per_repetition
                 if strategy is PartitionStrategy.BREADTH_FIRST:
                     if patterns_with_shape(result.patterns, MotifShape.HUB_AND_SPOKE):
@@ -323,8 +321,7 @@ def experiment_footnote2_recall(
     planted = build_planted_graph(_planted_specification(copies, seed=config.seed))
     recalls: dict[str, float] = {}
     partial_recalls: dict[str, float] = {}
-    engine = MatchEngine()
-    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+    with create_runtime(config.workers, config.backend) as runtime:
         for strategy in (PartitionStrategy.BREADTH_FIRST, PartitionStrategy.DEPTH_FIRST):
             mining_config = StructuralMiningConfig(
                 k=partitions,
@@ -334,8 +331,10 @@ def experiment_footnote2_recall(
                 max_pattern_edges=3,
                 seed=config.seed,
             )
-            result = mine_single_graph(planted.graph, mining_config, engine=engine, runtime=runtime)
-            recall_report = measure_recall(planted.ground_truth, result.patterns)
+            result = mine_single_graph(planted.graph, mining_config, runtime=runtime)
+            recall_report = measure_recall(
+                planted.ground_truth, result.patterns, engine=runtime.engine
+            )
             recalls[strategy.value] = recall_report.recall
             partial_recalls[strategy.value] = recall_report.partial_recall
 
@@ -405,7 +404,7 @@ def _scaled_vertex_label_filter(
     graphs shrink differently from the location count, so the equivalent
     threshold is taken as the ``keep_fraction`` percentile of the per-day
     distinct-vertex-label counts of *transactions* (the dataset's
-    :func:`partition_by_date` output).
+    :func:`partition_by_date` output; edge labels do not change it).
     """
     label_counts = sorted(
         len({t.graph.vertex_label(v) for v in t.graph.vertices()}) for t in transactions
@@ -422,22 +421,20 @@ def experiment_table3_fig4_temporal_fsg(
 ) -> ExperimentReport:
     """Table 3 + Figure 4: FSG at 5% support on the filtered temporal transactions."""
     config = _default_config(config)
-    dataset = config.dataset()
-    vertex_label_filter = _scaled_vertex_label_filter(
-        partition_by_date(dataset, edge_attribute="GROSS_WEIGHT", binning=config.binning())
+    days = partition_by_date(
+        config.dataset(),
+        edge_attribute="GROSS_WEIGHT",
+        binning=config.binning(),
+        use_interval_labels=True,
     )
-    engine = MatchEngine()
-    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+    vertex_label_filter = _scaled_vertex_label_filter(days)
+    with create_runtime(config.workers, config.backend) as runtime:
         outcome = TemporalMiningPipeline(
-            edge_attribute="GROSS_WEIGHT",
-            binning=config.binning(),
             min_support=min_support,
             max_vertex_labels=vertex_label_filter,
             max_pattern_edges=4,
-            use_interval_labels=True,
-            engine=engine,
             runtime=runtime,
-        ).run(dataset)
+        ).run(days)
     largest = outcome.mining.largest()
     largest_edges = largest.n_edges if largest is not None else 0
     largest_shape = classify_shape(largest.pattern).value if largest is not None else "none"
@@ -501,14 +498,12 @@ def experiment_sec61_fsg_memory(
     failure_level = None
     filtered_completed = False
     filtered_patterns = 0
-    engine = MatchEngine()
-    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
+    with create_runtime(config.workers, config.backend) as runtime:
         try:
             miner = FSGMiner(
                 min_support=0.01,
                 max_edges=4,
                 memory_budget=memory_budget,
-                engine=engine,
                 runtime=runtime,
             )
             miner.mine(graphs_of(unfiltered))
@@ -522,7 +517,6 @@ def experiment_sec61_fsg_memory(
                     min_support=0.05,
                     max_edges=4,
                     memory_budget=memory_budget,
-                    engine=engine,
                     runtime=runtime,
                 )
                 filtered_patterns = len(miner.mine(graphs_of(filtered)))
@@ -749,9 +743,8 @@ def experiment_ablation_partitioning(
 
     recalls: dict[str, float] = {}
     shape_mixes: dict[str, dict[str, int]] = {}
-    engine = MatchEngine()
-    with create_runtime(config.workers, config.backend, engine=engine) as runtime:
-        miner = FSGMiner(min_support=support, max_edges=3, engine=engine, runtime=runtime)
+    with create_runtime(config.workers, config.backend) as runtime:
+        miner = FSGMiner(min_support=support, max_edges=3, runtime=runtime)
         for name, partition_fn in (
             ("breadth_first", lambda g: split_graph(g, partitions, PartitionStrategy.BREADTH_FIRST, seed=config.seed)),
             ("depth_first", lambda g: split_graph(g, partitions, PartitionStrategy.DEPTH_FIRST, seed=config.seed)),
@@ -764,7 +757,9 @@ def experiment_ablation_partitioning(
             else:
                 parts = partition_fn(planted.graph)
             result = miner.mine(parts)
-            recall_report = measure_recall(planted.ground_truth, result.patterns)
+            recall_report = measure_recall(
+                planted.ground_truth, result.patterns, engine=runtime.engine
+            )
             recalls[name] = recall_report.recall
             shapes = summarize_shapes(result.patterns)
             shape_mixes[name] = {shape.value: count for shape, count in shapes.counts.items()}

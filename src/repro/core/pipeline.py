@@ -6,12 +6,17 @@ Each pipeline packages the steps a practitioner would run:
   uniformly labeled vertices, partition it breadth- or depth-first, mine
   the partitions with FSG across several repetitions, and summarise the
   shapes of the discovered patterns.
-* :class:`TemporalMiningPipeline` — Section 6: partition the dataset by
-  active date, split into connected components, filter, mine with FSG,
-  and summarise the transactions (Tables 2 and 3) and patterns.
+* :class:`TemporalMiningPipeline` — Section 6: take the dataset's per-day
+  transactions (:func:`~repro.partitioning.temporal.partition_by_date`),
+  split them into connected components, filter, mine with FSG, and
+  summarise the transactions (Tables 2 and 3) and patterns.
 * :class:`TransactionalMiningPipeline` — Section 7: flatten the dataset,
   discretise, and run association-rule mining, classification, and EM
   clustering.
+
+The two graph pipelines count support through one mining runtime per
+run, a caller's or one built by ``create_runtime()``, and deduplicate and
+merge patterns on that runtime's engine.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from typing import Sequence
 from repro.datasets.binning import BinningScheme
 from repro.datasets.schema import TransactionDataset
 from repro.graphs.builders import build_od_graph
-from repro.graphs.engine import MatchEngine
 from repro.mining.apriori import Apriori, AssociationRule
 from repro.mining.decision_tree import DecisionTreeClassifier, train_test_split
 from repro.mining.discretize import Discretizer
@@ -47,7 +51,6 @@ from repro.partitioning.temporal import (
     TemporalPartitionSummary,
     TemporalTransaction,
     graphs_of,
-    partition_by_date,
     prepare_temporal_transactions,
     summarize_transactions,
 )
@@ -61,12 +64,10 @@ from repro.patterns.matching import ShapeSummary, summarize_shapes
 class StructuralMiningPipeline:
     """Section 5 pipeline: single OD graph -> partitions -> FSG -> shapes.
 
-    The pipeline owns one :class:`~repro.graphs.engine.MatchEngine` (or
-    accepts a caller-supplied one) and threads it through partition mining
-    so every repetition shares the same label table and graph indexes.
     Support is counted through ``runtime`` when given, which the run
-    leaves open; otherwise through ``create_runtime(engine=engine)``,
-    built for the run and closed after it.  The mined patterns are
+    leaves open; otherwise through ``create_runtime()``, built for the
+    run and closed after it.  Every repetition shares the runtime's
+    engine, its label table and graph indexes.  The mined patterns are
     identical whatever the runtime, and the outcome's ``engine_stats``
     aggregates the matching counters across every shard.
     """
@@ -79,12 +80,10 @@ class StructuralMiningPipeline:
     strategy: PartitionStrategy = PartitionStrategy.BREADTH_FIRST
     max_pattern_edges: int | None = 5
     seed: int = 17
-    engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
 
     def run(self, dataset: TransactionDataset) -> "StructuralMiningOutcome":
         """Run the pipeline on *dataset*."""
-        engine = self.engine if self.engine is not None else MatchEngine()
         graph = build_od_graph(
             dataset,
             edge_attribute=self.edge_attribute,
@@ -99,12 +98,12 @@ class StructuralMiningPipeline:
             max_pattern_edges=self.max_pattern_edges,
             seed=self.seed,
         )
-        runtime = self.runtime if self.runtime is not None else create_runtime(engine=engine)
+        runtime = self.runtime if self.runtime is not None else create_runtime()
         try:
             with get_tracer().span(
                 "pipeline.structural", k=self.k, repetitions=self.repetitions
             ):
-                mining = mine_single_graph(graph, config, engine=engine, runtime=runtime)
+                mining = mine_single_graph(graph, config, runtime=runtime)
             engine_stats = runtime.stats()
         finally:
             if runtime is not self.runtime:
@@ -114,7 +113,6 @@ class StructuralMiningPipeline:
             graph_name=graph.name,
             mining=mining,
             shapes=shapes,
-            engine=engine,
             engine_stats=engine_stats,
         )
 
@@ -126,7 +124,6 @@ class StructuralMiningOutcome:
     graph_name: str
     mining: StructuralMiningResult
     shapes: ShapeSummary
-    engine: MatchEngine | None = None
     engine_stats: dict[str, int] | None = None
 
 
@@ -137,43 +134,34 @@ class StructuralMiningOutcome:
 class TemporalMiningPipeline:
     """Section 6 pipeline: per-day transactions -> filtering -> FSG.
 
-    ``engine`` and ``runtime`` work as in :class:`StructuralMiningPipeline`.
+    :meth:`run` takes the day partition, so a caller that also needs it
+    elsewhere (the T3/F4 experiment's label filter) builds it once.
+    ``runtime`` works as in :class:`StructuralMiningPipeline`.
     """
 
-    edge_attribute: str = "GROSS_WEIGHT"
-    binning: BinningScheme | None = None
     min_support: float | int = 0.05
     max_vertex_labels: int | None = 200
     max_pattern_edges: int | None = 5
     memory_budget: int | None = None
-    use_interval_labels: bool = False
-    engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
 
-    def run(self, dataset: TransactionDataset) -> "TemporalMiningOutcome":
-        """Run the pipeline on *dataset*."""
-        engine = self.engine if self.engine is not None else MatchEngine()
-        raw = partition_by_date(
-            dataset,
-            edge_attribute=self.edge_attribute,
-            binning=self.binning,
-            use_interval_labels=self.use_interval_labels,
-        )
-        raw_summary = summarize_transactions(raw) if raw else None
+    def run(self, days: Sequence[TemporalTransaction]) -> "TemporalMiningOutcome":
+        """Run the pipeline on *days*, the output of
+        :func:`~repro.partitioning.temporal.partition_by_date`."""
+        raw_summary = summarize_transactions(days) if days else None
         prepared = prepare_temporal_transactions(
-            raw,
+            days,
             split_components=True,
             drop_single_edge=True,
             max_vertex_labels=self.max_vertex_labels,
         )
         prepared_summary = summarize_transactions(prepared) if prepared else None
-        runtime = self.runtime if self.runtime is not None else create_runtime(engine=engine)
+        runtime = self.runtime if self.runtime is not None else create_runtime()
         try:
             miner = FSGMiner(
                 min_support=self.min_support,
                 max_edges=self.max_pattern_edges,
                 memory_budget=self.memory_budget,
-                engine=engine,
                 runtime=runtime,
             )
             with get_tracer().span(
@@ -186,13 +174,11 @@ class TemporalMiningPipeline:
                 runtime.close()
         shapes = summarize_shapes(mining.patterns)
         return TemporalMiningOutcome(
-            raw_transactions=raw,
             prepared_transactions=prepared,
             raw_summary=raw_summary,
             prepared_summary=prepared_summary,
             mining=mining,
             shapes=shapes,
-            engine=engine,
             engine_stats=engine_stats,
         )
 
@@ -201,13 +187,11 @@ class TemporalMiningPipeline:
 class TemporalMiningOutcome:
     """Output of the temporal pipeline."""
 
-    raw_transactions: list[TemporalTransaction]
     prepared_transactions: list[TemporalTransaction]
     raw_summary: TemporalPartitionSummary | None
     prepared_summary: TemporalPartitionSummary | None
     mining: FSGResult
     shapes: ShapeSummary
-    engine: MatchEngine | None = None
     engine_stats: dict[str, int] | None = None
 
 

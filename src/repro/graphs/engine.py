@@ -161,15 +161,19 @@ class MatchEngine:
         self._entries: "weakref.WeakKeyDictionary[LabeledGraph, _Entry]" = (
             weakref.WeakKeyDictionary()
         )
-        # Registered transactions by tid: each one's compact snapshot, or
-        # None once the tid is released.  A transaction's GraphIndex is
-        # built by the first full search against it (_transaction_index)
-        # and dropped on release; registration builds none.  A shard
-        # engine files its slice of the corpus under the runtime's global
-        # tids, so the tids held here need not be contiguous; they only
-        # rise (_next_tid is the lowest tid not yet handed out).
-        self._transactions: dict[int, CompactGraph | None] = {}
+        # Live transactions by tid: each one's compact snapshot.  A
+        # release deletes the entry, so a long-lived engine holds only
+        # what it still serves.  A transaction's GraphIndex is built by
+        # the first full search against it (_transaction_index) and
+        # dropped on release; registration builds none.  A shard engine
+        # files its slice of the corpus under the runtime's global tids,
+        # so the tids held here need not be contiguous; they only rise
+        # (_next_tid is the lowest tid not yet handed out).  _registered
+        # is the bitset of every tid ever registered, which tells a
+        # released tid from an unknown one.
+        self._transactions: dict[int, CompactGraph] = {}
         self._next_tid = 0
+        self._registered = 0
         self._transaction_indexes: dict[int, GraphIndex] = {}
         # The embedding store: pattern uid -> tid -> embeddings.  Uids
         # are caller-owned opaque tokens (the miner assigns one per
@@ -264,18 +268,19 @@ class MatchEngine:
                 )
             floor = tid + 1
         self._transactions.update(zip(tids, compacts))
+        self._registered |= _tid_bits(tids)
         self._next_tid = floor
         return list(tids)
 
     def release_transactions(self, tids: Iterable[int]) -> None:
-        """Drop all state held for *tids*: references and anchors.
+        """Drop all state held for *tids*: references, slots and anchors.
 
-        Tids are never reused (the slots stay occupied).  A shared engine
-        that serves many mining rounds must release each round's
-        transactions or it retains every graph ever mined.  Querying a
-        released tid raises.  The call is validated before anything is
-        dropped: a released, repeated, unknown or negative tid raises
-        ``KeyError`` and releases nothing (the sharded runtime's contract).
+        Tids are never reused, and querying a released tid raises.  A
+        shared engine that serves many mining rounds must release each
+        round's transactions or it retains every graph ever mined.  The
+        call is validated before anything is dropped: a released,
+        repeated, unknown or negative tid raises ``KeyError`` and
+        releases nothing (the sharded runtime's contract).
         """
         released: set[int] = set()
         for tid in tids:
@@ -286,7 +291,7 @@ class MatchEngine:
         if not released:
             return
         for tid in released:
-            self._transactions[tid] = None
+            del self._transactions[tid]
             self._transaction_indexes.pop(tid, None)
         for per_tid in self._anchors.values():
             for tid in released & per_tid.keys():
@@ -297,7 +302,7 @@ class MatchEngine:
     @property
     def n_transactions(self) -> int:
         """Number of transactions registered here (including released ones)."""
-        return len(self._transactions)
+        return self._registered.bit_count()
 
     def transaction(self, tid: int) -> CompactGraph:
         """The compact snapshot of registered transaction *tid*.
@@ -312,7 +317,7 @@ class MatchEngine:
 
     def _absent(self, tid: int) -> KeyError:
         """The error a query about a tid with no live transaction raises."""
-        if tid in self._transactions:
+        if tid >= 0 and self._registered >> tid & 1:
             return _released(tid)
         return KeyError(f"unknown transaction id {tid}")
 
@@ -826,6 +831,19 @@ def _matching_order(pattern: CompactGraph, candidates: list[list[int]]) -> list[
         in_order[nxt] = True
         remaining.remove(nxt)
     return order
+
+
+def _tid_bits(tids: Sequence[int]) -> int:
+    """The bitset of *tids*, which rise: one pass over a byte buffer
+    spanning them, so a batch costs no per-tid big-integer copy."""
+    if not tids:
+        return 0
+    first = tids[0]
+    span = bytearray(((tids[-1] - first) >> 3) + 1)
+    for tid in tids:
+        offset = tid - first
+        span[offset >> 3] |= 1 << (offset & 7)
+    return int.from_bytes(span, "little") << first
 
 
 def _released(tid: int) -> KeyError:

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import gc
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.candidates import (
     Candidate,
@@ -74,16 +72,6 @@ class FSGMiner:
         Maximum number of candidate patterns allowed at a single level;
         ``None`` disables the budget.  Exceeding it raises
         :class:`MemoryBudgetExceeded`.
-    min_pattern_edges:
-        Smallest pattern size to report.  The paper reports single-edge
-        patterns too, so the default is 1.
-    engine:
-        The :class:`~repro.graphs.engine.MatchEngine` used for candidate
-        deduplication (canonical codes) and, under the default serial
-        runtime, for support counting.  ``None`` (the default) creates a
-        private engine per :meth:`mine` call; passing a shared engine lets
-        repeated runs (e.g. the repeated-partitioning structural miner)
-        reuse one label table and its indexes across mining rounds.
     runtime:
         The :class:`~repro.runtime.base.MiningRuntime` that owns the
         transactions.  Each :meth:`mine` call opens one of its mining
@@ -91,11 +79,17 @@ class FSGMiner:
         candidates carry their parents' intersected TID bitsets plus the
         one extension edge, and each ``(pattern, tid)`` query extends a
         stored parent embedding instead of searching from scratch, with
-        full search as the correctness fallback.  ``None`` (the default)
-        wraps *engine* in a :class:`~repro.runtime.base.SerialRuntime`;
-        pass a :class:`~repro.runtime.shards.ShardedEngine` to spread
-        support counting across worker shards.  The miner never closes a
-        caller-supplied runtime.
+        full search as the correctness fallback.  Candidates are
+        deduplicated on the runtime's parent engine
+        (:attr:`~repro.runtime.base.MiningRuntime.engine`), so repeated
+        runs on one runtime (e.g. the repeated-partitioning structural
+        miner) reuse one label table and its indexes.  ``None`` (the
+        default) builds a private
+        :class:`~repro.runtime.base.SerialRuntime` per :meth:`mine`
+        call; pass a :class:`~repro.runtime.shards.ShardedEngine` to
+        spread support counting across worker shards, or
+        ``SerialRuntime(engine=...)`` to mine on an engine of your own.
+        The miner never closes a caller-supplied runtime.
 
     Each run records its spans and metrics on the active tracer
     (:func:`~repro.obs.tracer.get_tracer`), which costs nothing unless
@@ -105,8 +99,6 @@ class FSGMiner:
     min_support: float | int = 0.05
     max_edges: int | None = None
     memory_budget: int | None = None
-    min_pattern_edges: int = 1
-    engine: MatchEngine | None = None
     runtime: MiningRuntime | None = None
 
     def __post_init__(self) -> None:
@@ -132,12 +124,12 @@ class FSGMiner:
     def _mine(self, transactions: Sequence[LabeledGraph]) -> FSGResult:
         n_transactions = len(transactions)
         support_threshold = _resolve_min_support(self.min_support, n_transactions)
-        engine = self.engine if self.engine is not None else MatchEngine()
-        runtime = self.runtime if self.runtime is not None else SerialRuntime(engine=engine)
+        runtime = self.runtime if self.runtime is not None else SerialRuntime()
+        engine = runtime.engine
         tracer = get_tracer()
         # The parent engine's counter delta across this run covers
         # canonicalisation/dedup work always, and — under the serial
-        # runtime, where runtime and parent engine coincide — the whole
+        # runtime, whose one engine also counts support — the whole
         # match workload; shard engines ship their own deltas piggybacked
         # on replies (see ShardWorker).
         stats_before = engine.stats.as_dict() if tracer.enabled else None
@@ -158,7 +150,6 @@ class FSGMiner:
                 result = self._mine_levels(
                     transactions,
                     support_threshold,
-                    engine,
                     runtime,
                     runtime_tids[0] if runtime_tids else 0,
                     n_transactions,
@@ -195,7 +186,6 @@ class FSGMiner:
         self,
         transactions: Sequence[LabeledGraph],
         support_threshold: int,
-        engine: MatchEngine,
         runtime: MiningRuntime,
         tid_base: int,
         n_transactions: int,
@@ -238,7 +228,7 @@ class FSGMiner:
             for triple, tids in triples_with_tids.items()
         ]
         result.candidates_generated += len(level_patterns)
-        self._record_level(result, level_patterns, level=1)
+        self._record_level(result, level_patterns)
         result.levels_completed = 1
 
         try:
@@ -270,7 +260,9 @@ class FSGMiner:
                     for candidate, tids in level_patterns
                 ]
                 candidates_span = tracer.span("fsg.candidates", level=level + 1)
-                candidates = generate_candidates(parents, frequent_triples, engine=engine)
+                candidates = generate_candidates(
+                    parents, frequent_triples, engine=runtime.engine
+                )
                 candidates_span.finish(candidates=len(candidates))
                 result.candidates_generated += len(candidates)
                 if self.memory_budget is not None and len(candidates) > self.memory_budget:
@@ -300,7 +292,7 @@ class FSGMiner:
                 self._level_done(result, tracer, session, level=level)
                 level_span.finish(survivors=len(level_patterns))
                 if level_patterns:
-                    self._record_level(result, level_patterns, level=level)
+                    self._record_level(result, level_patterns)
                     result.levels_completed = level
         finally:
             if live_uids:
@@ -375,14 +367,11 @@ class FSGMiner:
                 )
         return surviving
 
+    @staticmethod
     def _record_level(
-        self,
         result: FSGResult,
         level_patterns: Sequence[tuple[Candidate, frozenset[int]]],
-        level: int,
     ) -> None:
-        if level < self.min_pattern_edges:
-            return
         for candidate, tids in level_patterns:
             result.patterns.append(
                 FrequentSubgraph(
@@ -398,25 +387,11 @@ def mine_frequent_subgraphs(
     min_support: float | int = 0.05,
     max_edges: int | None = None,
     memory_budget: int | None = None,
-    min_pattern_edges: int = 1,
 ) -> FSGResult:
     """Convenience wrapper around :class:`FSGMiner`."""
     miner = FSGMiner(
         min_support=min_support,
         max_edges=max_edges,
         memory_budget=memory_budget,
-        min_pattern_edges=min_pattern_edges,
     )
     return miner.mine(transactions)
-
-
-def timed_mine(
-    transactions: Sequence[LabeledGraph],
-    min_support: float | int = 0.05,
-    max_edges: int | None = None,
-) -> tuple[FSGResult, float]:
-    """Mine and return (result, elapsed seconds); used by the scaling benchmarks."""
-    start = time.perf_counter()
-    result = mine_frequent_subgraphs(transactions, min_support=min_support, max_edges=max_edges)
-    elapsed = time.perf_counter() - start
-    return result, elapsed

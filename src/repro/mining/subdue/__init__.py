@@ -5,9 +5,10 @@ transportation graph.  SUBDUE discovers interesting, repetitive subgraphs
 in a single labeled graph by beam search: starting from single-vertex
 substructures, it repeatedly extends instances by one edge and evaluates
 each candidate substructure with the Minimum Description Length (MDL)
-principle or the Size principle.  Replacing the discovered substructure
-with a single vertex and repeating yields a hierarchical description of
-the graph's regularities.
+principle or the Size principle.  (SUBDUE can also replace the
+discovered substructure with a single vertex and repeat, for a
+hierarchical description of the graph; the paper's runs do not, so that
+mode is not offered here.)
 
 This package reimplements that algorithm so the paper's observations can
 be reproduced: MDL rewards many small (often single-edge) patterns when
@@ -18,7 +19,6 @@ substructures, and runtime grows steeply with graph size.
 from repro.mining.subdue.substructure import Instance, Substructure
 from repro.mining.subdue.evaluation import EvaluationPrinciple
 from repro.mining.subdue.mdl import description_length, graph_size
-from repro.mining.subdue.compression import compress_graph
 from repro.mining.subdue.miner import SubdueMiner, SubdueResult
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "EvaluationPrinciple",
     "description_length",
     "graph_size",
-    "compress_graph",
     "SubdueMiner",
     "SubdueResult",
 ]

@@ -60,9 +60,10 @@ class CompressionCounts(NamedTuple):
 def compression_counts(host: LabeledGraph, substructure: Substructure) -> CompressionCounts:
     """Counts of *host* with *substructure*'s non-overlapping instances collapsed.
 
-    The compressed graph is the one
-    :func:`~repro.mining.subdue.compression.compress_instances` builds,
-    but only its counts are derived, from the instances' owner map: each
+    The compressed graph is the one ``compress_instances`` in
+    ``tests/test_subdue.py`` builds (each instance collapsed into one
+    fresh vertex), but only its counts are derived, from the instances'
+    owner map: each
     edge that touches an instance is visited once (the out-edges of its
     vertices, plus in-edges from outside), which costs O(degree of the
     covered vertices).  An edge with both ends in one instance is

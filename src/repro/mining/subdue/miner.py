@@ -12,10 +12,10 @@ Section 5.1 of the paper:
   the paper's runs disallow overlap;
 * the search stops after ``limit`` candidates have been evaluated or when
   no candidate can be expanded further, and the ``max_best`` best
-  substructures are reported;
-* :meth:`SubdueMiner.mine_hierarchical` repeats discovery on the
-  compressed graph, producing the hierarchical description SUBDUE is known
-  for.
+  substructures are reported.
+
+SUBDUE's hierarchical mode (compress the host by the best substructure and
+search again) is not offered: none of the paper's experiments runs it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.mining.subdue.compression import compress_graph
 from repro.mining.subdue.evaluation import EvaluationPrinciple, evaluate
 from repro.mining.subdue.expansion import expand_substructure, initial_substructures
 from repro.mining.subdue.substructure import Substructure
@@ -164,30 +163,6 @@ class SubdueMiner:
             frontier = self._keep_best(scored, self.beam_width)
 
         return self._keep_best(best, self.max_best), evaluated
-
-    def mine_hierarchical(self, host: LabeledGraph, passes: int = 3) -> list[SubdueResult]:
-        """Iteratively discover and compress, producing a hierarchy of substructures.
-
-        After each pass the best substructure's instances are collapsed
-        into single vertices and discovery repeats on the compressed
-        graph.  Passes stop early when no substructure is found or the
-        graph no longer shrinks.
-        """
-        if passes < 1:
-            raise ValueError("passes must be at least 1")
-        results: list[SubdueResult] = []
-        current = host
-        for pass_index in range(passes):
-            result = self.mine(current)
-            results.append(result)
-            top = result.top()
-            if top is None or top.n_non_overlapping < self.min_instances:
-                break
-            compressed = compress_graph(current, top, replacement_label=f"SUB{pass_index}")
-            if compressed.n_vertices + compressed.n_edges >= current.n_vertices + current.n_edges:
-                break
-            current = compressed
-        return results
 
     @staticmethod
     def _keep_best(substructures: list[Substructure], count: int) -> list[Substructure]:

@@ -145,11 +145,11 @@ def select_non_overlapping(instances: list[Instance]) -> list[Instance]:
 class Substructure:
     """A pattern graph plus its instances in the host graph.
 
-    ``instances`` should be *rebound* (assigned a new list), not mutated
+    ``instances`` must be *rebound* (assigned a new list), not mutated
     in place: the non-overlapping selection is cached against the list
     object itself (the kept reference also pins it, so a recycled
-    allocation can never false-match).  Callers that must mutate in
-    place call :meth:`invalidate` afterwards.
+    allocation can never false-match), and an in-place change would
+    leave that cache stale.
     """
 
     pattern: LabeledGraph
@@ -165,19 +165,15 @@ class Substructure:
     def non_overlapping(self) -> list[Instance]:
         """The greedy vertex-disjoint selection, computed once per instance list.
 
-        Candidate filtering, evaluation, and compression all need the
-        same selection, and the sort inside :func:`select_non_overlapping`
-        is the hottest per-candidate work — so the result is cached and
-        recomputed whenever :attr:`instances` is rebound to another list
-        (the miner truncates by assigning a new, shorter one).
+        Candidate filtering and evaluation both need the same selection,
+        and the sort inside :func:`select_non_overlapping` is the hottest
+        per-candidate work — so the result is cached and recomputed
+        whenever :attr:`instances` is rebound to another list (the miner
+        truncates by assigning a new, shorter one).
         """
         if self._non_overlap_cache is None or self._non_overlap_cache[0] is not self.instances:
             self._non_overlap_cache = (self.instances, select_non_overlapping(self.instances))
         return self._non_overlap_cache[1]
-
-    def invalidate(self) -> None:
-        """Drop the cached non-overlapping selection after an in-place mutation."""
-        self._non_overlap_cache = None
 
     @property
     def n_non_overlapping(self) -> int:

@@ -38,7 +38,6 @@ class StructuralMiningConfig:
     min_support: float | int = 5
     strategy: PartitionStrategy = PartitionStrategy.BREADTH_FIRST
     max_pattern_edges: int | None = 6
-    min_pattern_edges: int = 1
     memory_budget: int | None = None
     seed: int = 17
 
@@ -98,35 +97,31 @@ def _merge_patterns(
 def mine_single_graph(
     graph: LabeledGraph,
     config: StructuralMiningConfig | None = None,
-    engine: MatchEngine | None = None,
     runtime: MiningRuntime | None = None,
 ) -> StructuralMiningResult:
     """Run Algorithm 1 on *graph* and return the union of frequent patterns.
 
-    One :class:`MatchEngine` (a private one unless *engine* is given)
-    serves every repetition: the label table, per-pattern canonical codes,
-    and cross-repetition pattern merging all share its caches.  Support
-    counting goes through *runtime* when given (a shared
+    Support counting goes through *runtime* when given (a shared
     :class:`~repro.runtime.shards.ShardedEngine`, say), which is left
-    open; otherwise through ``create_runtime(engine=engine)``, built for
-    this call and closed on exit.
+    open; otherwise through ``create_runtime()``, built for this call
+    and closed on exit.  The runtime's parent engine
+    (:attr:`~repro.runtime.base.MiningRuntime.engine`) serves every
+    repetition: the label table, per-pattern canonical codes, and
+    cross-repetition pattern merging all share its caches.
     """
     settings = config or StructuralMiningConfig()
     if settings.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    shared_engine = engine if engine is not None else MatchEngine()
     rng = random.Random(settings.seed)
     result = StructuralMiningResult()
     owned = runtime is None
     if owned:
-        runtime = create_runtime(engine=shared_engine)
+        runtime = create_runtime()
     try:
         miner = FSGMiner(
             min_support=settings.min_support,
             max_edges=settings.max_pattern_edges,
             memory_budget=settings.memory_budget,
-            min_pattern_edges=settings.min_pattern_edges,
-            engine=shared_engine,
             runtime=runtime,
         )
         for _ in range(settings.repetitions):
@@ -134,7 +129,7 @@ def mine_single_graph(
             mined = miner.mine(partitions)
             result.per_repetition_results.append(mined)
             result.per_repetition_counts.append(len(mined.patterns))
-            _merge_patterns(result.patterns, mined.patterns, shared_engine)
+            _merge_patterns(result.patterns, mined.patterns, runtime.engine)
     finally:
         if owned:
             runtime.close()

@@ -36,7 +36,6 @@ Pick a runtime with :func:`create_runtime`, or set ``REPRO_WORKERS`` /
 
 from __future__ import annotations
 
-from repro.graphs.engine import MatchEngine
 from repro.runtime.base import (
     BACKENDS,
     SESSION_TELEMETRY_KEYS,
@@ -126,22 +125,17 @@ __all__ = [
 def create_runtime(
     workers: int | None = None,
     backend: str | None = None,
-    engine: MatchEngine | None = None,
 ) -> MiningRuntime:
     """The runtime implied by a ``workers`` knob.
 
     ``workers`` of ``0`` or ``1`` (or unset, with no ``REPRO_WORKERS`` in
-    the environment) selects the serial runtime, optionally wrapping a
-    caller-supplied *engine*; ``workers >= 2`` builds a
+    the environment) selects the serial runtime; ``workers >= 2`` builds a
     :class:`ShardedEngine` with that many shards on *backend* (defaulting
-    to ``process``, or ``REPRO_BACKEND``).
-
-    *engine* applies to the serial case only: a sharded runtime owns one
-    engine (label table, indexes, embedding store) per shard by design,
-    so a caller-supplied engine — and any state warmed in it — is not
-    used when sharding is selected.
+    to ``process``, or ``REPRO_BACKEND``).  Either way the runtime builds
+    its own parent engine (:attr:`MiningRuntime.engine`), which the miners
+    it serves share for candidate dedup and pattern merging.
     """
     workers = resolve_workers(workers)
     if workers <= 1:
-        return SerialRuntime(engine=engine)
+        return SerialRuntime()
     return ShardedEngine(shards=workers, backend=backend)

@@ -210,7 +210,17 @@ class MiningRuntime(ABC):
     processes is the runtime's business.  All implementations must return
     identical support sets for identical inputs — parallelism is never
     allowed to change mining output.
+
+    Every runtime owns one parent-side :class:`MatchEngine`, its
+    ``engine`` attribute.  The miners that count support through the
+    runtime deduplicate candidates and merge patterns on it, so a caller
+    hands the miners an engine only by building the runtime around it
+    (``SerialRuntime(engine=...)``).
     """
+
+    #: The parent-side engine: candidate dedup, pattern merging and, on
+    #: the serial runtime, support counting too.
+    engine: MatchEngine
 
     @abstractmethod
     def add_transactions(self, transactions: Sequence[LabeledGraph]) -> list[int]:

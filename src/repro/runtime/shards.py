@@ -339,6 +339,10 @@ class ShardedEngine(MiningRuntime):
         self.n_shards = shards
         self.backend = resolve_backend(backend)
         self.table = LabelTable()
+        #: The parent's engine, with a label table of its own: it serves
+        #: only candidate dedup and pattern merging, so labels the shards
+        #: never see stay out of :attr:`table`, the table they replicate.
+        self.engine = MatchEngine()
         self.planner = BatchSupportPlanner(shards)
         self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0

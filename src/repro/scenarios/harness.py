@@ -155,7 +155,6 @@ def _recall_payload(report) -> dict:
 def _mine_runtime_sections(
     scenario: Scenario,
     built: ScenarioData,
-    engine: MatchEngine,
     runtime: MiningRuntime,
 ):
     """The two mining stages whose support counting routes through a runtime."""
@@ -163,7 +162,6 @@ def _mine_runtime_sections(
     fsg = FSGMiner(
         min_support=params.fsg_min_support,
         max_edges=params.fsg_max_edges,
-        engine=engine,
         runtime=runtime,
     ).mine(built.transactions)
     structural = mine_single_graph(
@@ -175,7 +173,6 @@ def _mine_runtime_sections(
             max_pattern_edges=params.structural_max_edges,
             seed=scenario.seed,
         ),
-        engine=engine,
         runtime=runtime,
     )
     return fsg, structural
@@ -188,12 +185,13 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Run *scenario* through every engine and return the canonical outcome.
 
-    *runtime* routes FSG and structural-partitioning support counting.
-    ``None`` means a :class:`SerialRuntime` over the run's engine, never
-    a runtime built from ``REPRO_WORKERS``, so the reference run of a
-    differential check stays serial.  SUBDUE and recall are engine-level
-    and runtime-independent by construction.  The caller owns a supplied
-    runtime's lifecycle.
+    *runtime* routes FSG and structural-partitioning support counting,
+    and those two deduplicate on its engine.  ``None`` means a
+    :class:`SerialRuntime` over the run's engine, which SUBDUE and the
+    digests share, never a runtime built from ``REPRO_WORKERS``, so the
+    reference run of a differential check stays serial.  SUBDUE and
+    recall are engine-level and runtime-independent by construction.
+    The caller owns a supplied runtime's lifecycle.
     """
     params = scenario.params
     built = data if data is not None else scenario.build()
@@ -203,7 +201,7 @@ def run_scenario(
         runtime = SerialRuntime(engine=engine)
 
     with tracer.span("scenario.mine", scenario=scenario.name):
-        fsg, structural = _mine_runtime_sections(scenario, built, engine, runtime)
+        fsg, structural = _mine_runtime_sections(scenario, built, runtime)
 
     subdue = SubdueMiner(
         beam_width=params.subdue_beam,
@@ -455,21 +453,18 @@ def differential_check(
             if faults is not None:
                 label += "-faulted"
             runtime = ShardedEngine(shards=shards, backend=backend, faults=faults)
-            engine = MatchEngine()
             try:
                 with tracer.span(
                     "scenario.run", scenario=scenario.name, runtime=label
                 ):
-                    fsg, structural = _mine_runtime_sections(
-                        scenario, data, engine, runtime
-                    )
+                    fsg, structural = _mine_runtime_sections(scenario, data, runtime)
                 report.runtime_stats[label] = runtime.stats()
             finally:
                 runtime.close()
             sections = payload_digest(
                 {
-                    "fsg": _fsg_payload(engine, fsg),
-                    "structural": _structural_payload(engine, structural),
+                    "fsg": _fsg_payload(runtime.engine, fsg),
+                    "structural": _structural_payload(runtime.engine, structural),
                 }
             )
             report.runs[label] = sections

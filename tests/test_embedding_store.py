@@ -543,7 +543,7 @@ def _store_starved(corpus, **options):
     against a per-tid ``legacy_has_embedding`` scan on the way out.
     """
     engine = MatchEngine(anchor_budget=0)
-    result = FSGMiner(engine=engine, **options).mine(corpus)
+    result = FSGMiner(runtime=SerialRuntime(engine=engine), **options).mine(corpus)
     assert engine.stats.anchors_stored == engine.stats.anchor_extensions == 0
     assert engine.stats.anchor_fallbacks > 0
     for entry in result.patterns:
@@ -580,7 +580,7 @@ class TestMiningEquivalence:
         corpus = _random_corpus(17)
         engine = MatchEngine(anchor_cap=1, anchor_budget=3)
         runtime = SerialRuntime(engine=engine)
-        capped = FSGMiner(min_support=0.15, max_edges=3, engine=engine, runtime=runtime).mine(corpus)
+        capped = FSGMiner(min_support=0.15, max_edges=3, runtime=runtime).mine(corpus)
         reference = _store_starved(corpus, min_support=0.15, max_edges=3)
         assert _signature(capped) == _signature(reference)
         assert engine.stats.anchor_fallbacks > 0
@@ -588,7 +588,7 @@ class TestMiningEquivalence:
     def test_anchors_are_retired_after_the_run(self):
         engine = MatchEngine()
         runtime = SerialRuntime(engine=engine)
-        FSGMiner(min_support=0.2, max_edges=3, engine=engine, runtime=runtime).mine(
+        FSGMiner(min_support=0.2, max_edges=3, runtime=runtime).mine(
             _random_corpus(23)
         )
         assert engine.anchor_load == 0

@@ -9,11 +9,17 @@ so the default test run stays fast (run them with ``-m slow``).
 
 from __future__ import annotations
 
+import functools
+import sys
+
 import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core import experiments
 from repro.core.results import ExperimentReport
+from repro.graphs import engine as engine_module
+from repro.graphs.engine import MatchEngine, reset_default_engine
+from repro.partitioning.temporal import partition_by_date
 from repro.reporting.comparison import render_comparison
 
 
@@ -93,6 +99,50 @@ def test_graph_mining_experiments_mine_through_the_configured_runtime(
     serial = driver(ExperimentConfig(scale=0.01, workers=0))
     assert len(built) == 1
     assert sharded.measured == serial.measured
+
+
+def _record_calls(monkeypatch, function) -> list:
+    """Record each call of *function*, under every name a ``repro``
+    module imported it by; returns the list of recorded arguments."""
+    calls = []
+
+    @functools.wraps(function)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and module is not None:
+            for attribute, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attribute, recording)
+    return calls
+
+
+@pytest.mark.parametrize("experiment_id", GRAPH_MINING_EXPERIMENTS)
+def test_graph_mining_experiments_build_one_engine_per_run(experiment_id, monkeypatch):
+    """A serial run deduplicates, counts, merges and measures recall on
+    one engine, the one its runtime owns; recall does not fall back to
+    the process-global default engine."""
+    built = []
+    init = MatchEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    reset_default_engine()
+    monkeypatch.setattr(MatchEngine, "__init__", recording_init)
+    experiments.ALL_EXPERIMENTS[experiment_id](ExperimentConfig(scale=0.01, workers=0))
+    assert len(built) == 1
+    assert engine_module._default_engine is None
+
+
+def test_table3_fig4_partitions_the_dataset_once(monkeypatch):
+    calls = _record_calls(monkeypatch, partition_by_date)
+    report = experiments.experiment_table3_fig4_temporal_fsg(ExperimentConfig(scale=0.01, workers=0))
+    assert len(calls) == 1
+    assert report.measured["n_frequent_patterns"] > 0
 
 
 @pytest.mark.slow

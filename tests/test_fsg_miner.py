@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import MotifShape, chain, cycle, hub_and_spoke
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
-from repro.mining.fsg.miner import FSGMiner, mine_frequent_subgraphs, timed_mine
-from repro.mining.fsg.results import FSGResult, FrequentSubgraph
+from repro.mining.fsg.miner import FSGMiner, mine_frequent_subgraphs
+from repro.mining.fsg.results import FrequentSubgraph
+from repro.obs import Tracer, activate
 from repro.runtime import SerialRuntime, ShardedEngine
 
 
@@ -77,24 +77,12 @@ class TestMining:
         result = mine_frequent_subgraphs(transactions, min_support=3)
         assert any(p.n_edges == 3 and p.shape is MotifShape.CYCLE for p in result.patterns)
 
-    def test_min_pattern_edges_filters_small_patterns(self):
-        transactions = _transactions_with_planted_star(4, 0)
-        miner = FSGMiner(min_support=4, max_edges=2, min_pattern_edges=2)
-        result = miner.mine(transactions)
-        assert all(p.n_edges >= 2 for p in result.patterns)
-
     def test_patterns_count_once_per_transaction(self):
         # A transaction with many embeddings of a pattern still counts once.
         big_star = hub_and_spoke(5, edge_labels=[1] * 5)
         small_star = hub_and_spoke(2, edge_labels=[1, 1], prefix="x")
         result = mine_frequent_subgraphs([big_star, small_star], min_support=2, max_edges=1)
         assert all(p.support <= 2 for p in result.patterns)
-
-    def test_timed_mine_returns_elapsed(self):
-        transactions = _transactions_with_planted_star(3, 3)
-        result, elapsed = timed_mine(transactions, min_support=3, max_edges=1)
-        assert isinstance(result, FSGResult)
-        assert elapsed >= 0.0
 
 
 class _GappyRuntime(SerialRuntime):
@@ -123,19 +111,50 @@ class TestRuntimeContract:
 
     def test_sharded_mine_builds_no_index_in_the_miner_engine(self):
         # The shards count support against their own compacts; the
-        # miner's engine only deduplicates, and every pattern here
-        # canonicalises, so it never needs an index.
+        # runtime's parent engine only deduplicates, and every pattern
+        # here canonicalises, so it never needs an index.
         transactions = _transactions_with_planted_star(5, 5)
-        engine = MatchEngine()
         runtime = ShardedEngine(shards=2, backend="serial")
         try:
-            result = FSGMiner(
-                min_support=3, max_edges=3, engine=engine, runtime=runtime
-            ).mine(transactions)
+            result = FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(transactions)
         finally:
             runtime.close()
         assert any(pattern.n_edges >= 2 for pattern in result.patterns)
-        assert engine.stats.indexes_built == 0
+        assert runtime.engine.stats.indexes_built == 0
+
+    def test_the_traced_delta_covers_the_runtime_engine(self):
+        # The miner deduplicates on the runtime's engine, the one that
+        # counts support on the serial runtime, so the run's traced
+        # counter delta holds the support counters too.
+        transactions = _transactions_with_planted_star(5, 5)
+        runtime = SerialRuntime()
+        with activate(Tracer(worker="main")) as tracer:
+            FSGMiner(min_support=3, max_edges=3, runtime=runtime).mine(transactions)
+        scanned = runtime.engine.stats.batch_patterns
+        assert scanned > 0
+        assert tracer.metrics.counter_value("batch_patterns", worker="main") == scanned
+
+    def test_repeated_runs_leave_no_transaction_slots(self):
+        # A runtime serves many mines; each run releases its transactions,
+        # and a release frees the engine's slot, not just its snapshot.
+        runtime = SerialRuntime()
+        miner = FSGMiner(min_support=2, max_edges=2, runtime=runtime)
+        for size in (4, 6, 5):
+            miner.mine(_transactions_with_planted_star(size, 2))
+        assert runtime.engine._transactions == {}
+        assert runtime.engine.n_transactions == 4 + 2 + 6 + 2 + 5 + 2
+
+    def test_repeated_sharded_runs_leave_no_shard_slots(self):
+        runtime = ShardedEngine(shards=2, backend="serial")
+        try:
+            miner = FSGMiner(min_support=2, max_edges=2, runtime=runtime)
+            for size in (4, 6, 5):
+                miner.mine(_transactions_with_planted_star(size, 2))
+            shard_engines = [worker.engine for worker in runtime._pool._handlers]
+            assert sum(engine.n_transactions for engine in shard_engines) == 4 + 2 + 6 + 2 + 5 + 2
+            assert all(engine._transactions == {} for engine in shard_engines)
+        finally:
+            runtime.close()
 
 
 class TestParameters:

@@ -44,7 +44,7 @@ from repro.obs import (
     set_tracer,
     write_jsonl,
 )
-from repro.runtime import SESSION_TELEMETRY_KEYS, ShardedEngine
+from repro.runtime import SESSION_TELEMETRY_KEYS, SerialRuntime, ShardedEngine
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +338,9 @@ class TestNonStoreTelemetry:
     def test_serial_runtime_still_files_records(self):
         corpus = random_corpus(seed=64, size=16)
         engine = MatchEngine(anchor_budget=0)
-        result = FSGMiner(min_support=3, max_edges=3, engine=engine).mine(corpus)
+        result = FSGMiner(
+            min_support=3, max_edges=3, runtime=SerialRuntime(engine=engine)
+        ).mine(corpus)
         assert engine.stats.anchors_stored == 0
         assert result.level_telemetry
         assert set(result.session_totals()) == set(SESSION_TELEMETRY_KEYS)

@@ -13,6 +13,7 @@ from repro.core.pipeline import (
     TransactionalMiningPipeline,
 )
 from repro.partitioning.split_graph import PartitionStrategy
+from repro.partitioning.temporal import partition_by_date
 from repro.runtime import ShardedEngine
 
 
@@ -20,6 +21,12 @@ from repro.runtime import ShardedEngine
 def pipeline_dataset():
     """A small dataset shared by the pipeline integration tests."""
     return ExperimentConfig(scale=0.015, seed=13).dataset()
+
+
+@pytest.fixture(scope="module")
+def pipeline_days(pipeline_dataset):
+    """The shared dataset's day partition, the temporal pipeline's input."""
+    return partition_by_date(pipeline_dataset)
 
 
 class TestStructuralPipeline:
@@ -48,11 +55,11 @@ class TestStructuralPipeline:
 
 
 class TestTemporalPipeline:
-    def test_run_produces_summaries_and_patterns(self, pipeline_dataset):
+    def test_run_produces_summaries_and_patterns(self, pipeline_days):
         pipeline = TemporalMiningPipeline(
             min_support=0.05, max_vertex_labels=None, max_pattern_edges=2,
         )
-        outcome = pipeline.run(pipeline_dataset)
+        outcome = pipeline.run(pipeline_days)
         assert outcome.raw_summary is not None
         assert outcome.prepared_summary is not None
         assert outcome.raw_summary.n_transactions >= 1
@@ -60,9 +67,9 @@ class TestTemporalPipeline:
         assert outcome.prepared_summary.max_edges <= outcome.raw_summary.max_edges
         assert len(outcome.prepared_transactions) >= 1
 
-    def test_vertex_label_filter_reduces_transactions(self, pipeline_dataset):
-        unfiltered = TemporalMiningPipeline(max_vertex_labels=None, max_pattern_edges=1).run(pipeline_dataset)
-        filtered = TemporalMiningPipeline(max_vertex_labels=8, max_pattern_edges=1).run(pipeline_dataset)
+    def test_vertex_label_filter_reduces_transactions(self, pipeline_days):
+        unfiltered = TemporalMiningPipeline(max_vertex_labels=None, max_pattern_edges=1).run(pipeline_days)
+        filtered = TemporalMiningPipeline(max_vertex_labels=8, max_pattern_edges=1).run(pipeline_days)
         assert len(filtered.prepared_transactions) <= len(unfiltered.prepared_transactions)
 
 
@@ -73,29 +80,35 @@ GRAPH_PIPELINES = {
 }
 
 
+@pytest.fixture
+def pipeline_input(name, pipeline_dataset, pipeline_days):
+    """What the parametrized pipeline's ``run`` takes."""
+    return pipeline_days if name == "temporal" else pipeline_dataset
+
+
 @pytest.mark.parametrize("name", sorted(GRAPH_PIPELINES))
 class TestPipelineRuntime:
-    """Without a runtime, a pipeline run mines through
-    ``create_runtime(engine=engine)`` (so ``REPRO_WORKERS`` shards it) and
-    closes it; a caller's runtime is used and left open."""
+    """Without a runtime, a pipeline run mines through ``create_runtime()``
+    (so ``REPRO_WORKERS`` shards it) and closes it; a caller's runtime is
+    used and left open."""
 
     def test_without_runtime_shards_under_env_and_closes(
-        self, name, pipeline_dataset, two_serial_shards_env, sharded_engines
+        self, name, pipeline_input, two_serial_shards_env, sharded_engines
     ):
         built, closed = sharded_engines
-        outcome = GRAPH_PIPELINES[name].run(pipeline_dataset)
+        outcome = GRAPH_PIPELINES[name].run(pipeline_input)
         assert outcome.engine_stats["shards"] == 2
         assert outcome.engine_stats["batch_calls"] > 0
         assert len(built) == 1 and closed == built
 
     def test_caller_runtime_is_used_and_left_open(
-        self, name, pipeline_dataset, two_serial_shards_env, sharded_engines
+        self, name, pipeline_input, two_serial_shards_env, sharded_engines
     ):
         built, closed = sharded_engines
         runtime = ShardedEngine(shards=3, backend="serial")
         try:
             pipeline = dataclasses.replace(GRAPH_PIPELINES[name], runtime=runtime)
-            outcome = pipeline.run(pipeline_dataset)
+            outcome = pipeline.run(pipeline_input)
             assert outcome.engine_stats["shards"] == 3
             assert outcome.engine_stats["batch_calls"] > 0
             assert built == [runtime] and closed == []

@@ -20,6 +20,7 @@ from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.mining.interestingness import confidence, leverage, lift
 from repro.partitioning.split_graph import PartitionStrategy, coverage_is_exact, split_graph
+from repro.runtime import SerialRuntime
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +227,13 @@ class TestEmbeddingStoreProperties:
         if all(graph.n_edges == 0 for graph in corpus):
             return
         engine = MatchEngine(anchor_cap=cap)
-        with_store = FSGMiner(min_support=2, max_edges=3, engine=engine).mine(corpus)
+        with_store = FSGMiner(
+            min_support=2, max_edges=3, runtime=SerialRuntime(engine=engine)
+        ).mine(corpus)
         starved = MatchEngine(anchor_budget=0)
-        without_store = FSGMiner(min_support=2, max_edges=3, engine=starved).mine(corpus)
+        without_store = FSGMiner(
+            min_support=2, max_edges=3, runtime=SerialRuntime(engine=starved)
+        ).mine(corpus)
         assert starved.stats.anchors_stored == starved.stats.anchor_extensions == 0
 
         def signature(result):

@@ -542,14 +542,18 @@ class TestKnobs:
     def test_create_runtime_types(self):
         serial = create_runtime(workers=0)
         assert isinstance(serial, SerialRuntime)
-        shared_engine = MatchEngine()
-        wrapped = create_runtime(workers=1, engine=shared_engine)
-        assert isinstance(wrapped, SerialRuntime)
-        assert wrapped.engine is shared_engine
+        assert isinstance(serial.engine, MatchEngine)
+        single = create_runtime(workers=1)
+        assert isinstance(single, SerialRuntime)
+        assert single.engine is not serial.engine
         sharded = create_runtime(workers=2, backend="serial")
         try:
             assert isinstance(sharded, ShardedEngine)
             assert sharded.n_shards == 2
+            # The parent engine keeps a label table of its own, apart
+            # from the one the shards replicate.
+            assert isinstance(sharded.engine, MatchEngine)
+            assert sharded.engine.table is not sharded.table
         finally:
             sharded.close()
 

@@ -88,9 +88,8 @@ class TestStructuralMining:
 
 class TestRuntimeRule:
     """Without a runtime, ``mine_single_graph`` mines through
-    ``create_runtime(engine=engine)`` (so ``REPRO_WORKERS`` shards it),
-    built and closed by the call; a caller's runtime is used and left
-    open."""
+    ``create_runtime()`` (so ``REPRO_WORKERS`` shards it), built and
+    closed by the call; a caller's runtime is used and left open."""
 
     CONFIG = StructuralMiningConfig(k=6, repetitions=2, min_support=3, max_pattern_edges=2, seed=5)
 

@@ -15,9 +15,8 @@ from repro.graphs.canonical import CanonicalizationError, canonical_code, graph_
 from repro.graphs.components import truncate_to_vertices
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.labeled_graph import LabeledGraph, VertexId
 from repro.graphs.motifs import chain, hub_and_spoke
-from repro.mining.subdue.compression import compress_graph, compress_instances, compression_ratio
 from repro.mining.subdue.evaluation import (
     EvaluationPrinciple,
     compression_counts,
@@ -136,6 +135,59 @@ def _two_nine_leaf_stars() -> tuple[LabeledGraph, list[Instance]]:
             host.add_edge(hub, leaf, "w")
         instances.append(_whole_instance(host, {hub} | leaves))
     return host, instances
+
+
+def compress_instances(
+    host: LabeledGraph,
+    instances: list[Instance],
+    replacement_label: str = "SUB",
+) -> LabeledGraph:
+    """Collapse vertex-disjoint *instances* of *host* into single vertices.
+
+    The materialised rewrite that :func:`compression_counts` counts
+    without building.  Instance ``i`` becomes the vertex
+    ``f"{replacement_label}_{i}"``, or, if the host already has a vertex
+    of that name, that name with primes appended until it is free: a
+    replacement never merges with a host vertex.  Edges with both ends in
+    one instance are absorbed; every other edge, a self-loop outside the
+    instances included, is kept, and edges that land on the same ordered
+    pair merge into one.  The host is not modified.
+    """
+    owner: dict[VertexId, int] = {}
+    for index, instance in enumerate(instances):
+        for vertex in instance.vertices:
+            if vertex in owner:
+                raise ValueError("instances passed to compress_instances must be vertex-disjoint")
+            owner[vertex] = index
+
+    compressed = LabeledGraph(name=f"{host.name}-compressed")
+    replacement_names = []
+    for index in range(len(instances)):
+        name = f"{replacement_label}_{index}"
+        while host.has_vertex(name):
+            name += "'"
+        replacement_names.append(name)
+
+    for vertex in host.vertices():
+        if vertex in owner:
+            continue
+        compressed.add_vertex(vertex, host.vertex_label(vertex))
+    for name in replacement_names:
+        compressed.add_vertex(name, replacement_label)
+
+    def resolve(vertex: VertexId) -> VertexId:
+        if vertex in owner:
+            return replacement_names[owner[vertex]]
+        return vertex
+
+    for edge in host.edges():
+        source_owner = owner.get(edge.source)
+        target_owner = owner.get(edge.target)
+        if source_owner is not None and source_owner == target_owner:
+            # Edge internal to an instance: absorbed by the replacement vertex.
+            continue
+        compressed.add_edge(resolve(edge.source), resolve(edge.target), edge.label)
+    return compressed
 
 
 def materialised_stats(host: LabeledGraph, substructure: Substructure) -> dict:
@@ -487,7 +539,7 @@ class TestCompression:
             edges = {e for e in host.edges() if e.source == f"hub{copy}" and e.label == 1}
             instances.append(Instance(vertices=frozenset(vertices), edges=frozenset(edges)))
         substructure = Substructure(pattern=star, instances=instances)
-        compressed = compress_graph(host, substructure)
+        compressed = compress_instances(host, substructure.non_overlapping())
         # Each 3-vertex instance becomes one SUB vertex; bridges survive.
         assert compressed.n_vertices == 3
         assert compressed.n_edges == 2
@@ -500,12 +552,6 @@ class TestCompression:
         ]
         with pytest.raises(ValueError):
             compress_instances(star_graph, overlapping)
-
-    def test_compression_ratio(self):
-        host = _repeated_star_graph(copies=2, spokes=2)
-        ratio = compression_ratio(host, chain(1))
-        assert ratio > 1.0
-
 
     def test_replacement_never_merges_with_a_host_vertex_of_its_name(self):
         host = LabeledGraph(name="named-sub")
@@ -608,16 +654,6 @@ class TestSubdueMiner:
         host = chain(5, edge_labels=[1, 2, 3, 4, 5])
         result = SubdueMiner(min_instances=2, max_substructure_edges=2).mine(host)
         assert all(sub.n_non_overlapping >= 2 for sub in result.best)
-
-    def test_hierarchical_mining_compresses(self):
-        host = _repeated_star_graph(copies=4, spokes=3)
-        miner = SubdueMiner(beam_width=4, max_best=2, max_substructure_edges=3, principle=EvaluationPrinciple.SIZE)
-        passes = miner.mine_hierarchical(host, passes=2)
-        assert 1 <= len(passes) <= 2
-
-    def test_hierarchical_requires_positive_passes(self):
-        with pytest.raises(ValueError):
-            SubdueMiner().mine_hierarchical(LabeledGraph(), passes=0)
 
     def test_empty_graph(self):
         result = SubdueMiner().mine(LabeledGraph())
@@ -726,11 +762,26 @@ class TestHostIds:
         assert selections["location"] == selections["str"]
 
     def test_hierarchical_passes_on_the_f1_host(self):
-        # Pinned from the materialising, Location-keyed implementation.
+        # SUBDUE's hierarchical mode run by hand: mine, collapse the top
+        # substructure's non-overlapping instances into SUB{i} vertices,
+        # and mine the compressed host again, for three passes or until
+        # nothing repeats or the host stops shrinking.  The rows are
+        # pinned from the materialising, Location-keyed implementation.
         miner = SubdueMiner(
             beam_width=4, max_best=3, max_substructure_edges=3, principle=EvaluationPrinciple.MDL, limit=100
         )
-        passes = miner.mine_hierarchical(_f1_host(), passes=3)
+        host = _f1_host()
+        passes = []
+        for index in range(3):
+            result = miner.mine(host)
+            passes.append(result)
+            top = result.top()
+            if top is None or top.n_non_overlapping < miner.min_instances:
+                break
+            compressed = compress_instances(host, top.non_overlapping(), replacement_label=f"SUB{index}")
+            if compressed.n_vertices + compressed.n_edges >= host.n_vertices + host.n_edges:
+                break
+            host = compressed
         engine = MatchEngine()
         rows = [
             [(pattern_code(engine, sub.pattern), round(sub.value, 9), sub.n_non_overlapping) for sub in result.best]

@@ -25,7 +25,7 @@ from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
-from repro.runtime import bits_of, bits_to_buffer, tids_from_buffer, tids_of
+from repro.runtime import SerialRuntime, bits_of, bits_to_buffer, tids_from_buffer, tids_of
 from repro.runtime.bitsets import bits_to_span
 
 
@@ -75,11 +75,10 @@ def _signature(result):
 
 
 def _mine(corpus, anchor_cap: int = 8, min_support: int = 2, max_edges: int = 3):
-    engine = MatchEngine(anchor_cap=anchor_cap)
     miner = FSGMiner(
         min_support=min_support,
         max_edges=max_edges,
-        engine=engine,
+        runtime=SerialRuntime(engine=MatchEngine(anchor_cap=anchor_cap)),
     )
     return miner.mine(corpus)
 
