@@ -18,13 +18,21 @@ straightforward scheme works:
   when the graph is too large/symmetric to canonicalise exhaustively.
   :func:`canonical_code_with_order` also returns the vertex order the
   code was read in.
+* :func:`canonical_key` — the same exact scheme over a graph given as
+  integer label ids (a compact wire's vertex labels and edges), as
+  tuples of ints: the FSG candidate dedup key.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
+from typing import Sequence
 
 from repro.graphs.labeled_graph import LabeledGraph, VertexId
+
+
+#: The most vertex orderings exact canonicalisation explores by default.
+MAX_ORDERINGS = 50_000
 
 
 class CanonicalizationError(RuntimeError):
@@ -125,7 +133,7 @@ def _encode_with_order(graph: LabeledGraph, order: list[VertexId]) -> str:
 
 def canonical_code(
     graph: LabeledGraph,
-    max_orderings: int = 50_000,
+    max_orderings: int = MAX_ORDERINGS,
     colours: dict[VertexId, str] | None = None,
 ) -> str:
     """An exact canonical string: equal iff two graphs are isomorphic.
@@ -143,7 +151,7 @@ def canonical_code(
 
 def canonical_code_with_order(
     graph: LabeledGraph,
-    max_orderings: int = 50_000,
+    max_orderings: int = MAX_ORDERINGS,
     colours: dict[VertexId, str] | None = None,
 ) -> tuple[str, tuple[VertexId, ...]]:
     """:func:`canonical_code` plus the vertex order that encodes to it.
@@ -201,3 +209,107 @@ def canonical_code_with_order(
     extend([], group_keys)
     assert best is not None
     return best, tuple(best_order)
+
+
+def canonical_key(
+    vertex_labels: Sequence[int],
+    edges: Sequence[tuple[int, int, int]],
+) -> tuple:
+    """An exact canonical key over label ids: equal iff two graphs are isomorphic.
+
+    The graph is given as its compact wire gives it: ``vertex_labels[v]``
+    is vertex ``v``'s label id and each edge is ``(source, target,
+    edge-label id)``, every id from one shared
+    :class:`~repro.graphs.compact.LabelTable`.  The key is ``(labels,
+    edges)``: the graph read in a canonical vertex order, labels by
+    position and edges as sorted ``(position, position, label)``
+    triples.
+
+    The vertex order comes from :func:`refined_colours`' partition: the
+    same initial colours (label, in-degree, out-degree), at most three
+    Weisfeiler-Lehman rounds and the same stopping rules, with each
+    colour an integer instead of a nested string.  When the partition is
+    not discrete, the key is the smallest reading over the orderings
+    that respect it.  So the key depends only on the isomorphism class,
+    and raises :class:`CanonicalizationError` exactly when
+    :func:`canonical_code` raises on the same graph (past
+    :data:`MAX_ORDERINGS` orderings), provided labels have distinct
+    ``str()`` forms.  Labels whose ``str()`` forms match (``1``
+    and ``"1"``) keep distinct ids, so they never share a key.
+    """
+    n_vertices = len(vertex_labels)
+    base = n_vertices + 1
+    # (label, in-degree, out-degree) as one order-preserving int: both
+    # degrees are below base.
+    colours = [label * base * base for label in vertex_labels]
+    for source, target, _ in edges:
+        colours[source] += 1
+        colours[target] += base
+    n_classes = len(set(colours))
+    for _ in range(3):
+        if n_classes == n_vertices:
+            break
+        # A vertex alone in its colour keeps its place whatever its
+        # neighbours, since a signature orders by the colour first: only
+        # shared colours need the neighbour multisets that split them.
+        signatures = [(colour,) for colour in colours]
+        for vertex, colour in enumerate(colours):
+            if colours.count(colour) > 1:
+                signatures[vertex] = (
+                    colour,
+                    tuple(sorted([(label, colours[t]) for s, t, label in edges if s == vertex])),
+                    tuple(sorted([(label, colours[s]) for s, t, label in edges if t == vertex])),
+                )
+        distinct = set(signatures)
+        if len(distinct) == n_classes:
+            break
+        palette = {signature: rank for rank, signature in enumerate(sorted(distinct))}
+        colours = [palette[signature] for signature in signatures]
+        n_classes = len(palette)
+    if n_classes < n_vertices:
+        return _symmetric_key(vertex_labels, edges, colours)
+    order = sorted(range(n_vertices), key=colours.__getitem__)
+    position = [0] * n_vertices
+    for index, vertex in enumerate(order):
+        position[vertex] = index
+    return (
+        tuple([vertex_labels[vertex] for vertex in order]),
+        tuple(sorted([(position[s], position[t], label) for s, t, label in edges])),
+    )
+
+
+def _symmetric_key(
+    vertex_labels: Sequence[int],
+    edges: Sequence[tuple[int, int, int]],
+    colours: list[int],
+) -> tuple:
+    """:func:`canonical_key` for a partition with shared colours."""
+    n_vertices = len(vertex_labels)
+    by_colour: dict[int, list[int]] = {}
+    for vertex, colour in enumerate(colours):
+        by_colour.setdefault(colour, []).append(vertex)
+    groups = [by_colour[colour] for colour in sorted(by_colour)]
+    total_orderings = 1
+    for group in groups:
+        for factor in range(2, len(group) + 1):
+            total_orderings *= factor
+        if total_orderings > MAX_ORDERINGS:
+            raise CanonicalizationError(
+                f"graph with {n_vertices} vertices is too symmetric to "
+                f"canonicalise exhaustively (> {MAX_ORDERINGS} orderings)"
+            )
+    # A colour holds one label, so every ordering reads the same labels;
+    # only the edges are minimised.
+    labels = tuple([vertex_labels[group[0]] for group in groups for _ in group])
+    position = [0] * n_vertices
+    best: tuple | None = None
+    for choice in product(*(permutations(group) for group in groups)):
+        index = 0
+        for group in choice:
+            for vertex in group:
+                position[vertex] = index
+                index += 1
+        code = tuple(sorted([(position[s], position[t], label) for s, t, label in edges]))
+        if best is None or code < best:
+            best = code
+    return labels, best

@@ -32,9 +32,13 @@ indexed is safe: the next query rebuilds.  Registered transactions are
 snapshots instead: :meth:`MatchEngine.add_transactions` compacts each
 graph once, so mutating it afterwards changes neither its support nor
 its stored anchors.  A transaction's index is built the first time a
-full search needs it, cached under its tid and dropped on release.  As
-in :mod:`repro.graphs.canonical`, labels are assumed to have distinct
-``str()`` forms.
+full search needs it, cached under its tid and dropped on release.  A
+support batch's compact patterns are indexed by that batch, not cached.
+As in :mod:`repro.graphs.canonical`, the string fingerprints
+(:meth:`MatchEngine.graph_invariant`, :meth:`MatchEngine.canonical_code`)
+assume labels have distinct ``str()`` forms; FSG's candidate dedup does
+not, since it keys on label ids
+(:func:`~repro.graphs.canonical.canonical_key`).
 """
 
 from __future__ import annotations
@@ -118,9 +122,12 @@ class EmbeddingTask:
     count, its scan stops (the returned tid list is then a subset of the
     true support, but always of size ``< abort_below``, so a thresholding
     caller discards it either way).
+
+    ``pattern`` is compact, interned through the engine's own table: the
+    mining sessions and shard workers build it from the candidate's wire.
     """
 
-    pattern: "LabeledGraph | CompactGraph"
+    pattern: CompactGraph
     tids: Sequence[int]
     uid: object = None
     parent_uid: object = None
@@ -447,6 +454,11 @@ class MatchEngine:
         seeded straight from the transaction snapshot's adjacency — every
         embedding of a one-edge pattern is literally an edge.
 
+        Each task's pattern gets its :class:`~repro.graphs.index.GraphIndex`
+        up front, built for this batch and counted in ``indexes_built``;
+        extension and seeding read only its compact form, a full search
+        the index.
+
         The scan is pattern-major: each task resolves its strategy
         (extend, seed, or search) and the extension edge's labels once,
         then walks its tids in ascending order.  Per-task ``abort_below``
@@ -456,7 +468,7 @@ class MatchEngine:
         stats = self.stats
         stats.batch_calls += 1
         stats.batch_patterns += len(tasks)
-        indexes = [self._index_of_any(task.pattern) for task in tasks]
+        indexes = [self._pattern_index(task.pattern) for task in tasks]
         anchors = self._anchors
         scans: list[tuple[list[int], int, dict[int, Embeddings] | None] | None] = []
         for task in tasks:
@@ -654,16 +666,12 @@ class MatchEngine:
         """Total embeddings currently held by the store (budget accounting)."""
         return self._anchor_load
 
-    def _index_of_any(self, pattern: LabeledGraph | CompactGraph) -> GraphIndex:
-        """An index for *pattern* whatever form it arrives in."""
-        if isinstance(pattern, CompactGraph):
-            if pattern.table is not self.table:
-                raise ValueError(
-                    "compact pattern was interned through a different label table"
-                )
-            self.stats.indexes_built += 1
-            return GraphIndex(pattern)
-        return self.index_of(pattern)
+    def _pattern_index(self, pattern: CompactGraph) -> GraphIndex:
+        """A fresh index of the batch pattern *pattern*."""
+        if pattern.table is not self.table:
+            raise ValueError("compact pattern was interned through a different label table")
+        self.stats.indexes_built += 1
+        return GraphIndex(pattern)
 
     # ------------------------------------------------------------------
     # Internals

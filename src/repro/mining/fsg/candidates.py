@@ -12,32 +12,44 @@ non-bridging edge (or a spanning-tree leaf edge), extending all frequent
 k-patterns enumerates every potentially frequent (k+1)-pattern; the
 Apriori principle then guarantees completeness.
 
-Candidates are deduplicated up to label-preserving isomorphism through
-the miner's :class:`~repro.graphs.engine.MatchEngine`: the grouping key is
-the exact :func:`~repro.graphs.canonical.canonical_code`; patterns too
-symmetric to canonicalise
-(:class:`~repro.graphs.canonical.CanonicalizationError`) fall back to the
-cheap :func:`~repro.graphs.canonical.graph_invariant` fingerprint with an
-exact isomorphism check inside each fingerprint bucket.
+Candidates stay integers until they survive.  A :class:`Candidate` is two
+tuples over the runtime engine's label table — its vertex-label ids in
+position order and its ``(source, target, edge-label id)`` edges, listed
+source-major — which is the layout of its compact wire, so the session
+that counts it ships or compacts the tuples as they are.  A child is its
+parent's tuples plus the one extension edge, and only a candidate that
+survives counting (or one too symmetric for the canonical key) becomes a
+:class:`LabeledGraph` (:meth:`Candidate.to_pattern`).
+
+Candidates are deduplicated up to label-preserving isomorphism on the
+exact integer :func:`~repro.graphs.canonical.canonical_key`; a candidate
+too symmetric to canonicalise
+(:class:`~repro.graphs.canonical.CanonicalizationError`) is compared with
+the other such candidates by the miner's
+:meth:`MatchEngine.are_isomorphic
+<repro.graphs.engine.MatchEngine.are_isomorphic>`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from repro.graphs.canonical import (
-    CanonicalizationError,
-    canonical_code,
-    graph_invariant,
-    refined_colours,
-)
+from repro.graphs.canonical import CanonicalizationError, canonical_key
+from repro.graphs.compact import LabelTable
 from repro.graphs.engine import MatchEngine
-from repro.obs.tracer import get_tracer
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.obs.tracer import get_tracer
 
 #: A frequent single edge described by its label triple.
 EdgeTriple = tuple[Hashable, Hashable, Hashable]
+
+#: A frequent single edge as label ids: ``(source, edge, target)``.
+IdTriple = tuple[int, int, int]
+
+#: Every candidate's name, in its wire and as a graph.
+_PATTERN_NAME = "edge-pattern"
 
 
 def _triple_sort_key(triple: EdgeTriple) -> tuple[str, str, str]:
@@ -53,17 +65,31 @@ def _triple_sort_key(triple: EdgeTriple) -> tuple[str, str, str]:
 
 
 #: A one-edge extension descriptor in compact vertex positions:
-#: ``(source_position, target_position, has_new_vertex)``.  Positions are
-#: indices into the candidate pattern's vertex insertion order — which
-#: :meth:`repro.graphs.compact.CompactGraph.from_labeled` preserves — and
-#: a new vertex is always appended last, so the descriptor survives the
-#: trip through compact/wire form unchanged.
+#: ``(source_position, target_position, has_new_vertex)``.  A new vertex
+#: is always appended last, so the descriptor addresses the child's wire
+#: unchanged.
 Extension = tuple[int, int, bool]
 
 
-@dataclass
+@functools.cache
+def _vertex_names(n_vertices: int) -> tuple[str, ...]:
+    """The vertex names of an *n_vertices*-vertex candidate: ``p0``, ``p1``,
+    ... in position order.  One shared tuple per size, so a level's wires
+    pickle each name tuple once."""
+    return tuple([f"p{index}" for index in range(n_vertices)])
+
+
+@dataclass(slots=True)
 class Candidate:
-    """A candidate pattern together with the parent transactions to scan.
+    """A candidate pattern as label ids, with the parent transactions to scan.
+
+    ``labels[v]`` is vertex ``v``'s label id and ``edges`` lists
+    ``(source, target, edge-label id)`` source-major; a derived
+    candidate's extension edge is the last of its source's edges.  That
+    is how :meth:`CompactGraph.from_labeled
+    <repro.graphs.compact.CompactGraph.from_labeled>` lays out
+    :meth:`to_pattern`'s graph, so :meth:`wire` is the candidate's
+    compact wire.
 
     ``parent_bits`` is the scan set: the *intersection* of every merged
     parent's supporting set, as a TID bitset.  A candidate embeds in a
@@ -77,43 +103,49 @@ class Candidate:
     Candidates built without derivation info (tests) leave them unset and
     simply take the full-search path.
 
-    A candidate holds only its labeled ``pattern``, never a compact form:
-    the mining session that counts it compacts it, once (the serial
-    runtime through :meth:`MatchEngine.index_of
-    <repro.graphs.engine.MatchEngine.index_of>`, the sharded runtime
-    through its planner against the runtime's own label table), so a
-    candidate dropped before counting is never compacted at all.
+    ``pattern`` is ``None`` until :meth:`to_pattern` builds the graph,
+    which happens for survivors and for candidates too symmetric for the
+    canonical key.
     """
 
-    pattern: LabeledGraph
+    labels: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
     parent_bits: int | None = None
-    invariant: str = field(default="")
     parent_uid: object = None
     extension: Extension | None = None
     uid: object = None
-    colours: dict | None = None
-    code: object = None
+    pattern: LabeledGraph | None = None
 
-    def fingerprint(self) -> str:
-        """The pattern's cheap isomorphism-invariant key, computed lazily.
+    def wire(self) -> tuple:
+        """The candidate's :meth:`~repro.graphs.compact.CompactGraph.to_wire` tuple."""
+        return (_PATTERN_NAME, self.labels, self.edges, _vertex_names(len(self.labels)))
 
-        The refined colouring behind the invariant is kept on the
-        candidate so a later canonical-code comparison (same colouring,
-        by construction) does not refine the pattern a second time.
+    def to_pattern(self, table: LabelTable) -> LabeledGraph:
+        """The candidate as a :class:`LabeledGraph`, built once.
+
+        Named ``edge-pattern`` with vertices ``p0``... in position order,
+        and laid out as the parent graph's copy plus the extension edge:
+        the other edges in wire order, then the extension edge, so every
+        adjacency dict (predecessors included) iterates as a copy-and-extend
+        build would.  *table* maps the ids back to labels.
         """
-        if not self.invariant:
-            self.colours = refined_colours(self.pattern)
-            self.invariant = graph_invariant(self.pattern, colours=self.colours)
-        return self.invariant
-
-
-def single_edge_pattern(source_label: Hashable, edge_label: Hashable, target_label: Hashable) -> LabeledGraph:
-    """The one-edge pattern graph for a label triple."""
-    graph = LabeledGraph(name="edge-pattern")
-    graph.add_vertex("p0", source_label)
-    graph.add_vertex("p1", target_label)
-    graph.add_edge("p0", "p1", edge_label)
-    return graph
+        if self.pattern is None:
+            label = table.label
+            names = _vertex_names(len(self.labels))
+            graph = LabeledGraph(name=_PATTERN_NAME)
+            for name, label_id in zip(names, self.labels):
+                graph.add_vertex(name, label(label_id))
+            new = None if self.extension is None else self.extension[:2]
+            last = None
+            for source, target, label_id in self.edges:
+                if (source, target) == new:
+                    last = label_id
+                else:
+                    graph.add_edge(names[source], names[target], label(label_id))
+            if last is not None:
+                graph.add_edge(names[new[0]], names[new[1]], label(last))
+            self.pattern = graph
+        return self.pattern
 
 
 def edge_triples(transaction: LabeledGraph) -> set[EdgeTriple]:
@@ -131,12 +163,14 @@ def frequent_single_edges(
     """Label triples occurring in at least *min_support* transactions.
 
     Returns a mapping from triple to the supporting transaction ids
-    (indices into *transactions*).  The mapping's order — which downstream
-    consumers inherit for single-edge patterns and candidate extensions —
-    is by the triple's first supporting tid, ties broken by
-    :func:`_triple_sort_key`, so it does not vary with
-    ``PYTHONHASHSEED`` and cannot differ between runtime shards.  The
-    triples are ordered once, over the frequent ones only.
+    (indices into *transactions*).  Self-loops are skipped: a one-edge
+    pattern has two distinct vertices, so a self-loop never embeds it.
+    The mapping's order — which downstream consumers inherit for
+    single-edge patterns and candidate extensions — is by the triple's
+    first supporting tid, ties broken by :func:`_triple_sort_key`, so it
+    does not vary with ``PYTHONHASHSEED`` and cannot differ between
+    runtime shards.  The triples are ordered once, over the frequent ones
+    only.
     """
     occurrences: dict[EdgeTriple, list[int]] = {}
     for tid, transaction in enumerate(transactions):
@@ -148,6 +182,7 @@ def frequent_single_edges(
             (labels[source], label, labels[target])
             for source, targets in transaction._succ.items()
             for target, label in targets.items()
+            if target != source
         }
         for triple in distinct:
             tids = occurrences.get(triple)
@@ -164,166 +199,144 @@ def frequent_single_edges(
     return {triple: frozenset(occurrences[triple]) for _, _, triple in frequent}
 
 
-def _fresh_vertex_name(pattern: LabeledGraph) -> str:
-    index = pattern.n_vertices
-    while f"p{index}" in pattern:
-        index += 1
-    return f"p{index}"
-
-
-def extend_pattern(
-    pattern: LabeledGraph,
-    frequent_triples: Iterable[EdgeTriple],
-) -> list[tuple[LabeledGraph, Extension]]:
-    """All one-edge extensions of *pattern* using frequent edge triples.
-
-    Extensions are of two kinds: attach a new vertex to an existing vertex
-    (forward extension) or add an edge between two existing vertices
-    (backward extension).  Both directions are considered because the
-    graphs are directed.  Each extended graph is returned together with
-    its :data:`Extension` descriptor (the new edge in compact vertex
-    positions), which is what lets the embedding store grow a parent
-    embedding into the child instead of searching from scratch.  The
-    returned list may contain isomorphic duplicates; the caller
-    deduplicates.
-    """
-    extensions: list[tuple[LabeledGraph, Extension]] = []
-    vertices = list(pattern.vertices())
-    position_of = {vertex: position for position, vertex in enumerate(vertices)}
-    new_position = len(vertices)
-    for source_label, edge_label, target_label in frequent_triples:
-        for vertex in vertices:
-            vertex_label = pattern.vertex_label(vertex)
-            # Forward extension: existing vertex -> new vertex.
-            if vertex_label == source_label:
-                extended = pattern.copy()
-                new_vertex = _fresh_vertex_name(extended)
-                extended.add_vertex(new_vertex, target_label)
-                extended.add_edge(vertex, new_vertex, edge_label)
-                extensions.append((extended, (position_of[vertex], new_position, True)))
-            # Forward extension: new vertex -> existing vertex.
-            if vertex_label == target_label:
-                extended = pattern.copy()
-                new_vertex = _fresh_vertex_name(extended)
-                extended.add_vertex(new_vertex, source_label)
-                extended.add_edge(new_vertex, vertex, edge_label)
-                extensions.append((extended, (new_position, position_of[vertex], True)))
-        # Backward extension: connect two existing vertices.
-        for source in vertices:
-            if pattern.vertex_label(source) != source_label:
-                continue
-            for target in vertices:
-                if source == target or pattern.vertex_label(target) != target_label:
-                    continue
-                if pattern.has_edge(source, target):
-                    continue
-                extended = pattern.copy()
-                extended.add_edge(source, target, edge_label)
-                extensions.append(
-                    (extended, (position_of[source], position_of[target], False))
-                )
-    return extensions
-
-
 def deduplicate(
     candidates: Iterable[Candidate],
     engine: MatchEngine,
 ) -> list[Candidate]:
     """Merge isomorphic candidates, intersecting their parent scan sets.
 
-    Candidates are grouped into invariant buckets in first-seen order (the
-    emission order downstream consumers — and the paper examples' printed
-    representatives — depend on).  Within a bucket, equality of
-    isomorphism classes is decided by the exact canonical code: one
-    memoized code computation per representative instead of a
-    backtracking isomorphism search per pair.  Candidates whose
-    canonicalisation overflows (:class:`CanonicalizationError`) fall back
-    to *engine*'s exact isomorphism check; isomorphic graphs have
-    identical colour-class sizes, so a
-    pattern either canonicalises for its whole isomorphism class or falls
-    back for all of it — the two schemes never disagree.
+    Each candidate is keyed on its exact integer
+    :func:`~repro.graphs.canonical.canonical_key`, and isomorphism
+    classes come out in first-seen order (the emission order downstream
+    consumers — and the paper examples' printed representatives — depend
+    on), each represented by its first candidate.  A candidate whose key
+    overflows (:class:`CanonicalizationError`, counted as
+    ``canonical_fallbacks{site=candidates}``) is compared with the earlier
+    such candidates by *engine*'s exact isomorphism check; isomorphic
+    graphs have identical colour-class sizes, so a pattern either has a
+    key for its whole isomorphism class or falls back for all of it — the
+    two schemes never disagree.  *engine*'s label table must be the one
+    the candidates' ids come from.
     """
-    buckets: dict[str, list[Candidate]] = {}
-    for candidate in candidates:
-        bucket = buckets.setdefault(candidate.fingerprint(), [])
-        for existing in bucket:
-            if _same_class(existing, candidate, engine):
-                # The candidate embeds nowhere its parent doesn't, for
-                # *every* parent it merged from — so the scan set tightens
-                # to the intersection.
-                if existing.parent_bits is not None and candidate.parent_bits is not None:
-                    existing.parent_bits &= candidate.parent_bits
-                break
-        else:
-            bucket.append(candidate)
+    classes: dict[tuple, Candidate] = {}
+    symmetric: list[Candidate] = []
     unique: list[Candidate] = []
-    for bucket in buckets.values():
-        unique.extend(bucket)
-    return unique
-
-
-#: Memoized marker for patterns whose canonicalisation overflowed.
-_CANON_FAILED = object()
-
-
-def _canonical_of(candidate: Candidate):
-    """*candidate*'s memoized canonical code (or the failure marker).
-
-    Reuses the refined colouring cached by :meth:`Candidate.fingerprint`,
-    so deciding a candidate's isomorphism class costs one refinement
-    total — and no engine index build for candidates that do not survive
-    deduplication.
-    """
-    code = candidate.code
-    if code is None:
-        if candidate.colours is None:
-            candidate.colours = refined_colours(candidate.pattern)
+    for candidate in candidates:
         try:
-            code = canonical_code(candidate.pattern, colours=candidate.colours)
+            key = canonical_key(candidate.labels, candidate.edges)
         except CanonicalizationError:
             get_tracer().metrics.counter("canonical_fallbacks", site="candidates")
-            code = _CANON_FAILED
-        candidate.code = code
-    return code
-
-
-def _same_class(first: Candidate, second: Candidate, engine: MatchEngine) -> bool:
-    """Whether two candidates are isomorphic, via canonical codes when possible."""
-    code_a = _canonical_of(first)
-    code_b = _canonical_of(second)
-    if code_a is _CANON_FAILED or code_b is _CANON_FAILED:
-        return engine.are_isomorphic(first.pattern, second.pattern)
-    return code_a == code_b
+            pattern = candidate.to_pattern(engine.table)
+            existing = next(
+                (other for other in symmetric if engine.are_isomorphic(other.pattern, pattern)),
+                None,
+            )
+            if existing is None:
+                symmetric.append(candidate)
+        else:
+            existing = classes.setdefault(key, candidate)
+            if existing is candidate:
+                existing = None
+        if existing is None:
+            unique.append(candidate)
+        elif existing.parent_bits is not None and candidate.parent_bits is not None:
+            # The candidate embeds nowhere its parent doesn't, for *every*
+            # parent it merged from — so the scan set tightens to the
+            # intersection.
+            existing.parent_bits &= candidate.parent_bits
+    return unique
 
 
 def generate_candidates(
     frequent_patterns: Sequence[Candidate],
-    frequent_triples: Iterable[EdgeTriple],
+    frequent_triples: Iterable[IdTriple],
     engine: MatchEngine,
 ) -> list[Candidate]:
-    """Generate deduplicated (k+1)-edge candidates from frequent k-edge patterns.
+    """Deduplicated (k+1)-edge candidates from frequent k-edge patterns.
+
+    Every frequent pattern is extended by one edge in all possible ways
+    over *frequent_triples* (label-id triples ``(source, edge, target)``
+    in the engine's table): an edge from an existing vertex to a new one,
+    from a new vertex to an existing one (both directions, since the
+    graphs are directed), or between two existing vertices not yet
+    joined.  A new vertex is appended last, and each child's tuples are
+    its parent's plus that one edge, placed last among its source's
+    edges.  Emission order is parent by parent, then triple by triple,
+    then vertex by vertex, which fixes the first-seen order
+    :func:`deduplicate` keeps.
 
     Each candidate records its derivation — the parent's embedding-store
-    uid, the extension edge, and the parent's TID bitset — so the support
-    pass can extend stored parent embeddings instead of searching from
-    scratch.  A deduplicated candidate keeps its first-seen derivation
-    (the one consistent with its own vertex layout) while its scan bitset
-    narrows to the intersection over all merged parents.
+    uid, the :data:`Extension` edge, and the parent's TID bitset — so the
+    support pass can extend stored parent embeddings instead of searching
+    from scratch.  A deduplicated candidate keeps its first-seen
+    derivation (the one consistent with its own vertex layout) while its
+    scan bitset narrows to the intersection over all merged parents.
 
-    Generation builds no engine index: *engine* serves only the
-    isomorphism fallback of :func:`deduplicate`, and each candidate is
-    compacted later, by the session that counts it.
+    Generation builds no engine index and no graph, outside the
+    symmetric-pattern fallback of :func:`deduplicate`, the one use of
+    *engine*.
     """
     triples = list(frequent_triples)
     raw: list[Candidate] = []
+    append = raw.append
     for parent in frequent_patterns:
-        for extended, extension in extend_pattern(parent.pattern, triples):
-            raw.append(
-                Candidate(
-                    pattern=extended,
-                    parent_bits=parent.parent_bits,
-                    parent_uid=parent.uid,
-                    extension=extension,
-                )
-            )
+        labels = parent.labels
+        edges = parent.edges
+        bits = parent.parent_bits
+        uid = parent.uid
+        new = len(labels)
+        # cut[v]: the number of edges whose source is at most v, where a
+        # new edge out of v goes in the source-major list.
+        cut = [0] * new
+        for source, _, _ in edges:
+            cut[source] += 1
+        for vertex in range(1, new):
+            cut[vertex] += cut[vertex - 1]
+        joined = {(source, target) for source, target, _ in edges}
+        for source_label, edge_label, target_label in triples:
+            for vertex, vertex_label in enumerate(labels):
+                # Forward extension: existing vertex -> new vertex.
+                if vertex_label == source_label:
+                    at = cut[vertex]
+                    append(
+                        Candidate(
+                            labels=labels + (target_label,),
+                            edges=edges[:at] + ((vertex, new, edge_label),) + edges[at:],
+                            parent_bits=bits,
+                            parent_uid=uid,
+                            extension=(vertex, new, True),
+                        )
+                    )
+                # Forward extension: new vertex -> existing vertex.
+                if vertex_label == target_label:
+                    append(
+                        Candidate(
+                            labels=labels + (source_label,),
+                            edges=edges + ((new, vertex, edge_label),),
+                            parent_bits=bits,
+                            parent_uid=uid,
+                            extension=(new, vertex, True),
+                        )
+                    )
+            # Backward extension: connect two existing vertices.
+            for source, vertex_label in enumerate(labels):
+                if vertex_label != source_label:
+                    continue
+                at = cut[source]
+                for target, other_label in enumerate(labels):
+                    if (
+                        target == source
+                        or other_label != target_label
+                        or (source, target) in joined
+                    ):
+                        continue
+                    append(
+                        Candidate(
+                            labels=labels,
+                            edges=edges[:at] + ((source, target, edge_label),) + edges[at:],
+                            parent_bits=bits,
+                            parent_uid=uid,
+                            extension=(source, target, False),
+                        )
+                    )
     return deduplicate(raw, engine=engine)

@@ -6,7 +6,8 @@
 1. find frequent single edges (label triples);
 2. repeatedly extend frequent k-edge patterns by one edge, deduplicate the
    candidates up to isomorphism, count support using TID lists, and keep
-   the frequent ones;
+   the frequent ones (candidates are integer label-id tuples, and only
+   the frequent ones are built as graphs);
 3. stop when no new frequent pattern appears or the maximum pattern size
    is reached, and raise when the candidate memory budget is exceeded.
 
@@ -22,12 +23,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.graphs.compact import LabelTable
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.candidates import (
     Candidate,
     frequent_single_edges,
     generate_candidates,
-    single_edge_pattern,
 )
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
@@ -79,12 +80,12 @@ class FSGMiner:
         candidates carry their parents' intersected TID bitsets plus the
         one extension edge, and each ``(pattern, tid)`` query extends a
         stored parent embedding instead of searching from scratch, with
-        full search as the correctness fallback.  Candidates are
-        deduplicated on the runtime's parent engine
-        (:attr:`~repro.runtime.base.MiningRuntime.engine`), so repeated
-        runs on one runtime (e.g. the repeated-partitioning structural
-        miner) reuse one label table and its indexes.  ``None`` (the
-        default) builds a private
+        full search as the correctness fallback.  Candidates are label
+        ids in the table of the runtime's parent engine
+        (:attr:`~repro.runtime.base.MiningRuntime.engine`) and are
+        deduplicated on it, so repeated runs on one runtime (e.g. the
+        repeated-partitioning structural miner) share one label table.
+        ``None`` (the default) builds a private
         :class:`~repro.runtime.base.SerialRuntime` per :meth:`mine`
         call; pass a :class:`~repro.runtime.shards.ShardedEngine` to
         spread support counting across worker shards, or
@@ -215,20 +216,30 @@ class FSGMiner:
         # explicit finish() form.  A level's span is its only timing.
         level_span = tracer.span("fsg.level", level=1)
         triples_with_tids = frequent_single_edges(transactions, support_threshold)
-        frequent_triples = list(triples_with_tids)
+        # Candidates are label ids in the runtime engine's table, the
+        # table the runtime counts them against.
+        table = runtime.engine.table
+        intern = table.intern
+        frequent_triples = [
+            (intern(source), intern(edge), intern(target))
+            for source, edge, target in triples_with_tids
+        ]
         level_patterns: list[tuple[Candidate, frozenset[int]]] = [
             (
                 Candidate(
-                    pattern=single_edge_pattern(*triple),
+                    labels=(source, target),
+                    edges=((0, 1, edge),),
                     parent_bits=bits_of(tids),
                     uid=next(uids),
                 ),
                 tids,
             )
-            for triple, tids in triples_with_tids.items()
+            for (source, edge, target), tids in zip(
+                frequent_triples, triples_with_tids.values()
+            )
         ]
         result.candidates_generated += len(level_patterns)
-        self._record_level(result, level_patterns)
+        self._record_level(result, level_patterns, table)
         result.levels_completed = 1
 
         try:
@@ -252,8 +263,8 @@ class FSGMiner:
                 level_span = tracer.span("fsg.level", level=level + 1)
                 parents = [
                     Candidate(
-                        pattern=candidate.pattern,
-                        invariant=candidate.invariant,
+                        labels=candidate.labels,
+                        edges=candidate.edges,
                         parent_bits=bits_of(tids),
                         uid=candidate.uid,
                     )
@@ -292,7 +303,7 @@ class FSGMiner:
                 self._level_done(result, tracer, session, level=level)
                 level_span.finish(survivors=len(level_patterns))
                 if level_patterns:
-                    self._record_level(result, level_patterns)
+                    self._record_level(result, level_patterns, table)
                     result.levels_completed = level
         finally:
             if live_uids:
@@ -322,7 +333,7 @@ class FSGMiner:
         """Wrap *candidates* for the runtime's incremental level API."""
         return [
             LevelRequest(
-                pattern=candidate.pattern,
+                wire=candidate.wire(),
                 tid_bits=to_global(candidate.parent_bits),
                 uid=candidate.uid,
                 parent_uid=candidate.parent_uid,
@@ -371,11 +382,13 @@ class FSGMiner:
     def _record_level(
         result: FSGResult,
         level_patterns: Sequence[tuple[Candidate, frozenset[int]]],
+        table: LabelTable,
     ) -> None:
+        """Append a level's survivors to *result*, each built as a graph."""
         for candidate, tids in level_patterns:
             result.patterns.append(
                 FrequentSubgraph(
-                    pattern=candidate.pattern,
+                    pattern=candidate.to_pattern(table),
                     support=len(tids),
                     supporting_transactions=tids,
                 )

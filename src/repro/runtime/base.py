@@ -24,6 +24,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.graphs.compact import CompactGraph
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.obs.tracer import get_tracer
@@ -71,6 +72,10 @@ def resolve_backend(backend: str | None = None) -> str:
 class LevelRequest:
     """One candidate of an incremental per-level support batch.
 
+    ``wire`` is the candidate's compact wire
+    (:meth:`~repro.graphs.compact.CompactGraph.to_wire` form), its label
+    ids from the runtime's :attr:`MiningRuntime.engine` table: the serial
+    session compacts it once, and the sharded planner ships it as it is.
     ``tid_bits`` is the candidate's scan set as a *global-tid bitset* —
     for a derived candidate, the intersection of its parents' supporting
     sets.  ``uid`` / ``parent_uid`` / ``extension`` address the engine's
@@ -79,7 +84,7 @@ class LevelRequest:
     request ships only these small tokens, never embeddings.
     """
 
-    pattern: LabeledGraph
+    wire: tuple
     tid_bits: int
     uid: object = None
     parent_uid: object = None
@@ -168,9 +173,10 @@ class MiningSession(ABC):
 class DelegatingSession(MiningSession):
     """The serial runtime's session: each level goes straight to its engine.
 
-    :meth:`support_level` is :meth:`MatchEngine.support_with_embeddings`
-    over the level's requests, and :meth:`evict` retires their anchors
-    with :meth:`MatchEngine.drop_anchors`.  Nothing crosses a wire and
+    :meth:`support_level` compacts each request's wire once, against the
+    engine's table, and hands the level to
+    :meth:`MatchEngine.support_with_embeddings`; :meth:`evict` retires
+    the anchors with :meth:`MatchEngine.drop_anchors`.  Nothing crosses a wire and
     there are no shards, so its telemetry is all zeros; the engine's own
     ``batch_patterns`` counter records what it scanned.
     """
@@ -184,9 +190,10 @@ class DelegatingSession(MiningSession):
         requests: Sequence[LevelRequest],
         min_support: int | None = None,
     ) -> list[int]:
+        table = self._engine.table
         tasks = [
             EmbeddingTask(
-                pattern=request.pattern,
+                pattern=CompactGraph.from_wire(request.wire, table),
                 tids=tids_of(request.tid_bits),
                 uid=request.uid,
                 parent_uid=request.parent_uid,
@@ -215,7 +222,9 @@ class MiningRuntime(ABC):
     ``engine`` attribute.  The miners that count support through the
     runtime deduplicate candidates and merge patterns on it, so a caller
     hands the miners an engine only by building the runtime around it
-    (``SerialRuntime(engine=...)``).
+    (``SerialRuntime(engine=...)``).  Its label table is the runtime's
+    one table: candidates are label ids in it, and the runtime counts
+    them against transactions interned through it.
     """
 
     #: The parent-side engine: candidate dedup, pattern merging and, on

@@ -11,8 +11,10 @@ into one task per shard with bitset algebra alone:
   pattern is only shipped to a shard whose slice is non-empty (a pattern
   whose parents all live elsewhere costs the shard nothing — not even a
   pickle);
-* each pattern ships as one :class:`~repro.graphs.compact.CompactGraph`
-  wire tuple, built once and shared by all shard tasks that need it;
+* each pattern ships as the :class:`~repro.graphs.compact.CompactGraph`
+  wire tuple its request carries, unchanged and shared by all shard
+  tasks that need it (candidates are label ids in the runtime's one
+  table, the one the shards replicate);
 * each shard gets its share of the support threshold as its early-abort
   bound, and :meth:`BatchSupportPlanner.plan_resolve` plans the one extra
   round that settles what those shares leave undecided.
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.graphs.compact import LabelTable, labeled_to_wire
 from repro.runtime.bitsets import bits_of, bits_to_span
 
 
@@ -97,7 +98,6 @@ class BatchSupportPlanner:
     def plan_session_level(
         self,
         requests: Sequence,
-        table: LabelTable,
         owned: Sequence[int],
         min_support: int | None = None,
     ) -> list["ShardSessionBatch"]:
@@ -106,8 +106,8 @@ class BatchSupportPlanner:
         *owned* holds one bitset per shard: the live global tids it holds.
         Each :class:`~repro.runtime.base.LevelRequest` goes to every shard
         whose slice ``tid_bits & owned[s]`` is non-empty, as the payload
-        ``(wire, scan)``: the pattern's compact wire (built once per
-        request) and the slice as a :func:`~repro.runtime.bitsets.bits_to_span`
+        ``(wire, scan)``: the request's compact wire, shipped as it is,
+        and the slice as a :func:`~repro.runtime.bitsets.bits_to_span`
         ``(offset, buffer)`` pair, which pickles as raw bytes and which the
         shard decodes with one vectorized unpack.  A request holding a tid
         outside every mask (released or never registered) raises
@@ -134,7 +134,7 @@ class BatchSupportPlanner:
                 raise KeyError(f"transaction {tid} is not live on any shard")
             if not bits:
                 continue
-            wire = labeled_to_wire(request.pattern, table)
+            wire = request.wire
             total = bits.bit_count()
             for batch, mask in zip(batches, owned):
                 part = bits & mask

@@ -325,6 +325,11 @@ class ShardedEngine(MiningRuntime):
     A dead worker is respawned up to :data:`RECOVERY_RETRIES` times, with
     exponential backoff from :data:`RECOVERY_BACKOFF` seconds, before its
     shard degrades to in-process execution.
+
+    The runtime has one label table, :attr:`table`: it interns the
+    transactions, every shard replicates it, and the parent
+    :attr:`engine` (candidate dedup, pattern merging) interns through
+    it, so a candidate's label ids mean the same on every shard.
     """
 
     def __init__(
@@ -339,10 +344,9 @@ class ShardedEngine(MiningRuntime):
         self.n_shards = shards
         self.backend = resolve_backend(backend)
         self.table = LabelTable()
-        #: The parent's engine, with a label table of its own: it serves
-        #: only candidate dedup and pattern merging, so labels the shards
-        #: never see stay out of :attr:`table`, the table they replicate.
-        self.engine = MatchEngine()
+        #: The parent's engine (candidate dedup, pattern merging),
+        #: interning through :attr:`table`.
+        self.engine = MatchEngine(self.table)
         self.planner = BatchSupportPlanner(shards)
         self._placement = PlacementPolicy(shards)
         self._wire_bytes = 0
@@ -569,11 +573,6 @@ class ShardedEngine(MiningRuntime):
         The masks are disjoint; a released tid is in none of them.
         """
         return tuple(self._owned)
-
-    @property
-    def n_transactions(self) -> int:
-        """Number of global tid slots handed out (including released ones)."""
-        return self._next_global
 
     @property
     def wire_bytes_shipped(self) -> int:
@@ -862,9 +861,7 @@ class ShardedSession(MiningSession):
         telemetry = self._telemetry
         self._level += 1
         with runtime._tracer.span("runtime.plan", level=self._level):
-            batches = planner.plan_session_level(
-                requests, runtime.table, runtime._owned, min_support
-            )
+            batches = planner.plan_session_level(requests, runtime._owned, min_support)
         # Placement skew across every shard, idle shards included: the
         # level's per-shard scan workload as the planner routed it.
         scan_units = [batch.scan_tids for batch in batches]

@@ -1,8 +1,10 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures and helpers for the test suite.
 
 Dataset-producing fixtures are session-scoped because generation, while
 fast, is used by many test modules; graph fixtures are tiny hand-built
-structures exercising exact, easily-verified behaviour.
+structures exercising exact, easily-verified behaviour.  Test modules
+import :func:`level_request` and :func:`embedding_task` from here
+(``from conftest import level_request``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,35 @@ import pytest
 from repro.datasets.binning import default_binning_scheme
 from repro.datasets.generator import GeneratorConfig, TransportationDataGenerator
 from repro.datasets.schema import Location, TransMode, Transaction, TransactionDataset
+from repro.graphs.compact import CompactGraph, labeled_to_wire
+from repro.graphs.engine import EmbeddingTask
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.runtime import LevelRequest
+
+
+def level_request(runtime, pattern: LabeledGraph, tid_bits: int, **derivation) -> LevelRequest:
+    """A support request for *pattern*, compacted through *runtime*'s table.
+
+    A hand-built request reaches a session the way the miner's candidates
+    do: as a compact wire whose label ids are those of
+    ``runtime.engine.table``.  *derivation* takes ``uid``, ``parent_uid``
+    and ``extension``.
+    """
+    return LevelRequest(
+        wire=labeled_to_wire(pattern, runtime.engine.table), tid_bits=tid_bits, **derivation
+    )
+
+
+def embedding_task(engine, pattern: LabeledGraph, tids, **fields) -> EmbeddingTask:
+    """A support task for *pattern*, compacted through *engine*'s table.
+
+    A batch pattern reaches :meth:`MatchEngine.support_with_embeddings`
+    compact, as the sessions and shard workers build it.  *fields* takes
+    ``uid``, ``parent_uid``, ``extension`` and ``abort_below``.
+    """
+    return EmbeddingTask(
+        pattern=CompactGraph.from_labeled(pattern, engine.table), tids=tids, **fields
+    )
 
 
 @pytest.fixture(scope="session")

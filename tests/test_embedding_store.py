@@ -20,13 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.compact import CompactGraph
+from repro.graphs.compact import CompactGraph, LabelTable
 from repro.graphs.engine import EmbeddingTask, MatchEngine
 from repro.graphs.isomorphism import legacy_find_embeddings, legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
-from repro.runtime import LevelRequest, SerialRuntime, ShardedEngine
+from repro.runtime import SerialRuntime, ShardedEngine
 from repro.runtime.bitsets import bits_of, is_contiguous, popcount, shift_bits, tids_of
+
+from conftest import embedding_task, level_request
 
 
 def _random_corpus(seed: int, n: int = 40) -> list[LabeledGraph]:
@@ -103,7 +105,7 @@ def transaction_major_supports(engine: MatchEngine, tasks) -> list[list[int]]:
     capped tids, store load, lazily built transaction indexes, counters —
     so both can be run on twin engines and compared field by field.
     """
-    infos = [_OracleTask(engine._index_of_any(task.pattern), task) for task in tasks]
+    infos = [_OracleTask(engine._pattern_index(task.pattern), task) for task in tasks]
     stats = engine.stats
     stats.batch_calls += 1
     stats.batch_patterns += len(infos)
@@ -380,7 +382,7 @@ def _grown_extension(parent: LabeledGraph, host: LabeledGraph, rng, name: str):
     return child, (n, position[target], True)
 
 
-def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
+def _chained_levels(engine, corpus, rng: random.Random, n_levels: int, abort: bool):
     """Task factories for *n_levels* chained batches over *corpus*.
 
     Level 1 seeds single-edge patterns; every later level extends the
@@ -388,7 +390,9 @@ def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
     parent's hits, sometimes every tid (so some tids have no parent
     entry), and a few tasks are anonymous, search without a derivation,
     or name a parent that stored nothing.  Returns one callable per
-    level mapping the previous level's ``(task, hits)`` pairs to tasks.
+    level mapping the previous level's ``(pattern, task, hits)`` triples
+    to ``(pattern, task)`` pairs, each task compacted through *engine*'s
+    table.
     """
     all_tids = list(range(len(corpus)))
 
@@ -415,25 +419,22 @@ def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
             pattern.add_vertex("b", labels[1])
             pattern.add_edge("a", "b", labels[2])
             uid = None if rng.random() < 0.1 else ("L1", index)
-            tasks.append(
-                EmbeddingTask(pattern=pattern, tids=all_tids, uid=uid,
-                              abort_below=threshold(all_tids))
-            )
+            task = embedding_task(engine, pattern, all_tids, uid=uid,
+                                  abort_below=threshold(all_tids))
+            tasks.append((pattern, task))
         return tasks
 
     def extensions(level):
         def build(previous):
             tasks = []
-            for position, (parent_task, hits) in enumerate(previous):
+            for position, (parent, parent_task, hits) in enumerate(previous):
                 for offset in range(rng.randint(1, 2)):
                     name = f"L{level}-{position}-{offset}"
                     grown = None
                     if hits and rng.random() < 0.8:
                         host = corpus[rng.choice(hits)]
-                        grown = _grown_extension(parent_task.pattern, host, rng, name)
-                    child, extension = grown or _one_edge_extension(
-                        parent_task.pattern, rng, name
-                    )
+                        grown = _grown_extension(parent, host, rng, name)
+                    child, extension = grown or _one_edge_extension(parent, rng, name)
                     tids = all_tids if rng.random() < 0.25 else hits
                     parent_uid = parent_task.uid
                     roll = rng.random()
@@ -442,12 +443,11 @@ def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
                     elif roll < 0.15:
                         parent_uid = ("ghost", level)
                     uid = None if rng.random() < 0.1 else (f"L{level}", position, offset)
-                    tasks.append(
-                        EmbeddingTask(
-                            pattern=child, tids=tids, uid=uid, parent_uid=parent_uid,
-                            extension=extension, abort_below=threshold(tids),
-                        )
+                    task = embedding_task(
+                        engine, child, tids, uid=uid, parent_uid=parent_uid,
+                        extension=extension, abort_below=threshold(tids),
                     )
+                    tasks.append((child, task))
             return tasks
         return build
 
@@ -455,8 +455,10 @@ def _chained_levels(corpus, rng: random.Random, n_levels: int, abort: bool):
 
 
 def _twin_engines(corpus, **engine_options):
-    fast = MatchEngine(**engine_options)
-    oracle = MatchEngine(**engine_options)
+    """Two engines over one label table, so one compact task serves both."""
+    table = LabelTable()
+    fast = MatchEngine(table, **engine_options)
+    oracle = MatchEngine(table, **engine_options)
     fast.add_transactions(corpus)
     oracle.add_transactions(corpus)
     return fast, oracle
@@ -464,8 +466,9 @@ def _twin_engines(corpus, **engine_options):
 
 def _run_chain(corpus, rng, fast, oracle, n_levels, abort, check_state=True):
     previous = None
-    for build in _chained_levels(corpus, rng, n_levels, abort):
-        tasks = build(previous)
+    for build in _chained_levels(fast, corpus, rng, n_levels, abort):
+        level = build(previous)
+        tasks = [task for _, task in level]
         got = fast.support_with_embeddings(tasks)
         want = transaction_major_supports(oracle, tasks)
         assert got == want
@@ -476,12 +479,12 @@ def _run_chain(corpus, rng, fast, oracle, n_levels, abort, check_state=True):
             assert fast.anchor_load == oracle.anchor_load
             assert fast.stats == oracle.stats
         if not abort:
-            for task, hits in zip(tasks, got):
+            for (pattern, task), hits in zip(level, got):
                 assert hits == [
                     tid for tid in sorted(task.tids)
-                    if legacy_has_embedding(task.pattern, corpus[tid])
+                    if legacy_has_embedding(pattern, corpus[tid])
                 ]
-        previous = list(zip(tasks, got))
+        previous = [(pattern, task, hits) for (pattern, task), hits in zip(level, got)]
 
 
 @given(
@@ -615,14 +618,15 @@ class TestExtensionPaths:
         (tid,) = engine.add_transactions([self._host()])
         parent, child = _edge_pattern(), _extended_pattern()
         assert engine.support_with_embeddings(
-            [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")]
+            [embedding_task(engine, parent, [tid], uid="parent")]
         ) == [[tid]]
         before = engine.stats.anchor_fallbacks
         result = engine.support_with_embeddings(
             [
-                EmbeddingTask(
-                    pattern=child,
-                    tids=[tid],
+                embedding_task(
+                    engine,
+                    child,
+                    [tid],
                     uid="child",
                     parent_uid="parent",
                     extension=(1, 2, True),
@@ -642,14 +646,15 @@ class TestExtensionPaths:
         (tid,) = engine.add_transactions([host])
         parent, child = _edge_pattern(), _extended_pattern()
         engine.support_with_embeddings(
-            [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")]
+            [embedding_task(engine, parent, [tid], uid="parent")]
         )
         before = engine.stats.anchor_fallbacks
         result = engine.support_with_embeddings(
             [
-                EmbeddingTask(
-                    pattern=child,
-                    tids=[tid],
+                embedding_task(
+                    engine,
+                    child,
+                    [tid],
                     uid="child",
                     parent_uid="parent",
                     extension=(1, 2, True),
@@ -683,11 +688,11 @@ class TestExtensionPaths:
         grandchild.add_vertex("p3", "d")
         grandchild.add_edge("p2", "p3", "z")
         tasks = [
-            [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")],
-            [EmbeddingTask(pattern=child, tids=[tid], uid="child",
-                           parent_uid="parent", extension=(1, 2, True))],
-            [EmbeddingTask(pattern=grandchild, tids=[tid], uid="grandchild",
-                           parent_uid="child", extension=(2, 3, True))],
+            [embedding_task(engine, parent, [tid], uid="parent")],
+            [embedding_task(engine, child, [tid], uid="child",
+                            parent_uid="parent", extension=(1, 2, True))],
+            [embedding_task(engine, grandchild, [tid], uid="grandchild",
+                            parent_uid="child", extension=(2, 3, True))],
         ]
         assert [engine.support_with_embeddings(level) for level in tasks] == [
             [[tid]], [[tid]], [[tid]]
@@ -704,7 +709,7 @@ class TestExtensionPaths:
         impossible.add_vertex("q1", "a")
         impossible.add_edge("q0", "q1", "x")
         (hits,) = engine.support_with_embeddings(
-            [EmbeddingTask(pattern=impossible, tids=tids, abort_below=4)]
+            [embedding_task(engine, impossible, tids, abort_below=4)]
         )
         assert len(hits) < 4
         assert engine.stats.support_aborts >= 1
@@ -721,17 +726,17 @@ class TestExtensionPaths:
         (tid,) = engine.add_transactions([host])
         parent, child = _edge_pattern(), _extended_pattern()
         assert engine.support_with_embeddings(
-            [EmbeddingTask(pattern=parent, tids=[tid], uid="parent")]
+            [embedding_task(engine, parent, [tid], uid="parent")]
         ) == [[tid]]
-        assert engine.support_with_embeddings([EmbeddingTask(pattern=child, tids=[tid])]) == [[]]
+        assert engine.support_with_embeddings([embedding_task(engine, child, [tid])]) == [[]]
         host.add_vertex("c", "c")
         host.add_edge("b", "c", "y")
         assert legacy_has_embedding(child, host)
-        extended = EmbeddingTask(
-            pattern=child, tids=[tid], uid="child", parent_uid="parent", extension=(1, 2, True)
+        extended = embedding_task(
+            engine, child, [tid], uid="child", parent_uid="parent", extension=(1, 2, True)
         )
         assert engine.support_with_embeddings([extended]) == [[]]
-        assert engine.support_with_embeddings([EmbeddingTask(pattern=child, tids=[tid])]) == [[]]
+        assert engine.support_with_embeddings([embedding_task(engine, child, [tid])]) == [[]]
         snapshot = engine.transaction(tid)
         assert isinstance(snapshot, CompactGraph)
         assert (snapshot.n_vertices, snapshot.n_edges) == (2, 1)
@@ -740,7 +745,7 @@ class TestExtensionPaths:
         engine = MatchEngine()
         (tid,) = engine.add_transactions([self._host()])
         engine.support_with_embeddings(
-            [EmbeddingTask(pattern=_edge_pattern(), tids=[tid], uid="parent")]
+            [embedding_task(engine, _edge_pattern(), [tid], uid="parent")]
         )
         assert engine.anchor_load > 0
         engine.release_transactions([tid])
@@ -750,7 +755,7 @@ class TestExtensionPaths:
         engine = MatchEngine()
         (tid,) = engine.add_transactions([self._host()])
         engine.support_with_embeddings(
-            [EmbeddingTask(pattern=_edge_pattern(), tids=[tid], uid="parent")]
+            [embedding_task(engine, _edge_pattern(), [tid], uid="parent")]
         )
         load = engine.anchor_load
         assert load > 0
@@ -770,13 +775,14 @@ class TestRuntimeLevelAPI:
             try:
                 with runtime.open_session() as session:
                     (parent_bits,) = session.support_level(
-                        [LevelRequest(pattern=parent, tid_bits=bits, uid=("r", 0))]
+                        [level_request(runtime, parent, bits, uid=("r", 0))]
                     )
                     (child_bits,) = session.support_level(
                         [
-                            LevelRequest(
-                                pattern=child,
-                                tid_bits=parent_bits,
+                            level_request(
+                                runtime,
+                                child,
+                                parent_bits,
                                 uid=("r", 1),
                                 parent_uid=("r", 0),
                                 extension=(1, 2, True),
@@ -812,7 +818,7 @@ class TestRuntimeLevelAPI:
             try:
                 with runtime.open_session() as session:
                     (bits,) = session.support_level(
-                        [LevelRequest(pattern=pattern, tid_bits=bits_of(tids))]
+                        [level_request(runtime, pattern, bits_of(tids))]
                     )
             finally:
                 runtime.release_transactions(tids)

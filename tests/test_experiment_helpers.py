@@ -12,10 +12,13 @@ from repro.core.experiments import (
 )
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.em_clustering import ClusterSummary
-from repro.mining.fsg.candidates import Candidate, single_edge_pattern
+from repro.mining.fsg.candidates import Candidate
 from repro.mining.fsg.miner import FSGMiner
 from repro.mining.fsg.results import FSGResult, FrequentSubgraph
-from repro.runtime import LevelRequest, SerialRuntime, bits_of, popcount, tids_of
+from repro.runtime import SerialRuntime, bits_of, popcount, tids_of
+
+from conftest import level_request
+from fsg_oracle import single_edge_pattern
 
 
 class TestScaledPartitionCount:
@@ -99,61 +102,48 @@ class TestFsgSupportCounting:
         ]
 
     @staticmethod
-    def _session(transactions):
+    def _runtime(transactions):
         # A fresh runtime numbers the transactions 0..n-1, so its global
         # tids are the local indices.
         runtime = SerialRuntime()
         runtime.add_transactions(transactions)
-        return runtime.open_session()
+        return runtime
 
-    def _support_bits(self, candidate, transactions, scan_bits=None) -> int:
-        with self._session(transactions) as session:
-            (bits,) = session.support_level(
-                [
-                    LevelRequest(
-                        pattern=candidate.pattern,
-                        tid_bits=candidate.parent_bits if scan_bits is None else scan_bits,
-                    )
-                ]
-            )
+    def _support_bits(self, pattern, transactions, scan_bits) -> int:
+        runtime = self._runtime(transactions)
+        with runtime.open_session() as session:
+            (bits,) = session.support_level([level_request(runtime, pattern, scan_bits)])
         return bits
 
     def test_supporting_transactions_restricted_to_parents(self):
-        transactions = self._transactions()
-        candidate = Candidate(
-            pattern=single_edge_pattern("place", 1, "place"),
-            parent_bits=bits_of([0]),
-        )
-        assert tids_of(self._support_bits(candidate, transactions)) == [0]
+        pattern = single_edge_pattern("place", 1, "place")
+        assert tids_of(self._support_bits(pattern, self._transactions(), bits_of([0]))) == [0]
 
     def test_supporting_transactions_full_scan(self):
         transactions = self._transactions()
-        candidate = Candidate(
-            pattern=single_edge_pattern("place", 1, "place"),
-            parent_bits=bits_of([0]),
-        )
+        pattern = single_edge_pattern("place", 1, "place")
         every_tid = bits_of(range(len(transactions)))
-        assert tids_of(self._support_bits(candidate, transactions, every_tid)) == [0, 1]
+        assert tids_of(self._support_bits(pattern, transactions, every_tid)) == [0, 1]
 
     def test_count_support(self):
-        transactions = self._transactions()
-        candidate = Candidate(
-            pattern=single_edge_pattern("place", 2, "place"),
-            parent_bits=bits_of([0, 1, 2]),
-        )
-        assert popcount(self._support_bits(candidate, transactions)) == 1
+        pattern = single_edge_pattern("place", 2, "place")
+        assert popcount(self._support_bits(pattern, self._transactions(), bits_of([0, 1, 2]))) == 1
 
     def test_prune_infrequent(self):
-        transactions = self._transactions()
-        frequent = Candidate(
-            pattern=single_edge_pattern("place", 1, "place"),
-            parent_bits=bits_of([0, 1, 2]),
-        )
-        rare = Candidate(
-            pattern=single_edge_pattern("place", 2, "place"),
-            parent_bits=bits_of([0, 1, 2]),
-        )
-        with self._session(transactions) as session:
+        runtime = self._runtime(self._transactions())
+        intern = runtime.engine.table.intern
+
+        def one_edge(edge_label):
+            # The integer candidate place -edge_label-> place.
+            return Candidate(
+                labels=(intern("place"), intern("place")),
+                edges=((0, 1, intern(edge_label)),),
+                parent_bits=bits_of([0, 1, 2]),
+            )
+
+        frequent = one_edge(1)
+        rare = one_edge(2)
+        with runtime.open_session() as session:
             surviving = FSGMiner()._prune_level_incremental(
                 [frequent, rare],
                 support_threshold=2,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.motifs import MotifShape, chain, cycle, hub_and_spoke
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
@@ -83,6 +84,55 @@ class TestMining:
         small_star = hub_and_spoke(2, edge_labels=[1, 1], prefix="x")
         result = mine_frequent_subgraphs([big_star, small_star], min_support=2, max_edges=1)
         assert all(p.support <= 2 for p in result.patterns)
+
+
+def _legacy_support(pattern: LabeledGraph, transactions) -> frozenset[int]:
+    return frozenset(
+        tid for tid, transaction in enumerate(transactions) if legacy_has_embedding(pattern, transaction)
+    )
+
+
+class TestSupportsMatchLegacy:
+    """Every reported support is the set of transactions the legacy
+    matcher finds the pattern in."""
+
+    @pytest.mark.parametrize("min_support", [1, 2])
+    def test_self_loops_do_not_support_a_two_vertex_edge(self, min_support):
+        # t0 and t1 hold only a self-loop; only t2 embeds p0 -e-> p1.
+        transactions = []
+        for index, edge in enumerate([("a", "a"), ("a", "a"), ("a", "b")]):
+            graph = LabeledGraph(name=f"t{index}")
+            graph.add_vertex("a", "A")
+            graph.add_vertex("b", "A")
+            graph.add_edge(*edge, "e")
+            transactions.append(graph)
+        result = mine_frequent_subgraphs(transactions, min_support=min_support)
+        for entry in result.patterns:
+            assert entry.supporting_transactions == _legacy_support(entry.pattern, transactions)
+        assert [entry.supporting_transactions for entry in result.patterns] == (
+            [frozenset({2})] if min_support == 1 else []
+        )
+
+    def test_labels_that_print_alike_are_not_merged(self):
+        # Two 2-edge stars a -x-> b, a -y-> c whose (x, y) labels are
+        # (1, 1) in t0 and t2 and (1, "1") in t1 and t3: the two stars
+        # print alike but are different patterns, each in two transactions.
+        transactions = []
+        for index in range(4):
+            graph = LabeledGraph(name=f"t{index}")
+            graph.add_vertex("a", "A")
+            graph.add_vertex("b", "B")
+            graph.add_vertex("c", "B")
+            graph.add_edge("a", "b", 1)
+            graph.add_edge("a", "c", 1 if index % 2 == 0 else "1")
+            transactions.append(graph)
+        result = mine_frequent_subgraphs(transactions, min_support=2, max_edges=2)
+        for entry in result.patterns:
+            assert entry.supporting_transactions == _legacy_support(entry.pattern, transactions)
+        stars = [entry for entry in result.patterns if entry.n_edges == 2]
+        # Level-1 order among triples that print alike follows set order,
+        # so the stars are compared sorted.
+        assert sorted(sorted(entry.supporting_transactions) for entry in stars) == [[0, 2], [1, 3]]
 
 
 class _GappyRuntime(SerialRuntime):

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.canonical import CanonicalizationError, canonical_code
+from repro.graphs.canonical import CanonicalizationError, canonical_code, canonical_key
 from repro.graphs.compact import CompactGraph, LabelTable, labeled_to_wire
-from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.engine import MatchEngine
 from repro.graphs.index import GraphIndex
 from repro.graphs.isomorphism import (
     legacy_are_isomorphic,
@@ -29,6 +29,8 @@ from repro.graphs.isomorphism import (
 )
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.candidates import Candidate, deduplicate
+
+from conftest import embedding_task
 
 
 def _random_graph(
@@ -144,7 +146,7 @@ def _support(engine, pattern, tids=None, abort_below=None) -> frozenset[int]:
     if tids is None:
         tids = range(engine.n_transactions)
     (hits,) = engine.support_with_embeddings(
-        [EmbeddingTask(pattern=pattern, tids=list(tids), abort_below=abort_below)]
+        [embedding_task(engine, pattern, list(tids), abort_below=abort_below)]
     )
     return frozenset(hits)
 
@@ -252,7 +254,7 @@ class TestDifferentialSupport:
         looped.add_edge("u", "u", "e")
         engine = MatchEngine()
         tids = engine.add_transactions([plain, looped])
-        (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern, tids, uid="loop")])
+        (hits,) = engine.support_with_embeddings([embedding_task(engine, pattern, tids, uid="loop")])
         assert hits == [tids[1]]
         for tid, graph in zip(tids, (plain, looped)):
             assert (tid in hits) == engine.has_embedding(pattern, graph)
@@ -432,14 +434,15 @@ class TestTransactionLayout:
         seed.add_vertex("p0", corpus[0].vertex_label(edge.source))
         seed.add_vertex("p1", corpus[0].vertex_label(edge.target))
         seed.add_edge("p0", "p1", edge.label)
-        (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern=seed, tids=tids)])
+        (hits,) = engine.support_with_embeddings([embedding_task(engine, seed, tids)])
         assert tids[0] in hits
         engine.transaction(tids[1])
         engine.release_transactions([tids[3]])
         assert engine._transaction_indexes == {}
         assert engine.stats.indexes_built == 1  # the pattern's
         # A two-edge pattern with no parent is searched in full: the
-        # searched transaction gets an index, reused by the next search.
+        # searched transaction gets an index, reused by the next search,
+        # while each batch indexes its pattern anew.
         path = _random_pattern(random.Random(1), corpus[1], 2)
         assert _support(engine, path, [tids[1]]) == {tids[1]}
         index = engine._transaction_indexes[tids[1]]
@@ -447,7 +450,7 @@ class TestTransactionLayout:
         assert engine.stats.indexes_built == 3
         assert _support(engine, path, [tids[1]]) == {tids[1]}
         assert engine._transaction_indexes == {tids[1]: index}
-        assert engine.stats.indexes_built == 3
+        assert engine.stats.indexes_built == 4
         # Releasing the tid drops its index.
         engine.release_transactions([tids[1]])
         assert engine._transaction_indexes == {}
@@ -490,25 +493,28 @@ class TestIndexMemoization:
 
 
 class TestSymmetricDeduplication:
-    def _symmetric_star(self, prefix: str) -> LabeledGraph:
-        """A 9-spoke uniform star: 9! colour orderings defeat canonicalisation."""
-        star = LabeledGraph(name=f"{prefix}-star")
-        star.add_vertex(f"{prefix}h", "hub")
-        for spoke in range(9):
-            star.add_vertex(f"{prefix}s{spoke}", "spoke")
-            star.add_edge(f"{prefix}h", f"{prefix}s{spoke}", "e")
-        return star
+    @staticmethod
+    def _symmetric_star(table, hub_last: bool = False) -> tuple[tuple, tuple]:
+        """A 9-spoke uniform star as label ids: 9! orderings defeat the key.
+
+        With *hub_last* the hub is the last vertex instead of the first,
+        an isomorphic graph laid out differently.
+        """
+        hub, spoke, edge = table.intern("hub"), table.intern("spoke"), table.intern("e")
+        if hub_last:
+            return (spoke,) * 9 + (hub,), tuple((9, s, edge) for s in range(9))
+        return (hub,) + (spoke,) * 9, tuple((0, s, edge) for s in range(1, 10))
 
     def test_dedup_survives_canonicalization_error(self):
         engine = MatchEngine()
-        first = self._symmetric_star("a")
-        second = self._symmetric_star("b")
+        first = self._symmetric_star(engine.table)
+        second = self._symmetric_star(engine.table, hub_last=True)
         with pytest.raises(CanonicalizationError):
-            engine.canonical_code(first)
+            canonical_key(*first)
         merged = deduplicate(
             [
-                Candidate(pattern=first, parent_bits=0b011),
-                Candidate(pattern=second, parent_bits=0b110),
+                Candidate(*first, parent_bits=0b011),
+                Candidate(*second, parent_bits=0b110),
             ],
             engine=engine,
         )
@@ -517,13 +523,13 @@ class TestSymmetricDeduplication:
 
     def test_dedup_keeps_nonisomorphic_symmetric_patterns(self):
         engine = MatchEngine()
-        star = self._symmetric_star("a")
-        other = self._symmetric_star("b")
-        other.add_edge("bs0", "bs1", "x")  # break isomorphism, keep symmetry high
+        labels, edges = self._symmetric_star(engine.table)
+        # break isomorphism, keep symmetry high: an s0 -x-> s1 edge
+        other = (labels, edges + ((1, 2, engine.table.intern("x")),))
         merged = deduplicate(
             [
-                Candidate(pattern=star, parent_bits=0b01),
-                Candidate(pattern=other, parent_bits=0b10),
+                Candidate(labels, edges, parent_bits=0b01),
+                Candidate(*other, parent_bits=0b10),
             ],
             engine=engine,
         )

@@ -20,13 +20,12 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.graphs.compact import CompactGraph, LabelTable
-from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import (
     BatchSupportPlanner,
-    LevelRequest,
     SerialRuntime,
     ShardedEngine,
     WorkerError,
@@ -42,6 +41,8 @@ from repro.runtime import (
 from repro.runtime.planner import PlacementPolicy
 from repro.runtime.pool import ProcessBackend, SerialBackend
 from repro.runtime.wire import BLOB_OP, decode_message
+
+from conftest import embedding_task, level_request
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +159,11 @@ class TestEquivalence:
         engine = MatchEngine()
         tids = engine.add_transactions(corpus)
         tasks = [
-            EmbeddingTask(pattern=pattern, tids=tids),
-            EmbeddingTask(pattern=pattern, tids=tids[:5]),
+            embedding_task(engine, pattern, tids),
+            embedding_task(engine, pattern, tids[:5]),
         ]
         batched = engine.support_with_embeddings(tasks)
-        single = MatchEngine()
+        single = MatchEngine(engine.table)
         single.add_transactions(corpus)
         one_by_one = [single.support_with_embeddings([task])[0] for task in tasks]
         assert batched == one_by_one
@@ -325,7 +326,7 @@ class TestShardedEngine:
             pattern.add_vertex("b", "B")
             pattern.add_edge("a", "b", "x")
             with runtime.open_session() as session:
-                session.support_level([LevelRequest(pattern=pattern, tid_bits=bits_of(tids))])
+                session.support_level([level_request(runtime, pattern, bits_of(tids))])
             seeded = runtime.stats()
             # A two-edge pattern with no parent is searched in full on
             # every tid.
@@ -333,7 +334,7 @@ class TestShardedEngine:
             path.add_vertex("c", "A")
             path.add_edge("b", "c", "y")
             with runtime.open_session() as session:
-                session.support_level([LevelRequest(pattern=path, tid_bits=bits_of(tids))])
+                session.support_level([level_request(runtime, path, bits_of(tids))])
             searched = runtime.stats()
         finally:
             runtime.close()
@@ -355,7 +356,7 @@ class TestShardedEngine:
             tids = runtime.add_transactions(corpus)
             runtime.release_transactions(tids[:2])
             pattern = corpus[0].copy()
-            request = LevelRequest(pattern=pattern, tid_bits=bits_of(tids[:1]))
+            request = level_request(runtime, pattern, bits_of(tids[:1]))
             with runtime.open_session() as session:
                 with pytest.raises(KeyError):
                     session.support_level([request])
@@ -415,7 +416,7 @@ class TestShardedEngine:
             # Every live tid is still registered on its shard: a level over
             # all of them answers as the serial oracle does.
             pattern = edge_pattern()
-            request = LevelRequest(pattern=pattern, tid_bits=bits_of(tids[2:]), uid="edge")
+            request = level_request(runtime, pattern, bits_of(tids[2:]), uid="edge")
             with runtime.open_session() as session:
                 (bits,) = session.support_level([request])
             assert bits == bits_of(
@@ -437,7 +438,7 @@ class TestShardedEngine:
             runtime.release_transactions(released)
             live = [tid for tid in tids if tid not in released]
             log.sent.clear()
-            request = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(live), uid="edge")
+            request = level_request(runtime, edge_pattern(), bits_of(live), uid="edge")
             with runtime.open_session() as session:
                 (bits,) = session.support_level([request])
             assert runtime.recovery["worker_restarts"] == 1
@@ -456,21 +457,23 @@ class TestShardedEngine:
 
     def test_planner_skips_shards_without_tids(self):
         planner = BatchSupportPlanner(3)
-        table = LabelTable()
+        runtime = SerialRuntime()
         pattern = LabeledGraph(name="p")
         pattern.add_vertex("a", "A")
         # Both tids live on shard 1; shards 0 and 2 get empty batches.
         owned = [bits_of([0, 1]), bits_of([4, 7, 40]), bits_of([2])]
-        request = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 7]))
-        batches = planner.plan_session_level([request], table, owned)
+        request = level_request(runtime, pattern, bits_of([4, 7]))
+        batches = planner.plan_session_level([request], owned)
         assert [batch.is_empty() for batch in batches] == [True, False, True]
+        # The request's wire ships as it is.
         ((wire, (offset, buffer)),) = batches[1].payloads
-        assert wire == CompactGraph.from_labeled(pattern, table).to_wire()
+        assert wire is request.wire
+        assert wire == CompactGraph.from_labeled(pattern, runtime.engine.table).to_wire()
         assert tids_from_buffer(buffer, offset) == [4, 7]
         # A tid outside every mask fails the plan, as a released tid does.
-        stray = LevelRequest(pattern=pattern, tid_bits=bits_of([4, 9]))
+        stray = level_request(runtime, pattern, bits_of([4, 9]))
         with pytest.raises(KeyError, match="transaction 9"):
-            planner.plan_session_level([stray], table, owned)
+            planner.plan_session_level([stray], owned)
 
     def test_weighted_placement_levels_edge_load(self):
         # Weighted placement assigns each arrival to the lightest shard
@@ -550,10 +553,10 @@ class TestKnobs:
         try:
             assert isinstance(sharded, ShardedEngine)
             assert sharded.n_shards == 2
-            # The parent engine keeps a label table of its own, apart
-            # from the one the shards replicate.
+            # The parent engine interns through the table the shards
+            # replicate: one label table per runtime.
             assert isinstance(sharded.engine, MatchEngine)
-            assert sharded.engine.table is not sharded.table
+            assert sharded.engine.table is sharded.table
         finally:
             sharded.close()
 

@@ -27,13 +27,11 @@ from hypothesis import strategies as st
 
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.mining.fsg.candidates import single_edge_pattern
 from repro.mining.fsg.miner import FSGMiner
 from repro.obs import Tracer, activate
 from repro.runtime import (
     SESSION_TELEMETRY_KEYS,
     DelegatingSession,
-    LevelRequest,
     SerialBackend,
     SerialRuntime,
     ShardedEngine,
@@ -44,6 +42,9 @@ from repro.runtime import (
     tids_of,
 )
 from repro.runtime.wire import BLOB_OP, decode_message
+
+from conftest import level_request
+from fsg_oracle import single_edge_pattern
 
 
 # Under the CI chaos job REPRO_FAULTS injects worker deaths into every
@@ -279,14 +280,15 @@ class TestSessionProtocol:
         session = runtime.open_session()
         assert isinstance(session, ShardedSession)
         try:
-            root = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="root")
+            root = level_request(runtime, edge_pattern(), bits_of(tids), uid="root")
             (root_bits,) = session.support_level([root])
             assert root_bits == legacy_support_bits(edge_pattern(), corpus)
             assert runtime.stats()["anchor_extensions"] == 0
 
-            child = LevelRequest(
-                pattern=child_pattern(),
-                tid_bits=root_bits,
+            child = level_request(
+                runtime,
+                child_pattern(),
+                root_bits,
                 uid="child",
                 parent_uid="root",
                 extension=(1, 2, True),
@@ -310,7 +312,7 @@ class TestSessionProtocol:
     def test_close_flushes_shard_stores(self):
         corpus, runtime, tids = self._runtime_with_corpus()
         session = runtime.open_session()
-        root = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="root")
+        root = level_request(runtime, edge_pattern(), bits_of(tids), uid="root")
         session.support_level([root])
         # Serial backend: the handlers are inspectable in-process.
         workers = runtime._pool._handlers
@@ -329,12 +331,12 @@ class TestSessionProtocol:
         try:
             session.support_level(
                 [
-                    LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard0), uid="solo"),
-                    LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="both"),
+                    level_request(runtime, edge_pattern(), bits_of(shard0), uid="solo"),
+                    level_request(runtime, edge_pattern(), bits_of(tids), uid="both"),
                 ]
             )
             session.evict(["solo", "both", "never-shipped"])
-            probe = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="probe")
+            probe = level_request(runtime, edge_pattern(), bits_of(tids), uid="probe")
             session.support_level([probe])
             # ("slevel", evictions, ...): the second level carries each
             # shard's queued evictions, and "solo" only went to shard 0.
@@ -362,7 +364,7 @@ class TestSessionProtocol:
         tids = runtime.add_transactions(corpus)
         session = runtime.open_session()
         assert isinstance(session, DelegatingSession)
-        request = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids))
+        request = level_request(runtime, edge_pattern(), bits_of(tids))
         assert session.support_level([request]) == [
             legacy_support_bits(edge_pattern(), corpus)
         ]
@@ -439,34 +441,44 @@ class TestSplitBounds:
             tids = serial.add_transactions(corpus)
             assert runtime.add_transactions(corpus) == tids
             roots = [
-                LevelRequest(
-                    pattern=single_edge_pattern(*triple),
-                    tid_bits=bits_of(tid for tid in tids if rng.random() < 0.8),
-                    uid=("root", index),
+                (
+                    single_edge_pattern(*triple),
+                    bits_of(tid for tid in tids if rng.random() < 0.8),
+                    ("root", index),
                 )
                 for index, triple in enumerate(
                     itertools.product("ABC", "xy", "ABC")
                 )
             ]
             with serial.open_session() as expected_session, runtime.open_session() as session:
-                expected = expected_session.support_level(roots, min_support)
-                got = session.support_level(roots, min_support)
+                expected = expected_session.support_level(
+                    [level_request(serial, *root[:2], uid=root[2]) for root in roots],
+                    min_support,
+                )
+                got = session.support_level(
+                    [level_request(runtime, *root[:2], uid=root[2]) for root in roots],
+                    min_support,
+                )
                 _agree_where_frequent(got, expected, min_support)
                 children = [
-                    LevelRequest(
-                        pattern=_child_of(root.pattern, label),
-                        tid_bits=bits,
-                        uid=("child", index, label),
-                        parent_uid=root.uid,
-                        extension=(1, 2, True),
+                    (
+                        _child_of(pattern, label),
+                        bits,
+                        {"uid": ("child", index, label), "parent_uid": uid, "extension": (1, 2, True)},
                     )
-                    for index, (root, bits) in enumerate(zip(roots, expected))
+                    for index, ((pattern, _, uid), bits) in enumerate(zip(roots, expected))
                     if popcount(bits) >= min_support
                     for label in "xy"
                 ]
                 _agree_where_frequent(
-                    session.support_level(children, min_support),
-                    expected_session.support_level(children, min_support),
+                    session.support_level(
+                        [level_request(runtime, child, bits, **derivation) for child, bits, derivation in children],
+                        min_support,
+                    ),
+                    expected_session.support_level(
+                        [level_request(serial, child, bits, **derivation) for child, bits, derivation in children],
+                        min_support,
+                    ),
                     min_support,
                 )
             mined = FSGMiner(min_support=min_support, max_edges=3, runtime=runtime).mine(corpus)
@@ -501,7 +513,7 @@ class TestSplitBounds:
         try:
             tids = runtime.add_transactions(corpus)
             assert runtime.owned == (bits_of(tids[0::2]), bits_of(tids[1::2]))
-            request = LevelRequest(pattern=single_edge_pattern("A", "x", "B"), tid_bits=bits_of(tids))
+            request = level_request(runtime, single_edge_pattern("A", "x", "B"), bits_of(tids))
             with runtime.open_session() as session:
                 (bits,) = session.support_level([request], min_support=4)
             assert popcount(bits) < 4
@@ -523,8 +535,8 @@ class TestSplitBounds:
         runtime._pool = log
         try:
             tids = runtime.add_transactions(corpus)
-            request = LevelRequest(
-                pattern=single_edge_pattern("A", "x", "B"), tid_bits=bits_of(tids), uid="x"
+            request = level_request(
+                runtime, single_edge_pattern("A", "x", "B"), bits_of(tids), uid="x"
             )
             with runtime.open_session() as session:
                 (bits,) = session.support_level([request], min_support=4)
@@ -551,8 +563,8 @@ class TestScatterGather:
         # One request per shard plus one spanning both, so a sequential
         # per-shard call() loop would interleave sends and recvs.
         return [
-            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="all"),
-            LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids[:2]), uid="few"),
+            level_request(runtime, edge_pattern(), bits_of(tids), uid="all"),
+            level_request(runtime, edge_pattern(), bits_of(tids[:2]), uid="few"),
         ]
 
     # "session" drives one level; "close" drives the close-time flush of
@@ -631,8 +643,8 @@ class TestWorkerFailures:
             # shard-side traceback.
             _poison_next_level(runtime, shard=0)
             shard0_tids = [tid for tid in tids if shard_of(runtime, tid) == 0]
-            request = LevelRequest(
-                pattern=edge_pattern(), tid_bits=bits_of(shard0_tids[:1]), uid="edge"
+            request = level_request(
+                runtime, edge_pattern(), bits_of(shard0_tids[:1]), uid="edge"
             )
             with pytest.raises(WorkerError) as failure:
                 session.support_level([request])
@@ -656,14 +668,14 @@ class TestWorkerFailures:
             shard1 = [tid for tid in tids if shard_of(runtime, tid) == 1]
             _poison_next_level(runtime, shard=0)
             requests = [
-                LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard0[:1]), uid="bad"),
-                LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(shard1), uid="good"),
+                level_request(runtime, edge_pattern(), bits_of(shard0[:1]), uid="bad"),
+                level_request(runtime, edge_pattern(), bits_of(shard1), uid="good"),
             ]
             with pytest.raises(WorkerError):
                 session.support_level(requests)
             # Shard 1's reply was drained, not stranded: a follow-up
             # query gets a correct answer instead of last level's.
-            probe = LevelRequest(pattern=edge_pattern(), tid_bits=bits_of(tids), uid="probe")
+            probe = level_request(runtime, edge_pattern(), bits_of(tids), uid="probe")
             (bits,) = session.support_level([probe])
             assert bits == legacy_support_bits(edge_pattern(), corpus)
             session.close()

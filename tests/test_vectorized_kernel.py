@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.engine import EmbeddingTask, MatchEngine
+from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import legacy_has_embedding
 from repro.graphs.labeled_graph import LabeledGraph, LabeledMultiGraph
 from repro.mining.fsg.miner import FSGMiner
 from repro.runtime import SerialRuntime, bits_of, bits_to_buffer, tids_from_buffer, tids_of
 from repro.runtime.bitsets import bits_to_span
+
+from conftest import embedding_task
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +131,7 @@ def test_task_level_differential_with_abort(corpus):
         engine = MatchEngine()
         tids = engine.add_transactions(corpus)
         tasks = [
-            EmbeddingTask(pattern=pattern, tids=tids, uid=("p", index), abort_below=abort_below)
+            embedding_task(engine, pattern, tids, uid=("p", index), abort_below=abort_below)
             for index, pattern in enumerate(patterns)
         ]
         return engine.support_with_embeddings(tasks)
@@ -157,9 +159,9 @@ def test_empty_and_singleton_supports():
     tids = engine.add_transactions(corpus)
     hits = engine.support_with_embeddings(
         [
-            EmbeddingTask(pattern=absent, tids=tids, uid="absent"),
-            EmbeddingTask(pattern=present, tids=tids, uid="present"),
-            EmbeddingTask(pattern=present, tids=[], uid="no-tids"),
+            embedding_task(engine, absent, tids, uid="absent"),
+            embedding_task(engine, present, tids, uid="present"),
+            embedding_task(engine, present, [], uid="no-tids"),
         ]
     )
     assert hits == [[], [0], []]
@@ -177,7 +179,7 @@ def test_supports_crossing_word_boundaries():
     assert any(tid >= 64 for tid in oracle)
     engine = MatchEngine()
     tids = engine.add_transactions(corpus)
-    (hits,) = engine.support_with_embeddings([EmbeddingTask(pattern=pattern, tids=tids, uid="p")])
+    (hits,) = engine.support_with_embeddings([embedding_task(engine, pattern, tids, uid="p")])
     assert hits == oracle
 
 
@@ -209,15 +211,15 @@ def test_release_transactions_invalidates_columns():
     engine = MatchEngine()
     tids = engine.add_transactions(corpus)
     (before,) = engine.support_with_embeddings(
-        [EmbeddingTask(pattern=pattern, tids=tids, uid="p")]
+        [embedding_task(engine, pattern, tids, uid="p")]
     )
     assert before == tids
     load = engine.anchor_load
     engine.release_transactions([1, 2])
     assert engine.anchor_load == load // 2
     with pytest.raises(KeyError):
-        engine.support_with_embeddings([EmbeddingTask(pattern=pattern, tids=[1], uid="p2")])
+        engine.support_with_embeddings([embedding_task(engine, pattern, [1], uid="p2")])
     (after,) = engine.support_with_embeddings(
-        [EmbeddingTask(pattern=pattern, tids=[0, 3], uid="p3")]
+        [embedding_task(engine, pattern, [0, 3], uid="p3")]
     )
     assert after == [0, 3]
