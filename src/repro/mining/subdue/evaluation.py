@@ -13,6 +13,12 @@ SUBDUE's third principle, Set-Cover, scores S against positive and
 negative example graphs.  The paper rules it out for this data, which
 has no negative examples, and the miner searches one host graph with no
 examples, so it is not offered.
+
+Both principles price the host compressed by a candidate's selected
+instances from counts alone (:func:`compression_counts`), read off the
+instances' bitsets over the
+:class:`~repro.mining.subdue.substructure.IntegerHost`, which also holds
+the host's own description length and label alphabet.
 """
 
 from __future__ import annotations
@@ -21,25 +27,9 @@ import enum
 import math
 from typing import NamedTuple
 
-from repro.graphs.engine import MatchEngine
-from repro.graphs.labeled_graph import LabeledGraph, VertexId
 from repro.mining.subdue.mdl import description_length, description_length_of_counts, graph_size
-from repro.mining.subdue.substructure import Substructure
+from repro.mining.subdue.substructure import Candidate, IntegerHost, IntegerInstance, bit_positions
 from repro.obs.tracer import get_tracer
-
-
-def _host_label_counts(host: LabeledGraph, engine: MatchEngine) -> tuple[int, int]:
-    """(#vertex labels, #edge labels) of *host*, read off its engine index.
-
-    The host's label alphabet is fixed for a whole mining run, so reading
-    it off the precomputed index avoids an O(V + E) recount per candidate
-    evaluation.
-    """
-    index = engine.index_of(host)
-    return (
-        max(1, len(index.vertex_label_hist)),
-        max(1, len(index.edge_label_hist)),
-    )
 
 
 class CompressionCounts(NamedTuple):
@@ -57,43 +47,43 @@ class CompressionCounts(NamedTuple):
     merged_edges: int
 
 
-def compression_counts(host: LabeledGraph, substructure: Substructure) -> CompressionCounts:
-    """Counts of *host* with *substructure*'s non-overlapping instances collapsed.
+def compression_counts(host: IntegerHost, instances: list[IntegerInstance]) -> CompressionCounts:
+    """Counts of *host* with the vertex-disjoint *instances* collapsed.
 
     The compressed graph is the one ``compress_instances`` in
     ``tests/test_subdue.py`` builds (each instance collapsed into one
     fresh vertex), but only its counts are derived, from the instances'
-    owner map: each
-    edge that touches an instance is visited once (the out-edges of its
-    vertices, plus in-edges from outside), which costs O(degree of the
-    covered vertices).  An edge with both ends in one instance is
-    absorbed; every other touching edge re-attaches as its resolved
-    ``(owner or vertex, owner or vertex)`` pair, and edges that resolve
-    to one pair merge into one, because the compressed graph is simple.
+    owner map: instance ``i``'s vertices belong to replacement
+    ``host.n_vertices + i``, an id no rank has.  Each edge that touches an
+    instance is visited once (the out-edges of its vertices, plus
+    in-edges from outside), which costs O(degree of the covered
+    vertices).  An edge with both ends in one instance is absorbed; every
+    other touching edge re-attaches as its resolved ``(owner or vertex,
+    owner or vertex)`` pair, and edges that resolve to one pair merge into
+    one, because the compressed graph is simple.  The instances' own
+    edges are counted by popcount.
 
     Edges merged away (coinciding pairs, and edges absorbed without being
     part of their instance) still have to be described in a lossless
     encoding, so the evaluation functions add them back explicitly.
     """
-    instances = substructure.non_overlapping()
-    owner: dict[VertexId, object] = {}
+    owner: dict[int, int] = {}
     internal_edges = 0
-    for instance in instances:
-        # A fresh object stands for the instance's replacement vertex: it
-        # equals no vertex id, whatever the host's ids are.
-        replacement = object()
-        for vertex in instance.vertices:
+    for replacement, (edge_bits, vertex_bits, _) in enumerate(instances, start=host.n_vertices):
+        for vertex in bit_positions(vertex_bits):
             owner[vertex] = replacement
-        internal_edges += len(instance.edges)
+        internal_edges += edge_bits.bit_count()
+    successors = host.successors
+    predecessors = host.predecessors
     touching = 0
-    pairs: set[tuple] = set()
+    pairs: set[tuple[int, int]] = set()
     for vertex, replacement in owner.items():
-        for target in host.successors(vertex):
+        for target in successors[vertex]:
             touching += 1
             resolved = owner.get(target, target)
-            if resolved is not replacement:
+            if resolved != replacement:
                 pairs.add((replacement, resolved))
-        for source in host.predecessors(vertex):
+        for source in predecessors[vertex]:
             if source not in owner:
                 touching += 1
                 pairs.add((source, replacement))
@@ -119,12 +109,8 @@ class EvaluationPrinciple(str, enum.Enum):
         return self.value
 
 
-def mdl_value(
-    host: LabeledGraph,
-    substructure: Substructure,
-    engine: MatchEngine,
-) -> float:
-    """MDL compression value of *substructure* against *host*.
+def mdl_value(host: IntegerHost, candidate: Candidate) -> float:
+    """MDL compression value of *candidate*'s selection against *host*.
 
     The description of the compressed graph alone is not lossless: to
     reconstruct the original graph one must also record *where* each
@@ -135,17 +121,17 @@ def mdl_value(
     favours small, very frequent substructures on uniformly-labeled graphs
     (the Section 5.1 observation) while the simpler Size principle — which
     ignores reconstruction overhead — rewards the largest substructure
-    that still repeats.  The host's label alphabet sizes are read off
-    its index in *engine*.
+    that still repeats.  The host's description length and label
+    alphabet sizes come with *host*.
 
     The compressed host is priced from :func:`compression_counts` alone,
     so no compressed graph is built; ``tests/test_subdue.py`` holds the
     value against one computed on the materialised graph.
     """
-    n_vertex_labels, n_edge_labels = _host_label_counts(host, engine)
-    original = description_length(host, n_vertex_labels, n_edge_labels)
-    sub_dl = description_length(substructure.pattern, n_vertex_labels, n_edge_labels)
-    counts = compression_counts(host, substructure)
+    n_vertex_labels, n_edge_labels = host.n_vertex_labels, host.n_edge_labels
+    pattern = candidate.pattern
+    sub_dl = description_length(pattern, n_vertex_labels, n_edge_labels)
+    counts = compression_counts(host, candidate.selection)
     compressed_dl = description_length_of_counts(
         counts.vertices, counts.edges, n_vertex_labels + 1, n_edge_labels
     )
@@ -154,48 +140,38 @@ def mdl_value(
     per_edge_bits = 2.0 * math.log2(max(2, counts.vertices)) + math.log2(max(2, n_edge_labels))
     merged_bits = counts.merged_edges * per_edge_bits
     # Boundary edges must record which internal vertex they attached to.
-    attachment_bits = counts.boundary_edges * math.log2(max(2, substructure.pattern.n_vertices))
+    attachment_bits = counts.boundary_edges * math.log2(max(2, pattern.n_vertices))
     # Instance locations must be recorded to reconstruct the original graph.
     location_bits = counts.covered_vertices * math.log2(max(2, host.n_vertices))
 
     denominator = sub_dl + compressed_dl + merged_bits + attachment_bits + location_bits
     if denominator <= 0:
         return 0.0
-    return original / denominator
+    return host.description_length / denominator
 
 
-def size_value(host: LabeledGraph, substructure: Substructure) -> float:
-    """Size-principle compression value of *substructure* against *host*.
+def size_value(host: IntegerHost, candidate: Candidate) -> float:
+    """Size-principle compression value of *candidate*'s selection against *host*.
 
     The size measure counts vertices plus edges; edges merged away by the
     simple-graph rewrite are added back so the rewrite itself does not
     fabricate compression.
     """
-    original = graph_size(host)
-    counts = compression_counts(host, substructure)
+    counts = compression_counts(host, candidate.selection)
     compressed_size = counts.vertices + counts.edges + counts.merged_edges
-    denominator = graph_size(substructure.pattern) + compressed_size
+    denominator = graph_size(candidate.pattern) + compressed_size
     if denominator <= 0:
         return 0.0
-    return original / denominator
+    return (host.n_vertices + host.n_edges) / denominator
 
 
-def evaluate(
-    host: LabeledGraph,
-    substructure: Substructure,
-    principle: EvaluationPrinciple,
-    *,
-    engine: MatchEngine,
-) -> float:
-    """Score *substructure* under the chosen principle.
+_SCORERS = {EvaluationPrinciple.MDL: mdl_value, EvaluationPrinciple.SIZE: size_value}
 
-    *engine* (keyword-only) is the miner's :class:`MatchEngine`; MDL reads
-    the host's label counts from it.  Each call is one
-    ``subdue.evaluate`` span.
+
+def evaluate(host: IntegerHost, candidate: Candidate, principle: EvaluationPrinciple) -> float:
+    """Score *candidate*'s selection under *principle*.
+
+    Each call is one ``subdue.evaluate`` span.
     """
     with get_tracer().span("subdue.evaluate"):
-        if principle is EvaluationPrinciple.MDL:
-            return mdl_value(host, substructure, engine=engine)
-        if principle is EvaluationPrinciple.SIZE:
-            return size_value(host, substructure)
-        raise ValueError(f"unknown evaluation principle: {principle}")
+        return _SCORERS[principle](host, candidate)

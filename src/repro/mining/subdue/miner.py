@@ -27,8 +27,9 @@ from repro.graphs.engine import MatchEngine
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.subdue.evaluation import EvaluationPrinciple, evaluate
 from repro.mining.subdue.expansion import expand_substructure, initial_substructures
-from repro.mining.subdue.substructure import Substructure
+from repro.mining.subdue.substructure import Candidate, IntegerHost, Substructure, select_non_overlapping
 from repro.obs.tracer import get_tracer
+from repro.runtime.collector import rare_full_collections
 
 
 @dataclass
@@ -59,12 +60,13 @@ class SubdueMiner:
     ``beam_width`` (beam size), ``max_best`` (number of substructures to
     report), ``max_substructure_edges`` (size limit), ``limit`` (number of
     candidate substructures considered before stopping), ``principle``
-    (MDL or Size), and ``min_instances`` (minimum number of
-    non-overlapping instances for a candidate to be worth reporting —
-    a pattern seen once compresses nothing).  ``beam_width``, ``max_best``
-    and ``min_instances`` must be at least 1; ``limit``,
-    ``max_instances`` and ``max_substructure_edges`` must be ``None`` (no
-    cap) or at least 1.  Other values raise :class:`ValueError`.
+    (MDL or Size, as a member or its value: ``"mdl"`` or ``"size"``), and
+    ``min_instances`` (minimum number of non-overlapping instances for a
+    candidate to be worth reporting — a pattern seen once compresses
+    nothing).  ``beam_width``, ``max_best`` and ``min_instances`` must be
+    at least 1; ``limit``, ``max_instances`` and
+    ``max_substructure_edges`` must be ``None`` (no cap) or at least 1.
+    Other values, and any other principle, raise :class:`ValueError`.
     """
 
     beam_width: int = 4
@@ -79,7 +81,8 @@ class SubdueMiner:
     def __post_init__(self) -> None:
         # Out-of-range values would not fail on their own: a negative beam
         # slices from the end, a zero limit still evaluates one candidate,
-        # and zero caps silently report nothing.
+        # zero caps silently report nothing, and an unknown principle
+        # fails only once a candidate is evaluated.
         for name in ("beam_width", "max_best", "min_instances"):
             value = getattr(self, name)
             if value < 1:
@@ -88,50 +91,55 @@ class SubdueMiner:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be None or at least 1, got {value}")
+        try:
+            self.principle = EvaluationPrinciple(self.principle)
+        except ValueError:
+            choices = ", ".join(repr(member.value) for member in EvaluationPrinciple)
+            raise ValueError(f"principle must be one of {choices}, got {self.principle!r}") from None
 
     def mine(self, host: LabeledGraph) -> SubdueResult:
         """Discover the best substructures of *host*.
 
-        The search runs on a copy of *host* whose vertex ids are ranks:
-        the caller's ids sorted by ``str``, ties kept in host order.  The
-        copy keeps the labels and the insertion order of the vertices and
-        of each vertex's neighbours, which expansion walks, so every
-        ordered choice of the search (instance keys, pattern vertex order,
-        expansion order) compares ints and comes out as the caller's
-        ``str`` order would.  Edges then hash ints, and any vertex ids
-        work, orderable or not.  The reported best substructures carry
-        the caller's ids again: their patterns, instances and
-        non-overlapping selections are mapped back through the rank
-        table, the selections unchanged.
+        The search runs on the :class:`IntegerHost` of *host*, built once:
+        vertex ids become ranks, the caller's ids sorted by ``str`` (ties
+        kept in host order), and instances become edge and vertex bitsets.
+        Every ordered choice of the search (instance order, pattern vertex
+        order, expansion order) compares ranks and comes out as the
+        caller's ``str`` order would, and any vertex ids work, orderable or
+        not.  Only the reported best substructures are turned back into
+        the caller's ids: their patterns, instances and non-overlapping
+        selections, the selections unchanged.
 
-        The copy is indexed once through the match engine (the miner's,
-        or a private one) and every beam step — seeding, instance
-        grouping, candidate evaluation — reuses that index instead of
-        re-deriving label buckets and histograms per candidate.  The run
-        is one ``subdue.mine`` span.
+        The run is one ``subdue.mine`` span.  While it runs, the
+        collector's gen-2 threshold is raised by
+        :data:`~repro.runtime.collector.FULL_COLLECTION_FACTOR` and
+        restored on exit (see
+        :func:`~repro.runtime.collector.rare_full_collections`).
         """
-        with get_tracer().span("subdue.mine", vertices=host.n_vertices, edges=host.n_edges) as span:
+        with rare_full_collections(), get_tracer().span(
+            "subdue.mine", vertices=host.n_vertices, edges=host.n_edges
+        ) as span:
             start = time.perf_counter()
-            ids = sorted(host.vertices(), key=str)
-            best, evaluated = self._search(host.renamed({vertex: rank for rank, vertex in enumerate(ids)}))
+            integer_host = IntegerHost(host)
+            best, evaluated = self._search(integer_host)
             span.set(evaluated=evaluated)
             return SubdueResult(
-                best=[substructure.renamed(ids) for substructure in best],
+                best=[candidate.report(integer_host) for candidate in best],
                 evaluated=evaluated,
                 elapsed_seconds=time.perf_counter() - start,
                 principle=self.principle,
             )
 
-    def _search(self, host: LabeledGraph) -> tuple[list[Substructure], int]:
-        """The beam search over *host*: the best substructures, and how many
+    def _search(self, host: IntegerHost) -> tuple[list[Candidate], int]:
+        """The beam search over *host*: the best candidates, and how many
         candidates were evaluated."""
         engine = self.engine if self.engine is not None else MatchEngine()
-        frontier = initial_substructures(host, engine=engine)
-        best: list[Substructure] = []
+        frontier = initial_substructures(host)
+        best: list[Candidate] = []
         evaluated = 0
 
         while frontier:
-            expanded: list[Substructure] = []
+            expanded: list[Candidate] = []
             for parent in frontier:
                 if (
                     self.max_substructure_edges is not None
@@ -142,15 +150,16 @@ class SubdueMiner:
             if not expanded:
                 break
 
-            scored: list[Substructure] = []
+            scored: list[Candidate] = []
             for candidate in expanded:
                 if self.max_instances is not None and len(candidate.instances) > self.max_instances:
                     # Cap the instance list so expansion cost stays bounded on
                     # dense hubs (SUBDUE applies a similar instance limit).
                     candidate.instances = candidate.instances[: self.max_instances]
-                if candidate.n_non_overlapping < self.min_instances:
+                candidate.selection = select_non_overlapping(candidate.instances)
+                if len(candidate.selection) < self.min_instances:
                     continue
-                candidate.value = evaluate(host, candidate, self.principle, engine=engine)
+                candidate.value = evaluate(host, candidate, self.principle)
                 evaluated += 1
                 scored.append(candidate)
                 if self.limit is not None and evaluated >= self.limit:
@@ -165,19 +174,18 @@ class SubdueMiner:
         return self._keep_best(best, self.max_best), evaluated
 
     @staticmethod
-    def _keep_best(substructures: list[Substructure], count: int) -> list[Substructure]:
-        """The *count* highest-valued substructures, one per pattern class.
+    def _keep_best(candidates: list[Candidate], count: int) -> list[Candidate]:
+        """The *count* highest-valued candidates, one per pattern class.
 
-        Classes are told apart by :meth:`Substructure.class_key`.  Value
-        ties are broken by that key so the beam (and the reported best
-        list) is identical whatever order candidates were discovered in —
-        discovery order varies with the hash seed.
+        Classes are told apart by :attr:`Candidate.key`, which grouping
+        computed when it opened the class.  Value ties are broken by that
+        key so the beam (and the reported best list) is identical whatever
+        order candidates were discovered in.
         """
-        unique: dict[tuple[str, str], Substructure] = {}
-        for substructure in substructures:
-            key = substructure.class_key()
-            existing = unique.get(key)
-            if existing is None or substructure.value > existing.value:
-                unique[key] = substructure
-        ordered = sorted(unique.items(), key=lambda item: (-item[1].value, item[0]))
-        return [substructure for _, substructure in ordered[:count]]
+        unique: dict[tuple[str, str], Candidate] = {}
+        for candidate in candidates:
+            existing = unique.get(candidate.key)
+            if existing is None or candidate.value > existing.value:
+                unique[candidate.key] = candidate
+        ordered = sorted(unique.values(), key=lambda candidate: (-candidate.value, candidate.key))
+        return ordered[:count]

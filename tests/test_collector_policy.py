@@ -1,4 +1,5 @@
-"""Tests for the cyclic-collector policy around :meth:`FSGMiner.mine`.
+"""Tests for the cyclic-collector policy around :meth:`FSGMiner.mine` and
+:meth:`SubdueMiner.mine`.
 
 A mine multiplies the collector's gen-2 threshold by
 :data:`~repro.runtime.collector.FULL_COLLECTION_FACTOR` for the length of
@@ -22,6 +23,8 @@ import pytest
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.mining.fsg.exceptions import MemoryBudgetExceeded
 from repro.mining.fsg.miner import FSGMiner
+from repro.mining.subdue import miner as subdue_miner
+from repro.mining.subdue.miner import SubdueMiner
 from repro.obs.tracer import Tracer, activate
 from repro.runtime import SerialRuntime
 from repro.runtime.collector import FULL_COLLECTION_FACTOR, rare_full_collections
@@ -185,6 +188,68 @@ def test_overlapping_mines_on_threads_restore_the_caller_thresholds(caller_thres
     assert not errors
     assert len(seen) >= 4
     assert set(seen) == {RAISED}
+    assert gc.get_threshold() == CALLER
+
+
+def _star_host() -> LabeledGraph:
+    """Three disjoint two-leaf stars: SUBDUE evaluates a few candidates."""
+    host = LabeledGraph(name="stars")
+    for copy in range(3):
+        host.add_vertex(f"hub{copy}", "place")
+        for leaf in range(2):
+            host.add_vertex(f"leaf{copy}_{leaf}", "place")
+            host.add_edge(f"hub{copy}", f"leaf{copy}_{leaf}", "w")
+    return host
+
+
+@pytest.fixture
+def subdue_calls(monkeypatch):
+    """Record the collector's state at every candidate evaluation a SUBDUE
+    mine makes; ``fail`` makes the evaluation raise."""
+    calls = {"thresholds": [], "enabled": [], "fail": False}
+    evaluate = subdue_miner.evaluate
+
+    def recording(*args, **kwargs):
+        calls["thresholds"].append(gc.get_threshold())
+        calls["enabled"].append(gc.isenabled())
+        if calls["fail"]:
+            raise RuntimeError("evaluation failed")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(subdue_miner, "evaluate", recording)
+    return calls
+
+
+def _subdue_mine():
+    return SubdueMiner(max_substructure_edges=2).mine(_star_host())
+
+
+def test_subdue_thresholds_raised_inside_a_run_and_restored_after(caller_thresholds, subdue_calls):
+    assert _subdue_mine().evaluated > 0
+    assert subdue_calls["thresholds"]
+    assert set(subdue_calls["thresholds"]) == {RAISED}
+    assert gc.get_threshold() == CALLER
+
+
+def test_subdue_thresholds_restored_after_an_exception(caller_thresholds, subdue_calls):
+    subdue_calls["fail"] = True
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        _subdue_mine()
+    assert subdue_calls["thresholds"] == [RAISED]
+    assert gc.get_threshold() == CALLER
+
+
+def test_subdue_disabled_collector_stays_disabled(caller_thresholds, subdue_calls):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _subdue_mine()
+        assert set(subdue_calls["enabled"]) == {False}
+        assert set(subdue_calls["thresholds"]) == {RAISED}
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
     assert gc.get_threshold() == CALLER
 
 

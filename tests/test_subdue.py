@@ -1,4 +1,12 @@
-"""Tests for the SUBDUE-style substructure discovery system."""
+"""Tests for the SUBDUE-style substructure discovery system.
+
+The search works on ``(edge bits, vertex bits, order)`` instances over an
+:class:`IntegerHost`.  The references here (pairwise-isomorphism
+grouping, pricing a materialised compressed graph) and the frozenset
+search in ``tests/subdue_oracle.py`` work on frozensets, over the caller's
+ids or over a rank-id copy of the host; the helpers below convert between
+the two forms.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subdue_oracle as oracle
 from repro.core.config import ExperimentConfig
 from repro.datasets.schema import Location
 from repro.graphs.builders import build_od_graph
@@ -15,7 +24,7 @@ from repro.graphs.canonical import CanonicalizationError, canonical_code, graph_
 from repro.graphs.components import truncate_to_vertices
 from repro.graphs.engine import MatchEngine
 from repro.graphs.isomorphism import are_isomorphic
-from repro.graphs.labeled_graph import LabeledGraph, VertexId
+from repro.graphs.labeled_graph import Edge, LabeledGraph, VertexId
 from repro.graphs.motifs import chain, hub_and_spoke
 from repro.mining.subdue.evaluation import (
     EvaluationPrinciple,
@@ -24,19 +33,22 @@ from repro.mining.subdue.evaluation import (
     mdl_value,
     size_value,
 )
-from repro.mining.subdue.expansion import expand_instance, expand_substructure, initial_substructures
+from repro.mining.subdue.expansion import expand_substructure, extend_instances, initial_substructures
 from repro.mining.subdue.mdl import description_length, graph_size
 from repro.mining.subdue.miner import SubdueMiner
 from repro.mining.subdue.substructure import (
+    Candidate,
     Instance,
+    IntegerHost,
     Substructure,
-    _instance_layout,
+    bit_positions,
     group_instances_by_pattern,
     instance_pattern,
     select_non_overlapping,
 )
 from repro.obs import Tracer, activate
 from repro.scenarios.harness import pattern_code
+from subdue_oracle import OracleInstance, OracleSubstructure
 
 
 def _repeated_star_graph(copies: int = 4, spokes: int = 3) -> LabeledGraph:
@@ -56,9 +68,59 @@ def _repeated_star_graph(copies: int = 4, spokes: int = 3) -> LabeledGraph:
     return host
 
 
+def _ranked(host: LabeledGraph) -> LabeledGraph:
+    """*host* with every vertex renamed to its rank in :class:`IntegerHost`."""
+    return host.renamed({vertex: rank for rank, vertex in enumerate(IntegerHost(host).ids)})
+
+
+def _integer_instance(host: IntegerHost, instance, in_ranks: bool = False) -> tuple:
+    """A frozenset *instance* as an ``(edge bits, vertex bits, None)``
+    triple over *host*; its ids are the caller's, or ranks if *in_ranks*."""
+    rank = {vertex: index for index, vertex in enumerate(host.ids)}
+    if in_ranks:
+        rank = {index: index for index in rank.values()}
+    last = host.n_edges - 1
+    number = {(source, target): index for index, (source, target, _) in enumerate(host.edges)}
+    edge_bits = 0
+    for edge in instance.edges:
+        edge_bits |= 1 << (last - number[rank[edge.source], rank[edge.target]])
+    vertex_bits = 0
+    for vertex in instance.vertices:
+        vertex_bits |= 1 << rank[vertex]
+    return edge_bits, vertex_bits, None
+
+
+def _rank_instance(host: IntegerHost, edge_bits: int, vertex_bits: int, order=None) -> OracleInstance:
+    """A bitset instance as a frozenset instance over ranks, its order kept."""
+    return OracleInstance(
+        vertices=frozenset(bit_positions(vertex_bits)),
+        edges=frozenset([Edge(*edge) for edge in host.edges_of(edge_bits)]),
+        order=order,
+    )
+
+
+def _as_oracle(host: IntegerHost, candidates: list[Candidate]) -> list[OracleSubstructure]:
+    """*candidates* as frozenset substructures over ranks, recorded orders kept."""
+    return [
+        OracleSubstructure(
+            pattern=candidate.pattern,
+            instances=[_rank_instance(host, *instance) for instance in candidate.instances],
+        )
+        for candidate in candidates
+    ]
+
+
+def _children(instances: list[tuple]) -> dict:
+    """Bitset instances as grouping input with no orders: each is read in
+    rank order and keyed by its whole layout, as the children of a class
+    too symmetric to canonicalise are, so any instances of any classes
+    may be grouped together."""
+    return {edge_bits: (vertex_bits, None, None) for edge_bits, vertex_bits, _ in instances}
+
+
 def pairwise_grouping(
-    host: LabeledGraph, instances: list[Instance], engine: MatchEngine | None = None
-) -> list[Substructure]:
+    host: LabeledGraph, instances: list[OracleInstance], engine: MatchEngine | None = None
+) -> list[OracleSubstructure]:
     """Reference for :func:`group_instances_by_pattern`: pairwise isomorphism.
 
     Every instance builds its pattern and joins the first isomorphic class
@@ -66,9 +128,9 @@ def pairwise_grouping(
     their invariant, then first-seen order within it.
     """
     isomorphic = engine.are_isomorphic if engine is not None else are_isomorphic
-    buckets: dict[str, list[tuple[LabeledGraph, list[Instance]]]] = {}
+    buckets: dict[str, list[tuple[LabeledGraph, list[OracleInstance]]]] = {}
     for instance in instances:
-        pattern = instance_pattern(host, instance)
+        pattern = oracle.instance_pattern(host, instance)
         bucket = buckets.setdefault(graph_invariant(pattern), [])
         for existing_pattern, existing_instances in bucket:
             if isomorphic(existing_pattern, pattern):
@@ -77,13 +139,13 @@ def pairwise_grouping(
         else:
             bucket.append((pattern, [instance]))
     return [
-        Substructure(pattern=pattern, instances=grouped)
+        OracleSubstructure(pattern=pattern, instances=grouped)
         for bucket in buckets.values()
         for pattern, grouped in bucket
     ]
 
 
-def _grouping_view(substructures: list[Substructure]) -> list[tuple]:
+def _grouping_view(substructures: list[OracleSubstructure]) -> list[tuple]:
     """Each class as (pattern vertices, pattern edges, instances), in order."""
     return [
         (
@@ -280,10 +342,11 @@ def compression_cases(draw) -> tuple[LabeledGraph, list[Instance]]:
     return host, instances
 
 
-def _assert_recorded_orders(host: LabeledGraph, groups: list[Substructure]) -> None:
+def _assert_recorded_orders(host: LabeledGraph, groups: list[OracleSubstructure]) -> None:
     """Every instance of a canonicalised class records a permutation of its
     vertices, and all of the class's instances read one layout in it; a
-    class too symmetric to canonicalise records no order."""
+    class too symmetric to canonicalise records no order.  *host* is the
+    rank-id copy the groups' ids refer to."""
     for group in groups:
         try:
             canonical_code(group.pattern)
@@ -295,17 +358,8 @@ def _assert_recorded_orders(host: LabeledGraph, groups: list[Substructure]) -> N
             assert instance.order is not None
             assert len(instance.order) == len(instance.vertices)
             assert set(instance.order) == instance.vertices
-            layouts.add(_instance_layout(host, instance)[1])
+            layouts.add(oracle.instance_layout(host, instance)[1])
         assert len(layouts) == 1
-
-
-def _extended_instances(host: LabeledGraph, parent: Substructure) -> list[Instance]:
-    """The deduplicated one-edge extensions :func:`expand_substructure` groups."""
-    extended: dict[tuple[frozenset, frozenset], Instance] = {}
-    for instance in parent.instances:
-        for new_instance in expand_instance(host, instance):
-            extended[(new_instance.vertices, new_instance.edges)] = new_instance
-    return list(extended.values())
 
 
 def _f1_host(n_vertices: int = 60) -> LabeledGraph:
@@ -318,47 +372,61 @@ def _f1_host(n_vertices: int = 60) -> LabeledGraph:
 
 
 class TestSubstructure:
-    def test_instance_from_vertex(self):
-        instance = Instance.from_vertex("a")
+    def test_instance_from_vertex(self, triangle_graph):
+        # A seed instance is its one vertex: no edges, the vertex its order.
+        host = IntegerHost(triangle_graph)
+        (seed,) = initial_substructures(host)
+        edge_bits, vertex_bits, order = seed.instances[0]
+        instance = host.instance(edge_bits, vertex_bits)
         assert instance.vertices == frozenset({"a"})
         assert instance.n_edges == 0
+        assert order == (0,)
 
     def test_instance_extension_and_overlap(self, triangle_graph):
-        edge = next(iter(triangle_graph.edges()))
-        instance = Instance.from_vertex(edge.source).extended_with(edge)
-        assert instance.n_edges == 1
-        assert instance.overlaps(Instance.from_vertex(edge.target))
+        host = IntegerHost(triangle_graph)
+        (seed,) = initial_substructures(host)
+        source, target = seed.instances[0], seed.instances[1]
+        children = extend_instances(host, Candidate(pattern=seed.pattern, instances=[source]))
+        edge_bits, (vertex_bits, order, _) = next(iter(children.items()))
+        assert edge_bits.bit_count() == 1
+        assert vertex_bits & target[1]
+        assert order == (0, 1)
 
     def test_instance_pattern_preserves_labels(self, triangle_graph):
         edges = list(triangle_graph.edges())
         instance = Instance(
             vertices=frozenset({edges[0].source, edges[0].target}), edges=frozenset({edges[0]})
         )
-        pattern = instance_pattern(triangle_graph, instance)
+        host = IntegerHost(triangle_graph)
+        edge_bits, vertex_bits, _ = _integer_instance(host, instance)
+        pattern = instance_pattern(host, edge_bits, vertex_bits)
         assert pattern.n_edges == 1
-        assert pattern.vertex_label(edges[0].source) == "place"
+        assert pattern.vertex_label(host.ids.index(edges[0].source)) == "place"
 
     def test_select_non_overlapping(self):
         host = _repeated_star_graph(copies=2)
+        integer_host = IntegerHost(host)
         instances = [
-            Instance(vertices=frozenset({"hub0", "leaf0_0"}), edges=frozenset()),
-            Instance(vertices=frozenset({"hub0", "leaf0_1"}), edges=frozenset()),
-            Instance(vertices=frozenset({"hub1", "leaf1_0"}), edges=frozenset()),
+            _whole_instance(host, {"hub0", "leaf0_0"}),
+            _whole_instance(host, {"hub0", "leaf0_1"}),
+            _whole_instance(host, {"hub1", "leaf1_0"}),
         ]
-        disjoint = select_non_overlapping(instances)
+        disjoint = select_non_overlapping([_integer_instance(integer_host, instance) for instance in instances])
         assert len(disjoint) == 2
 
     def test_group_instances_by_pattern(self):
         host = _repeated_star_graph(copies=2, spokes=2)
-        all_edges = list(host.edges())
+        integer_host = IntegerHost(host)
         instances = [
-            Instance(vertices=frozenset({e.source, e.target}), edges=frozenset({e}))
-            for e in all_edges
+            _integer_instance(
+                integer_host, Instance(vertices=frozenset({e.source, e.target}), edges=frozenset({e}))
+            )
+            for e in host.edges()
         ]
-        groups = group_instances_by_pattern(host, instances, MatchEngine())
+        groups = group_instances_by_pattern(integer_host, _children(instances), MatchEngine())
         # Two pattern classes: the star edge (label 1) and the bridge edge (label 9).
         assert len(groups) == 2
-        assert {g.n_instances for g in groups} == {4, 1}
+        assert {len(g.instances) for g in groups} == {4, 1}
 
 
 class TestGroupingOracle:
@@ -367,21 +435,27 @@ class TestGroupingOracle:
     @settings(max_examples=60, deadline=None)
     @given(host=small_hosts(), use_engine=st.booleans())
     def test_matches_pairwise_grouping(self, host, use_engine):
-        # *use_engine* picks the oracle's matcher: the engine, or the
-        # legacy backtracking search that shares no code with it.
+        # Every instance of a level, whatever its parent, grouped at once
+        # and read in rank order.  *use_engine* picks the oracle's
+        # matcher: the engine, or the legacy backtracking search that
+        # shares no code with it.
         engine = MatchEngine()
         oracle_engine = engine if use_engine else None
-        level = [Instance.from_vertex(vertex) for vertex in host.vertices()]
+        integer_host = IntegerHost(host)
+        ranked = _ranked(host)
+        level = [OracleInstance.from_vertex(vertex) for vertex in ranked.vertices()]
         for _ in range(3):
-            extended: dict[tuple[frozenset, frozenset], Instance] = {}
+            extended: dict[tuple[frozenset, frozenset], OracleInstance] = {}
             for instance in level:
-                for new_instance in expand_instance(host, instance):
+                for new_instance in oracle.expand_instance(ranked, instance):
                     extended[(new_instance.vertices, new_instance.edges)] = new_instance
             level = list(extended.values())
             if not level:
                 break
-            expected = _grouping_view(pairwise_grouping(host, level, engine=oracle_engine))
-            assert _grouping_view(group_instances_by_pattern(host, level, engine=engine)) == expected
+            expected = _grouping_view(pairwise_grouping(ranked, level, engine=oracle_engine))
+            children = _children([_integer_instance(integer_host, instance, in_ranks=True) for instance in level])
+            groups = group_instances_by_pattern(integer_host, children, engine=engine)
+            assert _grouping_view(_as_oracle(integer_host, groups)) == expected
 
     def test_invariant_collision_keeps_first_seen_class_order(self):
         # A directed 6-cycle and two directed triangles are both 1-in,
@@ -400,25 +474,39 @@ class TestGroupingOracle:
 
         hexagon, triangles, other_hexagon = rings("c"), rings("t", "u"), rings("d")
         instances = [hexagon, triangles, other_hexagon]
-        assert graph_invariant(instance_pattern(host, hexagon)) == graph_invariant(
-            instance_pattern(host, triangles)
+        integer_host = IntegerHost(host)
+        triples = [_integer_instance(integer_host, instance) for instance in instances]
+        assert graph_invariant(instance_pattern(integer_host, *triples[0][:2])) == graph_invariant(
+            instance_pattern(integer_host, *triples[1][:2])
         )
-        groups = group_instances_by_pattern(host, instances, MatchEngine())
-        assert [group.instances for group in groups] == [[hexagon, other_hexagon], [triangles]]
-        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, instances))
+        groups = group_instances_by_pattern(integer_host, _children(triples), MatchEngine())
+        assert [
+            [integer_host.instance(edge_bits, vertex_bits) for edge_bits, vertex_bits, _ in group.instances]
+            for group in groups
+        ] == [[hexagon, other_hexagon], [triangles]]
+        expected = pairwise_grouping(_ranked(host), [_rank_instance(integer_host, *triple) for triple in triples])
+        assert _grouping_view(_as_oracle(integer_host, groups)) == _grouping_view(expected)
 
     # *use_engine* picks the oracle's matcher, as in the property above.
     @pytest.mark.parametrize("use_engine", [False, True])
     def test_too_symmetric_patterns_fall_back_to_isomorphism(self, use_engine):
         host, instances = _two_nine_leaf_stars()
+        integer_host = IntegerHost(host)
+        triples = [_integer_instance(integer_host, instance) for instance in instances]
         engine = MatchEngine()
         with activate(Tracer()) as tracer:
-            groups = group_instances_by_pattern(host, instances, engine=engine)
+            groups = group_instances_by_pattern(integer_host, _children(triples), engine=engine)
         assert tracer.metrics.counter_total("canonical_fallbacks") > 0
         assert len(groups) == 1
-        assert groups[0].instances == instances
-        oracle = pairwise_grouping(host, instances, engine=engine if use_engine else None)
-        assert _grouping_view(groups) == _grouping_view(oracle)
+        assert [
+            integer_host.instance(edge_bits, vertex_bits) for edge_bits, vertex_bits, _ in groups[0].instances
+        ] == instances
+        oracle_groups = pairwise_grouping(
+            _ranked(host),
+            [_rank_instance(integer_host, *triple) for triple in triples],
+            engine=engine if use_engine else None,
+        )
+        assert _grouping_view(_as_oracle(integer_host, groups)) == _grouping_view(oracle_groups)
 
 
     @settings(max_examples=40, deadline=None)
@@ -426,17 +514,23 @@ class TestGroupingOracle:
     def test_expansion_with_recorded_orders_matches_pairwise_grouping(self, host, use_engine):
         # Two levels through expand_substructure: level-1 instances read
         # their layout in seed order plus the new vertex, level-2 ones in
-        # their parent class's canonical order plus the new vertex.
+        # their parent class's canonical order plus the new vertex.  The
+        # expected classes group the frozenset oracle's extensions.
         engine = MatchEngine()
         oracle_engine = engine if use_engine else None
-        frontier = initial_substructures(host, engine)
+        integer_host = IntegerHost(host)
+        ranked = _ranked(host)
+        frontier = initial_substructures(integer_host)
         for _ in range(2):
-            children: list[Substructure] = []
+            children: list[Candidate] = []
             for parent in frontier:
-                expected = pairwise_grouping(host, _extended_instances(host, parent), engine=oracle_engine)
-                groups = expand_substructure(host, parent, engine)
-                assert _grouping_view(groups) == _grouping_view(expected)
-                _assert_recorded_orders(host, groups)
+                (oracle_parent,) = _as_oracle(integer_host, [parent])
+                expected = pairwise_grouping(
+                    ranked, oracle.extended_instances(ranked, oracle_parent), engine=oracle_engine
+                )
+                groups = expand_substructure(integer_host, parent, engine)
+                assert _grouping_view(_as_oracle(integer_host, groups)) == _grouping_view(expected)
+                _assert_recorded_orders(ranked, _as_oracle(integer_host, groups))
                 children.extend(groups)
             frontier = children
 
@@ -448,40 +542,48 @@ class TestGroupingOracle:
         for copy, hub in enumerate(("a-hub", "z-hub")):
             host.add_edge(f"m{copy}_0", f"x{copy}", "w")
             host.add_edge(hub, f"y{copy}", "v")
+        integer_host = IntegerHost(host)
+        ranked = _ranked(host)
         engine = MatchEngine()
-        (parent,) = group_instances_by_pattern(host, stars, engine)
-        assert all(instance.order is None for instance in parent.instances)
-        extended = _extended_instances(host, parent)
-        assert all(instance.order is None for instance in extended)
-        groups = expand_substructure(host, parent, engine)
-        assert _grouping_view(groups) == _grouping_view(pairwise_grouping(host, extended, engine=engine))
-        _assert_recorded_orders(host, groups)
-        assert any(instance.order is not None for group in groups for instance in group.instances)
+        triples = [_integer_instance(integer_host, star) for star in stars]
+        (parent,) = group_instances_by_pattern(integer_host, _children(triples), engine)
+        assert all(order is None for _, _, order in parent.instances)
+        extended = extend_instances(integer_host, parent)
+        assert all(order is None for _, order, _ in extended.values())
+        groups = expand_substructure(integer_host, parent, engine)
+        (oracle_parent,) = _as_oracle(integer_host, [parent])
+        expected = pairwise_grouping(ranked, oracle.extended_instances(ranked, oracle_parent), engine=engine)
+        assert _grouping_view(_as_oracle(integer_host, groups)) == _grouping_view(expected)
+        _assert_recorded_orders(ranked, _as_oracle(integer_host, groups))
+        assert any(order is not None for group in groups for _, _, order in group.instances)
 
 
 class TestExpansion:
     def test_initial_substructures_one_per_label(self):
         host = _repeated_star_graph()
-        seeds = initial_substructures(host, MatchEngine())
+        seeds = initial_substructures(IntegerHost(host))
         assert len(seeds) == 1
-        assert seeds[0].n_instances == host.n_vertices
+        assert len(seeds[0].instances) == host.n_vertices
 
     def test_initial_substructures_multiple_labels(self, triangle_graph):
         relabeled = triangle_graph.relabel_vertices({"a": "depot"})
-        seeds = initial_substructures(relabeled, MatchEngine())
+        seeds = initial_substructures(IntegerHost(relabeled))
         assert len(seeds) == 2
 
     def test_expand_instance_adds_one_edge(self):
         host = _repeated_star_graph()
-        instance = Instance.from_vertex("hub0")
-        extensions = expand_instance(host, instance)
-        assert all(ext.n_edges == 1 for ext in extensions)
+        integer_host = IntegerHost(host)
+        (seed,) = initial_substructures(integer_host)
+        hub = integer_host.ids.index("hub0")
+        (instance,) = [instance for instance in seed.instances if instance[2] == (hub,)]
+        extensions = extend_instances(integer_host, Candidate(pattern=seed.pattern, instances=[instance]))
+        assert all(edge_bits.bit_count() == 1 for edge_bits in extensions)
         assert len(extensions) == 4  # 3 spokes + 1 bridge to hub1
 
     def test_expand_substructure_groups_by_pattern(self):
-        host = _repeated_star_graph()
+        host = IntegerHost(_repeated_star_graph())
         engine = MatchEngine()
-        seeds = initial_substructures(host, engine)
+        seeds = initial_substructures(host)
         level1 = expand_substructure(host, seeds[0], engine)
         labels = sorted(
             next(iter(sub.pattern.edges())).label for sub in level1
@@ -502,24 +604,30 @@ class TestMdlAndSize:
     def test_compression_with_frequent_substructure_beats_rare_one(self):
         host = _repeated_star_graph(copies=4, spokes=3)
         star = hub_and_spoke(3, edge_labels=[1, 1, 1])
+        integer_host = IntegerHost(host)
         frequent_instances = []
         for copy in range(4):
             vertices = {f"hub{copy}"} | {f"leaf{copy}_{s}" for s in range(3)}
             edges = {e for e in host.edges() if e.source == f"hub{copy}" and e.label == 1}
-            frequent_instances.append(Instance(vertices=frozenset(vertices), edges=frozenset(edges)))
-        frequent = Substructure(pattern=star, instances=frequent_instances)
-        rare = Substructure(pattern=star, instances=frequent_instances[:1])
-        engine = MatchEngine()
-        assert mdl_value(host, frequent, engine) > mdl_value(host, rare, engine)
-        assert size_value(host, frequent) > size_value(host, rare)
+            frequent_instances.append(
+                _integer_instance(integer_host, Instance(vertices=frozenset(vertices), edges=frozenset(edges)))
+            )
+        rare_instances = frequent_instances[:1]
+        frequent = Candidate(
+            pattern=star, instances=frequent_instances, selection=select_non_overlapping(frequent_instances)
+        )
+        rare = Candidate(pattern=star, instances=rare_instances, selection=select_non_overlapping(rare_instances))
+        assert mdl_value(integer_host, frequent) > mdl_value(integer_host, rare)
+        assert size_value(integer_host, frequent) > size_value(integer_host, rare)
 
     def test_evaluate_dispatch(self):
-        host = _repeated_star_graph()
+        host = IntegerHost(_repeated_star_graph())
         engine = MatchEngine()
-        seeds = initial_substructures(host, engine)
-        substructure = expand_substructure(host, seeds[0], engine)[0]
+        seeds = initial_substructures(host)
+        candidate = expand_substructure(host, seeds[0], engine)[0]
+        candidate.selection = select_non_overlapping(candidate.instances)
         for principle in (EvaluationPrinciple.MDL, EvaluationPrinciple.SIZE):
-            assert evaluate(host, substructure, principle, engine=engine) > 0
+            assert evaluate(host, candidate, principle) > 0
 
     def test_every_principle_runs_from_the_miner(self):
         # Every offered principle must score a candidate with what the
@@ -532,14 +640,12 @@ class TestMdlAndSize:
 class TestCompression:
     def test_compress_replaces_instances(self):
         host = _repeated_star_graph(copies=3, spokes=2)
-        star = hub_and_spoke(2, edge_labels=[1, 1])
         instances = []
         for copy in range(3):
             vertices = {f"hub{copy}", f"leaf{copy}_0", f"leaf{copy}_1"}
             edges = {e for e in host.edges() if e.source == f"hub{copy}" and e.label == 1}
             instances.append(Instance(vertices=frozenset(vertices), edges=frozenset(edges)))
-        substructure = Substructure(pattern=star, instances=instances)
-        compressed = compress_instances(host, substructure.non_overlapping())
+        compressed = compress_instances(host, oracle.select_non_overlapping(instances))
         # Each 3-vertex instance becomes one SUB vertex; bridges survive.
         assert compressed.n_vertices == 3
         assert compressed.n_edges == 2
@@ -575,11 +681,12 @@ class TestCompression:
             host.add_vertex(name, "place")
         host.add_edge("a", "b", "w")
         host.add_edge("e", "e", "w")
-        substructure = Substructure(pattern=chain(1), instances=[_whole_instance(host, {"a", "b"})])
-        compressed = compress_instances(host, substructure.non_overlapping())
+        instance = _whole_instance(host, {"a", "b"})
+        compressed = compress_instances(host, [instance])
         assert compressed.n_edges == 1
         assert compressed.has_edge("e", "e")
-        counts = compression_counts(host, substructure)
+        integer_host = IntegerHost(host)
+        counts = compression_counts(integer_host, [_integer_instance(integer_host, instance)])
         assert (counts.edges, counts.merged_edges) == (1, 0)
 
     def test_untouched_vertex_labelled_sub_adds_no_boundary_edges(self):
@@ -597,35 +704,47 @@ class TestCompression:
         values = []
         for label in ("SUB", "depot"):
             host = host_with(label)
-            instances = [_whole_instance(host, {"a", "b"}), _whole_instance(host, {"c", "d"})]
-            substructure = Substructure(pattern=instance_pattern(host, instances[0]), instances=instances)
-            assert compression_counts(host, substructure).boundary_edges == 0
-            values.append(mdl_value(host, substructure, MatchEngine()))
+            integer_host = IntegerHost(host)
+            instances = [
+                _integer_instance(integer_host, _whole_instance(host, vertices))
+                for vertices in ({"a", "b"}, {"c", "d"})
+            ]
+            candidate = Candidate(
+                pattern=instance_pattern(integer_host, *instances[0][:2]),
+                instances=instances,
+                selection=select_non_overlapping(instances),
+            )
+            assert compression_counts(integer_host, candidate.selection).boundary_edges == 0
+            values.append(mdl_value(integer_host, candidate))
         assert values[0] == values[1]
 
 
 class TestCountOnlyEvaluation:
-    """Count-only evaluation equals pricing the materialised compressed graph."""
+    """Count-only evaluation over bitsets equals pricing the materialised
+    compressed graph."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=compression_cases())
     def test_matches_materialised_graph(self, case):
         host, instances = case
+        integer_host = IntegerHost(host)
+        triples = [_integer_instance(integer_host, instance) for instance in instances]
         if instances:
-            pattern = instance_pattern(host, instances[0])
+            pattern = instance_pattern(integer_host, *triples[0][:2])
         else:
             pattern = LabeledGraph(name="single")
             pattern.add_vertex("p0", "place")
-        substructure = Substructure(pattern=pattern, instances=instances)
+        candidate = Candidate(pattern=pattern, instances=triples, selection=triples)
+        substructure = Substructure(pattern=pattern, instances=instances, selection=instances)
         stats = materialised_stats(host, substructure)
-        counts = compression_counts(host, substructure)
+        counts = compression_counts(integer_host, candidate.selection)
         assert counts.vertices == stats["compressed"].n_vertices
         assert counts.edges == stats["compressed"].n_edges
         assert counts.covered_vertices == stats["covered_vertices"]
         assert counts.merged_edges == stats["merged_edges"]
         assert counts.boundary_edges == stats["boundary_edges"]
-        assert mdl_value(host, substructure, MatchEngine()) == materialised_mdl_value(host, substructure)
-        assert size_value(host, substructure) == materialised_size_value(host, substructure)
+        assert mdl_value(integer_host, candidate) == materialised_mdl_value(host, substructure)
+        assert size_value(integer_host, candidate) == materialised_size_value(host, substructure)
 
 
 class TestSubdueMiner:
@@ -644,6 +763,27 @@ class TestSubdueMiner:
             result = SubdueMiner(principle=principle, max_substructure_edges=2, limit=100).mine(host)
             assert result.evaluated > 0
             assert result.elapsed_seconds >= 0
+
+    @pytest.mark.parametrize("principle", list(EvaluationPrinciple))
+    def test_principle_given_by_its_value(self, principle):
+        host = _repeated_star_graph(copies=3, spokes=2)
+        engine = MatchEngine()
+        miner = SubdueMiner(principle=principle.value, max_substructure_edges=2, limit=100)
+        assert miner.principle is principle
+        results = [
+            SubdueMiner(principle=given, max_substructure_edges=2, limit=100).mine(host)
+            for given in (principle, principle.value)
+        ]
+        rows = [
+            (
+                result.evaluated,
+                result.principle,
+                [(pattern_code(engine, sub.pattern), sub.value, sub.non_overlapping()) for sub in result.best],
+            )
+            for result in results
+        ]
+        assert rows[0][0] > 0
+        assert rows[0] == rows[1]
 
     def test_limit_bounds_evaluations(self):
         host = _repeated_star_graph(copies=4, spokes=4)
@@ -670,6 +810,7 @@ class TestSubdueMiner:
             ("limit", -5),
             ("max_instances", 0),
             ("max_substructure_edges", 0),
+            ("principle", "bogus"),
         ],
     )
     def test_rejects_out_of_range_parameters(self, name, value):
@@ -682,7 +823,8 @@ class TestSubdueMiner:
 
     def test_beam_keeps_distinct_classes_that_share_an_invariant(self):
         # Two connected, non-isomorphic 6-vertex patterns that colour
-        # refinement cannot tell apart; the beam must keep both.
+        # refinement cannot tell apart; the beam must keep both.  Their
+        # keys are what grouping records when it opens their classes.
         def pattern(edges):
             graph = LabeledGraph()
             for vertex in range(6):
@@ -696,13 +838,17 @@ class TestSubdueMiner:
         assert graph_invariant(first) == graph_invariant(second)
         assert not are_isomorphic(first, second)
         kept = SubdueMiner._keep_best(
-            [Substructure(pattern=first, value=2.0), Substructure(pattern=second, value=1.5)], 2
+            [
+                Candidate(pattern=first, instances=[], key=oracle.class_key(first), value=2.0),
+                Candidate(pattern=second, instances=[], key=oracle.class_key(second), value=1.5),
+            ],
+            2,
         )
-        assert [substructure.pattern for substructure in kept] == [first, second]
+        assert [candidate.pattern for candidate in kept] == [first, second]
 
 
 class TestHostIds:
-    """The miner searches a rank-id copy of its host and reports the caller's ids."""
+    """The miner searches ranks of its host's ids and reports the caller's ids."""
 
     @staticmethod
     def _hosts() -> dict[str, LabeledGraph]:
@@ -748,9 +894,9 @@ class TestHostIds:
                 selection = sub.non_overlapping()
                 assert all(any(chosen is instance for instance in sub.instances) for chosen in selection)
                 # The carried selection is the one the value came from.
-                assert evaluate(host, sub, EvaluationPrinciple.MDL, engine=MatchEngine()) == sub.value
+                assert materialised_mdl_value(host, sub) == sub.value
                 if name == "str":
-                    assert selection == select_non_overlapping(sub.instances)
+                    assert selection == oracle.select_non_overlapping(sub.instances)
             if name == "location":
                 assert all(
                     isinstance(vertex, Location) for sub in result.best for vertex in sub.pattern.vertices()
